@@ -9,7 +9,7 @@ smooth-converge mollified-family convergence report
 minimality      shortest-path margin report for one geodesic
 report          run verification suites, aggregate JSON, exit 0 iff all pass
 
-Exit codes: 0 success, 1 failed verdict, 2 bad configuration, 3 out of domain.
+Exit codes: 0 success, 1 failed verdict, 2 bad configuration or input, 3 out of domain.
 All randomness derives from the seed recorded in the output. GEOFLOW_THREADS
 caps the worker pool used for independent probes.
 """
@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DomainTooSmall,
     GeoflowError,
+    InvalidInput,
     OutOfChart,
     OutOfDomain,
     UnknownSurface,
@@ -534,7 +535,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownSurface, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OutOfChart as exc:
+    except (OutOfChart, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeoflowError as exc:

@@ -39,3 +39,7 @@ class DisconnectedMesh(GeoflowError):
 
 class ConfigError(GeoflowError):
     """Invalid run configuration."""
+
+
+class InvalidInput(GeoflowError, ValueError):
+    """A request argument is malformed: wrong shape, non-finite or out of range."""

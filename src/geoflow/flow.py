@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .errors import OutOfDomain
-from .surface import christoffel_batch, g_norm_batch
+from .errors import InvalidInput, OutOfDomain
+from .surface import g_norm_batch, local_geometry
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,32 @@ def make_geodesic_rhs(surface):
 
     def rhs(u):
         u = np.asarray(u, dtype=float)
-        x = u[..., :m]
         y = u[..., m:]
-        gamma = christoffel_batch(surface, x)
+        gamma = local_geometry(surface, u[..., :m]).gamma
         acc = -np.einsum("...kij,...i,...j->...k", gamma, y, y)
         return np.concatenate([y, acc], axis=-1)
 
     return rhs
+
+
+def check_request(surface, t, v: TangentVector, *, positive=False):
+    """Validate a public request (t, v) once; return (x0, y0) as float arrays.
+
+    Raises OutOfChart when v.x is not a chart point and InvalidInput for a
+    non-finite t (or t <= 0 when positive), or a velocity of the wrong
+    shape or with non-finite entries.
+    """
+    if not np.isfinite(t):
+        raise InvalidInput(f"time must be finite, got {t}")
+    if positive and t <= 0:
+        raise InvalidInput(f"time must be positive, got {t}")
+    x0 = surface.require_inside(v.x)
+    y0 = np.asarray(v.y, dtype=float)
+    if y0.shape != (surface.dim,):
+        raise InvalidInput(f"velocity has shape {y0.shape}, expected ({surface.dim},)")
+    if not np.all(np.isfinite(y0)):
+        raise InvalidInput(f"velocity {y0} is not finite")
+    return x0, y0
 
 
 def geodesic_rhs(surface, s: PhaseState) -> PhaseState:
@@ -123,11 +142,9 @@ def integrate_geodesic(
     max_steps: int = 500_000,
 ) -> Trajectory:
     """Integrate the geodesic with gamma'(0) = v up to t_end or chart exit."""
-    x0 = surface.require_inside(v.x)
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    u0 = np.concatenate([x0, np.asarray(v.y, dtype=float)])
-    speed = float(g_norm_batch(surface, x0, v.y))
+    x0, y0 = check_request(surface, t_end, v, positive=True)
+    u0 = np.concatenate([x0, y0])
+    speed = float(g_norm_batch(surface, x0, y0))
     rhs = make_geodesic_rhs(surface)
     inside = _state_inside(surface)
     if method == "rk4":
@@ -148,12 +165,12 @@ def integrate_geodesic(
 
 def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None, **kw) -> TangentVector:
     """State of the geodesic with initial tangent v after time t."""
+    x0, y0 = check_request(surface, t, v)
     if t == 0.0:
-        surface.require_inside(v.x)
-        return TangentVector(v.x.copy(), np.asarray(v.y, dtype=float).copy())
+        return TangentVector(x0.copy(), y0.copy())
     if t < 0.0:
         # Run the reflected geodesic forward: phi(-t, (x, y)) = N(phi(t, N v)).
-        out = geodesic_flow(surface, -t, TangentVector(v.x, -np.asarray(v.y, dtype=float)), tol, **kw)
+        out = geodesic_flow(surface, -t, TangentVector(x0, -y0), tol, **kw)
         return TangentVector(out.x, -out.y)
     traj = integrate_geodesic(surface, v, t, tol, **kw)
     if traj.exit_reason != integrate.COMPLETED:

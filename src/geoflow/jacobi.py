@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .errors import OutOfDomain, StepFailure
-from .flow import TangentVector, default_tolerances, make_geodesic_rhs, step_cap
-from .surface import christoffel_batch, curvature_matrix_batch
+from .errors import InvalidInput, OutOfDomain, StepFailure
+from .flow import TangentVector, check_request, default_tolerances, make_geodesic_rhs, step_cap
+from .surface import local_geometry
 
 __all__ = [
     "JacobiState",
     "FlowDifferential",
-    "joint_rhs",
     "propagate_jacobi",
     "flow_differential",
     "fd_flow_differential",
@@ -72,39 +71,18 @@ class FlowDifferential:
         return JacobiState.from_vector(self.matrix @ j0.as_vector())
 
 
-def _gamma_contract(surface, x, y):
-    """Matrix G with G[k, i] = Gamma^k_{ij} y^j (batched over leading dims)."""
-    gamma = christoffel_batch(surface, x)
-    return np.einsum("...kij,...j->...ki", gamma, y)
-
-
-def joint_rhs(surface, phase: TangentVector, jac: JacobiState):
-    """Derivatives of the joint geodesic/Jacobi system at one state."""
-    x = surface.require_inside(phase.x)
-    y = np.asarray(phase.y, dtype=float)
-    phase_dot = make_geodesic_rhs(surface)(np.concatenate([x, y]))
-    g_mat = _gamma_contract(surface, x, y)
-    curv = curvature_matrix_batch(surface, x, y)
-    j_dot = jac.K - g_mat @ jac.J
-    k_dot = curv @ jac.J - g_mat @ jac.K
-    return TangentVector.from_state(phase_dot), JacobiState(j_dot, k_dot)
-
-
 def _make_joint_rhs(surface, n_cols):
     """RHS on states [x, y, J(m x n_cols), K(m x n_cols)] flattened."""
     m = surface.dim
-    geo = make_geodesic_rhs(surface)
 
     def rhs(u):
-        x = u[:m]
         y = u[m: 2 * m]
+        geo = local_geometry(surface, u[:m], y)
+        g_mat = geo.gamma_v
         jk = u[2 * m:].reshape(2, m, n_cols)
-        phase_dot = geo(u[: 2 * m])
-        g_mat = _gamma_contract(surface, x, y)
-        curv = curvature_matrix_batch(surface, x, y)
         j_dot = jk[1] - g_mat @ jk[0]
-        k_dot = curv @ jk[0] - g_mat @ jk[1]
-        return np.concatenate([phase_dot, j_dot.ravel(), k_dot.ravel()])
+        k_dot = geo.curvature @ jk[0] - g_mat @ jk[1]
+        return np.concatenate([y, -(g_mat @ y), j_dot.ravel(), k_dot.ravel()])
 
     return rhs
 
@@ -123,8 +101,7 @@ def _propagate_columns(surface, v, jk0, t_end, tol, mode, checkpoints=None):
 
     Returns (result, n_cols); result states contain [x, y, J, K] flattened.
     """
-    x0 = surface.require_inside(v.x)
-    y0 = np.asarray(v.y, dtype=float)
+    x0, y0 = check_request(surface, t_end, v, positive=True)
     n_cols = jk0.shape[-1]
     rtol, atol = default_tolerances(surface)
     if tol is not None:
@@ -181,10 +158,10 @@ def _propagate_two_pass(surface, v, jk0, t_end, rtol, atol, checkpoints):
     def lin_rhs(phase, jk_flat):
         x, y = phase[:m], phase[m:]
         jk = jk_flat.reshape(2, m, n_cols)
-        g_mat = _gamma_contract(surface, x, y)
-        curv = curvature_matrix_batch(surface, x, y)
+        geo = local_geometry(surface, x, y)
+        g_mat = geo.gamma_v
         return np.concatenate(
-            [(jk[1] - g_mat @ jk[0]).ravel(), (curv @ jk[0] - g_mat @ jk[1]).ravel()]
+            [(jk[1] - g_mat @ jk[0]).ravel(), (geo.curvature @ jk[0] - g_mat @ jk[1]).ravel()]
         )
 
     jk = jk0.ravel().copy()
@@ -217,6 +194,9 @@ def propagate_jacobi(
     mode: str = "joint",
 ) -> JacobiState:
     """Solve the Jacobi system along the geodesic of v; linear in j0."""
+    if j0.J.shape != (surface.dim,) or j0.K.shape != (surface.dim,) \
+            or not np.all(np.isfinite(j0.as_vector())):
+        raise InvalidInput(f"Jacobi initial value must be two finite {surface.dim}-vectors")
     jk0 = np.stack([j0.J, j0.K])[..., None]  # (2, m, 1)
     res, _ = _propagate_columns(surface, v, jk0, t_end, tol, mode)
     if res.status != integrate.COMPLETED:
@@ -233,7 +213,7 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
     """Propagate the 2m standard basis initial conditions as one joint run."""
     m = surface.dim
     if t == 0.0:
-        surface.require_inside(v.x)
+        check_request(surface, t, v)
         return FlowDifferential(np.eye(2 * m), 0.0, v)
     jk0 = np.eye(2 * m).reshape(2, m, 2 * m)
     res, n_cols = _propagate_columns(surface, v, jk0, t, tol, mode)
@@ -248,34 +228,32 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
 def chart_to_covariant(surface, x, y) -> np.ndarray:
     """Block matrix C with (J, K) = C (dx, dy): K = dy + Gamma(dx, y)."""
     m = surface.dim
-    g_mat = _gamma_contract(surface, x, y)
     c = np.eye(2 * m)
-    c[m:, :m] = g_mat
+    c[m:, :m] = local_geometry(surface, x, y).gamma_v
     return c
 
 
 def covariant_to_chart(surface, x, y) -> np.ndarray:
-    m = surface.dim
-    g_mat = _gamma_contract(surface, x, y)
-    c = np.eye(2 * m)
-    c[m:, :m] = -g_mat
-    return c
+    """Inverse of chart_to_covariant: dy = K - Gamma(J, y)."""
+    return 2.0 * np.eye(2 * surface.dim) - chart_to_covariant(surface, x, y)
 
 
 def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
                          order: int | None = None, tol: float = 1e-12) -> np.ndarray:
     """Central-difference Jacobian of the flow, in (J, K) coordinates.
 
-    order 4 stencils on surfaces of class >= C3, order 2 otherwise. All
-    perturbed trajectories integrate as one batch with shared accepted
-    steps, so the common part of the integration error cancels in the
-    differences.
+    order 4 stencils on surfaces of class >= C3, order 2 otherwise. The
+    unperturbed state (row 0, whose end point sets the covariant frame) and
+    all perturbed ones integrate as one batch with shared accepted steps,
+    so the common part of the integration error cancels in the differences.
+    Uses only the geodesic right-hand side, never the Jacobi system.
     """
     m = surface.dim
     if order is None:
         order = 4 if surface.regularity.at_least("C3") else 2
-    x0 = surface.require_inside(v.x)
-    y0 = np.asarray(v.y, dtype=float)
+    x0, y0 = check_request(surface, t, v)
+    if t < 0.0:
+        raise InvalidInput(f"flow differential needs t >= 0, got {t}")
     base = np.concatenate([x0, y0])
 
     if order == 4:
@@ -286,7 +264,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
         weights = np.array([-1.0, 1.0]) / (2.0 * eps)
 
     n_dirs = 2 * m
-    ics = []
+    ics = [base]
     for d in range(n_dirs):
         for o in offsets:
             u = base.copy()
@@ -313,13 +291,10 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     d_chart = np.empty((2 * m, 2 * m))
     k = len(offsets)
     for d in range(n_dirs):
-        block = ends[d * k: (d + 1) * k]
+        block = ends[1 + d * k: 1 + (d + 1) * k]
         d_chart[:, d] = weights @ block
 
-    from .flow import geodesic_flow
-
-    end_state = geodesic_flow(surface, t, v, tol).as_state()
-    c_end = chart_to_covariant(surface, end_state[:m], end_state[m:])
+    c_end = chart_to_covariant(surface, ends[0, :m], ends[0, m:])
     c_start_inv = covariant_to_chart(surface, x0, y0)
     return c_end @ d_chart @ c_start_inv
 

@@ -26,15 +26,8 @@ from scipy.signal import fftconvolve
 
 from .errors import DomainTooSmall, OutOfDomain, QuadratureFailure
 from .flow import TangentVector, geodesic_flow
-from .jacobi import flow_differential, _gamma_contract
-from .surface import (
-    GraphSurface,
-    GridSurface,
-    Regularity,
-    curvature_matrix_batch,
-    metric_batch,
-    metric_derivative_batch,
-)
+from .jacobi import flow_differential
+from .surface import GraphSurface, GridSurface, Regularity, local_geometry
 
 # ---------------------------------------------------------------------------
 # moduli of continuity
@@ -340,20 +333,16 @@ class SmoothingSequence:
         return lo, hi
 
 
-def _pi_basis_values(surf, pts):
-    """Pi(e_i, e_j) as ambient vectors at each point: (P, m, m, n)."""
-    grad = surf.gradient(pts)
-    hess = surf.hessian(pts)
-    g = np.einsum("...ia,...ja->...ij", grad, grad)
-    idx = np.arange(surf.dim)
-    g[..., idx, idx] += 1.0
-    q = np.einsum("...le,...abe->...lab", grad, hess)
-    m = surf.dim
-    w = np.linalg.solve(g, q.reshape(q.shape[:-2] + (m * m,))).reshape(q.shape)
-    # ambient = (0, hess_ab) - sum_k T_k w[k,a,b];  T_k = (e_k, grad[k])
-    p_top = -w.transpose(0, 2, 3, 1)                         # (P, a, b, m)
-    p_bot = hess.transpose(0, 1, 2, 3) - np.einsum("...kab,...ke->...abe", w, grad)
-    return np.concatenate([p_top, p_bot], axis=-1)
+def _level_fields(surf, pts):
+    """grad, g, dg[k,i,j] = partial_k g_ij and Pi(e_i, e_j) as ambient
+    vectors (P, m, m, n), from one derivative evaluation."""
+    geo = local_geometry(surf, pts)
+    dg = np.einsum("...kia,...ja->...kij", geo.hess, geo.grad)
+    dg += np.swapaxes(dg, -1, -2)
+    # ambient = (0, hess_ab) - sum_k T_k gamma[k,a,b];  T_k = (e_k, grad[k])
+    p_top = -np.moveaxis(geo.gamma, -3, -1)                   # (P, a, b, m)
+    p_bot = geo.hess - np.einsum("...kab,...ke->...abe", geo.gamma, geo.grad)
+    return geo.grad, geo.g, dg, np.concatenate([p_top, p_bot], axis=-1)
 
 
 def approximation_sequence(
@@ -376,23 +365,18 @@ def approximation_sequence(
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
 
     h_base = surface.height(pts)
-    grad_base = surface.gradient(pts)
-    g_base, _ = metric_batch(surface, pts)
-    dg_base = metric_derivative_batch(surface, pts)
-    pi_base = _pi_basis_values(surface, pts)
+    grad_base, g_base, dg_base, pi_base = _level_fields(surface, pts)
 
     h_d, m_d, p_d, p_sup = [], [], [], []
     for s in smoothed:
+        grad_s, g_s, dg_s, pi_s = _level_fields(s, pts)
         h_d.append(
             float(np.max(np.abs(s.height(pts) - h_base)))
-            + float(np.max(np.abs(s.gradient(pts) - grad_base)))
+            + float(np.max(np.abs(grad_s - grad_base)))
         )
-        g_s, _ = metric_batch(s, pts)
-        dg_s = metric_derivative_batch(s, pts)
         m_d.append(
             float(np.max(np.abs(g_s - g_base))) + float(np.max(np.abs(dg_s - dg_base)))
         )
-        pi_s = _pi_basis_values(s, pts)
         p_d.append(float(np.max(np.linalg.norm(pi_s - pi_base, axis=-1))))
         p_sup.append(float(np.max(np.linalg.norm(pi_s, axis=-1))))
 
@@ -521,17 +505,13 @@ def jacobi_coefficient_matrix(surface, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = surface.dim
-    squeeze = x.ndim == 1
-    if squeeze:
-        x, y = x[None], y[None]
-    g_mat = _gamma_contract(surface, x, y)
-    curv = curvature_matrix_batch(surface, x, y)
+    geo = local_geometry(surface, x, y)
     a = np.zeros(x.shape[:-1] + (2 * m, 2 * m))
-    a[..., :m, :m] = -g_mat
+    a[..., :m, :m] = -geo.gamma_v
     a[..., :m, m:] = np.eye(m)
-    a[..., m:, :m] = curv
-    a[..., m:, m:] = -g_mat
-    return a[0] if squeeze else a
+    a[..., m:, :m] = geo.curvature
+    a[..., m:, m:] = -geo.gamma_v
+    return a
 
 
 def coefficient_bound_along(surface, traj_states) -> float:

@@ -3,7 +3,9 @@
 A surface is described locally as the graph of a height function
 h: U -> R^{n-m} over an axis-aligned chart box U in R^m, embedded as
 F(x) = (x, h(x)). The induced metric, Christoffel symbols and second
-fundamental form all come from h and its first two derivative arrays.
+fundamental form all come from h and its first two derivative arrays;
+local_geometry derives them from one gradient and one Hessian evaluation
+per batch of points, and every batch kernel below is built on it.
 
 The curvature operator entering the Jacobi equation is assembled purely
 from products of second-fundamental-form values, so it needs second
@@ -212,45 +214,76 @@ class GraphSurface:
 # batch geometry kernels (unchecked; used by the ODE right-hand sides)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class LocalGeometry:
+    """Geometry at a batch of chart points X (..., m) from one gradient and
+    one Hessian evaluation. Everything past gamma is derived on first use;
+    gamma_v and curvature need the velocity field Y."""
+
+    grad: np.ndarray                 # (..., m, c)
+    hess: np.ndarray                 # (..., m, m, c)
+    g: np.ndarray                    # (..., m, m)  g = I + grad grad^T
+    gamma: np.ndarray                # (..., m, m, m)  gamma[k, i, j] = (g^-1 q)[k, i, j]
+    Y: np.ndarray | None = None      # (..., m)
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.g)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> = hess_ab . hess_cd - q_ab^T g^-1 q_cd,
+        with q[l,a,b] = grad[l] . hess[a,b] the normal-projector correction."""
+        m = self.g.shape[-1]
+        h = self.hess.reshape(self.hess.shape[:-3] + (m * m, -1))
+        q = self.grad @ np.swapaxes(h, -1, -2)                    # (..., m, m*m)
+        s = h @ np.swapaxes(h, -1, -2) - np.swapaxes(q, -1, -2) @ self.gamma.reshape(q.shape)
+        return s.reshape(s.shape[:-2] + (m, m, m, m))
+
+    @cached_property
+    def gamma_v(self) -> np.ndarray:
+        """G[k, i] = gamma[k, i, j] Y^j, shape (..., m, m)."""
+        return np.einsum("...kij,...j->...ki", self.gamma, self.Y)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """M = g^-1 b, b[l,j] = <Pi(e_j,Y), Pi(Y,e_l)> - <Pi(Y,Y), Pi(e_j,e_l)>;
+        see curvature_matrix_batch."""
+        Y, s = self.Y, self.pi
+        b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
+        b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
+        return np.linalg.solve(self.g, b)
+
+
+def local_geometry(surface, X, Y=None) -> LocalGeometry:
+    """Metric and Christoffel symbols at X, with the rest of LocalGeometry
+    derived from the same evaluation on first use.
+
+    Calls surface.gradient and surface.hessian once each. One batched solve
+    gives g^-1 grad, so gamma = (g^-1 grad) . hess = g^-1 q; solving against
+    grad rather than q keeps geodesics bit-for-bit those of that formula.
+    """
+    grad = surface.gradient(X)
+    hess = surface.hessian(X)
+    g = np.eye(surface.dim) + grad @ np.swapaxes(grad, -1, -2)
+    gamma = np.einsum("...la,...ija->...lij", np.linalg.solve(g, grad), hess)
+    return LocalGeometry(grad, hess, g, gamma, None if Y is None else np.asarray(Y, dtype=float))
+
+
 def metric_batch(surface, X):
     """Pullback metric g = I + grad_h grad_h^T, with inverse. X: (..., m)."""
-    grad = surface.gradient(X)                      # (..., m, c)
-    g = np.einsum("...ia,...ja->...ij", grad, grad)
-    idx = np.arange(surface.dim)
-    g[..., idx, idx] += 1.0
-    return g, np.linalg.inv(g)
+    geo = local_geometry(surface, X)
+    return geo.g, geo.g_inv
 
 
 def christoffel_batch(surface, X):
     """gamma[k,i,j] = sum_{l,a} ginv[k,l] grad[l,a] hess[i,j,a]."""
-    grad = surface.gradient(X)
-    hess = surface.hessian(X)
-    g = np.einsum("...ia,...ja->...ij", grad, grad)
-    idx = np.arange(surface.dim)
-    g[..., idx, idx] += 1.0
-    w = np.linalg.solve(g, grad)                    # (..., m, c) = ginv @ grad
-    return np.einsum("...la,...ija->...lij", w, hess)
+    return local_geometry(surface, X).gamma
 
 
 def pi_inner_products(surface, X):
-    """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> at each point of X.
-
-    Uses <Pi_ab, Pi_cd> = hess_ab . hess_cd - q_ab^T g^{-1} q_cd with
-    q[l,a,b] = sum_e grad[l,e] hess[a,b,e] (normal projector expanded).
-    """
-    grad = surface.gradient(X)
-    hess = surface.hessian(X)
-    g = np.einsum("...ia,...ja->...ij", grad, grad)
-    idx = np.arange(surface.dim)
-    g[..., idx, idx] += 1.0
-    q = np.einsum("...le,...abe->...lab", grad, hess)
-    m = surface.dim
-    q_flat = q.reshape(q.shape[:-2] + (m * m,))
-    w_flat = np.linalg.solve(g, q_flat)
-    w = w_flat.reshape(q.shape)                     # (..., l, a, b) = ginv q
-    s = np.einsum("...abe,...cde->...abcd", hess, hess)
-    s -= np.einsum("...lab,...lcd->...abcd", q, w)
-    return s
+    """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> at each point of X."""
+    return local_geometry(surface, X).pi
 
 
 def curvature_matrix_batch(surface, X, Y):
@@ -260,24 +293,11 @@ def curvature_matrix_batch(surface, X, Y):
     Assembled from second-fundamental-form products only:
     b[l,j] = <Pi(e_j,V), Pi(V,e_l)> - <Pi(V,V), Pi(e_j,e_l)>, M = g^{-1} b.
     """
-    s = pi_inner_products(surface, X)
-    b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
-    b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
-    g, g_inv = metric_batch(surface, X)
-    return np.einsum("...kl,...lj->...kj", g_inv, b)
-
-
-def metric_derivative_batch(surface, X):
-    """dg[k,i,j] = partial_k g_ij = sum_a (hess[k,i,a] grad[j,a] + grad[i,a] hess[k,j,a])."""
-    grad = surface.gradient(X)
-    hess = surface.hessian(X)
-    dg = np.einsum("...kia,...ja->...kij", hess, grad)
-    dg += np.einsum("...ia,...kja->...kij", grad, hess)
-    return dg
+    return local_geometry(surface, X, Y).curvature
 
 
 def g_norm_batch(surface, X, Y):
-    g, _ = metric_batch(surface, X)
+    g = local_geometry(surface, X).g
     return np.sqrt(np.einsum("...i,...ij,...j->...", Y, g, Y))
 
 
@@ -343,11 +363,11 @@ def sectional_curvature(surface, x, u, v) -> float:
     x = surface.require_inside(x)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    s = pi_inner_products(surface, x)
+    geo = local_geometry(surface, x)
+    s, g = geo.pi, geo.g
     num = np.einsum("i,j,k,l,ijkl->", u, u, v, v, s) - np.einsum(
         "i,j,k,l,ijkl->", u, v, u, v, s
     )
-    g, _ = metric_batch(surface, x)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if den < 1e-12:
         raise DegeneratePlane(f"plane spanned by {u}, {v} is degenerate (denominator {den:.3e})")
@@ -410,21 +430,28 @@ def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
     return -r
 
 
-def max_principal_curvature(surface, per_axis=48, n_dirs=16, seed=0) -> float:
-    """Sampled sup of |Pi(u,u)| over unit-g directions u; the bound C for
-    the injectivity-radius formula."""
-    pts = surface.sample_grid(per_axis)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_dirs, surface.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    s = pi_inner_products(surface, pts)              # (P, m, m, m, m)
-    g, _ = metric_batch(surface, pts)
-    best = 0.0
-    for d in dirs:
-        gn2 = np.einsum("i,pij,j->p", d, g, d)
-        val2 = np.einsum("i,j,k,l,pijkl->p", d, d, d, d, s) / gn2 ** 2
-        best = max(best, float(np.sqrt(np.max(np.maximum(val2, 0.0)))))
-    return best
+def max_principal_curvature(surface, per_axis=48) -> float:
+    """Sup over sampled chart points of max |Pi(u,u)| over unit-g directions
+    u; the bound C for the injectivity-radius formula.
+
+    Codim 1: exact at each point, the largest |generalized eigenvalue| of
+    (Hess h, g) times (1 + |grad h|^2)^(-1/2). Higher codim: the square root
+    of the largest eigenvalue of S relative to g (x) g, which is never below
+    max |Pi(u,u)|^2 because S is the Gram matrix of the Pi(e_a, e_b). The
+    maximum is over grid points only, so a peak between them (vee's crease)
+    is underestimated.
+    """
+    geo = local_geometry(surface, surface.sample_grid(per_axis))
+    m = surface.dim
+    if surface.codim == 1:
+        scale = 1.0 / np.sqrt(1.0 + np.sum(geo.grad[..., 0] ** 2, axis=-1))
+        vals = np.linalg.eigvals(geo.g_inv @ geo.hess[..., 0]).real * scale[:, None]
+    else:
+        g2_inv = np.einsum("...ac,...bd->...abcd", geo.g_inv, geo.g_inv)
+        flat = (-1, m * m, m * m)
+        vals = np.linalg.eigvals(g2_inv.reshape(flat) @ geo.pi.reshape(flat)).real
+        vals = np.sqrt(np.maximum(vals, 0.0))
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 class GridSurface(GraphSurface):
@@ -433,7 +460,10 @@ class GridSurface(GraphSurface):
     Three independent spline sets represent h, its gradient and its
     Hessian; they are not obtained by differentiating one another, so
     sampled data (e.g. smoothed height fields with convolved derivative
-    grids) plug in directly.
+    grids) plug in directly. Each set is one tensor-product spline whose
+    coefficients are stacked along a trailing field axis, so one call
+    evaluates all of its fields. Points are clamped to the grid box first,
+    as FITPACK evaluation does.
     """
 
     def __init__(
@@ -448,19 +478,27 @@ class GridSurface(GraphSurface):
         codim=1,
         regularity=Regularity("smooth"),
     ):
-        from scipy.interpolate import RectBivariateSpline
+        from scipy.interpolate import NdBSpline, RectBivariateSpline
 
         x_axis = np.asarray(x_axis, dtype=float)
         y_axis = np.asarray(y_axis, dtype=float)
 
-        def fit(z):
-            return RectBivariateSpline(x_axis, y_axis, z, kx=3, ky=3, s=0)
+        def stacked(grids):
+            # Interpolating (s=0) fits on one grid share their knots and have
+            # one coefficient per sample, so they stack into one spline.
+            coeffs = np.empty((len(x_axis), len(y_axis), len(grids)))
+            for i, z in enumerate(grids):
+                spl = RectBivariateSpline(x_axis, y_axis, z, kx=3, ky=3, s=0)
+                coeffs[..., i] = spl.get_coeffs().reshape(coeffs.shape[:2])
+            return NdBSpline(spl.get_knots(), coeffs, 3)
 
         # h_grids: list of (Nx, Ny) per codim component.
         # grad_grids: (gx_list, gy_list); hess_grids: (h11_list, h12_list, h22_list).
-        self._h_spl = [fit(z) for z in h_grids]
-        self._g_spl = [[fit(z) for z in comp] for comp in grad_grids]
-        self._hess_spl = [[fit(z) for z in comp] for comp in hess_grids]
+        h_spl = stacked(h_grids)
+        g_spl = stacked([z for comp in grad_grids for z in comp])          # gx_a..., gy_a...
+        hess_spl = stacked([z for comp in hess_grids for z in comp])       # h11_a..., h12_a..., h22_a...
+        lo = np.array([x_axis[0], y_axis[0]])
+        hi = np.array([x_axis[-1], y_axis[-1]])
         # Exact sups of the stored grids; spline evaluation between knots can
         # overshoot these by its interpolation error, the data never does.
         self.grid_abs_max = {
@@ -470,45 +508,25 @@ class GridSurface(GraphSurface):
         }
         self.x_axis = x_axis
         self.y_axis = y_axis
+
+        # Closures over the splines, not bound methods: a bound method stored
+        # on self is a reference cycle, which leaves the coefficients to the
+        # cyclic garbage collector instead of freeing them with the surface.
+        def clamped(X):
+            return np.minimum(np.maximum(np.asarray(X, dtype=float), lo), hi)
+
+        def gradient(X):
+            out = g_spl(clamped(X))
+            return out.reshape(out.shape[:-1] + (2, codim))
+
+        def hessian(X):
+            out = hess_spl(clamped(X))
+            return out.reshape(out.shape[:-1] + (3, codim))[..., [[0, 1], [1, 2]], :]
+
         super().__init__(
-            name,
-            2,
-            codim,
-            [x_axis[0], y_axis[0]],
-            [x_axis[-1], y_axis[-1]],
-            self._eval_h,
-            self._eval_grad,
-            self._eval_hess,
+            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)), gradient, hessian,
             regularity=regularity,
         )
-
-    def _eval_h(self, X):
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        out = np.stack([s.ev(flat[:, 0], flat[:, 1]) for s in self._h_spl], axis=-1)
-        return out.reshape(X.shape[:-1] + (self.codim,))
-
-    def _eval_grad(self, X):
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        cols = [
-            [s.ev(flat[:, 0], flat[:, 1]) for s in comp] for comp in self._g_spl
-        ]
-        out = np.stack([np.stack(c, axis=-1) for c in cols], axis=-2)
-        return out.reshape(X.shape[:-1] + (2, self.codim))
-
-    def _eval_hess(self, X):
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        h11 = np.stack([s.ev(flat[:, 0], flat[:, 1]) for s in self._hess_spl[0]], axis=-1)
-        h12 = np.stack([s.ev(flat[:, 0], flat[:, 1]) for s in self._hess_spl[1]], axis=-1)
-        h22 = np.stack([s.ev(flat[:, 0], flat[:, 1]) for s in self._hess_spl[2]], axis=-1)
-        out = np.empty(flat.shape[:1] + (2, 2, self.codim))
-        out[:, 0, 0] = h11
-        out[:, 0, 1] = h12
-        out[:, 1, 0] = h12
-        out[:, 1, 1] = h22
-        return out.reshape(X.shape[:-1] + (2, 2, self.codim))
 
     @classmethod
     def from_samples(cls, name, x_axis, y_axis, h_samples, *, regularity=Regularity("smooth")):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import OutOfChart, OutOfDomain
+from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain
 from geoflow.flow import (
     PhaseState,
     TangentVector,
@@ -230,3 +230,38 @@ def test_trajectory_csv(tmp_path, hemisphere):
     assert row[0] == pytest.approx(0.5, abs=1e-12)
     assert row[1] == pytest.approx(math.sin(0.5), abs=1e-9)
     assert row[5] == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# boundary validation
+# ---------------------------------------------------------------------------
+
+
+def test_infinite_t_end_rejected(hemisphere):
+    with pytest.raises(InvalidInput):
+        integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), math.inf)
+    with pytest.raises(ValueError):  # non-positive t_end stays a ValueError
+        integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.0)
+
+
+def test_nan_time_rejected(hemisphere):
+    v = TangentVector([0.0, 0.0], [1.0, 0.0])
+    for t in (math.nan, -math.inf):
+        with pytest.raises(InvalidInput):
+            geodesic_flow(hemisphere, t, v)
+
+
+def test_velocity_wrong_shape_rejected(hemisphere):
+    v = TangentVector([0.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(InvalidInput):
+        integrate_geodesic(hemisphere, v, 0.3)
+    with pytest.raises(InvalidInput):
+        geodesic_flow(hemisphere, -0.3, v)
+
+
+def test_nan_velocity_rejected(hemisphere):
+    v = TangentVector([0.0, 0.0], [math.nan, 1.0])
+    with pytest.raises(InvalidInput):
+        integrate_geodesic(hemisphere, v, 0.3)
+    with pytest.raises(InvalidInput):
+        geodesic_flow(hemisphere, 0.0, v)

@@ -1,15 +1,16 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from geoflow.errors import OutOfDomain
-from geoflow.flow import TangentVector, geodesic_flow
+from geoflow.errors import InvalidInput, OutOfDomain
+from geoflow.flow import TangentVector, geodesic_flow, make_geodesic_rhs
 from geoflow.jacobi import (
     JacobiState,
+    _make_joint_rhs,
     fd_flow_differential,
     flow_differential,
-    joint_rhs,
     mixed_partials_residual,
     propagate_jacobi,
 )
@@ -28,6 +29,13 @@ def unit_tangent(surface, rng, shrink=0.4):
 # ---------------------------------------------------------------------------
 # joint right-hand side
 # ---------------------------------------------------------------------------
+
+
+def joint_rhs(surface, v, j0):
+    """Phase and (J, K) derivatives of the joint RHS at one state, one column."""
+    m = surface.dim
+    du = _make_joint_rhs(surface, 1)(np.concatenate([v.x, v.y, j0.J, j0.K]))
+    return TangentVector(du[:m], du[m: 2 * m]), JacobiState(du[2 * m: 3 * m], du[3 * m:])
 
 
 def test_joint_rhs_flat(flat):
@@ -54,6 +62,15 @@ def test_joint_rhs_zero_is_fixed(surfaces):
         _, jac_dot = joint_rhs(surf, v, JacobiState([0.0, 0.0], [0.0, 0.0]))
         np.testing.assert_array_equal(jac_dot.J, 0.0)
         np.testing.assert_array_equal(jac_dot.K, 0.0)
+
+
+def test_joint_rhs_phase_matches_geodesic_rhs(surfaces):
+    rng = np.random.default_rng(4)
+    for surf in surfaces.values():
+        v = unit_tangent(surf, rng)
+        phase_dot, _ = joint_rhs(surf, v, JacobiState([0.3, -0.1], [0.2, 0.5]))
+        expected = make_geodesic_rhs(surf)(v.as_state())
+        np.testing.assert_allclose(phase_dot.as_state(), expected, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +260,54 @@ def test_mixed_partials_smooth_catalog(surfaces):
         v = unit_tangent(surf, rng, shrink=0.3)
         w = rng.normal(size=2)
         assert mixed_partials_residual(surf, v, w) <= 1e-5, name
+
+
+# ---------------------------------------------------------------------------
+# boundary validation and evaluation counts
+# ---------------------------------------------------------------------------
+
+
+def test_flow_differential_bad_time_rejected(hemisphere):
+    v = TangentVector([0.0, 0.0], [1.0, 0.0])
+    for t in (math.nan, math.inf, -0.3):
+        for fn in (flow_differential, fd_flow_differential):
+            with pytest.raises(InvalidInput):
+                fn(hemisphere, t, v)
+        with pytest.raises(InvalidInput):
+            propagate_jacobi(hemisphere, v, JacobiState([0, 0], [0, 1.0]), t)
+
+
+def test_flow_differential_bad_velocity_rejected(hemisphere):
+    for y in ([1.0, 0.0, 0.0], [math.nan, 1.0]):
+        v = TangentVector([0.0, 0.0], y)
+        for fn in (flow_differential, fd_flow_differential):
+            with pytest.raises(InvalidInput):
+                fn(hemisphere, 0.3, v)
+        with pytest.raises(InvalidInput):
+            propagate_jacobi(hemisphere, v, JacobiState([0, 0], [0, 1.0]), 0.3)
+    with pytest.raises(InvalidInput):
+        propagate_jacobi(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]),
+                         JacobiState([0, 0, 0], [0, 1.0, 0]), 0.3)
+
+
+def test_rhs_one_derivative_evaluation_each(surfaces):
+    for surf in surfaces.values():
+        counted = copy.copy(surf)
+        calls = {"gradient": 0, "hessian": 0}
+
+        def counting(attr):
+            fn = getattr(surf, attr)
+
+            def wrapper(X):
+                calls[attr] += 1
+                return fn(X)
+
+            return wrapper
+
+        counted.gradient = counting("gradient")
+        counted.hessian = counting("hessian")
+        u = np.concatenate([[0.1, -0.05], [0.6, 0.8], np.eye(4).ravel()])
+        _make_joint_rhs(counted, 4)(u)
+        assert calls == {"gradient": 1, "hessian": 1}, surf.name
+        make_geodesic_rhs(counted)(u[:4])
+        assert calls == {"gradient": 2, "hessian": 2}, surf.name

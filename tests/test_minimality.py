@@ -182,7 +182,7 @@ def test_short_geodesics_all_catalog(surfaces):
     for name in CATALOG_NAMES:
         surf = surfaces[name]
         oracle = build_mesh_oracle(surf, 64)
-        c = max(max_principal_curvature(surf, per_axis=24, n_dirs=8), 1e-6)
+        c = max(max_principal_curvature(surf, per_axis=24), 1e-6)
         inradius = 0.5 * float(np.min(surf.domain_hi - surf.domain_lo))
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(3):

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoflow.errors import DegeneratePlane, OutOfChart
+from geoflow.regularity import mollify
 from geoflow.surface import (
+    GraphSurface,
     GridSurface,
+    Regularity,
     christoffel_at,
     christoffel_fd,
     curvature_from_christoffel,
     curvature_operator,
     embed,
+    local_geometry,
+    max_principal_curvature,
     metric_at,
     metric_batch,
     normal_projector,
@@ -21,7 +26,7 @@ from geoflow.surface import (
     tangent_frame,
 )
 
-from conftest import C3_AND_BETTER, random_chart_points
+from conftest import C3_AND_BETTER, CATALOG_NAMES, random_chart_points
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +351,24 @@ def test_grid_surface_from_samples_matches_analytic(hemisphere):
     np.testing.assert_allclose(grid.hessian(pts), hemisphere.hessian(pts), atol=1e-5)
 
 
+def test_grid_surface_freed_without_cycle_collector():
+    # Its spline coefficients are the largest arrays a smoothing run keeps;
+    # they must go with the last reference, not wait for the cycle collector.
+    import gc
+    import weakref
+
+    xa = np.linspace(-0.5, 0.5, 41)
+    grid = GridSurface.from_samples("flat_grid", xa, xa, np.zeros((41, 41)))
+    grid.hessian(np.zeros(2))
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_grid_surface_out_of_chart():
     xa = np.linspace(-0.5, 0.5, 41)
     grid = GridSurface.from_samples(
@@ -353,3 +376,138 @@ def test_grid_surface_out_of_chart():
     )
     with pytest.raises(OutOfChart):
         embed(grid, [0.49, 0.0])  # outside the shrunk valid region
+
+
+# ---------------------------------------------------------------------------
+# local geometry kernel against the separate per-quantity formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_geometry(surface, X, Y):
+    """Gamma, S and M computed separately, each from its own formula."""
+    grad = surface.gradient(X)
+    hess = surface.hessian(X)
+    m = surface.dim
+    g = np.einsum("...ia,...ja->...ij", grad, grad) + np.eye(m)
+    gamma = np.einsum("...la,...ija->...lij", np.linalg.solve(g, grad), hess)
+    q = np.einsum("...le,...abe->...lab", grad, hess)
+    w = np.linalg.solve(g, q.reshape(q.shape[:-2] + (m * m,))).reshape(q.shape)
+    s = np.einsum("...abe,...cde->...abcd", hess, hess)
+    s -= np.einsum("...lab,...lcd->...abcd", q, w)
+    b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
+    b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
+    return g, np.linalg.inv(g), gamma, s, np.einsum("...kl,...lj->...kj", np.linalg.inv(g), b)
+
+
+@pytest.fixture(scope="module")
+def kernel_surfaces(surfaces):
+    return list(surfaces.values()) + [mollify(surfaces["c21_cubic"], 0.1, kernel_cells=8)]
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+
+
+@pytest.mark.parametrize("n_points", [1, 256])
+def test_local_geometry_matches_reference(kernel_surfaces, n_points):
+    rng = np.random.default_rng(17)
+    for surf in kernel_surfaces:
+        X = random_chart_points(surf, n_points, rng)
+        Y = rng.normal(size=X.shape)
+        if n_points == 1:
+            X, Y = X[0], Y[0]
+        geo = local_geometry(surf, X, Y)
+        ref = reference_geometry(surf, X, Y)
+        got = (geo.g, geo.g_inv, geo.gamma, geo.pi, geo.curvature)
+        for name, a, b in zip(("g", "g_inv", "gamma", "pi", "M"), got, ref):
+            assert a.shape == b.shape, (surf.name, name)
+            if np.any(b):
+                assert _rel(a, b) <= 1e-13, (surf.name, name, _rel(a, b))
+            else:
+                assert np.max(np.abs(a)) <= 1e-15, (surf.name, name)
+        np.testing.assert_allclose(geo.gamma_v, np.einsum("...kij,...j->...ki", ref[2], Y),
+                                   rtol=1e-13, atol=1e-15)
+
+
+def test_stacked_spline_matches_fitpack():
+    from scipy.interpolate import RectBivariateSpline
+
+    xa = np.linspace(-0.6, 0.6, 57)
+    ya = np.linspace(-0.5, 0.55, 49)
+    xx, yy = np.meshgrid(xa, ya, indexing="ij")
+    fields = [np.sin(3 * xx + yy) * np.cos(2 * yy) + 0.1 * k * xx * yy for k in range(12)]
+    # codim 2: h (2 grids), gradient (2 x 2), Hessian (3 x 2)
+    grid = GridSurface("spline2", xa, ya, fields[:2], (fields[2:4], fields[4:6]),
+                       (fields[6:8], fields[8:10], fields[10:12]), codim=2)
+    rng = np.random.default_rng(5)
+    # includes points outside the grid box, where FITPACK clamps
+    pts = rng.uniform([-0.7, -0.6], [0.7, 0.65], size=(300, 2))
+
+    def ev(z):
+        return RectBivariateSpline(xa, ya, z, kx=3, ky=3, s=0).ev(pts[:, 0], pts[:, 1])
+
+    h_ref = np.stack([ev(z) for z in fields[:2]], axis=-1)
+    g_ref = np.stack([np.stack([ev(fields[2 + 2 * i + a]) for a in range(2)], axis=-1)
+                      for i in range(2)], axis=-2)
+    h11, h12, h22 = [np.stack([ev(fields[6 + 2 * k + a]) for a in range(2)], axis=-1)
+                     for k in range(3)]
+    hess_ref = np.stack([np.stack([h11, h12], -2), np.stack([h12, h22], -2)], -3)
+    for got, ref in ((grid.height(pts), h_ref), (grid.gradient(pts), g_ref),
+                     (grid.hessian(pts), hess_ref)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+    assert grid.hessian(pts[0]).shape == (2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# curvature bound
+# ---------------------------------------------------------------------------
+
+
+def test_max_principal_curvature_exact(surfaces):
+    assert max_principal_curvature(surfaces["hemisphere"]) == pytest.approx(1.0, abs=1e-12)
+    # vee: kappa = 2 / (1 + 4 x1^2)^(3/2) off the crease; the sup 2 is a limit
+    # at x1 -> 0, so the sampled value is the closed form at the nearest samples.
+    for per_axis in (48, 400):
+        u = surfaces["vee"].sample_grid(per_axis)[:, 0]
+        exact = float(np.max(2.0 * np.abs(np.sign(u)) / (1.0 + 4.0 * u ** 2) ** 1.5))
+        got = max_principal_curvature(surfaces["vee"], per_axis=per_axis)
+        assert got == pytest.approx(exact, abs=1e-12)
+    assert 2.0 - got < 1e-4
+
+
+def test_max_principal_curvature_bounds_sampled_directions(surfaces):
+    rng = np.random.default_rng(8)
+    dirs = rng.normal(size=(64, 2))
+
+    def sampled(surf, pts):
+        geo = local_geometry(surf, pts)
+        gn2 = np.einsum("di,pij,dj->pd", dirs, geo.g, dirs)
+        val2 = np.einsum("di,dj,dk,dl,pijkl->pd", dirs, dirs, dirs, dirs, geo.pi) / gn2 ** 2
+        return float(np.sqrt(np.max(val2)))
+
+    for name in CATALOG_NAMES:
+        surf = surfaces[name]
+        pts = surf.sample_grid(16)
+        assert max_principal_curvature(surf, per_axis=16) >= sampled(surf, pts) - 1e-12, name
+
+    # codim 2: h = (x1^2 + x2^2 / 2, x1 x2), an upper bound never below the samples
+    def h(X):
+        return np.stack([X[..., 0] ** 2 + 0.5 * X[..., 1] ** 2, X[..., 0] * X[..., 1]], -1)
+
+    def grad(X):
+        out = np.zeros(X.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 1, 0] = 2 * X[..., 0], X[..., 1]
+        out[..., 0, 1], out[..., 1, 1] = X[..., 1], X[..., 0]
+        return out
+
+    def hess(X):
+        out = np.zeros(X.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0], out[..., 1, 1, 0] = 2.0, 1.0
+        out[..., 0, 1, 1] = out[..., 1, 0, 1] = 1.0
+        return out
+
+    surf = GraphSurface("codim2", 2, 2, [-0.5, -0.5], [0.5, 0.5], h, grad, hess,
+                        regularity=Regularity("smooth"))
+    bound = max_principal_curvature(surf, per_axis=16)
+    assert np.isfinite(bound) and bound >= sampled(surf, surf.sample_grid(16)) - 1e-12
