@@ -24,7 +24,7 @@ from .errors import (
     StepFailure,
     UnknownSurface,
 )
-from .flow import PhaseState, TangentVector, Trajectory, exp_map, geodesic_flow, integrate_geodesic
+from .flow import TangentVector, Trajectory, exp_map, geodesic_flow, integrate_geodesic
 from .jacobi import FlowDifferential, JacobiState, flow_differential, propagate_jacobi
 from .surface import GraphSurface, GridSurface, Regularity
 
@@ -43,7 +43,6 @@ __all__ = [
     "JacobiState",
     "OutOfChart",
     "OutOfDomain",
-    "PhaseState",
     "QuadratureFailure",
     "Regularity",
     "StepFailure",

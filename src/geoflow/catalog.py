@@ -22,7 +22,6 @@ class SurfaceCatalogEntry:
     description: str
     build: callable
     oracles: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
 
 
 def _zeros_like_point(X, shape):
@@ -42,11 +41,8 @@ def _flat(domain=1.0):
     def hess(X):
         return _zeros_like_point(X, (2, 2, 1))
 
-    def third(X):
-        return _zeros_like_point(X, (2, 2, 2, 1))
-
     return GraphSurface(
-        "flat", 2, 1, [-d, -d], [d, d], h, grad, hess, third=third,
+        "flat", 2, 1, [-d, -d], [d, d], h, grad, hess,
         regularity=Regularity("smooth"),
     )
 
@@ -76,29 +72,17 @@ def _hemisphere(radius=0.8):
         out[..., idx, idx] -= 1.0 / s[..., None]
         return out[..., None]
 
-    def third(X):
-        # d^3 h / dx_i dx_j dx_k for h = sqrt(1 - |x|^2)
-        X, s = safe(X)
-        eye = np.eye(2)
-        t = -(
-            np.einsum("ij,...k->...ijk", eye, X)
-            + np.einsum("ik,...j->...ijk", eye, X)
-            + np.einsum("jk,...i->...ijk", eye, X)
-        ) / (s ** 3)[..., None, None, None]
-        t -= 3.0 * np.einsum("...i,...j,...k->...ijk", X, X, X) / (s ** 5)[..., None, None, None]
-        return t[..., None]
-
     def member(X):
         X = np.asarray(X, dtype=float)
         return np.einsum("...i,...i->...", X, X) <= r * r + 1e-15
 
     return GraphSurface(
-        "hemisphere", 2, 1, [-r, -r], [r, r], h, grad, hess, third=third,
+        "hemisphere", 2, 1, [-r, -r], [r, r], h, grad, hess,
         regularity=Regularity("smooth"), membership=member,
     )
 
 
-def _profile_surface(name, f, df, d2f, d3f, regularity, domain=0.8):
+def _profile_surface(name, f, df, d2f, regularity, domain=0.8):
     """Surface of the form h(x1, x2) = f(x1); intrinsically flat."""
     d = float(domain)
 
@@ -118,16 +102,8 @@ def _profile_surface(name, f, df, d2f, d3f, regularity, domain=0.8):
         out[..., 0, 0, 0] = d2f(X[..., 0])
         return out
 
-    third = None
-    if d3f is not None:
-        def third(X):
-            X = np.asarray(X, dtype=float)
-            out = _zeros_like_point(X, (2, 2, 2, 1))
-            out[..., 0, 0, 0, 0] = d3f(X[..., 0])
-            return out
-
     return GraphSurface(
-        name, 2, 1, [-d, -d], [d, d], h, grad, hess, third=third,
+        name, 2, 1, [-d, -d], [d, d], h, grad, hess,
         regularity=regularity,
     )
 
@@ -138,7 +114,6 @@ def _trough():
         lambda u: 0.5 * (np.cosh(u) - 1.0),
         lambda u: 0.5 * np.sinh(u),
         lambda u: 0.5 * np.cosh(u),
-        lambda u: 0.5 * np.sinh(u),
         Regularity("smooth"),
     )
 
@@ -149,7 +124,6 @@ def _c21_cubic():
         lambda u: np.abs(u) ** 3,
         lambda u: 3.0 * u * np.abs(u),
         lambda u: 6.0 * np.abs(u),
-        None,
         Regularity("C2alpha", 1.0),
     )
 
@@ -162,7 +136,6 @@ def _c2alpha(alpha=0.5):
         lambda u: np.abs(u) ** p,
         lambda u: p * np.sign(u) * np.abs(u) ** (p - 1.0),
         lambda u: p * (p - 1.0) * np.abs(u) ** a,
-        None,
         Regularity("C2alpha", a),
     )
 
@@ -173,7 +146,6 @@ def _vee():
         lambda u: u * np.abs(u),
         lambda u: 2.0 * np.abs(u),
         lambda u: 2.0 * np.sign(u),
-        None,
         Regularity("C11"),
     )
 
@@ -202,7 +174,7 @@ CATALOG = {
     "c2alpha": SurfaceCatalogEntry(
         "c2alpha", "C2alpha(alpha)",
         "h = |x1|^(2+alpha); second derivatives alpha-Hoelder at the ridge",
-        _c2alpha, oracles={"sectional": 0.0}, parameters={"alpha": 0.5},
+        _c2alpha, oracles={"sectional": 0.0},
     ),
     "vee": SurfaceCatalogEntry(
         "vee", "C11",

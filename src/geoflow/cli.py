@@ -10,17 +10,14 @@ minimality      shortest-path margin report for one geodesic
 report          run verification suites, aggregate JSON, exit 0 iff all pass
 
 Exit codes: 0 success, 1 failed verdict, 2 bad configuration or input, 3 out of domain.
-All randomness derives from the seed recorded in the output. GEOFLOW_THREADS
-caps the worker pool used for independent probes.
+All randomness derives from the seed recorded in the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,20 +25,13 @@ import numpy as np
 from . import regularity as reg
 from . import serialize
 from .catalog import CATALOG, make_surface, surface_from_spec
-from .errors import (
-    ConfigError,
-    DomainTooSmall,
-    GeoflowError,
-    InvalidInput,
-    OutOfChart,
-    OutOfDomain,
-    UnknownSurface,
-)
+from .errors import ConfigError, GeoflowError, InvalidInput, OutOfChart, OutOfDomain, UnknownSurface
 from .flow import (
     TangentVector,
     flow_property_residual,
     geodesic_flow,
     integrate_geodesic,
+    random_tangent,
     speed_profile,
 )
 from .jacobi import JacobiState, fd_flow_differential, flow_differential, propagate_jacobi
@@ -54,7 +44,6 @@ SCHEMA = 1
 @dataclass
 class RunConfig:
     surface: dict = field(default_factory=lambda: {"type": "catalog", "name": "flat"})
-    params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
@@ -85,23 +74,6 @@ DEFAULT_TOLERANCES = {
     "sphere_jacobi": 1e-7,
     "margin": 0.0,
 }
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GEOFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Ordered map over independent work items, threaded when allowed."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_surface(cfg: RunConfig):
@@ -158,9 +130,6 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg)
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
-    if not surface.contains(x0):
-        print("error: x0 outside the chart domain", file=sys.stderr)
-        return 2
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end, args.tol)
     speeds = speed_profile(surface, traj)
     drift = float(np.max(np.abs(speeds - traj.speed))) / max(traj.speed, 1e-300)
@@ -189,21 +158,17 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     v = TangentVector(x0, y0)
-    try:
-        fd = flow_differential(surface, args.t, v, args.tol)
-        out = {
-            "schema": SCHEMA,
-            "t": float(args.t),
-            "v": {"x": x0, "y": y0},
-            "matrix": fd.matrix,
-        }
-        if args.fd_check:
-            num = fd_flow_differential(surface, args.t, v)
-            out["fd_matrix"] = num
-            out["max_abs_diff"] = float(np.max(np.abs(num - fd.matrix)))
-    except (OutOfDomain, OutOfChart) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    fd = flow_differential(surface, args.t, v, args.tol)
+    out = {
+        "schema": SCHEMA,
+        "t": float(args.t),
+        "v": {"x": x0, "y": y0},
+        "matrix": fd.matrix,
+    }
+    if args.fd_check:
+        num = fd_flow_differential(surface, args.t, v)
+        out["fd_matrix"] = num
+        out["max_abs_diff"] = float(np.max(np.abs(num - fd.matrix)))
     path = args.out or _out_path(cfg, "jacobian_json", "jacobian.json")
     serialize.write_json(path, out)
     print(serialize.dumps(out))
@@ -219,14 +184,9 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
             file=sys.stderr,
         )
     scales = [float(s) for s in args.scales.split(",")]
-    try:
-        seq = reg.approximation_sequence(surface, scales)
-        rng = np.random.default_rng(cfg.seed)
-        probes = reg.convergence_probes(seq, args.probes, rng)
-        report = reg.flow_convergence_report(seq, probes)
-    except (DomainTooSmall, OutOfDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    seq = reg.approximation_sequence(surface, scales)
+    probes = reg.convergence_probes(seq, args.probes, np.random.default_rng(cfg.seed))
+    report = reg.flow_convergence_report(seq, probes)
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
     out.update(report.as_dict())
     path = args.out or _out_path(cfg, "convergence_json", "convergence.json")
@@ -247,15 +207,10 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg)
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
-    try:
-        traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
-        if traj.exit_reason != "Completed":
-            raise OutOfDomain(f"geodesic ended early ({traj.exit_reason})")
-        oracle = build_mesh_oracle(surface, args.resolution)
-        rep = minimality_report(surface, traj, oracle)
-    except (OutOfDomain, OutOfChart) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
+    if traj.exit_reason != "Completed":
+        raise OutOfDomain(f"geodesic ended early ({traj.exit_reason})")
+    rep = minimality_report(surface, traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)
     path = args.out or _out_path(cfg, "minimality_json", "minimality.json")
@@ -269,16 +224,11 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_tangent(surface, rng, speed=1.0, shrink=0.5):
-    center = 0.5 * (surface.domain_lo + surface.domain_hi)
-    half = 0.5 * (surface.domain_hi - surface.domain_lo)
-    while True:
-        x = center + (rng.random(surface.dim) - 0.5) * shrink * half
-        if surface.contains(x):
-            break
-    y = rng.normal(size=surface.dim)
-    y *= speed / g_norm_batch(surface, x, y)
-    return TangentVector(x, y)
+def _check(name, value, limit, passed=None):
+    """One report check; passed defaults to value <= limit."""
+    if passed is None:
+        passed = value <= limit
+    return {"name": name, "value": float(value), "limit": limit, "passed": bool(passed)}
 
 
 def _suite_surface(tols, seed):
@@ -289,16 +239,13 @@ def _suite_surface(tols, seed):
         worst = 0.0
         scale = max(surf.bounds.hess_sup ** 2, 1e-8)
         for _ in range(20):
-            v = _random_tangent(surf, rng)
+            v = random_tangent(surf, rng, 0.5)
             j = rng.normal(size=2)
             a = curvature_operator(surf, v.x, v.y) @ j
             b = curvature_from_christoffel(surf, v.x, v.y, j)
             rel = np.max(np.abs(a - b)) / max(np.max(np.abs(b)), scale)
             worst = max(worst, float(rel))
-        checks.append(
-            {"name": f"gauss_consistency_{name}", "value": worst,
-             "limit": tols["gauss_rel"], "passed": bool(worst <= tols["gauss_rel"])}
-        )
+        checks.append(_check(f"gauss_consistency_{name}", worst, tols["gauss_rel"]))
     return checks
 
 
@@ -307,20 +254,14 @@ def _suite_flow(tols, seed):
     checks = []
     for name in ("flat", "hemisphere", "trough", "c21_cubic", "c2alpha"):
         surf = make_surface(name)
-        v = _random_tangent(surf, rng)
+        v = random_tangent(surf, rng, 0.5)
         traj = integrate_geodesic(surf, v, 0.4)
         drift = float(
             np.max(np.abs(speed_profile(surf, traj) - traj.speed)) / traj.speed
         )
-        checks.append(
-            {"name": f"speed_conservation_{name}", "value": drift,
-             "limit": tols["conservation"], "passed": bool(drift <= tols["conservation"])}
-        )
+        checks.append(_check(f"speed_conservation_{name}", drift, tols["conservation"]))
         res = flow_property_residual(surf, 0.15, 0.2, v)
-        checks.append(
-            {"name": f"composition_{name}", "value": res,
-             "limit": tols["composition"], "passed": bool(res <= tols["composition"])}
-        )
+        checks.append(_check(f"composition_{name}", res, tols["composition"]))
     return checks
 
 
@@ -331,25 +272,19 @@ def _suite_jacobi(tols, seed):
         surf = make_surface(name)
         worst = 0.0
         for _ in range(5):
-            v = _random_tangent(surf, rng)
+            v = random_tangent(surf, rng, 0.5)
             t = rng.uniform(0.2, 0.4)
             a = flow_differential(surf, t, v, tol=1e-11).matrix
             b = fd_flow_differential(surf, t, v)
             worst = max(worst, float(np.max(np.abs(a - b))))
-        checks.append(
-            {"name": f"fd_oracle_{name}", "value": worst,
-             "limit": tols["fd_match"], "passed": bool(worst <= tols["fd_match"])}
-        )
+        checks.append(_check(f"fd_oracle_{name}", worst, tols["fd_match"]))
     hemi = make_surface("hemisphere")
     v = TangentVector([0.0, 0.0], [1.0, 0.0])
     worst = 0.0
     for t in (0.1, 0.3, 0.5):
         js = propagate_jacobi(hemi, v, JacobiState([0, 0], [0, 1.0]), t, tol=1e-11)
         worst = max(worst, abs(float(g_norm_batch(hemi, geodesic_flow(hemi, t, v).x, js.J)) - np.sin(t)))
-    checks.append(
-        {"name": "sphere_jacobi_sin", "value": worst,
-         "limit": tols["sphere_jacobi"], "passed": bool(worst <= tols["sphere_jacobi"])}
-    )
+    checks.append(_check("sphere_jacobi_sin", worst, tols["sphere_jacobi"]))
     return checks
 
 
@@ -364,10 +299,7 @@ def _suite_minimality(tols, seed):
             traj = short_geodesic(surf, rng, 0.3)
             rep = minimality_report(surf, traj, oracle)
             worst = min(worst, rep["margin"])
-        checks.append(
-            {"name": f"margin_{name}", "value": float(worst),
-             "limit": tols["margin"], "passed": bool(worst >= tols["margin"])}
-        )
+        checks.append(_check(f"margin_{name}", worst, tols["margin"], worst >= tols["margin"]))
     return checks
 
 
@@ -377,26 +309,15 @@ def _suite_regularity(tols, seed):
     hemi = make_surface("hemisphere")
     ok = True
     for _ in range(10):
-        v = _random_tangent(hemi, rng)
+        v = random_tangent(hemi, rng, 0.5)
         j0 = JacobiState(rng.normal(size=2), rng.normal(size=2))
         rep = reg.measure_gronwall_margin(hemi, v, j0, 0.4)
         ok = ok and rep["dominated"]
-    checks.append(
-        {"name": "gronwall_dominance_hemisphere", "value": float(ok),
-         "limit": 1.0, "passed": bool(ok)}
-    )
+    checks.append(_check("gronwall_dominance_hemisphere", ok, 1.0, ok))
     gamma = reg.osgood_gamma(reg.Modulus("Linear", coeff=1.0), 1.0, 1.0, 1.0)
-    val = gamma(0.1)
-    err = abs(val - 0.1 * np.e)
-    checks.append(
-        {"name": "gamma_formula", "value": float(err), "limit": 1e-12,
-         "passed": bool(err <= 1e-12)}
-    )
+    checks.append(_check("gamma_formula", abs(gamma(0.1) - 0.1 * np.e), 1e-12))
     err = abs(reg.injradius_lower_bound(1.0, 2 * np.pi) - np.pi)
-    checks.append(
-        {"name": "injradius_formula", "value": float(err), "limit": 1e-12,
-         "passed": bool(err <= 1e-12)}
-    )
+    checks.append(_check("injradius_formula", err, 1e-12))
     return checks
 
 
@@ -422,8 +343,8 @@ def cmd_report(args, cfg: RunConfig) -> int:
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(cfg.tolerances)
     results = {}
-    for pair in zip(names, parallel_map(lambda n: SUITES[n](tols, cfg.seed), names)):
-        name, checks = pair
+    for name in names:
+        checks = SUITES[name](tols, cfg.seed)
         results[name] = {
             "passed": bool(all(c["passed"] for c in checks)),
             "checks": checks,

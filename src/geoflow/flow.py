@@ -9,7 +9,7 @@ estimate is unreliable across curvature jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class TangentVector:
     def from_state(u: np.ndarray) -> "TangentVector":
         m = u.size // 2
         return TangentVector(u[:m], u[m:])
-
-
-# Same layout; the name marks its role as ODE state.
-PhaseState = TangentVector
 
 
 @dataclass
@@ -113,20 +109,73 @@ def check_request(surface, t, v: TangentVector, *, positive=False):
     return x0, y0
 
 
-def geodesic_rhs(surface, s: PhaseState) -> PhaseState:
+def geodesic_rhs(surface, s: TangentVector) -> TangentVector:
     """Derivative (y, -Gamma(y, y)) of the first-order geodesic system."""
     x = surface.require_inside(s.x)
     du = make_geodesic_rhs(surface)(np.concatenate([x, s.y]))
-    return PhaseState.from_state(du)
+    return TangentVector.from_state(du)
 
 
-def _state_inside(surface):
+def state_inside(surface):
+    """Chart-membership predicate on a state whose first m entries are x."""
     m = surface.dim
 
     def inside(u):
         return surface.contains(u[:m])
 
     return inside
+
+
+def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
+    """Random unit-g-speed tangent vector with base point uniform in the
+    central part of a box (default: the chart box), scaled by shrink.
+
+    Draws the base point (redrawn until it is a chart point), then a normal
+    direction, from rng in that order.
+    """
+    lo, hi = (surface.domain_lo, surface.domain_hi) if box is None else box
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    while True:
+        x = center + (rng.random(surface.dim) - 0.5) * shrink * half
+        if surface.contains(x):
+            break
+    y = rng.normal(size=surface.dim)
+    # Scaling by the reciprocal, not dividing: the report's roundoff-level
+    # residuals are pinned to the bits of tangents drawn this way.
+    y *= 1.0 / g_norm_batch(surface, x, y)
+    return TangentVector(x, y)
+
+
+def integrate_batch(surface, ics, t_end, rtol, atol, checkpoints=None):
+    """Integrate the geodesics starting at the rows of ics (B, 2m) as one
+    system with shared steps.
+
+    The step controller sees the RMS error over the whole batch, so the
+    common part of the error is the same for every row (the FD oracle's
+    differences rely on that). Returns the IntegrationResult with states
+    of shape (K, B, 2m); raises OutOfDomain when any row leaves the chart
+    or the controller fails.
+    """
+    m = surface.dim
+    geo = make_geodesic_rhs(surface)
+
+    def rhs(u_flat):
+        return geo(u_flat.reshape(ics.shape)).ravel()
+
+    def inside(u_flat):
+        return bool(np.all(surface.contains_batch(u_flat.reshape(ics.shape)[:, :m])))
+
+    res = integrate.integrate_adaptive(
+        rhs, ics.ravel(), t_end, rtol, atol, max_step=step_cap(surface), inside=inside,
+        checkpoints=checkpoints,
+    )
+    if res.status != integrate.COMPLETED:
+        raise OutOfDomain(
+            f"batch of {len(ics)} geodesics ended at t={res.final_time:.6g} < {t_end:g} "
+            f"({res.status})"
+        )
+    return replace(res, states=res.states.reshape((len(res.times),) + ics.shape))
 
 
 def integrate_geodesic(
@@ -146,7 +195,7 @@ def integrate_geodesic(
     u0 = np.concatenate([x0, y0])
     speed = float(g_norm_batch(surface, x0, y0))
     rhs = make_geodesic_rhs(surface)
-    inside = _state_inside(surface)
+    inside = state_inside(surface)
     if method == "rk4":
         if fixed_step is None:
             raise ValueError("rk4 method requires fixed_step")

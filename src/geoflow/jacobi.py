@@ -24,12 +24,20 @@ import numpy as np
 
 from . import integrate
 from .errors import InvalidInput, OutOfDomain, StepFailure
-from .flow import TangentVector, check_request, default_tolerances, make_geodesic_rhs, step_cap
+from .flow import (
+    TangentVector,
+    check_request,
+    default_tolerances,
+    integrate_batch,
+    state_inside,
+    step_cap,
+)
 from .surface import local_geometry
 
 __all__ = [
     "JacobiState",
     "FlowDifferential",
+    "propagate_block",
     "propagate_jacobi",
     "flow_differential",
     "fd_flow_differential",
@@ -61,11 +69,13 @@ class JacobiState:
 
 @dataclass
 class FlowDifferential:
-    """2m x 2m linear map sending initial (J0, K0) to (J(t), K(t))."""
+    """2m x 2m linear map sending initial (J0, K0) to (J(t), K(t)), with the
+    flow end state phi(t, v) from the same joint run."""
 
     matrix: np.ndarray
     t: float
     v: TangentVector
+    end: TangentVector
 
     def apply(self, j0: JacobiState) -> JacobiState:
         return JacobiState.from_vector(self.matrix @ j0.as_vector())
@@ -87,102 +97,32 @@ def _make_joint_rhs(surface, n_cols):
     return rhs
 
 
-def _joint_inside(surface):
-    m = surface.dim
+def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
+    """Integrate the joint system with the (2, m, n_cols) initial block jk0.
 
-    def inside(u):
-        return surface.contains(u[:m])
-
-    return inside
-
-
-def _propagate_columns(surface, v, jk0, t_end, tol, mode, checkpoints=None):
-    """Integrate the joint system with the (m, 2, n_cols) initial block jk0.
-
-    Returns (result, n_cols); result states contain [x, y, J, K] flattened.
+    Returns the IntegrationResult; its states hold [x, y, J, K] flattened.
     """
     x0, y0 = check_request(surface, t_end, v, positive=True)
-    n_cols = jk0.shape[-1]
     rtol, atol = default_tolerances(surface)
     if tol is not None:
         rtol, atol = tol, tol * 1e-2
-    u0 = np.concatenate([x0, y0, jk0.ravel()])
-    if mode == "joint":
-        rhs = _make_joint_rhs(surface, n_cols)
-        res = integrate.integrate_adaptive(
-            rhs,
-            u0,
-            t_end,
-            rtol,
-            atol,
-            max_step=step_cap(surface),
-            inside=_joint_inside(surface),
-            checkpoints=checkpoints,
-        )
-        return res, n_cols
-    if mode == "two_pass":
-        return _propagate_two_pass(surface, v, jk0, t_end, rtol, atol, checkpoints)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _propagate_two_pass(surface, v, jk0, t_end, rtol, atol, checkpoints):
-    """First solve the geodesic alone, then the linear system along it.
-
-    The base curve is interpolated with cubic Hermite polynomials over the
-    accepted steps; the linear system is stepped with RK4 substeps.
-    """
-    from .flow import integrate_geodesic
-
-    m = surface.dim
-    n_cols = jk0.shape[-1]
-    traj = integrate_geodesic(
-        surface, v, t_end, rtol, checkpoints=checkpoints, max_step=min(step_cap(surface), t_end / 8)
+    return integrate.integrate_adaptive(
+        _make_joint_rhs(surface, jk0.shape[-1]),
+        np.concatenate([x0, y0, jk0.ravel()]),
+        t_end,
+        rtol,
+        atol,
+        max_step=step_cap(surface),
+        inside=state_inside(surface),
+        checkpoints=checkpoints,
     )
-    if traj.exit_reason != integrate.COMPLETED:
-        res = integrate.IntegrationResult(traj.times, traj.states, traj.exit_reason)
-        return res, n_cols
-    geo = make_geodesic_rhs(surface)
-    derivs = geo(traj.states)
 
-    def hermite(i, tau):
-        h = traj.times[i + 1] - traj.times[i]
-        s = tau / h
-        p0, p1 = traj.states[i], traj.states[i + 1]
-        d0, d1 = derivs[i] * h, derivs[i + 1] * h
-        h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-        h10 = s ** 3 - 2 * s ** 2 + s
-        h01 = -2 * s ** 3 + 3 * s ** 2
-        h11 = s ** 3 - s ** 2
-        return h00 * p0 + h10 * d0 + h01 * p1 + h11 * d1
 
-    def lin_rhs(phase, jk_flat):
-        x, y = phase[:m], phase[m:]
-        jk = jk_flat.reshape(2, m, n_cols)
-        geo = local_geometry(surface, x, y)
-        g_mat = geo.gamma_v
-        return np.concatenate(
-            [(jk[1] - g_mat @ jk[0]).ravel(), (geo.curvature @ jk[0] - g_mat @ jk[1]).ravel()]
-        )
-
-    jk = jk0.ravel().copy()
-    times = [0.0]
-    states = [np.concatenate([traj.states[0], jk])]
-    for i in range(len(traj.times) - 1):
-        h = traj.times[i + 1] - traj.times[i]
-        n_sub = 4
-        hs = h / n_sub
-        for k in range(n_sub):
-            t0 = k * hs
-            # classical RK4 with the interpolated base state
-            k1 = lin_rhs(hermite(i, t0), jk)
-            k2 = lin_rhs(hermite(i, t0 + 0.5 * hs), jk + 0.5 * hs * k1)
-            k3 = lin_rhs(hermite(i, t0 + 0.5 * hs), jk + 0.5 * hs * k2)
-            k4 = lin_rhs(hermite(i, t0 + hs), jk + hs * k3)
-            jk = jk + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append(traj.times[i + 1])
-        states.append(np.concatenate([traj.states[i + 1], jk]))
-    res = integrate.IntegrationResult(np.array(times), np.array(states), integrate.COMPLETED)
-    return res, n_cols
+def _require_completed(res, what):
+    if res.status == integrate.LEFT_CHART:
+        raise OutOfDomain(f"geodesic left the chart at t={res.final_time:.6g}")
+    if res.status != integrate.COMPLETED:
+        raise StepFailure(f"step controller failed during {what}")
 
 
 def propagate_jacobi(
@@ -191,38 +131,29 @@ def propagate_jacobi(
     j0: JacobiState,
     t_end: float,
     tol: float | None = None,
-    mode: str = "joint",
 ) -> JacobiState:
     """Solve the Jacobi system along the geodesic of v; linear in j0."""
     if j0.J.shape != (surface.dim,) or j0.K.shape != (surface.dim,) \
             or not np.all(np.isfinite(j0.as_vector())):
         raise InvalidInput(f"Jacobi initial value must be two finite {surface.dim}-vectors")
     jk0 = np.stack([j0.J, j0.K])[..., None]  # (2, m, 1)
-    res, _ = _propagate_columns(surface, v, jk0, t_end, tol, mode)
-    if res.status != integrate.COMPLETED:
-        if res.status == integrate.LEFT_CHART:
-            raise OutOfDomain(f"geodesic left the chart at t={res.final_time:.6g}")
-        raise StepFailure("step controller failed during Jacobi propagation")
+    res = propagate_block(surface, v, jk0, t_end, tol)
+    _require_completed(res, "Jacobi propagation")
     m = surface.dim
     jk = res.final_state[2 * m:].reshape(2, m)
     return JacobiState(jk[0], jk[1])
 
 
-def flow_differential(surface, t: float, v: TangentVector, tol: float | None = None,
-                      mode: str = "joint") -> FlowDifferential:
+def flow_differential(surface, t: float, v: TangentVector, tol: float | None = None) -> FlowDifferential:
     """Propagate the 2m standard basis initial conditions as one joint run."""
     m = surface.dim
     if t == 0.0:
-        check_request(surface, t, v)
-        return FlowDifferential(np.eye(2 * m), 0.0, v)
-    jk0 = np.eye(2 * m).reshape(2, m, 2 * m)
-    res, n_cols = _propagate_columns(surface, v, jk0, t, tol, mode)
-    if res.status != integrate.COMPLETED:
-        if res.status == integrate.LEFT_CHART:
-            raise OutOfDomain(f"geodesic left the chart at t={res.final_time:.6g}")
-        raise StepFailure("step controller failed during flow differential")
+        x0, y0 = check_request(surface, t, v)
+        return FlowDifferential(np.eye(2 * m), 0.0, v, TangentVector(x0.copy(), y0.copy()))
+    res = propagate_block(surface, v, np.eye(2 * m).reshape(2, m, 2 * m), t, tol)
+    _require_completed(res, "flow differential")
     mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
-    return FlowDifferential(mat, t, v)
+    return FlowDifferential(mat, t, v, TangentVector.from_state(res.final_state[: 2 * m]))
 
 
 def chart_to_covariant(surface, x, y) -> np.ndarray:
@@ -270,24 +201,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
             u = base.copy()
             u[d] += o
             ics.append(u)
-    ics = np.array(ics)  # (B, 2m)
-
-    geo = make_geodesic_rhs(surface)
-
-    def batch_rhs(u_flat):
-        return geo(u_flat.reshape(ics.shape)).ravel()
-
-    def inside(u_flat):
-        pts = u_flat.reshape(ics.shape)[:, :m]
-        return bool(np.all(surface.contains_batch(pts)))
-
-    res = integrate.integrate_adaptive(
-        batch_rhs, ics.ravel(), t, tol, tol * 1e-2,
-        max_step=step_cap(surface), inside=inside,
-    )
-    if res.status != integrate.COMPLETED:
-        raise OutOfDomain("a perturbed geodesic left the chart during the FD probe")
-    ends = res.final_state.reshape(ics.shape)
+    ends = integrate_batch(surface, np.array(ics), t, tol, tol * 1e-2).final_state
     d_chart = np.empty((2 * m, 2 * m))
     k = len(offsets)
     for d in range(n_dirs):
@@ -324,9 +238,10 @@ def mixed_partials_residual(
     batch. Returns the max norm difference over the sample times.
     """
     m = surface.dim
-    x0 = surface.require_inside(v.x)
-    y0 = np.asarray(v.y, dtype=float)
+    x0, y0 = check_request(surface, t_end, v, positive=True)
     w = np.asarray(w, dtype=float)
+    if w.shape != (m,) or not np.all(np.isfinite(w)):
+        raise InvalidInput(f"variation direction must be a finite {m}-vector, got {w}")
 
     t_max = t_end - 2.0 * dt
     t_samples = np.linspace(t_max / n_samples, t_max, n_samples)
@@ -340,26 +255,13 @@ def mixed_partials_residual(
     ics = np.array(
         [np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])]
     )
-    geo = make_geodesic_rhs(surface)
-
-    def batch_rhs(u_flat):
-        return geo(u_flat.reshape(2, 2 * m)).ravel()
-
-    def inside(u_flat):
-        return bool(np.all(surface.contains_batch(u_flat.reshape(2, 2 * m)[:, :m])))
-
-    res = integrate.integrate_adaptive(
-        batch_rhs, ics.ravel(), t_end, tol, tol * 1e-2,
-        max_step=step_cap(surface), inside=inside, checkpoints=checkpoints,
-    )
-    if res.status != integrate.COMPLETED:
-        raise OutOfDomain("variation trajectories left the chart")
+    res = integrate_batch(surface, ics, t_end, tol, tol * 1e-2, checkpoints)
 
     def states_at(t_req):
         idx = np.searchsorted(res.times, t_req - 1e-12)
         if idx >= len(res.times) or abs(res.times[idx] - t_req) > 1e-9:
             raise OutOfDomain(f"sample time {t_req} not on the trajectory")
-        return res.states[idx].reshape(2, 2 * m)
+        return res.states[idx]
 
     def ambient_velocity(state_row):
         x, y = state_row[:m], state_row[m:]

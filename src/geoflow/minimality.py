@@ -18,8 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import DisconnectedMesh, OutOfChart, OutOfDomain
-from .flow import TangentVector, Trajectory, integrate_geodesic, geodesic_flow
-from .surface import g_norm_batch
+from .flow import TangentVector, Trajectory, geodesic_flow, integrate_geodesic, random_tangent
 
 KING_ANISOTROPY = 1.0 / np.cos(np.pi / 8.0)  # worst king-path overhead, 1.0824
 
@@ -127,12 +126,7 @@ def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
 def minimality_margin(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> float:
     """shortest_path + budget - curve length; nonnegative certifies that the
     trajectory is no longer than any mesh competitor up to mesh error."""
-    pts = traj.positions(surface.dim)
-    if not (surface.contains(pts[0]) and surface.contains(pts[-1])):
-        raise OutOfDomain("trajectory endpoints outside the oracle domain")
-    mesh_len, hops, _, _ = shortest_path(oracle, pts[0], pts[-1])
-    length = curve_length(surface, pts)
-    return mesh_len + mesh_error_budget(surface, oracle, hops) - length
+    return minimality_report(surface, traj, oracle)["margin"]
 
 
 def minimality_report(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
@@ -194,19 +188,13 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     }
 
 
-def short_geodesic(surface, rng, max_length: float, t_ratio: float = 1.0) -> Trajectory:
+def short_geodesic(surface, rng, max_length: float) -> Trajectory:
     """Random unit-speed geodesic from the central chart region, of g-length
     at most max_length (used by the minimality test drivers)."""
     for _ in range(100):
-        x = surface.domain_lo + (0.3 + 0.4 * rng.random(surface.dim)) * (
-            surface.domain_hi - surface.domain_lo
-        )
-        if not surface.contains(x):
-            continue
-        y = rng.normal(size=surface.dim)
-        y /= g_norm_batch(surface, x, y)
-        t_end = max_length * (0.4 + 0.6 * rng.random()) * t_ratio
-        traj = integrate_geodesic(surface, TangentVector(x, y), t_end)
+        v = random_tangent(surface, rng, 0.8)
+        t_end = max_length * (0.4 + 0.6 * rng.random())
+        traj = integrate_geodesic(surface, v, t_end)
         if traj.exit_reason == "Completed":
             return traj
     raise OutOfDomain("could not place a short geodesic inside the chart")

@@ -25,9 +25,9 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .errors import DomainTooSmall, OutOfDomain, QuadratureFailure
-from .flow import TangentVector, geodesic_flow
-from .jacobi import flow_differential
-from .surface import GraphSurface, GridSurface, Regularity, local_geometry
+from .flow import TangentVector, default_tolerances, integrate_batch, random_tangent
+from .jacobi import flow_differential, propagate_block
+from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
 # ---------------------------------------------------------------------------
 # moduli of continuity
@@ -431,20 +431,14 @@ def flow_convergence_report(
     level's chart are pruned and reported.
     """
     ends, diffs, pruned = [], [], []
-    usable = []
     for k, (t, v) in enumerate(probes):
         try:
-            per_level_end = []
-            per_level_diff = []
-            for s in seq.smoothed:
-                out = geodesic_flow(s, t, v, tol)
-                per_level_end.append(out.as_state())
-                per_level_diff.append(flow_differential(s, t, v, tol).matrix)
-            ends.append(per_level_end)
-            diffs.append(per_level_diff)
-            usable.append(k)
+            per_level = [flow_differential(s, t, v, tol) for s in seq.smoothed]
         except OutOfDomain:
             pruned.append(k)
+            continue
+        ends.append([fd.end.as_state() for fd in per_level])
+        diffs.append([fd.matrix for fd in per_level])
     if not ends:
         raise OutOfDomain("all probes left the chart on some smoothing level")
     ends = np.array(ends)    # (P, L, 2m)
@@ -483,19 +477,12 @@ def flow_convergence_report(
 
 
 def convergence_probes(seq: SmoothingSequence, n_probes: int, rng, t_range=(0.15, 0.3)):
-    """Random (t, v) probes inside the common chart of all smoothing levels."""
-    from .surface import g_norm_batch
-
-    lo, hi = seq.common_box
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    level0 = seq.smoothed[0]
+    """Random (t, v) probes inside the common chart of all smoothing levels,
+    unit speed on the coarsest level."""
     probes = []
     for _ in range(n_probes):
-        x = center + (rng.random(2) - 0.5) * 0.6 * half
-        y = rng.normal(size=2)
-        y /= g_norm_batch(level0, x, y)
-        probes.append((rng.uniform(*t_range), TangentVector(x, y)))
+        v = random_tangent(seq.smoothed[0], rng, 0.6, box=seq.common_box)
+        probes.append((rng.uniform(*t_range), v))
     return probes
 
 
@@ -528,10 +515,8 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end, tol=None):
     Returns dict with the measured sup, the coefficient bound along the
     trajectory, and the certified bound at each sample's time.
     """
-    from .jacobi import _propagate_columns
-
     jk0 = np.stack([np.asarray(j0.J, dtype=float), np.asarray(j0.K, dtype=float)])[..., None]
-    res, _ = _propagate_columns(surface, v, jk0, t_end, tol, "joint")
+    res = propagate_block(surface, v, jk0, t_end, tol)
     if res.status != "Completed":
         raise OutOfDomain(f"trajectory ended early ({res.status})")
     m = surface.dim
@@ -561,53 +546,25 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0, delta_range=(
     quotient bound exp(c_bar * t) uses the coefficient bound measured along
     the batch samples.
     """
-    from . import integrate
-    from .flow import default_tolerances, make_geodesic_rhs, step_cap
-    from .surface import g_norm_batch
-
     rng = np.random.default_rng(seed)
     m = surface.dim
-    center = 0.5 * (surface.domain_lo + surface.domain_hi)
-    half = 0.5 * (surface.domain_hi - surface.domain_lo)
     ics = []
     for _ in range(n_pairs):
-        while True:
-            x = center + (rng.random(m) - 0.5) * 0.6 * half
-            if surface.contains(x):
-                break
-        y = rng.normal(size=m)
-        y /= g_norm_batch(surface, x, y)
-        base = np.concatenate([x, y])
+        base = random_tangent(surface, rng, 0.6).as_state()
         delta = np.exp(rng.uniform(np.log(delta_range[0]), np.log(delta_range[1])))
         d = rng.normal(size=2 * m)
         d *= delta / np.linalg.norm(d)
         ics.append(base)
         ics.append(base + d)
     ics = np.array(ics)
-
-    geo = make_geodesic_rhs(surface)
-
-    def rhs(u_flat):
-        return geo(u_flat.reshape(ics.shape)).ravel()
-
-    def inside(u_flat):
-        return bool(np.all(surface.contains_batch(u_flat.reshape(ics.shape)[:, :m])))
-
-    rtol, atol = default_tolerances(surface)
-    res = integrate.integrate_adaptive(
-        rhs, ics.ravel(), t_end, rtol, atol, max_step=step_cap(surface), inside=inside
-    )
-    if res.status != "Completed":
-        raise OutOfDomain(f"perturbation batch ended early ({res.status})")
-    ends = res.final_state.reshape(ics.shape)
+    res = integrate_batch(surface, ics, t_end, *default_tolerances(surface))
+    ends = res.final_state
     gaps = np.linalg.norm(ics[1::2] - ics[0::2], axis=1)
     devs = np.linalg.norm(ends[1::2] - ends[0::2], axis=1)
     quotients = devs / gaps
 
     stride = max(1, len(res.times) // 40)
-    sample_states = res.states[::stride].reshape(-1, ics.shape[0], 2 * m)
-    flat_states = sample_states.reshape(-1, 2 * m)
-    c_bar = coefficient_bound_along(surface, flat_states)
+    c_bar = coefficient_bound_along(surface, res.states[::stride])
     bound = float(np.exp(c_bar * t_end))
     return {
         "t_end": t_end,
@@ -619,59 +576,42 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0, delta_range=(
     }
 
 
-def _modulus_probes(surface, t1, n_centers, deltas, seed, j0=None, direction=None,
-                    tol=None, t_grid_pts=25):
+def _modulus_probes(surface, t1, n_centers, deltas, seed, tol=None):
     """Trajectories of the joint system from paired base points.
 
-    For each center x0 and gap delta, the partner starts at x0 + delta * dir.
-    Returns per-pair gaps, sup-t coefficient deviations, final-state
-    deviations, and the measured constants c_tilde (solution sup) and
-    c_bar (coefficient sup).
+    Each center is a random unit tangent (x0, y); for each gap delta the
+    partner starts at x0 + delta * (random unit vector) with y rescaled to
+    unit speed there, both with the same Jacobi initial value. Returns
+    per-pair gaps, sup-t coefficient deviations, final-state deviations,
+    and the measured constants c_tilde (solution sup) and c_bar
+    (coefficient sup).
     """
-    from .jacobi import _propagate_columns
-    from .surface import g_norm_batch
-
     rng = np.random.default_rng(seed)
     m = surface.dim
-    if j0 is None:
-        j0 = np.array([0.0, 0.0, 0.8, 0.6])  # generic: engages every block
-    if direction is None:
-        direction = np.array([1.0, 0.35])
-    direction = direction / np.linalg.norm(direction)
-    center = 0.5 * (surface.domain_lo + surface.domain_hi)
-    half = 0.5 * (surface.domain_hi - surface.domain_lo)
-    t_grid = np.linspace(0.0, t1, t_grid_pts)
+    jk0 = np.array([[0.0, 0.0], [0.8, 0.6]])[..., None]  # generic: engages every block
+    t_grid = np.linspace(0.0, t1, 25)
 
-    def run(x0):
-        y0 = direction / float(g_norm_batch(surface, x0, direction))
-        jk0 = np.stack([j0[:m], j0[m:]])[..., None]
-        res, _ = _propagate_columns(
-            surface, TangentVector(x0, y0), jk0, t1, tol, "joint",
-            checkpoints=t_grid[1:-1],
-        )
+    def run(x0, y0):
+        res = propagate_block(surface, TangentVector(x0, y0), jk0, t1, tol, t_grid[1:-1])
         if res.status != "Completed":
             raise OutOfDomain(f"modulus probe ended early ({res.status})")
         idx = np.searchsorted(res.times, t_grid - 1e-12)
         idx = np.clip(idx, 0, len(res.times) - 1)
-        samples = res.states[idx]
-        return samples  # (T, 2m + 2m)
+        return res.states[idx]  # (T, 2m + 2m)
 
     pairs = []
     all_states = []
     for _ in range(n_centers):
-        while True:
-            x0 = center + (rng.random(m) - 0.5) * 0.5 * half
-            if surface.contains(x0):
-                break
-        base = run(x0)
+        v = random_tangent(surface, rng, 0.5)
+        base = run(v.x, v.y)
         all_states.append(base)
         for delta in deltas:
             d = rng.normal(size=m)
             d *= delta / np.linalg.norm(d)
-            x1 = x0 + d
+            x1 = v.x + d
             if not surface.contains(x1):
                 continue
-            other = run(x1)
+            other = run(x1, v.y / float(g_norm_batch(surface, x1, v.y)))
             all_states.append(other)
             a_base = jacobi_coefficient_matrix(surface, base[:, :m], base[:, m: 2 * m])
             a_other = jacobi_coefficient_matrix(surface, other[:, :m], other[:, m: 2 * m])

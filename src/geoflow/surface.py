@@ -65,23 +65,11 @@ class Regularity:
 
 @dataclass(frozen=True)
 class SurfaceBounds:
-    """Sampled sup-norms of the derivative arrays over the chart domain.
-
-    grad_sup/hess_sup are raw sampled maxima (max-abs entry); the inflated
-    values carry the safety factor used wherever the bounds act as constants.
-    """
+    """Sampled sup-norms (max-abs entry) of the derivative arrays over the
+    chart domain."""
 
     grad_sup: float
     hess_sup: float
-    inflation: float = 1.1
-
-    @property
-    def grad(self) -> float:
-        return self.grad_sup * self.inflation
-
-    @property
-    def hess(self) -> float:
-        return self.hess_sup * self.inflation
 
 
 @dataclass
@@ -109,9 +97,9 @@ class GraphSurface:
     height/gradient/hessian are vectorized callables mapping points of
     shape (..., m) to arrays of shape (..., codim), (..., m, codim) and
     (..., m, m, codim). `membership` optionally tightens the box domain
-    (e.g. to a disk); `evaluable` guards where the callables may be
-    invoked at all, which must contain a neighborhood of the domain so
-    that integrator stages can overshoot slightly.
+    (e.g. to a disk). The callables are also invoked slightly outside the
+    domain, where integrator stages overshoot before a chart exit is
+    located.
     """
 
     def __init__(
@@ -125,11 +113,8 @@ class GraphSurface:
         gradient,
         hessian,
         *,
-        third=None,
         regularity: Regularity,
         membership=None,
-        evaluable=None,
-        bounds_samples=64,
     ):
         self.name = name
         self.dim = int(dim)
@@ -142,11 +127,8 @@ class GraphSurface:
         self.height = height
         self.gradient = gradient
         self.hessian = hessian
-        self.third = third
         self.regularity = regularity
         self._membership = membership
-        self._evaluable = evaluable
-        self._bounds_samples = int(bounds_samples)
 
     # -- domain --------------------------------------------------------
 
@@ -180,7 +162,7 @@ class GraphSurface:
 
     @cached_property
     def bounds(self) -> SurfaceBounds:
-        pts = self.sample_grid(self._bounds_samples)
+        pts = self.sample_grid(64)
         grad = self.gradient(pts)
         hess = self.hessian(pts)
         return SurfaceBounds(float(np.max(np.abs(grad))), float(np.max(np.abs(hess))))
@@ -191,14 +173,6 @@ class GraphSurface:
             np.linspace(lo, hi, per_axis)
             for lo, hi in zip(self.domain_lo, self.domain_hi)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return pts[self.contains_batch(pts)]
-
-    def sample_interior(self, per_axis: int, shrink=0.9) -> np.ndarray:
-        center = 0.5 * (self.domain_lo + self.domain_hi)
-        half = 0.5 * shrink * (self.domain_hi - self.domain_lo)
-        axes = [np.linspace(c - h, c + h, per_axis) for c, h in zip(center, half)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         return pts[self.contains_batch(pts)]

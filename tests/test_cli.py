@@ -102,6 +102,16 @@ def test_jacobian_identity_at_zero(tmp_path, monkeypatch, capsys):
     np.testing.assert_array_equal(np.array(out["matrix"]), np.eye(4))
 
 
+@pytest.mark.parametrize("command, rest", [
+    ("geodesic", ["--t-end", "0.3"]),
+    ("jacobian", ["--t", "0.3"]),
+    ("minimality", ["--t-end", "0.3", "--resolution", "16"]),
+])
+def test_start_outside_chart_is_bad_input(command, rest, tmp_path, monkeypatch):
+    argv = ["--surface", "hemisphere", command, "--x0", "0.9,0", "--y0", "1,0"] + rest
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+
+
 def test_jacobian_out_of_domain(tmp_path, monkeypatch):
     code = run_cli(
         ["--surface", "hemisphere", "jacobian", "--x0", "0,0", "--y0", "1,0", "--t", "3"],
@@ -201,15 +211,6 @@ def test_report_deterministic(tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_report_threads_env(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GEOFLOW_THREADS", "2")
-    assert main(["--seed", "3", "report", "--suites", "regularity", "--out", "c.json"]) == 0
-    monkeypatch.setenv("GEOFLOW_THREADS", "1")
-    assert main(["--seed", "3", "report", "--suites", "regularity", "--out", "d.json"]) == 0
-    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "d.json").read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -218,7 +219,6 @@ def test_report_threads_env(tmp_path, monkeypatch):
 def test_config_roundtrip():
     cfg = RunConfig(
         surface={"type": "catalog", "name": "vee"},
-        params={"t_end": 0.5},
         tolerances={"conservation": 1e-9},
         output={"report_json": "r.json"},
         suites=["flow"],

@@ -5,13 +5,14 @@ import pytest
 
 from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain
 from geoflow.flow import (
-    PhaseState,
     TangentVector,
     exp_map,
     flow_property_residual,
     geodesic_flow,
     geodesic_rhs,
+    integrate_batch,
     integrate_geodesic,
+    random_tangent,
     speed_profile,
 )
 from geoflow.serialize import write_trajectory_csv
@@ -26,18 +27,18 @@ from conftest import C2_AND_BETTER, random_chart_points
 
 
 def test_rhs_flat(flat):
-    out = geodesic_rhs(flat, PhaseState([0.0, 0.0], [1.0, 0.0]))
+    out = geodesic_rhs(flat, TangentVector([0.0, 0.0], [1.0, 0.0]))
     np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(out.y, [0.0, 0.0], atol=1e-15)
 
 
 def test_rhs_hemisphere_pole(hemisphere):
-    out = geodesic_rhs(hemisphere, PhaseState([0.0, 0.0], [1.0, 0.0]))
+    out = geodesic_rhs(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]))
     np.testing.assert_allclose(out.y, [0.0, 0.0], atol=1e-15)
 
 
 def test_rhs_hemisphere_value(hemisphere):
-    out = geodesic_rhs(hemisphere, PhaseState([0.3, 0.0], [1.0, 0.0]))
+    out = geodesic_rhs(hemisphere, TangentVector([0.3, 0.0], [1.0, 0.0]))
     np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-15)
     assert out.y[0] == pytest.approx(-0.3 / 0.91, rel=1e-13)
     assert out.y[1] == pytest.approx(0.0, abs=1e-15)
@@ -45,7 +46,7 @@ def test_rhs_hemisphere_value(hemisphere):
 
 def test_rhs_out_of_chart(hemisphere):
     with pytest.raises(OutOfChart):
-        geodesic_rhs(hemisphere, PhaseState([0.9, 0.0], [1.0, 0.0]))
+        geodesic_rhs(hemisphere, TangentVector([0.9, 0.0], [1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,37 @@ def test_step_failure_reported(hemisphere):
     assert traj.exit_reason == "StepFailure"
     assert len(traj.times) >= 2  # partial trajectory is returned
     assert traj.final_time < 0.9
+
+
+def test_random_tangent_unit_speed_in_box(surfaces):
+    rng = np.random.default_rng(37)
+    for surf in surfaces.values():
+        center = 0.5 * (surf.domain_lo + surf.domain_hi)
+        half = 0.5 * (surf.domain_hi - surf.domain_lo)
+        for _ in range(20):
+            v = random_tangent(surf, rng, 0.5)
+            assert surf.contains(v.x)
+            assert np.all(np.abs(v.x - center) <= 0.25 * half)
+            assert float(g_norm_batch(surf, v.x, v.y)) == pytest.approx(1.0, abs=1e-14)
+    box = (np.array([0.1, -0.2]), np.array([0.3, 0.0]))
+    v = random_tangent(surfaces["trough"], rng, 1.0, box=box)
+    assert np.all((v.x >= box[0]) & (v.x <= box[1]))
+
+
+def test_integrate_batch_matches_single_runs(hemisphere):
+    rng = np.random.default_rng(41)
+    vs = [random_tangent(hemisphere, rng, 0.5) for _ in range(3)]
+    res = integrate_batch(hemisphere, np.array([v.as_state() for v in vs]), 0.3, 1e-11, 1e-13)
+    assert res.states.shape == (len(res.times), 3, 4)
+    for row, v in zip(res.final_state, vs):
+        np.testing.assert_allclose(row, geodesic_flow(hemisphere, 0.3, v, 1e-11).as_state(),
+                                   rtol=0, atol=1e-9)
+
+
+def test_integrate_batch_row_leaving_chart(hemisphere):
+    ics = np.array([[0.0, 0.0, 1.0, 0.0], [0.7, 0.0, 1.0, 0.0]])
+    with pytest.raises(OutOfDomain):
+        integrate_batch(hemisphere, ics, 0.3, 1e-10, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -132,16 +132,6 @@ def test_propagate_out_of_domain(hemisphere):
         )
 
 
-def test_two_pass_matches_joint(hemisphere, c2alpha):
-    rng = np.random.default_rng(7)
-    for surf in (hemisphere, c2alpha):
-        v = unit_tangent(surf, rng)
-        j0 = JacobiState(rng.normal(size=2), rng.normal(size=2))
-        a = propagate_jacobi(surf, v, j0, 0.4, mode="joint").as_vector()
-        b = propagate_jacobi(surf, v, j0, 0.4, mode="two_pass").as_vector()
-        np.testing.assert_allclose(a, b, atol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # flow differential
 # ---------------------------------------------------------------------------
@@ -265,6 +255,29 @@ def test_mixed_partials_smooth_catalog(surfaces):
 # ---------------------------------------------------------------------------
 # boundary validation and evaluation counts
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("v, w", [
+    (TangentVector([0.0, 0.0], [1.0, 0.0]), [1.0, 0.0, 0.0]),
+    (TangentVector([0.0, 0.0], [1.0, 0.0]), [math.nan, 0.0]),
+    (TangentVector([0.0, 0.0], [math.nan, 0.0]), [1.0, 0.0]),
+], ids=["w_wrong_shape", "w_nan", "velocity_nan"])
+def test_mixed_partials_bad_input_rejected(hemisphere, v, w):
+    with pytest.raises(InvalidInput):
+        mixed_partials_residual(hemisphere, v, np.array(w))
+
+
+def test_flow_differential_end_state(surfaces):
+    rng = np.random.default_rng(31)
+    for name in CATALOG_NAMES:
+        surf = surfaces[name]
+        v = unit_tangent(surf, rng, shrink=0.3)
+        end = flow_differential(surf, 0.3, v).end
+        ref = geodesic_flow(surf, 0.3, v)
+        np.testing.assert_allclose(end.as_state(), ref.as_state(), rtol=0, atol=1e-8, err_msg=name)
+    v = TangentVector([0.1, 0.2], [1.0, 0.0])
+    np.testing.assert_array_equal(flow_differential(surfaces["hemisphere"], 0.0, v).end.as_state(),
+                                  v.as_state())
 
 
 def test_flow_differential_bad_time_rejected(hemisphere):

@@ -1,0 +1,91 @@
+"""Flow and flow-differential invariants on generated inputs.
+
+Start points lie in the disk |x| <= 0.25 with unit chart velocity and times
+in [0.05, 0.2]; as argued in perfbench/workloads.py, such geodesics stay in
+every catalog chart even for the composed time s + t <= 0.4.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geoflow.flow import (
+    TangentVector,
+    flow_property_residual,
+    geodesic_flow,
+    integrate_geodesic,
+    speed_profile,
+)
+from geoflow.jacobi import JacobiState, flow_differential, propagate_jacobi
+
+from conftest import C2_AND_BETTER, C3_AND_BETTER
+
+# c2alpha is left out of time reversal and speed conservation: across its
+# 0.5-Hoelder ridge x1 = 0 the step controller's error estimate is too
+# optimistic, and sampled inputs reach 1.1e-7 and 5.4e-8 there (an open
+# item under ROADMAP.md item 5).
+SMOOTH_STEPPING = [name for name in C2_AND_BETTER if name != "c2alpha"]
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+times = st.floats(0.05, 0.2)
+
+
+@st.composite
+def tangents(draw):
+    r = draw(st.floats(0.0, 0.25))
+    a = draw(st.floats(0.0, 2.0 * math.pi))
+    b = draw(st.floats(0.0, 2.0 * math.pi))
+    return TangentVector([r * math.cos(a), r * math.sin(a)], [math.cos(b), math.sin(b)])
+
+
+@PROPERTY
+@given(st.sampled_from(C2_AND_BETTER), tangents(), times, times)
+def test_flow_composition(surfaces, name, v, s, t):
+    assert flow_property_residual(surfaces[name], s, t, v) <= 1e-7
+
+
+@PROPERTY
+@given(st.sampled_from(SMOOTH_STEPPING), tangents(), times)
+def test_flow_time_reversal(surfaces, name, v, t):
+    surf = surfaces[name]
+    back = geodesic_flow(surf, -t, geodesic_flow(surf, t, v))
+    assert np.max(np.abs(back.as_state() - v.as_state())) <= 1e-7
+
+
+@PROPERTY
+@given(st.sampled_from(SMOOTH_STEPPING + ["vee"]), tangents(), times)
+def test_speed_conserved(surfaces, name, v, t):
+    surf = surfaces[name]
+    traj = integrate_geodesic(surf, v, t)
+    assert np.max(np.abs(speed_profile(surf, traj) - traj.speed)) <= 1e-8 * traj.speed
+
+
+unit_box = st.floats(-1.0, 1.0)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(C2_AND_BETTER), tangents(), times,
+    st.lists(unit_box, min_size=4, max_size=4), st.lists(unit_box, min_size=4, max_size=4),
+    unit_box, unit_box,
+)
+def test_propagate_jacobi_linear(surfaces, name, v, t, a, b, al, be):
+    surf = surfaces[name]
+
+    def prop(j):
+        return propagate_jacobi(surf, v, JacobiState(j[:2], j[2:]), t, tol=1e-11).as_vector()
+
+    a, b = np.array(a), np.array(b)
+    np.testing.assert_allclose(prop(al * a + be * b), al * prop(a) + be * prop(b), rtol=0, atol=1e-8)
+
+
+@PROPERTY
+@given(st.sampled_from(C3_AND_BETTER), tangents(), times, times)
+def test_flow_differential_cocycle(surfaces, name, v, s, t):
+    surf = surfaces[name]
+    first = flow_differential(surf, t, v, tol=1e-11)
+    second = flow_differential(surf, s, first.end, tol=1e-11)
+    whole = flow_differential(surf, s + t, v, tol=1e-11)
+    np.testing.assert_allclose(whole.matrix, second.matrix @ first.matrix, rtol=0, atol=1e-6)

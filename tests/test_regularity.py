@@ -147,7 +147,7 @@ def test_flow_convergence_flat(flat):
 
 def test_vee_uniform_pi_bound(vee):
     seq = reg.approximation_sequence(vee, [0.08, 0.04, 0.02])
-    assert max(seq.pi_sup) <= 2.0 * vee.bounds.inflation
+    assert max(seq.pi_sup) <= 2.0 * 1.1
 
 
 def test_flow_convergence_prunes_escaping_probes(c21_cubic):
