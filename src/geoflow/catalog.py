@@ -29,9 +29,7 @@ def _zeros_like_point(X, shape):
     return np.zeros(X.shape[:-1] + shape)
 
 
-def _flat(domain=1.0):
-    d = float(domain)
-
+def _flat():
     def h(X):
         return _zeros_like_point(X, (1,))
 
@@ -42,13 +40,13 @@ def _flat(domain=1.0):
         return _zeros_like_point(X, (2, 2, 1))
 
     return GraphSurface(
-        "flat", 2, 1, [-d, -d], [d, d], h, grad, hess,
+        "flat", 2, 1, [-1.0, -1.0], [1.0, 1.0], h, grad, hess,
         regularity=Regularity("smooth"),
     )
 
 
-def _hemisphere(radius=0.8):
-    r = float(radius)
+def _hemisphere():
+    r = 0.8
 
     def safe(X):
         X = np.asarray(X, dtype=float)
@@ -82,10 +80,8 @@ def _hemisphere(radius=0.8):
     )
 
 
-def _profile_surface(name, f, df, d2f, regularity, domain=0.8):
-    """Surface of the form h(x1, x2) = f(x1); intrinsically flat."""
-    d = float(domain)
-
+def _profile_surface(name, f, df, d2f, regularity):
+    """Surface of the form h(x1, x2) = f(x1) over [-0.8, 0.8]^2; intrinsically flat."""
     def h(X):
         X = np.asarray(X, dtype=float)
         return f(X[..., 0])[..., None]
@@ -103,7 +99,7 @@ def _profile_surface(name, f, df, d2f, regularity, domain=0.8):
         return out
 
     return GraphSurface(
-        name, 2, 1, [-d, -d], [d, d], h, grad, hess,
+        name, 2, 1, [-0.8, -0.8], [0.8, 0.8], h, grad, hess,
         regularity=regularity,
     )
 

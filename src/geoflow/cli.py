@@ -25,13 +25,14 @@ import numpy as np
 from . import regularity as reg
 from . import serialize
 from .catalog import CATALOG, make_surface, surface_from_spec
-from .errors import ConfigError, GeoflowError, InvalidInput, OutOfChart, OutOfDomain, UnknownSurface
+from .errors import ConfigError, GeoflowError, InvalidInput, OutOfChart, UnknownSurface
 from .flow import (
     TangentVector,
     flow_property_residual,
     geodesic_flow,
     integrate_geodesic,
     random_tangent,
+    require_completed,
     speed_profile,
 )
 from .jacobi import JacobiState, fd_flow_differential, flow_differential, propagate_jacobi
@@ -58,6 +59,15 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        tols = d.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigError(f"tolerances must be an object, got {tols!r}")
+        for key, value in tols.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not np.isfinite(value):
+                raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
         return RunConfig(**d)
 
     @staticmethod
@@ -139,7 +149,7 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "t_requested": float(args.t_end),
         "t_reached": traj.final_time,
-        "exit_reason": traj.exit_reason,
+        "exit_reason": traj.status,
         "final_x": traj.final.x,
         "final_y": traj.final.y,
         "speed": traj.speed,
@@ -183,7 +193,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
             "study targets surfaces of class C2 and below",
             file=sys.stderr,
         )
-    scales = [float(s) for s in args.scales.split(",")]
+    scales = _parse_vec(args.scales)
     seq = reg.approximation_sequence(surface, scales)
     probes = reg.convergence_probes(seq, args.probes, np.random.default_rng(cfg.seed))
     report = reg.flow_convergence_report(seq, probes)
@@ -208,8 +218,7 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
-    if traj.exit_reason != "Completed":
-        raise OutOfDomain(f"geodesic ended early ({traj.exit_reason})")
+    require_completed(traj, "geodesic")
     rep = minimality_report(surface, traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)

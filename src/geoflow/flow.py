@@ -1,10 +1,12 @@
 """Geodesic flow: first-order system, trajectories, exponential map.
 
 The chart state is s = (x, y) with dx/dt = y and dy_k/dt = -Gamma^k_ij y_i y_j.
-Trajectories stop at the chart boundary (located by bisection) and report why
-they ended. Integration is adaptive by default; surfaces with merely bounded
-second derivatives get a hard cap on the step size because the embedded error
-estimate is unreliable across curvature jumps.
+Trajectories stop at the chart boundary (located by bisection on the step's
+dense output) and report why they ended. The integration policy lives here
+once: tolerances turns a requested tol into (rtol, atol), step_cap bounds the
+step on surfaces with merely bounded second derivatives (the embedded error
+estimate is unreliable across curvature jumps), state_inside is the chart
+predicate, and require_completed turns an incomplete run into an error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import integrate
-from .errors import InvalidInput, OutOfDomain
+from .errors import InvalidInput, OutOfDomain, StepFailure
 from .surface import g_norm_batch, local_geometry
 
 
@@ -42,7 +44,7 @@ class TangentVector:
 class Trajectory:
     times: np.ndarray      # strictly increasing sample times
     states: np.ndarray     # (K, 2m) rows (x, y)
-    exit_reason: str       # Completed | LeftChart | StepFailure
+    status: str            # Completed | LeftChart | StepFailure
     speed: float           # g-norm of the initial velocity
 
     @property
@@ -56,16 +58,16 @@ class Trajectory:
     def positions(self, dim) -> np.ndarray:
         return self.states[:, :dim]
 
-    def velocities(self, dim) -> np.ndarray:
-        return self.states[:, dim:]
 
-
-def default_tolerances(surface) -> tuple[float, float]:
-    """(rtol, atol) by regularity class, sitting below the tolerances the
-    verification suites assert."""
-    if surface.regularity.at_least("C3"):
-        return 1e-10, 1e-12
-    return 1e-9, 1e-11
+def tolerances(surface, tol=None) -> tuple[float, float]:
+    """(rtol, atol) = (tol, tol / 100) for a requested tol; for None, by
+    regularity class, sitting below the tolerances the verification suites
+    assert. Raises InvalidInput for a tol that is not positive and finite."""
+    if tol is None:
+        return (1e-10, 1e-12) if surface.regularity.at_least("C3") else (1e-9, 1e-11)
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
+    return tol, tol * 1e-2
 
 
 def step_cap(surface) -> float:
@@ -73,6 +75,16 @@ def step_cap(surface) -> float:
     if surface.regularity.tag == "C11":
         return 1e-3 * surface.width
     return np.inf
+
+
+def require_completed(res, what):
+    """Return res if its run reached the end time; raise OutOfDomain if it
+    left the chart and StepFailure if the step controller gave up."""
+    if res.status == integrate.LEFT_CHART:
+        raise OutOfDomain(f"{what} left the chart at t={res.final_time:.6g}")
+    if res.status != integrate.COMPLETED:
+        raise StepFailure(f"step controller failed during {what} at t={res.final_time:.6g}")
+    return res
 
 
 def make_geodesic_rhs(surface):
@@ -147,15 +159,15 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     return TangentVector(x, y)
 
 
-def integrate_batch(surface, ics, t_end, rtol, atol, checkpoints=None):
+def integrate_batch(surface, ics, t_end, tol=None, checkpoints=None):
     """Integrate the geodesics starting at the rows of ics (B, 2m) as one
     system with shared steps.
 
     The step controller sees the RMS error over the whole batch, so the
     common part of the error is the same for every row (the FD oracle's
     differences rely on that). Returns the IntegrationResult with states
-    of shape (K, B, 2m); raises OutOfDomain when any row leaves the chart
-    or the controller fails.
+    of shape (K, B, 2m); raises as require_completed when the batch stops
+    early, e.g. because any row leaves the chart.
     """
     m = surface.dim
     geo = make_geodesic_rhs(surface)
@@ -167,66 +179,35 @@ def integrate_batch(surface, ics, t_end, rtol, atol, checkpoints=None):
         return bool(np.all(surface.contains_batch(u_flat.reshape(ics.shape)[:, :m])))
 
     res = integrate.integrate_adaptive(
-        rhs, ics.ravel(), t_end, rtol, atol, max_step=step_cap(surface), inside=inside,
-        checkpoints=checkpoints,
+        rhs, ics.ravel(), t_end, *tolerances(surface, tol), max_step=step_cap(surface),
+        inside=inside, checkpoints=checkpoints,
     )
-    if res.status != integrate.COMPLETED:
-        raise OutOfDomain(
-            f"batch of {len(ics)} geodesics ended at t={res.final_time:.6g} < {t_end:g} "
-            f"({res.status})"
-        )
+    require_completed(res, f"batch of {len(ics)} geodesics")
     return replace(res, states=res.states.reshape((len(res.times),) + ics.shape))
 
 
-def integrate_geodesic(
-    surface,
-    v: TangentVector,
-    t_end: float,
-    tol: float | None = None,
-    *,
-    max_step: float | None = None,
-    checkpoints=None,
-    method: str = "adaptive",
-    fixed_step: float | None = None,
-    max_steps: int = 500_000,
-) -> Trajectory:
+def integrate_geodesic(surface, v: TangentVector, t_end: float,
+                       tol: float | None = None) -> Trajectory:
     """Integrate the geodesic with gamma'(0) = v up to t_end or chart exit."""
     x0, y0 = check_request(surface, t_end, v, positive=True)
-    u0 = np.concatenate([x0, y0])
     speed = float(g_norm_batch(surface, x0, y0))
-    rhs = make_geodesic_rhs(surface)
-    inside = state_inside(surface)
-    if method == "rk4":
-        if fixed_step is None:
-            raise ValueError("rk4 method requires fixed_step")
-        res = integrate.integrate_fixed_rk4(rhs, u0, t_end, fixed_step, inside=inside)
-    else:
-        rtol, atol = default_tolerances(surface)
-        if tol is not None:
-            rtol, atol = tol, tol * 1e-2
-        cap = step_cap(surface) if max_step is None else max_step
-        res = integrate.integrate_adaptive(
-            rhs, u0, t_end, rtol, atol, max_step=cap, inside=inside,
-            checkpoints=checkpoints, max_steps=max_steps,
-        )
+    res = integrate.integrate_adaptive(
+        make_geodesic_rhs(surface), np.concatenate([x0, y0]), t_end, *tolerances(surface, tol),
+        max_step=step_cap(surface), inside=state_inside(surface),
+    )
     return Trajectory(res.times, res.states, res.status, speed)
 
 
-def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None, **kw) -> TangentVector:
+def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None) -> TangentVector:
     """State of the geodesic with initial tangent v after time t."""
     x0, y0 = check_request(surface, t, v)
     if t == 0.0:
         return TangentVector(x0.copy(), y0.copy())
     if t < 0.0:
         # Run the reflected geodesic forward: phi(-t, (x, y)) = N(phi(t, N v)).
-        out = geodesic_flow(surface, -t, TangentVector(x0, -y0), tol, **kw)
+        out = geodesic_flow(surface, -t, TangentVector(x0, -y0), tol)
         return TangentVector(out.x, -out.y)
-    traj = integrate_geodesic(surface, v, t, tol, **kw)
-    if traj.exit_reason != integrate.COMPLETED:
-        raise OutOfDomain(
-            f"geodesic ended at t={traj.final_time:.6g} < {t:g} ({traj.exit_reason})"
-        )
-    return traj.final
+    return require_completed(integrate_geodesic(surface, v, t, tol), "geodesic").final
 
 
 def exp_map(surface, v: TangentVector, tol: float | None = None) -> np.ndarray:

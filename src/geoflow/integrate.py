@@ -3,8 +3,9 @@
 Dormand-Prince 5(4) embedded pair with a PI step-size controller, plus a
 classical fixed-step RK4 kept for reproducible convergence studies. Both
 integrate autonomous systems u' = f(u). A membership predicate may be
-supplied; when an accepted step lands outside, the crossing is located by
-bisection and the run stops there with status ``left_chart``.
+supplied; when an accepted DP5 step lands outside, the crossing is located
+by bisection on the step's dense output and the run stops there with status
+``LeftChart``. The fixed-step driver stops at its last step inside.
 """
 
 from __future__ import annotations
@@ -34,6 +35,19 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_ERR = _DP_B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# Continuous extension of order 4 (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.6): u(t + theta h) = u + h (_DP_P @ [theta, .., theta^4]) @ stages,
+# with stages[6] = f(u_new).
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY = 0.9
 
 
 @dataclass
@@ -61,42 +75,23 @@ def rk4_step(f, u, h):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_span(f, u, span, n_sub=8):
-    """Advance u over `span` with n_sub classical RK4 steps."""
-    h = span / n_sub
-    for _ in range(n_sub):
-        u = rk4_step(f, u, h)
-    return u
+def _bisect_exit(u, h, stages, inside):
+    """Locate the boundary crossing within an accepted step of size h from
+    u (inside) whose end point is outside, on the step's dense output.
 
-
-def _bisect_exit(f, u_in, h_out, inside, tol=1e-12):
-    """Locate the boundary crossing inside (0, h_out] from a state known inside.
-
-    Returns (tau, state) with state the last trial point still inside.
+    Makes no right-hand-side evaluations. Returns (tau, state) with state
+    the last trial point still inside.
     """
-    def trial(tau):
-        if tau == 0.0:
-            return u_in
-        try:
-            u = _rk4_span(f, u_in, tau)
-        except (OutOfChart, FloatingPointError):
-            return None
-        if not np.all(np.isfinite(u)):
-            return None
-        return u
-
-    lo, hi = 0.0, h_out
-    u_lo = u_in
-    for _ in range(80):
-        if hi - lo <= tol * max(1.0, hi):
-            break
+    q = h * (stages.T @ _DP_P)
+    lo, hi, u_lo = 0.0, 1.0, u
+    for _ in range(52):  # theta to within 2^-52
         mid = 0.5 * (lo + hi)
-        u_mid = trial(mid)
-        if u_mid is not None and inside(u_mid):
+        u_mid = u + q @ (mid ** np.arange(1, 5))
+        if inside(u_mid):
             lo, u_lo = mid, u_mid
         else:
             hi = mid
-    return lo, u_lo
+    return lo * h, u_lo
 
 
 def _initial_step(f0, u0, rtol, atol, t_end, max_step):
@@ -118,7 +113,6 @@ def integrate_adaptive(
     inside=None,
     checkpoints=None,
     max_steps=500_000,
-    safety=0.9,
 ):
     """Integrate u' = f(u) from t=0 to t_end with adaptive DP5(4) steps.
 
@@ -142,10 +136,13 @@ def integrate_adaptive(
             raise OutOfChart("non-finite right-hand side")
         return k
 
+    def result(status):
+        return IntegrationResult(np.array(times), np.array(states), status, n_acc, n_rej)
+
     try:
         f_cur = eval_rhs(u)
     except OutOfChart:
-        return IntegrationResult(np.array(times), np.array(states), STEP_FAILURE)
+        return result(STEP_FAILURE)
 
     h = _initial_step(f_cur, u, rtol, atol, t_end, max_step)
     h_min = 1e-14 * max(1.0, t_end)
@@ -156,26 +153,17 @@ def integrate_adaptive(
         target = t_end
         if cp_idx < len(cps):
             target = min(target, cps[cp_idx])
-        h = min(h, max_step, target - t)
-        if h < h_min:
-            h = h_min
+        h = max(min(h, max_step, target - t), h_min)
 
         stages[0] = f_cur
-        failed_stage = False
         try:
             for i in range(1, 7):
-                du = h * (_DP_A[i] @ stages[:i])
-                stages[i] = eval_rhs(u + du)
+                stages[i] = eval_rhs(u + h * (_DP_A[i] @ stages[:i]))
         except OutOfChart:
-            failed_stage = True
-
-        if failed_stage:
             n_rej += 1
             h *= 0.25
             if h < h_min:
-                return IntegrationResult(
-                    np.array(times), np.array(states), STEP_FAILURE, n_acc, n_rej
-                )
+                return result(STEP_FAILURE)
             continue
 
         u_new = u + h * (_DP_B5 @ stages)
@@ -184,61 +172,50 @@ def integrate_adaptive(
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
         if err <= 1.0 or h <= h_min * 1.0001:
-            t_new = t + h
+            n_acc += 1
             if inside is not None and not inside(u_new):
-                tau, u_exit = _bisect_exit(f, u, h, inside)
+                tau, u_exit = _bisect_exit(u, h, stages, inside)
                 times.append(t + tau)
                 states.append(u_exit)
-                return IntegrationResult(
-                    np.array(times), np.array(states), LEFT_CHART, n_acc + 1, n_rej
-                )
-            t, u = t_new, u_new
+                return result(LEFT_CHART)
+            t, u = t + h, u_new
             f_cur = stages[6].copy()  # FSAL: last stage is f at the new point
             times.append(t)
             states.append(u.copy())
-            n_acc += 1
             if cp_idx < len(cps) and t >= cps[cp_idx] - 1e-13:
                 cp_idx += 1
-            fac = safety * err ** -0.17 * err_old ** 0.04 if err > 0 else 5.0
+            fac = _SAFETY * err ** -0.17 * err_old ** 0.04 if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
             err_old = max(err, 1e-10)
         else:
             n_rej += 1
-            h *= min(1.0, max(0.2, safety * err ** -0.2))
+            h *= min(1.0, max(0.2, _SAFETY * err ** -0.2))
             if h < h_min:
-                return IntegrationResult(
-                    np.array(times), np.array(states), STEP_FAILURE, n_acc, n_rej
-                )
+                return result(STEP_FAILURE)
 
         if n_acc + n_rej > max_steps:
-            return IntegrationResult(
-                np.array(times), np.array(states), STEP_FAILURE, n_acc, n_rej
-            )
+            return result(STEP_FAILURE)
 
-    return IntegrationResult(np.array(times), np.array(states), COMPLETED, n_acc, n_rej)
+    return result(COMPLETED)
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
-    """Fixed-step RK4; stops at the chart boundary like the adaptive driver."""
+    """Fixed-step RK4. A step that fails or lands outside ends the run with
+    status LeftChart at the last step inside."""
     u = np.asarray(u0, dtype=float).copy()
     n = max(1, int(np.ceil(t_end / step)))
     h = t_end / n
     t = 0.0
     times = [0.0]
     states = [u.copy()]
-    for _ in range(n):
+    for i in range(n):
         try:
-            u_new = rk4_step(f, u, h)
-            ok = np.all(np.isfinite(u_new))
+            u = rk4_step(f, u, h)
         except (OutOfChart, FloatingPointError):
-            ok = False
-            u_new = None
-        if not ok or (inside is not None and not inside(u_new)):
-            tau, u_exit = _bisect_exit(f, u, h, inside or (lambda s: True))
-            times.append(t + tau)
-            states.append(u_exit)
-            return IntegrationResult(np.array(times), np.array(states), LEFT_CHART, len(times) - 1, 0)
-        t, u = t + h, u_new
+            u = None
+        if u is None or not np.all(np.isfinite(u)) or (inside is not None and not inside(u)):
+            return IntegrationResult(np.array(times), np.array(states), LEFT_CHART, i, 0)
+        t += h
         times.append(t)
-        states.append(u.copy())
+        states.append(u)
     return IntegrationResult(np.array(times), np.array(states), COMPLETED, n, 0)

@@ -23,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .errors import InvalidInput, OutOfDomain, StepFailure
+from .errors import InvalidInput, OutOfDomain
 from .flow import (
     TangentVector,
     check_request,
-    default_tolerances,
     integrate_batch,
+    require_completed,
     state_inside,
     step_cap,
+    tolerances,
 )
 from .surface import local_geometry
 
@@ -61,11 +62,6 @@ class JacobiState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.J, self.K])
 
-    @staticmethod
-    def from_vector(u: np.ndarray) -> "JacobiState":
-        m = u.size // 2
-        return JacobiState(u[:m], u[m:])
-
 
 @dataclass
 class FlowDifferential:
@@ -76,9 +72,6 @@ class FlowDifferential:
     t: float
     v: TangentVector
     end: TangentVector
-
-    def apply(self, j0: JacobiState) -> JacobiState:
-        return JacobiState.from_vector(self.matrix @ j0.as_vector())
 
 
 def _make_joint_rhs(surface, n_cols):
@@ -100,29 +93,20 @@ def _make_joint_rhs(surface, n_cols):
 def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
     """Integrate the joint system with the (2, m, n_cols) initial block jk0.
 
-    Returns the IntegrationResult; its states hold [x, y, J, K] flattened.
+    Returns the completed IntegrationResult, whose states hold [x, y, J, K]
+    flattened; raises as require_completed when the run stops early.
     """
     x0, y0 = check_request(surface, t_end, v, positive=True)
-    rtol, atol = default_tolerances(surface)
-    if tol is not None:
-        rtol, atol = tol, tol * 1e-2
-    return integrate.integrate_adaptive(
+    res = integrate.integrate_adaptive(
         _make_joint_rhs(surface, jk0.shape[-1]),
         np.concatenate([x0, y0, jk0.ravel()]),
         t_end,
-        rtol,
-        atol,
+        *tolerances(surface, tol),
         max_step=step_cap(surface),
         inside=state_inside(surface),
         checkpoints=checkpoints,
     )
-
-
-def _require_completed(res, what):
-    if res.status == integrate.LEFT_CHART:
-        raise OutOfDomain(f"geodesic left the chart at t={res.final_time:.6g}")
-    if res.status != integrate.COMPLETED:
-        raise StepFailure(f"step controller failed during {what}")
+    return require_completed(res, "Jacobi propagation")
 
 
 def propagate_jacobi(
@@ -138,7 +122,6 @@ def propagate_jacobi(
         raise InvalidInput(f"Jacobi initial value must be two finite {surface.dim}-vectors")
     jk0 = np.stack([j0.J, j0.K])[..., None]  # (2, m, 1)
     res = propagate_block(surface, v, jk0, t_end, tol)
-    _require_completed(res, "Jacobi propagation")
     m = surface.dim
     jk = res.final_state[2 * m:].reshape(2, m)
     return JacobiState(jk[0], jk[1])
@@ -151,7 +134,6 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
         x0, y0 = check_request(surface, t, v)
         return FlowDifferential(np.eye(2 * m), 0.0, v, TangentVector(x0.copy(), y0.copy()))
     res = propagate_block(surface, v, np.eye(2 * m).reshape(2, m, 2 * m), t, tol)
-    _require_completed(res, "flow differential")
     mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
     return FlowDifferential(mat, t, v, TangentVector.from_state(res.final_state[: 2 * m]))
 
@@ -201,7 +183,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
             u = base.copy()
             u[d] += o
             ics.append(u)
-    ends = integrate_batch(surface, np.array(ics), t, tol, tol * 1e-2).final_state
+    ends = integrate_batch(surface, np.array(ics), t, tol).final_state
     d_chart = np.empty((2 * m, 2 * m))
     k = len(offsets)
     for d in range(n_dirs):
@@ -255,7 +237,7 @@ def mixed_partials_residual(
     ics = np.array(
         [np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])]
     )
-    res = integrate_batch(surface, ics, t_end, tol, tol * 1e-2, checkpoints)
+    res = integrate_batch(surface, ics, t_end, tol, checkpoints)
 
     def states_at(t_req):
         idx = np.searchsorted(res.times, t_req - 1e-12)

@@ -17,8 +17,19 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .errors import DisconnectedMesh, OutOfChart, OutOfDomain
-from .flow import TangentVector, Trajectory, geodesic_flow, integrate_geodesic, random_tangent
+from . import integrate
+from .errors import DisconnectedMesh, InvalidInput, OutOfChart, OutOfDomain
+from .flow import (
+    TangentVector,
+    Trajectory,
+    check_request,
+    geodesic_flow,
+    integrate_geodesic,
+    make_geodesic_rhs,
+    random_tangent,
+    require_completed,
+    state_inside,
+)
 
 KING_ANISOTROPY = 1.0 / np.cos(np.pi / 8.0)  # worst king-path overhead, 1.0824
 
@@ -42,7 +53,7 @@ class MeshGeodesicOracle:
 def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
     """King-move mesh over the chart with ambient chord-length weights."""
     if resolution < 8:
-        raise ValueError("resolution must be at least 8 per axis")
+        raise InvalidInput(f"resolution must be at least 8 per axis, got {resolution}")
     m = surface.dim
     axes = [
         np.linspace(lo, hi, resolution)
@@ -130,9 +141,12 @@ def minimality_margin(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> 
 
 
 def minimality_report(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
+    """Margin of one trajectory against the mesh oracle. The geodesic length
+    is speed * final_time, the exact g-length of the geodesic, which a chord
+    sum over the samples would underestimate."""
     pts = traj.positions(surface.dim)
     mesh_len, hops, sp, sq = shortest_path(oracle, pts[0], pts[-1])
-    length = curve_length(surface, pts)
+    length = traj.speed * traj.final_time
     budget = mesh_error_budget(surface, oracle, hops)
     margin = mesh_len + budget - length
     return {
@@ -154,15 +168,16 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     shrinking spread indicates a unique limit trajectory; (b) Lipschitz
     quotients |phi(t, v) - phi(t, w)| / |v - w| over the perturbation set.
     """
+    u0 = np.concatenate(check_request(surface, t_end, v, positive=True))
     step_sizes = sorted(step_sizes, reverse=True)
     if reference_step is None:
         reference_step = step_sizes[-1] / 4.0
     runs = {}
     for s in list(step_sizes) + [reference_step]:
-        traj = integrate_geodesic(surface, v, t_end, method="rk4", fixed_step=s)
-        if traj.exit_reason != "Completed":
-            raise OutOfDomain(f"geodesic left the chart at step size {s:g}")
-        runs[s] = traj.final.as_state()
+        res = integrate.integrate_fixed_rk4(
+            make_geodesic_rhs(surface), u0, t_end, s, inside=state_inside(surface)
+        )
+        runs[s] = require_completed(res, f"geodesic at step size {s:g}").final_state
     ref = runs[reference_step]
     spreads = [float(np.linalg.norm(runs[s] - ref)) for s in step_sizes]
     # below the roundoff floor refinement cannot show further shrinkage
@@ -195,6 +210,6 @@ def short_geodesic(surface, rng, max_length: float) -> Trajectory:
         v = random_tangent(surface, rng, 0.8)
         t_end = max_length * (0.4 + 0.6 * rng.random())
         traj = integrate_geodesic(surface, v, t_end)
-        if traj.exit_reason == "Completed":
+        if traj.status == integrate.COMPLETED:
             return traj
     raise OutOfDomain("could not place a short geodesic inside the chart")

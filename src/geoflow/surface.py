@@ -72,25 +72,6 @@ class SurfaceBounds:
     hess_sup: float
 
 
-@dataclass
-class MetricData:
-    g: np.ndarray
-    g_inv: np.ndarray
-    point: np.ndarray
-
-
-@dataclass
-class ChristoffelSymbols:
-    gamma: np.ndarray  # (m, m, m), gamma[k, i, j]
-    point: np.ndarray
-
-
-@dataclass
-class SecondFundamentalFormValue:
-    vector: np.ndarray  # ambient n-vector in the normal space
-    point: np.ndarray
-
-
 class GraphSurface:
     """Immutable chart description of a graph submanifold of R^n.
 
@@ -255,11 +236,6 @@ def christoffel_batch(surface, X):
     return local_geometry(surface, X).gamma
 
 
-def pi_inner_products(surface, X):
-    """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> at each point of X."""
-    return local_geometry(surface, X).pi
-
-
 def curvature_matrix_batch(surface, X, Y):
     """Matrix M with M @ J = second covariant derivative of J along a
     geodesic through X with velocity Y (the Jacobi right-hand side).
@@ -285,15 +261,14 @@ def embed(surface, x) -> np.ndarray:
     return surface.embed_batch(x)
 
 
-def metric_at(surface, x) -> MetricData:
-    x = surface.require_inside(x)
-    g, g_inv = metric_batch(surface, x)
-    return MetricData(g=g, g_inv=g_inv, point=x)
+def metric_at(surface, x):
+    """(g, g_inv) at the chart point x."""
+    return metric_batch(surface, surface.require_inside(x))
 
 
-def christoffel_at(surface, x) -> ChristoffelSymbols:
-    x = surface.require_inside(x)
-    return ChristoffelSymbols(gamma=christoffel_batch(surface, x), point=x)
+def christoffel_at(surface, x) -> np.ndarray:
+    """gamma[k, i, j] at the chart point x."""
+    return christoffel_batch(surface, surface.require_inside(x))
 
 
 def tangent_frame(surface, x) -> np.ndarray:
@@ -311,15 +286,16 @@ def normal_projector(surface, x) -> np.ndarray:
     return np.eye(surface.ambient_dim) - t @ gram_inv @ t.T
 
 
-def second_fundamental_form(surface, x, u, v) -> SecondFundamentalFormValue:
-    """Normal component of the ambient second derivative (0, u^T Hess h v)."""
+def second_fundamental_form(surface, x, u, v) -> np.ndarray:
+    """Pi(u, v): the normal component of the ambient second derivative
+    (0, u^T Hess h v), as an ambient n-vector."""
     x = surface.require_inside(x)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     hess = surface.hessian(x)                        # (m, m, c)
     w = np.einsum("i,j,ija->a", u, v, hess)
     ambient = np.concatenate([np.zeros(surface.dim), w])
-    return SecondFundamentalFormValue(normal_projector(surface, x) @ ambient, x)
+    return normal_projector(surface, x) @ ambient
 
 
 def curvature_operator(surface, x, V) -> np.ndarray:
@@ -350,7 +326,7 @@ def sectional_curvature(surface, x, u, v) -> float:
 
 def christoffel_fd(surface, x, step=1e-3) -> np.ndarray:
     """Christoffels from the general metric formula, with the metric
-    derivatives taken by 4th-order central differences of metric_at.
+    derivatives taken by 4th-order central differences of metric_batch.
     Cross-check only; valid on smooth catalog surfaces away from kinks.
     """
     x = surface.require_inside(x)
@@ -376,7 +352,7 @@ def christoffel_fd(surface, x, step=1e-3) -> np.ndarray:
 def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
     """Jacobi right-hand side via derivatives of the Christoffel symbols.
 
-    Independent route that numerically differentiates christoffel_at
+    Independent route that numerically differentiates christoffel_batch
     (spending a third derivative of h). Returns the same vector as
     curvature_operator(surface, x, V) @ J on surfaces smooth enough for
     the interchange of derivatives.

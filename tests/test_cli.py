@@ -112,6 +112,24 @@ def test_start_outside_chart_is_bad_input(command, rest, tmp_path, monkeypatch):
     assert run_cli(argv, tmp_path, monkeypatch) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--surface", "c21_cubic", "smooth-converge", "--scales", "0.1,abc"],
+    ["--surface", "c21_cubic", "smooth-converge", "--scales", "0.05,0.1"],
+    ["--surface", "c21_cubic", "smooth-converge", "--scales", "0.1"],
+    ["--surface", "c21_cubic", "smooth-converge", "--scales", "0.2,0.1", "--probes", "0"],
+    ["--surface", "flat", "minimality", "--x0", "0,0", "--y0", "1,0", "--t-end", "0.3",
+     "--resolution", "4"],
+    ["--surface", "flat", "geodesic", "--x0", "0,0", "--y0", "1,0", "--t-end", "0.3",
+     "--tol", "-1"],
+    ["--surface", "flat", "jacobian", "--x0", "0,0", "--y0", "1,0", "--t", "0.3",
+     "--tol", "nan"],
+])
+def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_jacobian_out_of_domain(tmp_path, monkeypatch):
     code = run_cli(
         ["--surface", "hemisphere", "jacobian", "--x0", "0,0", "--y0", "1,0", "--t", "3"],
@@ -230,6 +248,22 @@ def test_config_roundtrip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"nope": 1})
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"composiion": 1e-30},
+    {"composition": "tight"},
+    {"composition": float("inf")},
+    {"margin": True},
+])
+def test_config_rejects_bad_tolerances(tolerances, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"tolerances": tolerances})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": tolerances}))
+    assert run_cli(["--config", str(path), "report", "--suites", "regularity"],
+                   tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_config_bad_file(tmp_path, monkeypatch):

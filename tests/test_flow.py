@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain
+from geoflow import integrate
+from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain, StepFailure
 from geoflow.flow import (
     TangentVector,
     exp_map,
@@ -12,11 +13,13 @@ from geoflow.flow import (
     geodesic_rhs,
     integrate_batch,
     integrate_geodesic,
+    make_geodesic_rhs,
     random_tangent,
     speed_profile,
+    state_inside,
 )
 from geoflow.serialize import write_trajectory_csv
-from geoflow.surface import g_norm_batch
+from geoflow.surface import GraphSurface, Regularity, g_norm_batch
 
 from conftest import C2_AND_BETTER, random_chart_points
 
@@ -56,7 +59,7 @@ def test_rhs_out_of_chart(hemisphere):
 
 def test_flat_straight_line(flat):
     traj = integrate_geodesic(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
-    assert traj.exit_reason == "Completed"
+    assert traj.status == "Completed"
     np.testing.assert_allclose(traj.final.x, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(traj.final.y, [1.0, 0.0], atol=1e-12)
 
@@ -64,16 +67,33 @@ def test_flat_straight_line(flat):
 def test_hemisphere_great_circle(hemisphere):
     # oracle: chart projection of the great circle, x(t) = (sin t, 0)
     traj = integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.5)
-    assert traj.exit_reason == "Completed"
+    assert traj.status == "Completed"
     np.testing.assert_allclose(traj.final.x, [math.sin(0.5), 0.0], atol=1e-9)
     np.testing.assert_allclose(traj.final.y, [math.cos(0.5), 0.0], atol=1e-9)
 
 
 def test_hemisphere_chart_exit(hemisphere):
     traj = integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 3.0)
-    assert traj.exit_reason == "LeftChart"
+    assert traj.status == "LeftChart"
     assert traj.final_time == pytest.approx(math.asin(0.8), abs=1e-9)
-    assert np.linalg.norm(traj.final.x) == pytest.approx(0.8, abs=1e-9)
+    assert np.linalg.norm(traj.final.x) == pytest.approx(0.8, abs=1e-12)
+
+
+def test_chart_exit_costs_no_extra_rhs_evaluations(hemisphere):
+    # the exit is bisected on the last step's dense output, so every RHS
+    # evaluation belongs to the initial slope or to an attempted step
+    rhs = make_geodesic_rhs(hemisphere)
+    calls = []
+
+    def counting_rhs(u):
+        calls.append(1)
+        return rhs(u)
+
+    res = integrate.integrate_adaptive(
+        counting_rhs, [0.0, 0.0, 1.0, 0.0], 3.0, 1e-10, 1e-12, inside=state_inside(hemisphere)
+    )
+    assert res.status == "LeftChart"
+    assert len(calls) <= 1 + 6 * (res.n_accepted + res.n_rejected)
 
 
 def test_trajectory_invariants(hemisphere):
@@ -93,7 +113,7 @@ def test_speed_conservation_catalog(surfaces):
             y = rng.normal(size=2)
             y /= g_norm_batch(surf, x, y)
             traj = integrate_geodesic(surf, TangentVector(x, y), 0.35)
-            if traj.exit_reason != "Completed":
+            if traj.status != "Completed":
                 continue
             sp = speed_profile(surf, traj)
             assert np.max(np.abs(sp - traj.speed)) / traj.speed <= 1e-8, name
@@ -101,12 +121,31 @@ def test_speed_conservation_catalog(surfaces):
 
 def test_step_failure_reported(hemisphere):
     # controller runs out of its step budget: partial trajectory, reason set
-    traj = integrate_geodesic(
-        hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.9, tol=1e-12, max_steps=8
+    res = integrate.integrate_adaptive(
+        make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0], 0.9, 1e-12, 1e-14, max_steps=8
     )
-    assert traj.exit_reason == "StepFailure"
-    assert len(traj.times) >= 2  # partial trajectory is returned
-    assert traj.final_time < 0.9
+    assert res.status == "StepFailure"
+    assert len(res.times) >= 2  # partial trajectory is returned
+    assert res.final_time < 0.9
+
+
+def test_geodesic_flow_step_failure_inside_chart():
+    # a gradient that is NaN past x1 = 0.3, well inside the chart: the
+    # controller stalls there, which is a step failure, not a chart exit
+    def field(shape, nan_past=None):
+        def f(X):
+            X = np.asarray(X, dtype=float)
+            out = np.zeros(X.shape[:-1] + shape)
+            if nan_past is not None:
+                out[X[..., 0] > nan_past] = np.nan
+            return out
+        return f
+
+    surf = GraphSurface("nan_gradient", 2, 1, [-1.0, -1.0], [1.0, 1.0], field((1,)),
+                        field((2, 1), nan_past=0.3), field((2, 2, 1)),
+                        regularity=Regularity("smooth"))
+    with pytest.raises(StepFailure):
+        geodesic_flow(surf, 0.5, TangentVector([0.0, 0.0], [1.0, 0.0]))
 
 
 def test_random_tangent_unit_speed_in_box(surfaces):
@@ -127,7 +166,7 @@ def test_random_tangent_unit_speed_in_box(surfaces):
 def test_integrate_batch_matches_single_runs(hemisphere):
     rng = np.random.default_rng(41)
     vs = [random_tangent(hemisphere, rng, 0.5) for _ in range(3)]
-    res = integrate_batch(hemisphere, np.array([v.as_state() for v in vs]), 0.3, 1e-11, 1e-13)
+    res = integrate_batch(hemisphere, np.array([v.as_state() for v in vs]), 0.3, 1e-11)
     assert res.states.shape == (len(res.times), 3, 4)
     for row, v in zip(res.final_state, vs):
         np.testing.assert_allclose(row, geodesic_flow(hemisphere, 0.3, v, 1e-11).as_state(),
@@ -137,7 +176,7 @@ def test_integrate_batch_matches_single_runs(hemisphere):
 def test_integrate_batch_row_leaving_chart(hemisphere):
     ics = np.array([[0.0, 0.0, 1.0, 0.0], [0.7, 0.0, 1.0, 0.0]])
     with pytest.raises(OutOfDomain):
-        integrate_batch(hemisphere, ics, 0.3, 1e-10, 1e-12)
+        integrate_batch(hemisphere, ics, 0.3, 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_margin_hemisphere_arc(hemisphere):
     traj = integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.5)
     rep = minimality_report(hemisphere, traj, oracle)
     assert rep["margin"] >= 0.0
-    assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-4)
+    assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_margin_vee_crease_crossing(vee):

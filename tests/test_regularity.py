@@ -40,11 +40,23 @@ def _affine_surface():
 
 
 def test_kernel_unit_mass():
-    w = reg._bump_weights(16, 2)
-    assert abs(w.sum() - 1.0) <= 1e-12
-    assert np.all(w >= 0.0)
-    np.testing.assert_allclose(w, w[::-1, :], atol=0)  # symmetric
-    np.testing.assert_allclose(w, w[:, ::-1], atol=0)
+    for radii in ([16, 16], [16, 11]):
+        w = reg._bump_weights(radii)
+        assert w.shape == (2 * radii[0] + 1, 2 * radii[1] + 1)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(w >= 0.0)
+        np.testing.assert_allclose(w, w[::-1, :], atol=0)  # symmetric
+        np.testing.assert_allclose(w, w[:, ::-1], atol=0)
+
+
+def test_kernel_equal_radii_reference():
+    # equal radii must reproduce the square-stencil kernel bit for bit
+    axis = np.arange(-16, 17) / 16
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    r2 = sum(a ** 2 for a in mesh)
+    ref = np.zeros_like(r2)
+    ref[r2 < 1.0] = np.exp(-1.0 / (1.0 - r2[r2 < 1.0]))
+    np.testing.assert_array_equal(reg._bump_weights([16, 16]), ref / ref.sum())
 
 
 def test_mollify_zero(flat):

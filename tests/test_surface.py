@@ -60,34 +60,34 @@ def test_embed_out_of_chart(hemisphere):
 
 
 def test_metric_flat_identity(flat):
-    md = metric_at(flat, [0.3, -0.4])
-    np.testing.assert_allclose(md.g, np.eye(2), atol=1e-15)
+    g, _ = metric_at(flat, [0.3, -0.4])
+    np.testing.assert_allclose(g, np.eye(2), atol=1e-15)
 
 
 def test_metric_hemisphere_pole(hemisphere):
-    md = metric_at(hemisphere, [0.0, 0.0])
-    np.testing.assert_allclose(md.g, np.eye(2), atol=1e-15)
+    g, _ = metric_at(hemisphere, [0.0, 0.0])
+    np.testing.assert_allclose(g, np.eye(2), atol=1e-15)
 
 
 def test_metric_hemisphere_closed_form(hemisphere):
     # g = I + x x^T / (1 - |x|^2) for the sphere graph
-    md = metric_at(hemisphere, [0.3, 0.0])
-    assert md.g[0, 0] == pytest.approx(1.0 / 0.91, rel=1e-14)
-    assert md.g[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert md.g[1, 1] == pytest.approx(1.0, rel=1e-14)
+    g, _ = metric_at(hemisphere, [0.3, 0.0])
+    assert g[0, 0] == pytest.approx(1.0 / 0.91, rel=1e-14)
+    assert g[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert g[1, 1] == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(3)
     for x in random_chart_points(hemisphere, 10, rng):
-        md = metric_at(hemisphere, x)
+        g, _ = metric_at(hemisphere, x)
         expected = np.eye(2) + np.outer(x, x) / (1.0 - x @ x)
-        np.testing.assert_allclose(md.g, expected, rtol=1e-12)
+        np.testing.assert_allclose(g, expected, rtol=1e-12)
 
 
 def test_metric_inverse_consistency(surfaces):
     rng = np.random.default_rng(7)
     for surf in surfaces.values():
         for x in random_chart_points(surf, 20, rng):
-            md = metric_at(surf, x)
-            np.testing.assert_allclose(md.g_inv @ md.g, np.eye(2), atol=1e-12)
+            g, g_inv = metric_at(surf, x)
+            np.testing.assert_allclose(g_inv @ g, np.eye(2), atol=1e-12)
 
 
 def test_metric_eigenvalue_bounds(surfaces):
@@ -108,26 +108,26 @@ def test_metric_eigenvalue_bounds(surfaces):
 
 
 def test_christoffel_flat_zero(flat):
-    ch = christoffel_at(flat, [0.5, 0.5])
-    np.testing.assert_allclose(ch.gamma, 0.0, atol=1e-15)
+    gamma = christoffel_at(flat, [0.5, 0.5])
+    np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
 
 
 def test_christoffel_hemisphere_pole(hemisphere):
-    ch = christoffel_at(hemisphere, [0.0, 0.0])
-    np.testing.assert_allclose(ch.gamma, 0.0, atol=1e-15)
+    gamma = christoffel_at(hemisphere, [0.0, 0.0])
+    np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
 
 
 def test_christoffel_hemisphere_value(hemisphere):
     # closed form for the sphere graph: Gamma^1_11 = x1 / (1 - |x|^2)
-    ch = christoffel_at(hemisphere, [0.3, 0.0])
-    assert ch.gamma[0, 0, 0] == pytest.approx(0.3 / 0.91, rel=1e-13)
+    gamma = christoffel_at(hemisphere, [0.3, 0.0])
+    assert gamma[0, 0, 0] == pytest.approx(0.3 / 0.91, rel=1e-13)
 
 
 def test_christoffel_symmetry(surfaces):
     rng = np.random.default_rng(13)
     for surf in surfaces.values():
         for x in random_chart_points(surf, 10, rng):
-            g = christoffel_at(surf, x).gamma
+            g = christoffel_at(surf, x)
             np.testing.assert_array_equal(g, np.swapaxes(g, 1, 2))
 
 
@@ -136,7 +136,7 @@ def test_christoffel_matches_metric_formula(hemisphere, trough):
     rng = np.random.default_rng(17)
     for surf in (hemisphere, trough):
         for x in random_chart_points(surf, 10, rng, shrink=0.7):
-            direct = christoffel_at(surf, x).gamma
+            direct = christoffel_at(surf, x)
             fd = christoffel_fd(surf, x)
             np.testing.assert_allclose(direct, fd, atol=1e-9)
 
@@ -186,13 +186,13 @@ def test_vee_bounds(vee):
 
 def test_pi_flat_zero(flat):
     out = second_fundamental_form(flat, [0.1, 0.2], [1.0, 0.0], [0.0, 1.0])
-    np.testing.assert_allclose(out.vector, 0.0, atol=1e-15)
+    np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
 def test_pi_hemisphere_pole(hemisphere):
     out = second_fundamental_form(hemisphere, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
-    np.testing.assert_allclose(out.vector, [0.0, 0.0, -1.0], atol=1e-14)
-    assert np.linalg.norm(out.vector) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(out, [0.0, 0.0, -1.0], atol=1e-14)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pi_symmetry_and_tangency(surfaces):
@@ -202,13 +202,13 @@ def test_pi_symmetry_and_tangency(surfaces):
         for x in pts[:20]:
             u = rng.normal(size=2)
             v = rng.normal(size=2)
-            a = second_fundamental_form(surf, x, u, v).vector
-            b = second_fundamental_form(surf, x, v, u).vector
+            a = second_fundamental_form(surf, x, u, v)
+            b = second_fundamental_form(surf, x, v, u)
             np.testing.assert_allclose(a, b, atol=1e-12)
         # orthogonality to the tangent frame at 100 points
         for x in pts:
             u = rng.normal(size=2)
-            val = second_fundamental_form(surf, x, u, u).vector
+            val = second_fundamental_form(surf, x, u, u)
             frame = tangent_frame(surf, x)
             np.testing.assert_allclose(frame.T @ val, 0.0, atol=1e-10)
 
@@ -218,10 +218,10 @@ def test_pi_bilinear(hemisphere):
     x = np.array([0.2, -0.3])
     u, v, w = rng.normal(size=(3, 2))
     a, b = 0.7, -1.3
-    lhs = second_fundamental_form(hemisphere, x, a * u + b * w, v).vector
+    lhs = second_fundamental_form(hemisphere, x, a * u + b * w, v)
     rhs = (
-        a * second_fundamental_form(hemisphere, x, u, v).vector
-        + b * second_fundamental_form(hemisphere, x, w, v).vector
+        a * second_fundamental_form(hemisphere, x, u, v)
+        + b * second_fundamental_form(hemisphere, x, w, v)
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
@@ -325,10 +325,10 @@ def test_curvature_quadratic_form_positive_on_sphere(x1, x2, u1, u2):
     x = np.array([x1, x2])
     v = np.array([1.0, 0.3])
     j = np.array([u1, u2])
-    md = metric_at(hemi, x)
+    g, _ = metric_at(hemi, x)
     m = curvature_operator(hemi, x, v)
-    quad = j @ md.g @ (m @ j)
-    gram = (v @ md.g @ v) * (j @ md.g @ j) - (v @ md.g @ j) ** 2
+    quad = j @ g @ (m @ j)
+    gram = (v @ g @ v) * (j @ g @ j) - (v @ g @ j) ** 2
     assert quad == pytest.approx(-gram, rel=1e-9, abs=1e-12)
 
 
