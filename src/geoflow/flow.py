@@ -201,6 +201,7 @@ def integrate_geodesic(surface, v: TangentVector, t_end: float,
 def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None) -> TangentVector:
     """State of the geodesic with initial tangent v after time t."""
     x0, y0 = check_request(surface, t, v)
+    tolerances(surface, tol)  # a bad tol is an error even where no step is taken
     if t == 0.0:
         return TangentVector(x0.copy(), y0.copy())
     if t < 0.0:

@@ -47,6 +47,9 @@ __all__ = [
     "covariant_to_chart",
 ]
 
+# Tolerance of the finite-difference estimators, well below their stencil error.
+_FD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class JacobiState:
@@ -132,6 +135,7 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
     m = surface.dim
     if t == 0.0:
         x0, y0 = check_request(surface, t, v)
+        tolerances(surface, tol)  # a bad tol is an error even where no step is taken
         return FlowDifferential(np.eye(2 * m), 0.0, v, TangentVector(x0.copy(), y0.copy()))
     res = propagate_block(surface, v, np.eye(2 * m).reshape(2, m, 2 * m), t, tol)
     mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
@@ -152,7 +156,7 @@ def covariant_to_chart(surface, x, y) -> np.ndarray:
 
 
 def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
-                         order: int | None = None, tol: float = 1e-12) -> np.ndarray:
+                         order: int | None = None) -> np.ndarray:
     """Central-difference Jacobian of the flow, in (J, K) coordinates.
 
     order 4 stencils on surfaces of class >= C3, order 2 otherwise. The
@@ -183,7 +187,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
             u = base.copy()
             u[d] += o
             ics.append(u)
-    ends = integrate_batch(surface, np.array(ics), t, tol).final_state
+    ends = integrate_batch(surface, np.array(ics), t, _FD_TOL).final_state
     d_chart = np.empty((2 * m, 2 * m))
     k = len(offsets)
     for d in range(n_dirs):
@@ -195,17 +199,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     return c_end @ d_chart @ c_start_inv
 
 
-def mixed_partials_residual(
-    surface,
-    v: TangentVector,
-    w: np.ndarray,
-    eps: float = 1e-4,
-    *,
-    t_end: float = 0.4,
-    n_samples: int = 5,
-    dt: float = 0.01,
-    tol: float = 1e-12,
-) -> float:
+def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     """Consistency of the two mixed second derivatives of the geodesic variation.
 
     For tau(t, s) = embedded position of the geodesic with initial velocity
@@ -217,8 +211,10 @@ def mixed_partials_residual(
       sample times.
 
     Both use the same pair of trajectories s = +-eps, integrated as one
-    batch. Returns the max norm difference over the sample times.
+    batch to t_end. Returns the max norm difference over the n_samples
+    sample times.
     """
+    eps, t_end, n_samples, dt = 1e-4, 0.4, 5, 0.01
     m = surface.dim
     x0, y0 = check_request(surface, t_end, v, positive=True)
     w = np.asarray(w, dtype=float)
@@ -237,7 +233,7 @@ def mixed_partials_residual(
     ics = np.array(
         [np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])]
     )
-    res = integrate_batch(surface, ics, t_end, tol, checkpoints)
+    res = integrate_batch(surface, ics, t_end, _FD_TOL, checkpoints)
 
     def states_at(t_req):
         idx = np.searchsorted(res.times, t_req - 1e-12)

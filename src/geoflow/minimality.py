@@ -160,18 +160,17 @@ def minimality_report(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> 
     }
 
 
-def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturbations,
-                    reference_step: float | None = None) -> dict:
+def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturbations) -> dict:
     """Uniqueness and stable dependence diagnostics for one initial condition.
 
-    (a) endpoint spread of fixed-step runs against a reference refinement —
-    shrinking spread indicates a unique limit trajectory; (b) Lipschitz
-    quotients |phi(t, v) - phi(t, w)| / |v - w| over the perturbation set.
+    (a) endpoint spread of fixed-step runs against a reference run at a
+    quarter of the smallest step — shrinking spread indicates a unique limit
+    trajectory; (b) Lipschitz quotients |phi(t, v) - phi(t, w)| / |v - w|
+    over the perturbation set.
     """
     u0 = np.concatenate(check_request(surface, t_end, v, positive=True))
     step_sizes = sorted(step_sizes, reverse=True)
-    if reference_step is None:
-        reference_step = step_sizes[-1] / 4.0
+    reference_step = step_sizes[-1] / 4.0
     runs = {}
     for s in list(step_sizes) + [reference_step]:
         res = integrate.integrate_fixed_rk4(

@@ -29,6 +29,14 @@ from .flow import TangentVector, integrate_batch, random_tangent
 from .jacobi import flow_differential, propagate_block
 from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
+_MODULUS_BINS = 32                      # log-spaced bins of an empirical modulus
+_OSGOOD_FLOOR = 1e-12                   # |L| that counts as zero in osgood_integral_check
+_PROBE_RES = 41                         # per-axis grid measuring distances to the base
+_PROBE_TIMES = (0.15, 0.3)              # flow-time range of the convergence probes
+_CONVERGE_FACTOR = 1.5                  # mean shrink per level that counts as converging
+_LIPSCHITZ_GAPS = (1e-4, 1e-2)          # log-uniform range of initial-state gaps
+_MODULUS_GAPS = np.logspace(-3, -1, 7)  # base-point gaps of the modulus probes
+
 # ---------------------------------------------------------------------------
 # moduli of continuity
 # ---------------------------------------------------------------------------
@@ -89,23 +97,22 @@ class Modulus:
         return np.column_stack([deltas, self(deltas)])
 
 
-def empirical_modulus(samples, bins: int = 32, delta_max: float | None = None) -> Modulus:
+def empirical_modulus(samples) -> Modulus:
     """Per-bin sup of output deviation over (gap, deviation) sample pairs.
 
-    samples: iterable of (input_gap, output_deviation). Bins are spaced
-    logarithmically over [1e-6, delta_max]; empty bins inherit the running
-    max from the left when evaluated.
+    samples: iterable of (input_gap, output_deviation). _MODULUS_BINS bins
+    are spaced logarithmically over [1e-6, largest gap]; empty bins inherit
+    the running max from the left when evaluated.
     """
     pairs = np.asarray(list(samples), dtype=float)
     if pairs.ndim != 2 or len(pairs) < 2:
         raise ValueError("need at least 2 (gap, deviation) samples")
     gaps, devs = pairs[:, 0], pairs[:, 1]
-    if delta_max is None:
-        delta_max = float(np.max(gaps))
-    edges = np.logspace(np.log10(1e-6), np.log10(max(delta_max, 2e-6)), bins)
-    values = np.full(bins, np.nan)
+    delta_max = max(float(np.max(gaps)), 2e-6)
+    edges = np.logspace(np.log10(1e-6), np.log10(delta_max), _MODULUS_BINS)
+    values = np.full(_MODULUS_BINS, np.nan)
     idx = np.searchsorted(edges, gaps, side="left")
-    idx = np.clip(idx, 0, bins - 1)
+    idx = np.clip(idx, 0, _MODULUS_BINS - 1)
     for i, d in zip(idx, devs):
         if np.isnan(values[i]) or d > values[i]:
             values[i] = d
@@ -125,12 +132,12 @@ def osgood_gamma(mu_r: Modulus, c_tilde: float, c_bar: float, t1: float) -> Modu
     return Modulus("Transfer", inner=mu_r, scale=scale)
 
 
-def osgood_integral_check(times, l_values, a: float, mu: Modulus, floor: float = 1e-12):
+def osgood_integral_check(times, l_values, a: float, mu: Modulus):
     """Check the integral inequality int_a^{L(t)} ds/mu(s) <= t - t0.
 
     Returns (holds, margin): margin is the minimum over samples of
     t - t0 - integral. For a = 0 with a divergent integral the check
-    asserts L == 0 within the floor.
+    asserts L == 0 within _OSGOOD_FLOOR.
     """
     times = np.asarray(times, dtype=float)
     l_values = np.asarray(l_values, dtype=float)
@@ -144,10 +151,10 @@ def osgood_integral_check(times, l_values, a: float, mu: Modulus, floor: float =
         except Exception as exc:  # pragma: no cover - defensive
             raise QuadratureFailure(str(exc)) from exc
         if i9 > 1.2 * i6 + 1e-9 or not np.isfinite(i9):
-            holds = bool(np.all(np.abs(l_values) <= floor))
-            margin = float(floor - np.max(np.abs(l_values)))
+            holds = bool(np.all(np.abs(l_values) <= _OSGOOD_FLOOR))
+            margin = float(_OSGOOD_FLOOR - np.max(np.abs(l_values)))
             return holds, margin
-        a = floor  # integrable modulus: fall through with a tiny positive a
+        a = _OSGOOD_FLOOR  # integrable modulus: fall through with a tiny positive a
     margin = np.inf
     for t, lv in zip(times, l_values):
         if lv <= a:
@@ -171,14 +178,14 @@ def injradius_lower_bound(c: float, l: float) -> float:
     return float(min(np.pi / c, l / 2.0))
 
 
-def holder_modulus_check(samples, alpha: float, c_bound: float, bins: int = 32):
+def holder_modulus_check(samples, alpha: float, c_bound: float):
     """Assert the empirical modulus lies below c_bound * delta^alpha per bin.
 
     Returns (holds, report) with per-bin margins.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    emp = empirical_modulus(samples, bins=bins)
+    emp = empirical_modulus(samples)
     edges, values = emp.populated_bins()
     limits = c_bound * edges ** alpha
     margins = limits - values
@@ -208,21 +215,16 @@ def _bump_weights(radii) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify(
-    surface: GraphSurface,
-    eps: float,
-    grid_res: int | None = None,
-    *,
-    kernel_cells: int = 16,
-    name: str | None = None,
-) -> GridSurface:
+def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> GridSurface:
     """Smoothed copy of the surface on the chart box shrunk by eps.
 
-    The height field and its first and second derivative arrays are each
-    convolved with the same discrete bump kernel of support radius eps and
-    resampled onto spline grids. The smoothed height at the chart origin is
-    re-normalized to match the original. Only box-domain charts of dim 2
-    are supported.
+    The height, gradient and Hessian (entries 11, 12, 22) are sampled on a
+    fine grid of spacing eps / kernel_cells, one field at a time. Each
+    component is convolved with the same discrete bump kernel of support
+    radius eps and subsampled onto the spline grid straight away, so the
+    fine grid holds the points and one field at a time. The smoothed height
+    at the chart origin is re-normalized to match the original. Only
+    box-domain charts of dim 2 are supported.
     """
     if surface.dim != 2:
         raise DomainTooSmall("smoothing is implemented for 2-dimensional charts")
@@ -244,63 +246,37 @@ def mollify(
     radius = [int(np.floor(eps / s + 1e-9)) for s in steps]
     if min(radius) < 2:
         raise DomainTooSmall("kernel support under-resolved; increase kernel_cells")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-
-    h = surface.height(pts)          # (Nx, Ny, c)
-    grad = surface.gradient(pts)     # (Nx, Ny, 2, c)
-    hess = surface.hessian(pts)      # (Nx, Ny, 2, 2, c)
-
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     w = _bump_weights(radius)
-
-    def smooth(field):
-        return fftconvolve(field, w, mode="valid")
-
-    h_s = np.stack([smooth(h[..., a]) for a in range(surface.codim)], axis=-1)
-    gx_s = [smooth(grad[..., 0, a]) for a in range(surface.codim)]
-    gy_s = [smooth(grad[..., 1, a]) for a in range(surface.codim)]
-    h11_s = [smooth(hess[..., 0, 0, a]) for a in range(surface.codim)]
-    h12_s = [smooth(hess[..., 0, 1, a]) for a in range(surface.codim)]
-    h22_s = [smooth(hess[..., 1, 1, a]) for a in range(surface.codim)]
-
-    xa = axes[0][radius[0]: len(axes[0]) - radius[0]]
-    ya = axes[1][radius[1]: len(axes[1]) - radius[1]]
-
     # Subsample to the spline grid: spacing about eps/6 resolves every
     # eps-scale feature while keeping the spline fits cheap.
-    if grid_res is None:
-        stride = max(1, int(round(kernel_cells / 6)))
-    else:
-        stride = max(1, len(xa) // grid_res)
-    sl = np.s_[::stride]
-    xa_s, ya_s = xa[sl], ya[sl]
-    take = lambda a: a[sl, :][:, sl]
+    sl = np.s_[:: max(1, int(round(kernel_cells / 6)))]
+    xa = axes[0][radius[0]: len(axes[0]) - radius[0]][sl]
+    ya = axes[1][radius[1]: len(axes[1]) - radius[1]][sl]
+
+    def smooth(field):
+        """Smoothed, subsampled copy of a fine-grid field (Nx, Ny, ...)."""
+        flat = field.reshape(field.shape[:2] + (-1,))
+        out = np.empty((len(xa), len(ya), flat.shape[-1]))
+        for i in range(flat.shape[-1]):
+            out[..., i] = fftconvolve(flat[..., i], w, mode="valid")[sl, sl]
+        return out.reshape(out.shape[:2] + field.shape[2:])
+
+    h = smooth(surface.height(pts))
+    grad = smooth(surface.gradient(pts))
+    hess = smooth(surface.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :])
 
     # Re-normalize the height at the chart origin when it is on the grid.
-    origin = np.zeros(2)
-    h_grids = [take(h_s[..., a]) for a in range(surface.codim)]
-    if (xa_s[0] <= 0 <= xa_s[-1]) and (ya_s[0] <= 0 <= ya_s[-1]):
+    if (xa[0] <= 0 <= xa[-1]) and (ya[0] <= 0 <= ya[-1]):
         from scipy.interpolate import RectBivariateSpline
 
-        h0 = surface.height(origin)
+        h0 = surface.height(np.zeros(2))
         for a in range(surface.codim):
-            spl = RectBivariateSpline(xa_s, ya_s, h_grids[a], kx=3, ky=3, s=0)
-            h_grids[a] = h_grids[a] - (float(spl.ev(0.0, 0.0)) - h0[a])
+            spl = RectBivariateSpline(xa, ya, h[..., a], kx=3, ky=3, s=0)
+            h[..., a] -= float(spl.ev(0.0, 0.0)) - h0[a]
 
-    return GridSurface(
-        name or f"{surface.name}_eps{eps:g}",
-        xa_s,
-        ya_s,
-        h_grids,
-        ([take(z) for z in gx_s], [take(z) for z in gy_s]),
-        (
-            [take(z) for z in h11_s],
-            [take(z) for z in h12_s],
-            [take(z) for z in h22_s],
-        ),
-        codim=surface.codim,
-        regularity=Regularity("smooth"),
-    )
+    return GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
+                       regularity=Regularity("smooth"))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +293,7 @@ class SmoothingSequence:
     metric_c1_dist: np.ndarray   # per level: sup|g_l - g| + sup|Dg_l - Dg|
     pi_c0_dist: np.ndarray       # per level: sup |Pi_l - Pi| on basis pairs
     pi_sup: np.ndarray           # per level: sup |Pi_l| (uniform-bound check)
-
-    @property
-    def common_box(self):
-        lo = np.max([s.domain_lo for s in self.smoothed], axis=0)
-        hi = np.min([s.domain_hi for s in self.smoothed], axis=0)
-        return lo, hi
+    common_box: tuple            # (lo, hi): the chart box every level shares
 
 
 def _level_fields(surf, pts):
@@ -337,23 +308,18 @@ def _level_fields(surf, pts):
     return geo.grad, geo.g, dg, np.concatenate([p_top, p_bot], axis=-1)
 
 
-def approximation_sequence(
-    surface: GraphSurface,
-    scales,
-    *,
-    probe_res: int = 41,
-    kernel_cells: int = 16,
-) -> SmoothingSequence:
-    """Smoothed family for decreasing scales, with measured distances to base."""
+def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
+    """Smoothed family for decreasing scales, with distances to base measured
+    on a _PROBE_RES x _PROBE_RES grid of the common box."""
     scales = [float(e) for e in scales]
     if not (len(scales) >= 2 and all(np.isfinite(scales)) and scales[-1] > 0) \
             or any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidInput(f"need two or more positive, strictly decreasing scales, got {scales}")
-    smoothed = [mollify(surface, e, kernel_cells=kernel_cells) for e in scales]
+    smoothed = [mollify(surface, e) for e in scales]
 
-    lo = np.max([s.domain_lo for s in smoothed], axis=0) + 1e-9
-    hi = np.min([s.domain_hi for s in smoothed], axis=0) - 1e-9
-    axes = [np.linspace(a, b, probe_res) for a, b in zip(lo, hi)]
+    lo = np.max([s.domain_lo for s in smoothed], axis=0)
+    hi = np.min([s.domain_hi for s in smoothed], axis=0)
+    axes = [np.linspace(a + 1e-9, b - 1e-9, _PROBE_RES) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -375,7 +341,7 @@ def approximation_sequence(
 
     return SmoothingSequence(
         surface, scales, smoothed,
-        np.array(h_d), np.array(m_d), np.array(p_d), np.array(p_sup),
+        np.array(h_d), np.array(m_d), np.array(p_d), np.array(p_sup), (lo, hi),
     )
 
 
@@ -412,23 +378,19 @@ def _avg_factor(dists):
     return float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-12)))))
 
 
-def flow_convergence_report(
-    seq: SmoothingSequence,
-    probes,
-    tol: float | None = 1e-10,
-    converge_factor: float = 1.5,
-) -> ConvergenceReport:
+def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport:
     """Successive sup-distances of the flows and flow differentials over probes.
 
     probes: list of (t, TangentVector). Probes whose geodesic leaves any
-    level's chart are pruned and reported.
+    level's chart are pruned and reported. A distance sequence counts as
+    converging when it shrinks by _CONVERGE_FACTOR per level on average.
     """
     if not probes:
         raise InvalidInput("need at least one probe")
     ends, diffs, pruned = [], [], []
     for k, (t, v) in enumerate(probes):
         try:
-            per_level = [flow_differential(s, t, v, tol) for s in seq.smoothed]
+            per_level = [flow_differential(s, t, v) for s in seq.smoothed]
         except OutOfDomain:
             pruned.append(k)
             continue
@@ -448,9 +410,9 @@ def flow_convergence_report(
     ]
     flow_fac = _avg_factor(flow_d)
     dflow_fac = _avg_factor(dflow_d)
-    if flow_fac >= converge_factor and dflow_fac >= converge_factor:
+    if flow_fac >= _CONVERGE_FACTOR and dflow_fac >= _CONVERGE_FACTOR:
         verdict = "converging"
-    elif flow_fac >= converge_factor:
+    elif flow_fac >= _CONVERGE_FACTOR:
         verdict = "lipschitz_only"
     else:
         verdict = "inconclusive"
@@ -471,13 +433,13 @@ def flow_convergence_report(
 # ---------------------------------------------------------------------------
 
 
-def convergence_probes(seq: SmoothingSequence, n_probes: int, rng, t_range=(0.15, 0.3)):
+def convergence_probes(seq: SmoothingSequence, n_probes: int, rng):
     """Random (t, v) probes inside the common chart of all smoothing levels,
-    unit speed on the coarsest level."""
+    unit speed on the coarsest level, t uniform in _PROBE_TIMES."""
     probes = []
     for _ in range(n_probes):
         v = random_tangent(seq.smoothed[0], rng, 0.6, box=seq.common_box)
-        probes.append((rng.uniform(*t_range), v))
+        probes.append((rng.uniform(*_PROBE_TIMES), v))
     return probes
 
 
@@ -504,14 +466,14 @@ def coefficient_bound_along(surface, traj_states) -> float:
     return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
 
 
-def measure_gronwall_margin(surface, v: TangentVector, j0, t_end, tol=None):
+def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     """Integrate the joint system and compare sup |(J,K)(t)| with the bound.
 
     Returns dict with the measured sup, the coefficient bound along the
     trajectory, and the certified bound at each sample's time.
     """
     jk0 = np.stack([np.asarray(j0.J, dtype=float), np.asarray(j0.K, dtype=float)])[..., None]
-    res = propagate_block(surface, v, jk0, t_end, tol)
+    res = propagate_block(surface, v, jk0, t_end, None)
     m = surface.dim
     states = res.states
     jk = states[:, 2 * m:]
@@ -532,7 +494,7 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end, tol=None):
 # ---------------------------------------------------------------------------
 
 
-def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0, delta_range=(1e-4, 1e-2)):
+def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     """Difference quotients of the flow map over random nearby tangent pairs.
 
     All trajectories integrate as one batch with a shared controller; the
@@ -544,7 +506,7 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0, delta_range=(
     ics = []
     for _ in range(n_pairs):
         base = random_tangent(surface, rng, 0.6).as_state()
-        delta = np.exp(rng.uniform(np.log(delta_range[0]), np.log(delta_range[1])))
+        delta = np.exp(rng.uniform(np.log(_LIPSCHITZ_GAPS[0]), np.log(_LIPSCHITZ_GAPS[1])))
         d = rng.normal(size=2 * m)
         d *= delta / np.linalg.norm(d)
         ics.append(base)
@@ -569,7 +531,7 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0, delta_range=(
     }
 
 
-def _modulus_probes(surface, t1, n_centers, deltas, seed, tol=None):
+def _modulus_probes(surface, t1, n_centers, deltas, seed):
     """Trajectories of the joint system from paired base points.
 
     Each center is a random unit tangent (x0, y); for each gap delta the
@@ -585,7 +547,7 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed, tol=None):
     t_grid = np.linspace(0.0, t1, 25)
 
     def run(x0, y0):
-        res = propagate_block(surface, TangentVector(x0, y0), jk0, t1, tol, t_grid[1:-1])
+        res = propagate_block(surface, TangentVector(x0, y0), jk0, t1, None, t_grid[1:-1])
         idx = np.searchsorted(res.times, t_grid - 1e-12)
         idx = np.clip(idx, 0, len(res.times) - 1)
         return res.states[idx]  # (T, 2m + 2m)
@@ -619,16 +581,14 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed, tol=None):
     return gaps, coeff_dev, state_dev, c_tilde, c_bar
 
 
-def osgood_dominance_report(surface, t1=0.3, n_centers=8, deltas=None, seed=0, tol=None):
+def osgood_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
     """Empirical modulus of x0 -> (J, K)(t1) against the transfer bound Gamma.
 
     Gamma is built from the same probe set: inner modulus = binned coefficient
     deviations, constants measured along the probe trajectories.
     """
-    if deltas is None:
-        deltas = np.logspace(-3, -1, 7)
     gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
-        surface, t1, n_centers, deltas, seed, tol=tol
+        surface, t1, n_centers, _MODULUS_GAPS, seed
     )
     mu_r = empirical_modulus(zip(gaps, coeff_dev))
     gamma = osgood_gamma(mu_r, c_tilde, c_bar, t1)
@@ -651,14 +611,12 @@ def osgood_dominance_report(surface, t1=0.3, n_centers=8, deltas=None, seed=0, t
     }
 
 
-def holder_dominance_report(surface, alpha, t1=0.3, n_centers=8, deltas=None, seed=0, tol=None):
+def holder_dominance_report(surface, alpha, t1=0.3, n_centers=8, seed=0):
     """Hoelder-form transfer: deviations of (J, K)(t1) against C * delta^alpha
     with C = c_tilde * t1 * exp(c_bar * t1) * (measured Hoelder constant of
     the coefficients)."""
-    if deltas is None:
-        deltas = np.logspace(-3, -1, 7)
     gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
-        surface, t1, n_centers, deltas, seed, tol=tol
+        surface, t1, n_centers, _MODULUS_GAPS, seed
     )
     c_r = float(np.max(coeff_dev / gaps ** alpha))
     c_bound = c_tilde * t1 * np.exp(c_bar * t1) * c_r

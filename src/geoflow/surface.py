@@ -407,54 +407,45 @@ def max_principal_curvature(surface, per_axis=48) -> float:
 class GridSurface(GraphSurface):
     """Chart surface backed by sampled grids and bicubic splines (dim 2 only).
 
-    Three independent spline sets represent h, its gradient and its
-    Hessian; they are not obtained by differentiating one another, so
-    sampled data (e.g. smoothed height fields with convolved derivative
-    grids) plug in directly. Each set is one tensor-product spline whose
-    coefficients are stacked along a trailing field axis, so one call
-    evaluates all of its fields. Points are clamped to the grid box first,
-    as FITPACK evaluation does.
+    h (Nx, Ny, c), grad (Nx, Ny, 2, c) and hess (Nx, Ny, 3, c) are samples on
+    the grid x_axis x y_axis, in the layout of the derivative callables; the
+    Hessian holds the entries 11, 12 and 22. The codim c is read from h.
+    The three fields are fitted independently, not by differentiating one
+    another, so sampled data (e.g. smoothed height fields with convolved
+    derivative grids) plug in directly. Each field is one tensor-product
+    spline whose coefficients are stacked along a trailing axis, so one call
+    evaluates all of its components. Points are clamped to the grid box
+    first, as FITPACK evaluation does.
     """
 
-    def __init__(
-        self,
-        name,
-        x_axis,
-        y_axis,
-        h_grids,
-        grad_grids,
-        hess_grids,
-        *,
-        codim=1,
-        regularity=Regularity("smooth"),
-    ):
+    def __init__(self, name, x_axis, y_axis, h, grad, hess, *, regularity=Regularity("smooth")):
         from scipy.interpolate import NdBSpline, RectBivariateSpline
 
         x_axis = np.asarray(x_axis, dtype=float)
         y_axis = np.asarray(y_axis, dtype=float)
+        h, grad, hess = (np.asarray(a, dtype=float) for a in (h, grad, hess))
+        nx, ny, codim = h.shape
+        if (len(x_axis), len(y_axis), grad.shape, hess.shape) \
+                != (nx, ny, (nx, ny, 2, codim), (nx, ny, 3, codim)):
+            raise ValueError("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
 
-        def stacked(grids):
+        def stacked(field):
             # Interpolating (s=0) fits on one grid share their knots and have
             # one coefficient per sample, so they stack into one spline.
-            coeffs = np.empty((len(x_axis), len(y_axis), len(grids)))
-            for i, z in enumerate(grids):
-                spl = RectBivariateSpline(x_axis, y_axis, z, kx=3, ky=3, s=0)
-                coeffs[..., i] = spl.get_coeffs().reshape(coeffs.shape[:2])
+            field = field.reshape(nx, ny, -1)
+            coeffs = np.empty_like(field)
+            for i in range(field.shape[-1]):
+                spl = RectBivariateSpline(x_axis, y_axis, field[..., i], kx=3, ky=3, s=0)
+                coeffs[..., i] = spl.get_coeffs().reshape(nx, ny)
             return NdBSpline(spl.get_knots(), coeffs, 3)
 
-        # h_grids: list of (Nx, Ny) per codim component.
-        # grad_grids: (gx_list, gy_list); hess_grids: (h11_list, h12_list, h22_list).
-        h_spl = stacked(h_grids)
-        g_spl = stacked([z for comp in grad_grids for z in comp])          # gx_a..., gy_a...
-        hess_spl = stacked([z for comp in hess_grids for z in comp])       # h11_a..., h12_a..., h22_a...
+        h_spl, g_spl, hess_spl = stacked(h), stacked(grad), stacked(hess)
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])
         # Exact sups of the stored grids; spline evaluation between knots can
         # overshoot these by its interpolation error, the data never does.
         self.grid_abs_max = {
-            "h": max(float(np.max(np.abs(z))) for z in h_grids),
-            "grad": max(float(np.max(np.abs(z))) for comp in grad_grids for z in comp),
-            "hess": max(float(np.max(np.abs(z))) for comp in hess_grids for z in comp),
+            k: float(np.max(np.abs(a))) for k, a in (("h", h), ("grad", grad), ("hess", hess))
         }
         self.x_axis = x_axis
         self.y_axis = y_axis
@@ -510,18 +501,12 @@ class GridSurface(GraphSurface):
         hxx = d4(d4(h, 0, dx), 0, dx)[:, 4:-4]
         hyy = d4(d4(h, 1, dy), 1, dy)[4:-4, :]
         hxy = d4(d4(h, 0, dx), 1, dy)[2:-2, 2:-2]
-        h_c = h[4:-4, 4:-4]
-        xa = x_axis[4:-4]
-        ya = y_axis[4:-4]
-        c = h.shape[-1]
-        comps = lambda a: [a[..., i] for i in range(c)]
         return cls(
             name,
-            xa,
-            ya,
-            comps(h_c),
-            (comps(hx), comps(hy)),
-            (comps(hxx), comps(hxy), comps(hyy)),
-            codim=c,
+            x_axis[4:-4],
+            y_axis[4:-4],
+            h[4:-4, 4:-4],
+            np.stack([hx, hy], axis=-2),
+            np.stack([hxx, hxy, hyy], axis=-2),
             regularity=regularity,
         )

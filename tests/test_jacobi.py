@@ -290,6 +290,14 @@ def test_flow_differential_bad_time_rejected(hemisphere):
             propagate_jacobi(hemisphere, v, JacobiState([0, 0], [0, 1.0]), t)
 
 
+def test_bad_tol_rejected_at_time_zero(flat):
+    # t = 0 takes no step, but the tolerance is still a request to check
+    v = TangentVector([0.0, 0.0], [1.0, 0.0])
+    for fn in (geodesic_flow, flow_differential):
+        with pytest.raises(InvalidInput):
+            fn(flat, 0.0, v, tol=-1)
+
+
 def test_flow_differential_bad_velocity_rejected(hemisphere):
     for y in ([1.0, 0.0, 0.0], [math.nan, 1.0]):
         v = TangentVector([0.0, 0.0], y)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_mollify_errors(hemisphere, vee):
         reg.mollify(vee, 0.9)  # eps beyond half the chart width
     with pytest.raises(DomainTooSmall):
         reg.mollify(hemisphere, 0.05)  # membership tighter than the box
+
+
+def test_mollify_peak_memory(vee):
+    # vee at eps = 0.05 samples a 513 x 513 fine grid; smoothing one field
+    # at a time keeps the peak near the derivative arrays themselves
+    field_bytes = 8 * 513 ** 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        reg.mollify(vee, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * field_bytes, peak / field_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -436,9 +436,10 @@ def test_stacked_spline_matches_fitpack():
     ya = np.linspace(-0.5, 0.55, 49)
     xx, yy = np.meshgrid(xa, ya, indexing="ij")
     fields = [np.sin(3 * xx + yy) * np.cos(2 * yy) + 0.1 * k * xx * yy for k in range(12)]
-    # codim 2: h (2 grids), gradient (2 x 2), Hessian (3 x 2)
-    grid = GridSurface("spline2", xa, ya, fields[:2], (fields[2:4], fields[4:6]),
-                       (fields[6:8], fields[8:10], fields[10:12]), codim=2)
+    # codim 2: h (2 grids), gradient (2 x 2), Hessian entries 11, 12, 22 (3 x 2)
+    f = np.stack(fields, axis=-1)
+    grid = GridSurface("spline2", xa, ya, f[..., :2], f[..., 2:6].reshape(57, 49, 2, 2),
+                       f[..., 6:].reshape(57, 49, 3, 2))
     rng = np.random.default_rng(5)
     # includes points outside the grid box, where FITPACK clamps
     pts = rng.uniform([-0.7, -0.6], [0.7, 0.65], size=(300, 2))
@@ -457,6 +458,9 @@ def test_stacked_spline_matches_fitpack():
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
     assert grid.hessian(pts[0]).shape == (2, 2, 2)
+    with pytest.raises(ValueError):  # a full 2 x 2 Hessian is not the stored layout
+        GridSurface("bad", xa, ya, f[..., :2], f[..., 2:6].reshape(57, 49, 2, 2),
+                    f[..., 4:].reshape(57, 49, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
