@@ -3,15 +3,17 @@
 The chart state is s = (x, y) with dx/dt = y and dy_k/dt = -Gamma^k_ij y_i y_j.
 Trajectories stop at the chart boundary (located by bisection on the step's
 dense output) and report why they ended. The integration policy lives here
-once: tolerances turns a requested tol into (rtol, atol), step_cap bounds the
-step on surfaces with merely bounded second derivatives (the embedded error
-estimate is unreliable across curvature jumps), state_inside is the chart
-predicate, and require_completed turns an incomplete run into an error.
+once, in integrate_batch, the entry point for single runs and batches of
+rows alike: tolerances turns a requested tol into (rtol, atol), step_cap
+bounds the step on surfaces with merely bounded second derivatives (the
+embedded error estimate is unreliable across curvature jumps), state_inside
+is the chart predicate, and require_completed turns a run with any
+incomplete row into an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,12 +80,12 @@ def step_cap(surface) -> float:
 
 
 def require_completed(res, what):
-    """Return res if its run reached the end time; raise OutOfDomain if it
-    left the chart and StepFailure if the step controller gave up."""
+    """Return res if every row reached its end time; raise StepFailure if
+    the step controller gave up and OutOfDomain if a row left the chart."""
+    if res.status == integrate.STEP_FAILURE:
+        raise StepFailure(f"step controller failed during {what} at t={res.final_time:.6g}")
     if res.status == integrate.LEFT_CHART:
         raise OutOfDomain(f"{what} left the chart at t={res.final_time:.6g}")
-    if res.status != integrate.COMPLETED:
-        raise StepFailure(f"step controller failed during {what} at t={res.final_time:.6g}")
     return res
 
 
@@ -129,11 +131,12 @@ def geodesic_rhs(surface, s: TangentVector) -> TangentVector:
 
 
 def state_inside(surface):
-    """Chart-membership predicate on a state whose first m entries are x."""
+    """Chart-membership predicate on states (..., d) whose first m entries
+    are x, one bool per state."""
     m = surface.dim
 
     def inside(u):
-        return surface.contains(u[:m])
+        return surface.contains_batch(u[..., :m])
 
     return inside
 
@@ -159,31 +162,19 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     return TangentVector(x, y)
 
 
-def integrate_batch(surface, ics, t_end, tol=None, checkpoints=None):
-    """Integrate the geodesics starting at the rows of ics (B, 2m) as one
-    system with shared steps.
-
-    The step controller sees the RMS error over the whole batch, so the
-    common part of the error is the same for every row (the FD oracle's
-    differences rely on that). Returns the IntegrationResult with states
-    of shape (K, B, 2m); raises as require_completed when the batch stops
-    early, e.g. because any row leaves the chart.
+def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
+    """Integrate one state (d,) or a batch of rows (B, d), whose first 2m
+    entries are the phase (x, y), under the surface's integration policy;
+    rhs defaults to the geodesic right-hand side, t_end is one time or one
+    per row. Returns the IntegrationResult with per-row status (see
+    integrate.integrate_adaptive); apply require_completed where every row
+    must complete.
     """
-    m = surface.dim
-    geo = make_geodesic_rhs(surface)
-
-    def rhs(u_flat):
-        return geo(u_flat.reshape(ics.shape)).ravel()
-
-    def inside(u_flat):
-        return bool(np.all(surface.contains_batch(u_flat.reshape(ics.shape)[:, :m])))
-
-    res = integrate.integrate_adaptive(
-        rhs, ics.ravel(), t_end, *tolerances(surface, tol), max_step=step_cap(surface),
-        inside=inside, checkpoints=checkpoints,
+    return integrate.integrate_adaptive(
+        make_geodesic_rhs(surface) if rhs is None else rhs, u0, t_end,
+        *tolerances(surface, tol), max_step=step_cap(surface), inside=state_inside(surface),
+        checkpoints=checkpoints,
     )
-    require_completed(res, f"batch of {len(ics)} geodesics")
-    return replace(res, states=res.states.reshape((len(res.times),) + ics.shape))
 
 
 def integrate_geodesic(surface, v: TangentVector, t_end: float,
@@ -191,10 +182,7 @@ def integrate_geodesic(surface, v: TangentVector, t_end: float,
     """Integrate the geodesic with gamma'(0) = v up to t_end or chart exit."""
     x0, y0 = check_request(surface, t_end, v, positive=True)
     speed = float(g_norm_batch(surface, x0, y0))
-    res = integrate.integrate_adaptive(
-        make_geodesic_rhs(surface), np.concatenate([x0, y0]), t_end, *tolerances(surface, tol),
-        max_step=step_cap(surface), inside=state_inside(surface),
-    )
+    res = integrate_batch(surface, np.concatenate([x0, y0]), t_end, tol)
     return Trajectory(res.times, res.states, res.status, speed)
 
 

@@ -2,10 +2,16 @@
 
 Dormand-Prince 5(4) embedded pair with a PI step-size controller, plus a
 classical fixed-step RK4 kept for reproducible convergence studies. Both
-integrate autonomous systems u' = f(u). A membership predicate may be
-supplied; when an accepted DP5 step lands outside, the crossing is located
-by bisection on the step's dense output and the run stops there with status
-``LeftChart``. The fixed-step driver stops at its last step inside.
+integrate autonomous systems u' = f(u). The DP5 stepper takes one state
+(d,) or a batch of rows (B, d) that share every step; its error norm is the
+largest per-row RMS error (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.4), so a row keeps the error control of its own run, and a single
+state is the batch of one row. Each row may have its own end time. A
+membership predicate may be supplied; when an accepted DP5 step lands a row
+outside, its crossing is located by bisection on the step's dense output
+and that row stops there with status ``LeftChart``. A step that would have
+to shrink below the smallest step ends the run with ``StepFailure``. The
+fixed-step driver stops at its last step inside.
 """
 
 from __future__ import annotations
@@ -52,11 +58,23 @@ _SAFETY = 0.9
 
 @dataclass
 class IntegrationResult:
+    """Samples of one run over a state (d,) or over a batch of rows (B, d).
+
+    states[k] holds every row's state at times[k], or its end state once
+    the row has stopped. row_status gives each row's outcome; status sums
+    them up: Completed when every row reached its end time, else
+    StepFailure if the step controller gave up, else LeftChart.
+    """
+
     times: np.ndarray          # (K,)
-    states: np.ndarray         # (K, d)
-    status: str                # Completed | LeftChart | StepFailure
+    states: np.ndarray         # (K, d) or (K, B, d)
+    row_status: list           # per row: Completed | LeftChart | StepFailure
     n_accepted: int = 0
     n_rejected: int = 0
+
+    @property
+    def status(self) -> str:
+        return next((s for s in (STEP_FAILURE, LEFT_CHART) if s in self.row_status), COMPLETED)
 
     @property
     def final_time(self) -> float:
@@ -65,14 +83,6 @@ class IntegrationResult:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def rk4_step(f, u, h):
-    k1 = f(u)
-    k2 = f(u + 0.5 * h * k1)
-    k3 = f(u + 0.5 * h * k2)
-    k4 = f(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _bisect_exit(u, h, stages, inside):
@@ -94,40 +104,47 @@ def _bisect_exit(u, h, stages, inside):
     return lo * h, u_lo
 
 
-def _initial_step(f0, u0, rtol, atol, t_end, max_step):
+def _initial_step(f0, u0, rtol, atol, ends, max_step):
+    """The smallest of the rows' starting-step guesses."""
     scale = atol + rtol * np.abs(u0)
-    d0 = np.sqrt(np.mean((u0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h = 0.01 * d0 / d1 if d1 > 1e-12 else 1e-4 * t_end
-    return float(min(h, 0.1 * t_end, max_step))
+    d0 = np.sqrt(np.mean((u0 / scale) ** 2, axis=-1))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=-1))
+    h = np.where(d1 > 1e-12, 0.01 * d0 / np.maximum(d1, 1e-12), 1e-4 * ends)
+    return float(min(np.min(np.minimum(h, 0.1 * ends)), max_step))
 
 
-def integrate_adaptive(
-    f,
-    u0,
-    t_end,
-    rtol=1e-10,
-    atol=1e-12,
-    *,
-    max_step=np.inf,
-    inside=None,
-    checkpoints=None,
-    max_steps=500_000,
-):
-    """Integrate u' = f(u) from t=0 to t_end with adaptive DP5(4) steps.
+def _on_first_row(fn):
+    """A function of (d,) states as a function of batches of one row."""
+    return lambda x: np.asarray(fn(x[0]))[None]
 
-    checkpoints: optional increasing times the stepper must land on exactly
-    (sample times end up in the returned arrays). inside: predicate on the
-    full state; a violation after an accepted step triggers exit bisection.
+
+def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf, inside=None,
+                       checkpoints=None, max_steps=500_000):
+    """Integrate u' = f(u) from t=0 with adaptive DP5(4) steps.
+
+    u0 is one state (d,) or a batch of rows (B, d); f and inside take states
+    of the same shape, inside returning one bool per row. The rows share
+    every step, and the error norm is the largest per-row RMS error. t_end
+    is one end time or one per row. A row stops at its end time, or, when an
+    accepted step ends outside, at the crossing located on the step's dense
+    output; the others go on. checkpoints: optional increasing times the
+    stepper must land on exactly (sample times end up in the returned arrays).
     """
-    u = np.asarray(u0, dtype=float).copy()
-    t = 0.0
-    times = [0.0]
-    states = [u.copy()]
+    single = np.ndim(u0) == 1
+    if single:  # the batch of one row, with f and inside still seeing (d,) states
+        f = _on_first_row(f)
+        inside = None if inside is None else _on_first_row(inside)
+    u = current = np.array(u0, dtype=float, ndmin=2)  # current: every row's latest state
+    n_rows, dim = u.shape
+    ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
+    due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
+    rows = np.arange(n_rows)                    # original index of each running row
+    row_status = [COMPLETED] * n_rows
+    t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = 0
-
+    h_min = 1e-14 * max(1.0, np.max(ends))
     cps = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
-    cps = np.unique(cps[(cps > 1e-15) & (cps < t_end - 1e-15)])
+    cps = np.unique(cps[(cps > 1e-15) & (cps < np.max(ends) - 1e-15)])
     cp_idx = 0
 
     def eval_rhs(x):
@@ -136,52 +153,76 @@ def integrate_adaptive(
             raise OutOfChart("non-finite right-hand side")
         return k
 
-    def result(status):
-        return IntegrationResult(np.array(times), np.array(states), status, n_acc, n_rej)
+    def result(failed=False):
+        for r in rows if failed else ():
+            row_status[r] = STEP_FAILURE
+        out = np.array(states)
+        out = out[:, 0] if single else out
+        return IntegrationResult(np.array(times), out, row_status, n_acc, n_rej)
 
     try:
         f_cur = eval_rhs(u)
     except OutOfChart:
-        return result(STEP_FAILURE)
-
-    h = _initial_step(f_cur, u, rtol, atol, t_end, max_step)
-    h_min = 1e-14 * max(1.0, t_end)
+        return result(failed=True)
+    h = _initial_step(f_cur, u, rtol, atol, ends, max_step)
     err_old = 1e-4
-    stages = np.empty((7, u.size))
+    next_due = -np.inf
 
-    while t < t_end - 1e-14 * max(1.0, t_end):
-        target = t_end
-        if cp_idx < len(cps):
-            target = min(target, cps[cp_idx])
+    while True:
+        if t >= next_due:  # retire the rows that are done
+            keep = t < due[rows]
+            rows, u, f_cur = rows[keep], u[keep], f_cur[keep]
+            if not len(rows):
+                return result()
+            next_due, next_end = np.min(due[rows]), np.min(ends[rows])
+        target = next_end if cp_idx == len(cps) else min(next_end, cps[cp_idx])
         h = max(min(h, max_step, target - t), h_min)
 
+        # Stages (7, rows, d), combined as one (7, rows * d) matrix: for one
+        # row this is the product of a single run, bit for bit.
+        stages = np.empty((7,) + u.shape)
         stages[0] = f_cur
+        flat = stages.reshape(7, -1)
         try:
             for i in range(1, 7):
-                stages[i] = eval_rhs(u + h * (_DP_A[i] @ stages[:i]))
+                stages[i] = eval_rhs(u + h * (_DP_A[i] @ flat[:i]).reshape(u.shape))
         except OutOfChart:
             n_rej += 1
             h *= 0.25
             if h < h_min:
-                return result(STEP_FAILURE)
+                return result(failed=True)
             continue
 
-        u_new = u + h * (_DP_B5 @ stages)
-        err_vec = h * (_DP_ERR @ stages)
+        u_new = u + h * (_DP_B5 @ flat).reshape(u.shape)
+        err_vec = h * (_DP_ERR @ flat).reshape(u.shape)
         scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = float(np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / dim).max())
 
-        if err <= 1.0 or h <= h_min * 1.0001:
+        if err <= 1.0:
             n_acc += 1
-            if inside is not None and not inside(u_new):
-                tau, u_exit = _bisect_exit(u, h, stages, inside)
-                times.append(t + tau)
-                states.append(u_exit)
-                return result(LEFT_CHART)
+            left = np.zeros(len(rows), dtype=bool) if inside is None else ~inside(u_new)
+            if left.any():
+                current, t_exit = current.copy(), t
+                for b in np.flatnonzero(left):
+                    row_status[rows[b]] = LEFT_CHART
+                    tau, current[rows[b]] = _bisect_exit(u[b], h, stages[:, b],
+                                                         lambda x: inside(x[None])[0])
+                    t_exit = max(t_exit, t + tau)
+                if left.all():  # the run ends at the last exit
+                    times.append(t_exit)
+                    states.append(current)
+                    return result()
+                rows, u_new, stages = rows[~left], u_new[~left], stages[:, ~left]
+                next_due = -np.inf
             t, u = t + h, u_new
-            f_cur = stages[6].copy()  # FSAL: last stage is f at the new point
+            f_cur = stages[6]  # FSAL: last stage is f at the new point
+            if len(rows) < n_rows:
+                current = current.copy()
+                current[rows] = u
+            else:
+                current = u
             times.append(t)
-            states.append(u.copy())
+            states.append(current)
             if cp_idx < len(cps) and t >= cps[cp_idx] - 1e-13:
                 cp_idx += 1
             fac = _SAFETY * err ** -0.17 * err_old ** 0.04 if err > 0 else 5.0
@@ -191,12 +232,10 @@ def integrate_adaptive(
             n_rej += 1
             h *= min(1.0, max(0.2, _SAFETY * err ** -0.2))
             if h < h_min:
-                return result(STEP_FAILURE)
+                return result(failed=True)
 
         if n_acc + n_rej > max_steps:
-            return result(STEP_FAILURE)
-
-    return result(COMPLETED)
+            return result(failed=True)
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
@@ -210,12 +249,16 @@ def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
     states = [u.copy()]
     for i in range(n):
         try:
-            u = rk4_step(f, u, h)
+            k1 = f(u)
+            k2 = f(u + 0.5 * h * k1)
+            k3 = f(u + 0.5 * h * k2)
+            k4 = f(u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except (OutOfChart, FloatingPointError):
             u = None
         if u is None or not np.all(np.isfinite(u)) or (inside is not None and not inside(u)):
-            return IntegrationResult(np.array(times), np.array(states), LEFT_CHART, i, 0)
+            return IntegrationResult(np.array(times), np.array(states), [LEFT_CHART], i, 0)
         t += h
         times.append(t)
         states.append(u)
-    return IntegrationResult(np.array(times), np.array(states), COMPLETED, n, 0)
+    return IntegrationResult(np.array(times), np.array(states), [COMPLETED], n, 0)

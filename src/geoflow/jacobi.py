@@ -22,30 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrate
 from .errors import InvalidInput, OutOfDomain
-from .flow import (
-    TangentVector,
-    check_request,
-    integrate_batch,
-    require_completed,
-    state_inside,
-    step_cap,
-    tolerances,
-)
+from .flow import TangentVector, check_request, integrate_batch, require_completed, tolerances
 from .surface import local_geometry
-
-__all__ = [
-    "JacobiState",
-    "FlowDifferential",
-    "propagate_block",
-    "propagate_jacobi",
-    "flow_differential",
-    "fd_flow_differential",
-    "mixed_partials_residual",
-    "chart_to_covariant",
-    "covariant_to_chart",
-]
 
 # Tolerance of the finite-difference estimators, well below their stencil error.
 _FD_TOL = 1e-12
@@ -78,56 +57,60 @@ class FlowDifferential:
 
 
 def _make_joint_rhs(surface, n_cols):
-    """RHS on states [x, y, J(m x n_cols), K(m x n_cols)] flattened."""
+    """RHS on states [x, y, J(m x n_cols), K(m x n_cols)] flattened, with any
+    leading axes."""
     m = surface.dim
 
     def rhs(u):
-        y = u[m: 2 * m]
-        geo = local_geometry(surface, u[:m], y)
+        y = u[..., m: 2 * m]
+        geo = local_geometry(surface, u[..., :m], y)
         g_mat = geo.gamma_v
-        jk = u[2 * m:].reshape(2, m, n_cols)
-        j_dot = jk[1] - g_mat @ jk[0]
-        k_dot = geo.curvature @ jk[0] - g_mat @ jk[1]
-        return np.concatenate([y, -(g_mat @ y), j_dot.ravel(), k_dot.ravel()])
+        jk = u[..., 2 * m:].reshape(u.shape[:-1] + (2, m, n_cols))
+        j_dot = jk[..., 1, :, :] - g_mat @ jk[..., 0, :, :]
+        k_dot = geo.curvature @ jk[..., 0, :, :] - g_mat @ jk[..., 1, :, :]
+        flat = u.shape[:-1] + (-1,)
+        return np.concatenate(
+            [y, -(g_mat @ y[..., None])[..., 0], j_dot.reshape(flat), k_dot.reshape(flat)],
+            axis=-1,
+        )
 
     return rhs
 
 
 def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
-    """Integrate the joint system with the (2, m, n_cols) initial block jk0.
+    """Integrate the joint system from the (2, m, n_cols) initial block jk0
+    along the geodesic of v, or, for a list v, along each of its geodesics
+    as the rows of one batch; t_end is one time or one per row.
 
-    Returns the completed IntegrationResult, whose states hold [x, y, J, K]
-    flattened; raises as require_completed when the run stops early.
+    Validates every (t_end, v) with check_request and the block. Returns the
+    IntegrationResult, whose states hold [x, y, J, K] flattened; apply
+    require_completed where every row must complete.
     """
-    x0, y0 = check_request(surface, t_end, v, positive=True)
-    res = integrate.integrate_adaptive(
-        _make_joint_rhs(surface, jk0.shape[-1]),
-        np.concatenate([x0, y0, jk0.ravel()]),
-        t_end,
-        *tolerances(surface, tol),
-        max_step=step_cap(surface),
-        inside=state_inside(surface),
-        checkpoints=checkpoints,
-    )
-    return require_completed(res, "Jacobi propagation")
-
-
-def propagate_jacobi(
-    surface,
-    v: TangentVector,
-    j0: JacobiState,
-    t_end: float,
-    tol: float | None = None,
-) -> JacobiState:
-    """Solve the Jacobi system along the geodesic of v; linear in j0."""
-    if j0.J.shape != (surface.dim,) or j0.K.shape != (surface.dim,) \
-            or not np.all(np.isfinite(j0.as_vector())):
-        raise InvalidInput(f"Jacobi initial value must be two finite {surface.dim}-vectors")
-    jk0 = np.stack([j0.J, j0.K])[..., None]  # (2, m, 1)
-    res = propagate_block(surface, v, jk0, t_end, tol)
     m = surface.dim
-    jk = res.final_state[2 * m:].reshape(2, m)
+    jk0 = np.asarray(jk0, dtype=float)
+    if jk0.ndim != 3 or jk0.shape[:2] != (2, m) or not np.all(np.isfinite(jk0)):
+        raise InvalidInput(f"Jacobi initial block must be a finite (2, {m}, n) array, "
+                           f"got shape {jk0.shape}")
+    single = isinstance(v, TangentVector)
+    vs = [v] if single else v
+    u0 = np.array([np.concatenate([*check_request(surface, t, w, positive=True), jk0.ravel()])
+                   for t, w in zip(np.broadcast_to(t_end, (len(vs),)), vs)])
+    return integrate_batch(surface, u0[0] if single else u0, t_end, tol, checkpoints,
+                           rhs=_make_joint_rhs(surface, jk0.shape[-1]))
+
+
+def propagate_jacobi(surface, v: TangentVector, j0: JacobiState, t_end: float,
+                     tol: float | None = None) -> JacobiState:
+    """Solve the Jacobi system along the geodesic of v; linear in j0."""
+    res = propagate_block(surface, v, np.stack([j0.J, j0.K])[..., None], t_end, tol)
+    m = surface.dim
+    jk = require_completed(res, "Jacobi propagation").final_state[2 * m:].reshape(2, m)
     return JacobiState(jk[0], jk[1])
+
+
+def basis_block(m):
+    """The 2m standard basis initial values (J0, K0) as a (2, m, 2m) block."""
+    return np.eye(2 * m).reshape(2, m, 2 * m)
 
 
 def flow_differential(surface, t: float, v: TangentVector, tol: float | None = None) -> FlowDifferential:
@@ -137,7 +120,8 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
         x0, y0 = check_request(surface, t, v)
         tolerances(surface, tol)  # a bad tol is an error even where no step is taken
         return FlowDifferential(np.eye(2 * m), 0.0, v, TangentVector(x0.copy(), y0.copy()))
-    res = propagate_block(surface, v, np.eye(2 * m).reshape(2, m, 2 * m), t, tol)
+    res = propagate_block(surface, v, basis_block(m), t, tol)
+    require_completed(res, "Jacobi propagation")
     mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
     return FlowDifferential(mat, t, v, TangentVector.from_state(res.final_state[: 2 * m]))
 
@@ -168,6 +152,8 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     m = surface.dim
     if order is None:
         order = 4 if surface.regularity.at_least("C3") else 2
+    if order not in (2, 4) or not (np.isfinite(eps) and eps > 0):
+        raise InvalidInput(f"need order 2 or 4 and a positive finite eps, got {order}, {eps}")
     x0, y0 = check_request(surface, t, v)
     if t < 0.0:
         raise InvalidInput(f"flow differential needs t >= 0, got {t}")
@@ -180,19 +166,12 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
         offsets = np.array([-1.0, 1.0]) * eps
         weights = np.array([-1.0, 1.0]) / (2.0 * eps)
 
-    n_dirs = 2 * m
-    ics = [base]
-    for d in range(n_dirs):
-        for o in offsets:
-            u = base.copy()
-            u[d] += o
-            ics.append(u)
-    ends = integrate_batch(surface, np.array(ics), t, _FD_TOL).final_state
-    d_chart = np.empty((2 * m, 2 * m))
-    k = len(offsets)
-    for d in range(n_dirs):
-        block = ends[1 + d * k: 1 + (d + 1) * k]
-        d_chart[:, d] = weights @ block
+    # row 0 is the base state, row 1 + d k + i moves entry d by offsets[i]
+    n, k = 2 * m, len(offsets)
+    ics = np.vstack([base, (base + np.eye(n)[:, None, :] * offsets[:, None]).reshape(-1, n)])
+    res = integrate_batch(surface, ics, t, _FD_TOL)
+    ends = require_completed(res, f"batch of {len(ics)} FD stencil geodesics").final_state
+    d_chart = (weights @ ends[1:].reshape(n, k, n)).T
 
     c_end = chart_to_covariant(surface, ends[0, :m], ends[0, m:])
     c_start_inv = covariant_to_chart(surface, x0, y0)
@@ -233,7 +212,8 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     ics = np.array(
         [np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])]
     )
-    res = integrate_batch(surface, ics, t_end, _FD_TOL, checkpoints)
+    res = require_completed(integrate_batch(surface, ics, t_end, _FD_TOL, checkpoints),
+                            "mixed-partials pair")
 
     def states_at(t_req):
         idx = np.searchsorted(res.times, t_req - 1e-12)

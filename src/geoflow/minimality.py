@@ -19,17 +19,8 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from . import integrate
 from .errors import DisconnectedMesh, InvalidInput, OutOfChart, OutOfDomain
-from .flow import (
-    TangentVector,
-    Trajectory,
-    check_request,
-    geodesic_flow,
-    integrate_geodesic,
-    make_geodesic_rhs,
-    random_tangent,
-    require_completed,
-    state_inside,
-)
+from .flow import (TangentVector, Trajectory, check_request, integrate_batch, integrate_geodesic,
+                   make_geodesic_rhs, random_tangent, require_completed, state_inside)
 
 KING_ANISOTROPY = 1.0 / np.cos(np.pi / 8.0)  # worst king-path overhead, 1.0824
 
@@ -185,14 +176,17 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
         b <= a * (1 + 1e-9) + floor for a, b in zip(spreads, spreads[1:])
     )
 
-    base_end = geodesic_flow(surface, t_end, v).as_state()
-    quotients = []
+    # v and its perturbations integrate as one batch
+    rows, gaps = [u0], []
     for w in perturbations:
         dv = np.linalg.norm(w.as_state() - v.as_state())
         if dv == 0:
             continue
-        end = geodesic_flow(surface, t_end, w).as_state()
-        quotients.append(float(np.linalg.norm(end - base_end) / dv))
+        rows.append(np.concatenate(check_request(surface, t_end, w, positive=True)))
+        gaps.append(dv)
+    res = integrate_batch(surface, np.array(rows), t_end)
+    ends = require_completed(res, f"batch of {len(rows)} perturbed geodesics").final_state
+    quotients = [float(np.linalg.norm(end - ends[0]) / dv) for end, dv in zip(ends[1:], gaps)]
     return {
         "step_sizes": list(map(float, step_sizes)),
         "spreads": spreads,

@@ -25,8 +25,9 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure
-from .flow import TangentVector, integrate_batch, random_tangent
-from .jacobi import flow_differential, propagate_block
+from .flow import TangentVector, integrate_batch, random_tangent, require_completed
+from .integrate import LEFT_CHART, STEP_FAILURE
+from .jacobi import basis_block, propagate_block
 from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
 _MODULUS_BINS = 32                      # log-spaced bins of an empirical modulus
@@ -387,27 +388,22 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
     """
     if not probes:
         raise InvalidInput("need at least one probe")
-    ends, diffs, pruned = [], [], []
-    for k, (t, v) in enumerate(probes):
-        try:
-            per_level = [flow_differential(s, t, v) for s in seq.smoothed]
-        except OutOfDomain:
-            pruned.append(k)
-            continue
-        ends.append([fd.end.as_state() for fd in per_level])
-        diffs.append([fd.matrix for fd in per_level])
-    if not ends:
+    m = seq.base.dim
+    finals, left = [], np.zeros(len(probes), dtype=bool)
+    for s in seq.smoothed:  # all probes as one joint batch per level
+        res = propagate_block(s, [v for _, v in probes], basis_block(m), [t for t, _ in probes],
+                              None)
+        if res.status == STEP_FAILURE:
+            require_completed(res, f"flow differentials on {s.name}")
+        left |= np.array(res.row_status) == LEFT_CHART
+        finals.append(res.final_state)
+    if left.all():
         raise OutOfDomain("all probes left the chart on some smoothing level")
-    ends = np.array(ends)    # (P, L, 2m)
-    diffs = np.array(diffs)  # (P, L, 2m, 2m)
-    flow_d = [
-        float(np.max(np.linalg.norm(ends[:, l + 1] - ends[:, l], axis=-1)))
-        for l in range(ends.shape[1] - 1)
-    ]
-    dflow_d = [
-        float(np.max(np.abs(diffs[:, l + 1] - diffs[:, l])))
-        for l in range(diffs.shape[1] - 1)
-    ]
+    pruned = [int(k) for k in np.flatnonzero(left)]
+    finals = np.stack(finals, axis=1)[~left]  # (P, L, [x, y, J, K])
+    steps = finals[:, 1:] - finals[:, :-1]
+    flow_d = [float(d) for d in np.max(np.linalg.norm(steps[..., : 2 * m], axis=-1), axis=0)]
+    dflow_d = [float(d) for d in np.max(np.abs(steps[..., 2 * m:]), axis=(0, 2))]
     flow_fac = _avg_factor(flow_d)
     dflow_fac = _avg_factor(dflow_d)
     if flow_fac >= _CONVERGE_FACTOR and dflow_fac >= _CONVERGE_FACTOR:
@@ -472,8 +468,8 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     Returns dict with the measured sup, the coefficient bound along the
     trajectory, and the certified bound at each sample's time.
     """
-    jk0 = np.stack([np.asarray(j0.J, dtype=float), np.asarray(j0.K, dtype=float)])[..., None]
-    res = propagate_block(surface, v, jk0, t_end, None)
+    res = propagate_block(surface, v, np.stack([j0.J, j0.K])[..., None], t_end, None)
+    require_completed(res, "Jacobi propagation")
     m = surface.dim
     states = res.states
     jk = states[:, 2 * m:]
@@ -497,10 +493,12 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
 def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     """Difference quotients of the flow map over random nearby tangent pairs.
 
-    All trajectories integrate as one batch with a shared controller; the
-    quotient bound exp(c_bar * t) uses the coefficient bound measured along
-    the batch samples.
+    All trajectories integrate as one batch, each row under the error
+    control of its own run; the quotient bound exp(c_bar * t) uses the
+    coefficient bound measured along the batch samples.
     """
+    if n_pairs < 1:
+        raise InvalidInput(f"need at least one pair, got n_pairs={n_pairs}")
     rng = np.random.default_rng(seed)
     m = surface.dim
     ics = []
@@ -512,11 +510,10 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
         ics.append(base)
         ics.append(base + d)
     ics = np.array(ics)
-    res = integrate_batch(surface, ics, t_end)
+    res = require_completed(integrate_batch(surface, ics, t_end), f"batch of {len(ics)} geodesics")
     ends = res.final_state
-    gaps = np.linalg.norm(ics[1::2] - ics[0::2], axis=1)
-    devs = np.linalg.norm(ends[1::2] - ends[0::2], axis=1)
-    quotients = devs / gaps
+    quotients = (np.linalg.norm(ends[1::2] - ends[0::2], axis=1)
+                 / np.linalg.norm(ics[1::2] - ics[0::2], axis=1))
 
     stride = max(1, len(res.times) // 40)
     c_bar = coefficient_bound_along(surface, res.states[::stride])
@@ -536,48 +533,44 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
 
     Each center is a random unit tangent (x0, y); for each gap delta the
     partner starts at x0 + delta * (random unit vector) with y rescaled to
-    unit speed there, both with the same Jacobi initial value. Returns
-    per-pair gaps, sup-t coefficient deviations, final-state deviations,
-    and the measured constants c_tilde (solution sup) and c_bar
-    (coefficient sup).
+    unit speed there, both with the same Jacobi initial value. All centers
+    and partners integrate as one batch. Returns per-pair gaps, sup-t
+    coefficient deviations, final-state deviations, and the measured
+    constants c_tilde (solution sup) and c_bar (coefficient sup).
     """
+    if n_centers < 1:
+        raise InvalidInput(f"need at least one center, got n_centers={n_centers}")
     rng = np.random.default_rng(seed)
     m = surface.dim
     jk0 = np.array([[0.0, 0.0], [0.8, 0.6]])[..., None]  # generic: engages every block
     t_grid = np.linspace(0.0, t1, 25)
 
-    def run(x0, y0):
-        res = propagate_block(surface, TangentVector(x0, y0), jk0, t1, None, t_grid[1:-1])
-        idx = np.searchsorted(res.times, t_grid - 1e-12)
-        idx = np.clip(idx, 0, len(res.times) - 1)
-        return res.states[idx]  # (T, 2m + 2m)
-
-    pairs = []
-    all_states = []
+    vs, pairs = [], []  # pairs: (center row, partner row, gap)
     for _ in range(n_centers):
         v = random_tangent(surface, rng, 0.5)
-        base = run(v.x, v.y)
-        all_states.append(base)
+        center = len(vs)
+        vs.append(v)
         for delta in deltas:
             d = rng.normal(size=m)
             d *= delta / np.linalg.norm(d)
             x1 = v.x + d
             if not surface.contains(x1):
                 continue
-            other = run(x1, v.y / float(g_norm_batch(surface, x1, v.y)))
-            all_states.append(other)
-            a_base = jacobi_coefficient_matrix(surface, base[:, :m], base[:, m: 2 * m])
-            a_other = jacobi_coefficient_matrix(surface, other[:, :m], other[:, m: 2 * m])
-            da = float(np.max(np.linalg.norm(a_base - a_other, ord=2, axis=(-2, -1))))
-            dx = float(np.linalg.norm(base[-1, 2 * m:] - other[-1, 2 * m:]))
-            pairs.append((float(np.linalg.norm(d)), da, dx))
+            pairs.append((center, len(vs), float(np.linalg.norm(d))))
+            vs.append(TangentVector(x1, v.y / float(g_norm_batch(surface, x1, v.y))))
 
-    states = np.concatenate(all_states)
-    c_tilde = float(np.max(np.linalg.norm(states[:, 2 * m:], axis=1)))
-    c_bar = coefficient_bound_along(surface, states[:, : 2 * m])
-    gaps = np.array([p[0] for p in pairs])
-    coeff_dev = np.array([p[1] for p in pairs])
-    state_dev = np.array([p[2] for p in pairs])
+    res = propagate_block(surface, vs, jk0, t1, None, t_grid[1:-1])
+    require_completed(res, f"batch of {len(vs)} modulus probes")
+    idx = np.clip(np.searchsorted(res.times, t_grid - 1e-12), 0, len(res.times) - 1)
+    states = res.states[idx]  # (T, B, 2m + 2m)
+    a = jacobi_coefficient_matrix(surface, states[..., :m], states[..., m: 2 * m])
+    gaps = np.array([gap for _, _, gap in pairs])
+    coeff_dev = np.array([np.max(np.linalg.norm(a[:, c] - a[:, p], ord=2, axis=(-2, -1)))
+                          for c, p, _ in pairs])
+    state_dev = np.array([np.linalg.norm(states[-1, c, 2 * m:] - states[-1, p, 2 * m:])
+                          for c, p, _ in pairs])
+    c_tilde = float(np.max(np.linalg.norm(states[..., 2 * m:], axis=-1)))
+    c_bar = float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
     return gaps, coeff_dev, state_dev, c_tilde, c_bar
 
 

@@ -15,6 +15,7 @@ from geoflow.flow import (
     integrate_geodesic,
     make_geodesic_rhs,
     random_tangent,
+    require_completed,
     speed_profile,
     state_inside,
 )
@@ -129,6 +130,16 @@ def test_step_failure_reported(hemisphere):
     assert res.final_time < 0.9
 
 
+def test_unsatisfiable_tolerance_is_step_failure():
+    # the slope jumps from 1 to 0 as soon as u leaves 0, so every step's
+    # error estimate is about 1e-3 h, above atol = 1e-20 for any h >= h_min:
+    # the step shrinks below h_min and the run ends without forcing a step
+    res = integrate.integrate_adaptive(lambda u: (u <= 0.0) * 1.0, [0.0], 1.0, 1e-20, 1e-20)
+    assert res.status == "StepFailure"
+    assert res.n_accepted == 0
+    assert res.final_time == 0.0
+
+
 def test_geodesic_flow_step_failure_inside_chart():
     # a gradient that is NaN past x1 = 0.3, well inside the chart: the
     # controller stalls there, which is a step failure, not a chart exit
@@ -174,9 +185,18 @@ def test_integrate_batch_matches_single_runs(hemisphere):
 
 
 def test_integrate_batch_row_leaving_chart(hemisphere):
+    # row 1 crosses |x| = 0.8 near t = 0.1 and stops there; row 0 goes on
     ics = np.array([[0.0, 0.0, 1.0, 0.0], [0.7, 0.0, 1.0, 0.0]])
+    res = integrate_batch(hemisphere, ics, 0.3, 1e-10)
+    assert res.row_status == ["Completed", "LeftChart"]
+    assert res.status == "LeftChart"
+    assert res.final_time == pytest.approx(0.3, abs=1e-14)
+    assert np.linalg.norm(res.final_state[1, :2]) == pytest.approx(0.8, abs=1e-12)
+    np.testing.assert_allclose(res.final_state[0],
+                               geodesic_flow(hemisphere, 0.3, TangentVector(ics[0, :2], ics[0, 2:]),
+                                             1e-10).as_state(), rtol=0, atol=1e-9)
     with pytest.raises(OutOfDomain):
-        integrate_batch(hemisphere, ics, 0.3, 1e-10)
+        require_completed(res, "batch")
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,15 @@ def test_bad_tol_rejected_at_time_zero(flat):
             fn(flat, 0.0, v, tol=-1)
 
 
+@pytest.mark.parametrize("eps, order", [
+    (0.0, None), (-1e-5, None), (math.nan, None), (math.inf, 2), (1e-5, 3), (1e-5, 1),
+])
+def test_fd_flow_differential_bad_stencil_rejected(hemisphere, eps, order):
+    with pytest.raises(InvalidInput):
+        fd_flow_differential(hemisphere, 0.3, TangentVector([0.0, 0.0], [1.0, 0.0]),
+                             eps=eps, order=order)
+
+
 def test_flow_differential_bad_velocity_rejected(hemisphere):
     for y in ([1.0, 0.0, 0.0], [math.nan, 1.0]):
         v = TangentVector([0.0, 0.0], y)

@@ -1,8 +1,9 @@
 """Flow and flow-differential invariants on generated inputs.
 
 Start points lie in the disk |x| <= 0.25 with unit chart velocity and times
-in [0.05, 0.2]; as argued in perfbench/workloads.py, such geodesics stay in
-every catalog chart even for the composed time s + t <= 0.4.
+in [0.05, 0.2] (up to 0.3 for batch rows); as argued in
+perfbench/workloads.py, such geodesics stay in every catalog chart even for
+the composed time s + t <= 0.4.
 """
 
 import math
@@ -15,6 +16,7 @@ from geoflow.flow import (
     TangentVector,
     flow_property_residual,
     geodesic_flow,
+    integrate_batch,
     integrate_geodesic,
     speed_profile,
 )
@@ -60,6 +62,20 @@ def test_speed_conserved(surfaces, name, v, t):
     surf = surfaces[name]
     traj = integrate_geodesic(surf, v, t)
     assert np.max(np.abs(speed_profile(surf, traj) - traj.speed)) <= 1e-8 * traj.speed
+
+
+@PROPERTY
+@given(st.sampled_from(C2_AND_BETTER),
+       st.lists(st.tuples(tangents(), st.floats(0.05, 0.3)), min_size=1, max_size=6))
+def test_batch_rows_match_single_runs(surfaces, name, rows):
+    # each row keeps the error control of its own run, whatever it is batched with
+    surf = surfaces[name]
+    res = integrate_batch(surf, np.array([v.as_state() for v, _ in rows]),
+                          [t for _, t in rows], 1e-11)
+    assert res.row_status == ["Completed"] * len(rows)
+    for end, (v, t) in zip(res.final_state, rows):
+        single = geodesic_flow(surf, t, v, 1e-11).as_state()
+        assert np.max(np.abs(end - single)) <= 1e-9
 
 
 unit_box = st.floats(-1.0, 1.0)

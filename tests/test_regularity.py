@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoflow import integrate
 from geoflow import regularity as reg
 from geoflow.catalog import make_surface
-from geoflow.errors import DomainTooSmall
+from geoflow.errors import DomainTooSmall, InvalidInput
 from geoflow.flow import TangentVector
 from geoflow.jacobi import JacobiState
 from geoflow.surface import GraphSurface, Regularity, g_norm_batch
@@ -177,13 +178,22 @@ def test_vee_uniform_pi_bound(vee):
     assert max(seq.pi_sup) <= 2.0 * 1.1
 
 
-def test_flow_convergence_prunes_escaping_probes(c21_cubic):
+def test_flow_convergence_prunes_escaping_probes(c21_cubic, monkeypatch):
     seq = reg.approximation_sequence(c21_cubic, [0.1, 0.05])
     rng = np.random.default_rng(8)
     probes = reg.convergence_probes(seq, 4, rng)
     # this one exits the level charts long before t
     probes.append((5.0, TangentVector([0.0, 0.0], [1.0, 0.0])))
+    shapes = []
+    run = integrate.integrate_adaptive
+
+    def counted(f, u0, *args, **kwargs):
+        shapes.append(np.shape(u0))
+        return run(f, u0, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "integrate_adaptive", counted)
     rep = reg.flow_convergence_report(seq, probes)
+    assert shapes == [(5, 4 + 16)] * 2  # one joint batch of all probes per level
     assert rep.pruned_probes == [4]
     assert len(rep.flow_c0) == 1
 
@@ -207,6 +217,14 @@ def test_gronwall_dominance_hemisphere(hemisphere):
         j0 = JacobiState(rng.normal(size=2), rng.normal(size=2))
         rep = reg.measure_gronwall_margin(hemisphere, TangentVector(x, y), j0, 0.35)
         assert rep["dominated"]
+
+
+@pytest.mark.parametrize("j0", [
+    JacobiState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), JacobiState([math.nan, 0.0], [0.0, 1.0]),
+], ids=["three_vectors", "nan"])
+def test_gronwall_margin_bad_initial_value_rejected(hemisphere, j0):
+    with pytest.raises(InvalidInput):
+        reg.measure_gronwall_margin(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), j0, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +364,15 @@ def test_lipschitz_flow_vee(vee):
     rep = reg.lipschitz_flow_report(vee, t_end=0.25, n_pairs=40, seed=5)
     assert rep["bounded"]
     assert rep["c_bar"] <= 2.2
+
+
+def test_drivers_reject_empty_probe_sets(c21_cubic):
+    with pytest.raises(InvalidInput):
+        reg.lipschitz_flow_report(c21_cubic, n_pairs=0)
+    with pytest.raises(InvalidInput):
+        reg.osgood_dominance_report(c21_cubic, n_centers=0)
+    with pytest.raises(InvalidInput):
+        reg.holder_dominance_report(c21_cubic, 0.5, n_centers=0)
 
 
 def test_osgood_dominance_small(c21_cubic):
