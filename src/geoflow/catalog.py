@@ -80,7 +80,12 @@ def _hemisphere():
     )
 
 
-def _profile_surface(name, f, df, d2f, regularity):
+def _ridge(X):
+    """Crease switch of a profile whose f'' is not smooth at x1 = 0."""
+    return np.asarray(X, dtype=float)[..., 0]
+
+
+def _profile_surface(name, f, df, d2f, regularity, crease=None):
     """Surface of the form h(x1, x2) = f(x1) over [-0.8, 0.8]^2; intrinsically flat."""
     def h(X):
         X = np.asarray(X, dtype=float)
@@ -100,7 +105,7 @@ def _profile_surface(name, f, df, d2f, regularity):
 
     return GraphSurface(
         name, 2, 1, [-0.8, -0.8], [0.8, 0.8], h, grad, hess,
-        regularity=regularity,
+        regularity=regularity, crease=crease,
     )
 
 
@@ -120,7 +125,7 @@ def _c21_cubic():
         lambda u: np.abs(u) ** 3,
         lambda u: 3.0 * u * np.abs(u),
         lambda u: 6.0 * np.abs(u),
-        Regularity("C2alpha", 1.0),
+        Regularity("C2alpha", 1.0), crease=_ridge,
     )
 
 
@@ -132,7 +137,7 @@ def _c2alpha(alpha=0.5):
         lambda u: np.abs(u) ** p,
         lambda u: p * np.sign(u) * np.abs(u) ** (p - 1.0),
         lambda u: p * (p - 1.0) * np.abs(u) ** a,
-        Regularity("C2alpha", a),
+        Regularity("C2alpha", a), crease=_ridge,
     )
 
 
@@ -142,7 +147,7 @@ def _vee():
         lambda u: u * np.abs(u),
         lambda u: 2.0 * np.abs(u),
         lambda u: 2.0 * np.sign(u),
-        Regularity("C11"),
+        Regularity("C11"), crease=_ridge,
     )
 
 

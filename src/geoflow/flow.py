@@ -4,11 +4,12 @@ The chart state is s = (x, y) with dx/dt = y and dy_k/dt = -Gamma^k_ij y_i y_j.
 Trajectories stop at the chart boundary (located by bisection on the step's
 dense output) and report why they ended. The integration policy lives here
 once, in integrate_batch, the entry point for single runs and batches of
-rows alike: tolerances turns a requested tol into (rtol, atol), step_cap
-bounds the step on surfaces with merely bounded second derivatives (the
-embedded error estimate is unreliable across curvature jumps), state_inside
-is the chart predicate, and require_completed turns a run with any
-incomplete row into an error.
+rows alike: tolerances turns a requested tol into (rtol, atol), state_inside
+is the chart predicate, a surface's declared crease becomes the
+integrator's crease switch (the embedded error estimate is unreliable on a
+step across a curvature jump or kink, so every step ends at the crease
+instead), and require_completed turns a run with any incomplete row into an
+error.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ def tolerances(surface, tol=None) -> tuple[float, float]:
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
     return tol, tol * 1e-2
-
-
-def step_cap(surface) -> float:
-    """Hard step cap; finite only for surfaces with discontinuous hessian."""
-    if surface.regularity.tag == "C11":
-        return 1e-3 * surface.width
-    return np.inf
 
 
 def require_completed(res, what):
@@ -170,10 +164,11 @@ def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
     integrate.integrate_adaptive); apply require_completed where every row
     must complete.
     """
+    m, crease = surface.dim, surface.crease
     return integrate.integrate_adaptive(
         make_geodesic_rhs(surface) if rhs is None else rhs, u0, t_end,
-        *tolerances(surface, tol), max_step=step_cap(surface), inside=state_inside(surface),
-        checkpoints=checkpoints,
+        *tolerances(surface, tol), inside=state_inside(surface),
+        crease=None if crease is None else lambda u: crease(u[..., :m]), checkpoints=checkpoints,
     )
 
 

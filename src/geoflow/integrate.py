@@ -6,12 +6,20 @@ integrate autonomous systems u' = f(u). The DP5 stepper takes one state
 (d,) or a batch of rows (B, d) that share every step; its error norm is the
 largest per-row RMS error (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4), so a row keeps the error control of its own run, and a single
-state is the batch of one row. Each row may have its own end time. A
-membership predicate may be supplied; when an accepted DP5 step lands a row
-outside, its crossing is located by bisection on the step's dense output
-and that row stops there with status ``LeftChart``. A step that would have
-to shrink below the smallest step ends the run with ``StepFailure``. The
-fixed-step driver stops at its last step inside.
+state is the batch of one row. Each row may have its own end time.
+
+One event locator bisects crossings on an accepted step's dense output
+(Shampine & Thompson, "Event location for ordinary differential
+equations", Comput. Math. Appl. 39, 2000), for two kinds of event. A
+membership predicate may be supplied; when an accepted step lands a row
+outside, that row stops at its located crossing with status ``LeftChart``.
+A crease switch may be supplied, a function whose sign changes where f is
+not smooth; the embedded error estimate is unreliable on a step across
+such a point (Gear & Osterby, ACM TOMS 10, 1984), so an accepted step that
+changes the sign of any row's switch is cut and retaken to end just past
+the first located crossing, with the later ones queued as step targets.
+A step that would have to shrink below the smallest step ends the run with
+``StepFailure``. The fixed-step driver stops at its last step inside.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ class IntegrationResult:
     row_status: list           # per row: Completed | LeftChart | StepFailure
     n_accepted: int = 0
     n_rejected: int = 0
+    n_cuts: int = 0            # accepted steps retaken to end at a crease crossing
 
     @property
     def status(self) -> str:
@@ -85,32 +94,33 @@ class IntegrationResult:
         return self.states[-1]
 
 
-def _bisect_exit(u, h, stages, inside):
-    """Locate the boundary crossing within an accepted step of size h from
-    u (inside) whose end point is outside, on the step's dense output.
+def _locate(u, h, stages, same_side):
+    """Locate, on the dense output of an accepted step of size h from the
+    rows u (n, d), where each row first leaves the side it starts on.
 
-    Makes no right-hand-side evaluations. Returns (tau, state) with state
-    the last trial point still inside.
+    same_side maps states (n, d) to one bool per row; it holds at u and
+    fails at the step's end. Bisects theta to within 2^-52 per row, with no
+    right-hand-side evaluations. Returns (lo, hi, u_lo): the last theta on
+    the start side, the first one past it, and the state at lo.
     """
-    q = h * (stages.T @ _DP_P)
-    lo, hi, u_lo = 0.0, 1.0, u
-    for _ in range(52):  # theta to within 2^-52
+    q = h * (stages.transpose(1, 2, 0) @ _DP_P)  # (n, d, 4)
+    lo, hi, u_lo = np.zeros(len(u)), np.ones(len(u)), u
+    for _ in range(52):
         mid = 0.5 * (lo + hi)
-        u_mid = u + q @ (mid ** np.arange(1, 5))
-        if inside(u_mid):
-            lo, u_lo = mid, u_mid
-        else:
-            hi = mid
-    return lo * h, u_lo
+        u_mid = u + (q @ (mid[:, None] ** np.arange(1, 5))[..., None])[..., 0]
+        same = same_side(u_mid)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        u_lo = np.where(same[:, None], u_mid, u_lo)
+    return lo, hi, u_lo
 
 
-def _initial_step(f0, u0, rtol, atol, ends, max_step):
+def _initial_step(f0, u0, rtol, atol, ends):
     """The smallest of the rows' starting-step guesses."""
     scale = atol + rtol * np.abs(u0)
     d0 = np.sqrt(np.mean((u0 / scale) ** 2, axis=-1))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=-1))
     h = np.where(d1 > 1e-12, 0.01 * d0 / np.maximum(d1, 1e-12), 1e-4 * ends)
-    return float(min(np.min(np.minimum(h, 0.1 * ends)), max_step))
+    return float(np.min(np.minimum(h, 0.1 * ends)))
 
 
 def _on_first_row(fn):
@@ -118,22 +128,30 @@ def _on_first_row(fn):
     return lambda x: np.asarray(fn(x[0]))[None]
 
 
-def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf, inside=None,
+def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, crease=None,
                        checkpoints=None, max_steps=500_000):
     """Integrate u' = f(u) from t=0 with adaptive DP5(4) steps.
 
-    u0 is one state (d,) or a batch of rows (B, d); f and inside take states
-    of the same shape, inside returning one bool per row. The rows share
-    every step, and the error norm is the largest per-row RMS error. t_end
-    is one end time or one per row. A row stops at its end time, or, when an
-    accepted step ends outside, at the crossing located on the step's dense
-    output; the others go on. checkpoints: optional increasing times the
-    stepper must land on exactly (sample times end up in the returned arrays).
+    u0 is one state (d,) or a batch of rows (B, d); f, inside and crease
+    take states of the same shape, inside returning one bool and crease one
+    switching value per row. The rows share every step, and the error norm
+    is the largest per-row RMS error. t_end is one end time or one per row.
+    A row stops at its end time, or, when an accepted step ends outside, at
+    the crossing located on the step's dense output; the others go on.
+    An accepted step that changes the sign of any row's crease switch is
+    cut (n_cuts counts these; each counts towards max_steps): every
+    crossing row's theta is located on its dense output and the time
+    theta * h * (1 + 1e-12) queued as a step target. A step that ends on a
+    target is not cut again, and its rows count as past their crossings;
+    after the last target, stepping resumes with the step length from
+    before the cut. checkpoints: optional increasing times the stepper must
+    land on exactly (sample times end up in the returned arrays).
     """
     single = np.ndim(u0) == 1
-    if single:  # the batch of one row, with f and inside still seeing (d,) states
+    if single:  # the batch of one row, with f, inside and crease still seeing (d,) states
         f = _on_first_row(f)
         inside = None if inside is None else _on_first_row(inside)
+        crease = None if crease is None else _on_first_row(crease)
     u = current = np.array(u0, dtype=float, ndmin=2)  # current: every row's latest state
     n_rows, dim = u.shape
     ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
@@ -141,11 +159,12 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf,
     rows = np.arange(n_rows)                    # original index of each running row
     row_status = [COMPLETED] * n_rows
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
-    n_acc = n_rej = 0
+    n_acc = n_rej = n_cuts = 0
     h_min = 1e-14 * max(1.0, np.max(ends))
     cps = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
     cps = np.unique(cps[(cps > 1e-15) & (cps < np.max(ends) - 1e-15)])
     cp_idx = 0
+    crossings = []  # (time, row) of located crease crossings still ahead, ascending
 
     def eval_rhs(x):
         k = f(x)
@@ -158,13 +177,14 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf,
             row_status[r] = STEP_FAILURE
         out = np.array(states)
         out = out[:, 0] if single else out
-        return IntegrationResult(np.array(times), out, row_status, n_acc, n_rej)
+        return IntegrationResult(np.array(times), out, row_status, n_acc, n_rej, n_cuts)
 
     try:
         f_cur = eval_rhs(u)
     except OutOfChart:
         return result(failed=True)
-    h = _initial_step(f_cur, u, rtol, atol, ends, max_step)
+    side = None if crease is None else crease(u)  # each running row's crease switch
+    h = _initial_step(f_cur, u, rtol, atol, ends)
     err_old = 1e-4
     next_due = -np.inf
 
@@ -172,11 +192,15 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf,
         if t >= next_due:  # retire the rows that are done
             keep = t < due[rows]
             rows, u, f_cur = rows[keep], u[keep], f_cur[keep]
+            side = None if side is None else side[keep]
             if not len(rows):
                 return result()
             next_due, next_end = np.min(due[rows]), np.min(ends[rows])
         target = next_end if cp_idx == len(cps) else min(next_end, cps[cp_idx])
-        h = max(min(h, max_step, target - t), h_min)
+        h = max(min(h, target - t), h_min)
+        # A step that the locator set ends at its crossing and is not cut again.
+        located = bool(crossings) and crossings[0][0] <= t + h
+        h_step = max(crossings[0][0] - t, h_min) if located else h
 
         # Stages (7, rows, d), combined as one (7, rows * d) matrix: for one
         # row this is the product of a single run, bit for bit.
@@ -185,36 +209,51 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf,
         flat = stages.reshape(7, -1)
         try:
             for i in range(1, 7):
-                stages[i] = eval_rhs(u + h * (_DP_A[i] @ flat[:i]).reshape(u.shape))
+                stages[i] = eval_rhs(u + h_step * (_DP_A[i] @ flat[:i]).reshape(u.shape))
         except OutOfChart:
             n_rej += 1
-            h *= 0.25
+            h = 0.25 * h_step
             if h < h_min:
                 return result(failed=True)
             continue
 
-        u_new = u + h * (_DP_B5 @ flat).reshape(u.shape)
-        err_vec = h * (_DP_ERR @ flat).reshape(u.shape)
+        u_new = u + h_step * (_DP_B5 @ flat).reshape(u.shape)
+        err_vec = h_step * (_DP_ERR @ flat).reshape(u.shape)
         scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
         err = float(np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / dim).max())
 
-        if err <= 1.0:
+        side_new = None if side is None or err > 1.0 else crease(u_new)
+        crossed = None if side_new is None or located else side * side_new < 0
+        if crossed is not None and crossed.any():
+            # Cut: queue every row's crossing as a step target; h is kept for after them.
+            n_cuts += 1
+            s0, cut_rows = side[crossed], rows[crossed]
+            _, theta, _ = _locate(u[crossed], h_step, stages[:, crossed],
+                                  lambda x: s0 * crease(x) > 0)
+            ahead = t + np.minimum(theta * (1 + 1e-12), 1.0) * h_step
+            crossings = sorted([(c, r) for c, r in crossings if r not in cut_rows]
+                               + list(zip(ahead, cut_rows)))
+        elif err <= 1.0:
+            if located:  # its rows count as past their crossings, even a hair short of one
+                reached = crossings[0][0]
+                side_new = np.where(np.isin(rows, [r for c, r in crossings if c <= reached]),
+                                    -side, side_new)
             n_acc += 1
             left = np.zeros(len(rows), dtype=bool) if inside is None else ~inside(u_new)
             if left.any():
-                current, t_exit = current.copy(), t
-                for b in np.flatnonzero(left):
-                    row_status[rows[b]] = LEFT_CHART
-                    tau, current[rows[b]] = _bisect_exit(u[b], h, stages[:, b],
-                                                         lambda x: inside(x[None])[0])
-                    t_exit = max(t_exit, t + tau)
+                theta, _, current_left = _locate(u[left], h_step, stages[:, left], inside)
+                current = current.copy()
+                current[rows[left]] = current_left
+                for r in rows[left]:
+                    row_status[r] = LEFT_CHART
                 if left.all():  # the run ends at the last exit
-                    times.append(t_exit)
+                    times.append(t + np.max(theta) * h_step)
                     states.append(current)
                     return result()
                 rows, u_new, stages = rows[~left], u_new[~left], stages[:, ~left]
+                side_new = None if side is None else side_new[~left]
                 next_due = -np.inf
-            t, u = t + h, u_new
+            t, u, side = t + h_step, u_new, side_new
             f_cur = stages[6]  # FSAL: last stage is f at the new point
             if len(rows) < n_rows:
                 current = current.copy()
@@ -225,16 +264,19 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, max_step=np.inf,
             states.append(current)
             if cp_idx < len(cps) and t >= cps[cp_idx] - 1e-13:
                 cp_idx += 1
-            fac = _SAFETY * err ** -0.17 * err_old ** 0.04 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, fac))
-            err_old = max(err, 1e-10)
+            if located:
+                crossings = [(c, r) for c, r in crossings if c > max(reached, t)]
+            else:
+                fac = _SAFETY * err ** -0.17 * err_old ** 0.04 if err > 0 else 5.0
+                h *= min(5.0, max(0.2, fac))
+                err_old = max(err, 1e-10)
         else:
             n_rej += 1
-            h *= min(1.0, max(0.2, _SAFETY * err ** -0.2))
+            h = h_step * min(1.0, max(0.2, _SAFETY * err ** -0.2))
             if h < h_min:
                 return result(failed=True)
 
-        if n_acc + n_rej > max_steps:
+        if n_acc + n_rej + n_cuts > max_steps:
             return result(failed=True)
 
 

@@ -44,6 +44,14 @@ class JacobiState:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.J, self.K])
 
+    def block(self, m) -> np.ndarray:
+        """(J, K) as a (2, m, 1) initial block for propagate_block; raises
+        InvalidInput unless J and K are both m-vectors."""
+        if self.J.shape != (m,) or self.K.shape != (m,):
+            raise InvalidInput(f"Jacobi state needs J and K of shape ({m},), "
+                               f"got {self.J.shape} and {self.K.shape}")
+        return np.stack([self.J, self.K])[..., None]
+
 
 @dataclass
 class FlowDifferential:
@@ -102,7 +110,7 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
 def propagate_jacobi(surface, v: TangentVector, j0: JacobiState, t_end: float,
                      tol: float | None = None) -> JacobiState:
     """Solve the Jacobi system along the geodesic of v; linear in j0."""
-    res = propagate_block(surface, v, np.stack([j0.J, j0.K])[..., None], t_end, tol)
+    res = propagate_block(surface, v, j0.block(surface.dim), t_end, tol)
     m = surface.dim
     jk = require_completed(res, "Jacobi propagation").final_state[2 * m:].reshape(2, m)
     return JacobiState(jk[0], jk[1])

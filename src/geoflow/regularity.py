@@ -468,7 +468,7 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     Returns dict with the measured sup, the coefficient bound along the
     trajectory, and the certified bound at each sample's time.
     """
-    res = propagate_block(surface, v, np.stack([j0.J, j0.K])[..., None], t_end, None)
+    res = propagate_block(surface, v, j0.block(surface.dim), t_end, None)
     require_completed(res, "Jacobi propagation")
     m = surface.dim
     states = res.states

@@ -80,7 +80,10 @@ class GraphSurface:
     (..., m, m, codim). `membership` optionally tightens the box domain
     (e.g. to a disk). The callables are also invoked slightly outside the
     domain, where integrator stages overshoot before a chart exit is
-    located.
+    located. `crease` optionally declares where the second derivatives are
+    not smooth: a vectorized switching function mapping points (..., m) to
+    values (...) whose sign changes across the crease (e.g. x1 for a ridge
+    at x1 = 0); the integrator ends a step at every crossing of it.
     """
 
     def __init__(
@@ -96,6 +99,7 @@ class GraphSurface:
         *,
         regularity: Regularity,
         membership=None,
+        crease=None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -110,6 +114,7 @@ class GraphSurface:
         self.hessian = hessian
         self.regularity = regularity
         self._membership = membership
+        self.crease = crease
 
     # -- domain --------------------------------------------------------
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.cli import RunConfig, main
+from geoflow.cli import DEFAULT_TOLERANCES, RunConfig, _suite_flow, main
 from geoflow.errors import ConfigError
 
 
@@ -202,6 +202,14 @@ def test_report_passes(tmp_path, monkeypatch, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_passed"] is True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flow_suite_passes(seed):
+    # speed conservation and composition on every C2-and-better surface,
+    # c2alpha's ridge included, at the default tolerances
+    failed = [c["name"] for c in _suite_flow(DEFAULT_TOLERANCES, seed) if not c["passed"]]
+    assert failed == []
 
 
 def test_report_impossible_tolerance(tmp_path, monkeypatch):

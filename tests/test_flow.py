@@ -97,6 +97,32 @@ def test_chart_exit_costs_no_extra_rhs_evaluations(hemisphere):
     assert len(calls) <= 1 + 6 * (res.n_accepted + res.n_rejected)
 
 
+def test_crease_crossing_cuts_the_step(vee):
+    # the geodesic crosses the ridge x1 = 0 once: the accepted step across it
+    # is cut and retaken to end just past the crease
+    res = integrate_batch(vee, [-0.1, 0.05, 1.0, 0.3], 0.3)
+    assert res.status == "Completed"
+    assert res.n_cuts >= 1
+    x1 = res.states[:, 0]
+    assert x1[0] < 0 < x1[-1]
+    assert abs(x1[np.argmax(x1 > 0)]) <= 1e-9
+
+
+def test_no_cut_away_from_the_crease(vee):
+    res = integrate_batch(vee, [0.2, 0.0, 1.0, 0.2], 0.4)
+    assert res.status == "Completed"
+    assert np.all(res.states[:, 0] > 0)
+    assert res.n_cuts == 0
+
+
+def test_step_counts_repeat(vee):
+    rows = np.array([[-0.1, 0.05, 1.0, 0.3], [-0.2, 0.0, 0.9, -0.4], [0.2, 0.0, 1.0, 0.2]])
+    a, b = (integrate_batch(vee, rows, [0.3, 0.4, 0.4]) for _ in range(2))
+    assert (a.n_accepted, a.n_rejected, a.n_cuts) == (b.n_accepted, b.n_rejected, b.n_cuts)
+    assert a.n_cuts >= 1
+    np.testing.assert_array_equal(a.times, b.times)
+
+
 def test_trajectory_invariants(hemisphere):
     traj = integrate_geodesic(hemisphere, TangentVector([0.1, -0.2], [0.7, 0.4]), 0.6)
     assert np.all(np.diff(traj.times) > 0)

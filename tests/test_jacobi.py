@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from geoflow.errors import InvalidInput, OutOfDomain
-from geoflow.flow import TangentVector, geodesic_flow, make_geodesic_rhs
+from geoflow.flow import TangentVector, geodesic_flow, integrate_batch, make_geodesic_rhs
 from geoflow.jacobi import (
     JacobiState,
     _make_joint_rhs,
+    basis_block,
     fd_flow_differential,
     flow_differential,
     mixed_partials_residual,
@@ -315,9 +316,9 @@ def test_flow_differential_bad_velocity_rejected(hemisphere):
                 fn(hemisphere, 0.3, v)
         with pytest.raises(InvalidInput):
             propagate_jacobi(hemisphere, v, JacobiState([0, 0], [0, 1.0]), 0.3)
-    with pytest.raises(InvalidInput):
-        propagate_jacobi(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]),
-                         JacobiState([0, 0, 0], [0, 1.0, 0]), 0.3)
+    for j0 in (JacobiState([0, 0, 0], [0, 1.0, 0]), JacobiState([1.0, 0.0, 0.0], [0.0, 1.0])):
+        with pytest.raises(InvalidInput):
+            propagate_jacobi(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), j0, 0.3)
 
 
 def test_rhs_one_derivative_evaluation_each(surfaces):
@@ -341,3 +342,26 @@ def test_rhs_one_derivative_evaluation_each(surfaces):
         assert calls == {"gradient": 1, "hessian": 1}, surf.name
         make_geodesic_rhs(counted)(u[:4])
         assert calls == {"gradient": 2, "hessian": 2}, surf.name
+
+
+def test_vee_flow_differential_rhs_budget(vee):
+    # steps end at the crease x1 = 0 instead of stepping across it, so a
+    # flow differential across the crease stays cheap
+    rhs = _make_joint_rhs(vee, 4)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        x = np.array([rng.uniform(-0.1, -0.02), rng.uniform(-0.2, 0.2)])
+        a = rng.uniform(-0.8, 0.8)
+        y = np.array([math.cos(a), math.sin(a)])
+        y /= g_norm_batch(vee, x, y)
+        calls = []
+
+        def counting_rhs(u):
+            calls.append(1)
+            return rhs(u)
+
+        u0 = np.concatenate([x, y, basis_block(2).ravel()])
+        res = integrate_batch(vee, u0, rng.uniform(0.2, 0.4), rhs=counting_rhs)
+        assert res.status == "Completed"
+        assert res.final_state[0] > 0  # crossed the crease
+        assert len(calls) <= 200

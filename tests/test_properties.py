@@ -24,12 +24,6 @@ from geoflow.jacobi import JacobiState, flow_differential, propagate_jacobi
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER
 
-# c2alpha is left out of time reversal and speed conservation: across its
-# 0.5-Hoelder ridge x1 = 0 the step controller's error estimate is too
-# optimistic, and sampled inputs reach 1.1e-7 and 5.4e-8 there (an open
-# item under ROADMAP.md item 5).
-SMOOTH_STEPPING = [name for name in C2_AND_BETTER if name != "c2alpha"]
-
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 times = st.floats(0.05, 0.2)
 
@@ -49,7 +43,7 @@ def test_flow_composition(surfaces, name, v, s, t):
 
 
 @PROPERTY
-@given(st.sampled_from(SMOOTH_STEPPING), tangents(), times)
+@given(st.sampled_from(C2_AND_BETTER), tangents(), times)
 def test_flow_time_reversal(surfaces, name, v, t):
     surf = surfaces[name]
     back = geodesic_flow(surf, -t, geodesic_flow(surf, t, v))
@@ -57,7 +51,7 @@ def test_flow_time_reversal(surfaces, name, v, t):
 
 
 @PROPERTY
-@given(st.sampled_from(SMOOTH_STEPPING + ["vee"]), tangents(), times)
+@given(st.sampled_from(C2_AND_BETTER + ["vee"]), tangents(), times)
 def test_speed_conserved(surfaces, name, v, t):
     surf = surfaces[name]
     traj = integrate_geodesic(surf, v, t)

@@ -221,7 +221,8 @@ def test_gronwall_dominance_hemisphere(hemisphere):
 
 @pytest.mark.parametrize("j0", [
     JacobiState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), JacobiState([math.nan, 0.0], [0.0, 1.0]),
-], ids=["three_vectors", "nan"])
+    JacobiState([1.0, 0.0, 0.0], [0.0, 1.0]),
+], ids=["three_vectors", "nan", "shape_mismatch"])
 def test_gronwall_margin_bad_initial_value_rejected(hemisphere, j0):
     with pytest.raises(InvalidInput):
         reg.measure_gronwall_margin(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), j0, 0.3)
