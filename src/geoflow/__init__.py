@@ -26,7 +26,7 @@ from .errors import (
 )
 from .flow import TangentVector, Trajectory, exp_map, geodesic_flow, integrate_geodesic
 from .jacobi import FlowDifferential, JacobiState, flow_differential, propagate_jacobi
-from .surface import GraphSurface, GridSurface, Regularity
+from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,7 @@ __all__ = [
     "QuadratureFailure",
     "Regularity",
     "StepFailure",
+    "SurfaceBounds",
     "TangentVector",
     "Trajectory",
     "UnknownSurface",

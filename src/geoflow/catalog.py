@@ -1,8 +1,8 @@
 """Built-in surface catalog and the surface definition file format.
 
 Each entry constructs a GraphSurface with hand-coded derivative arrays and
-records the closed-form facts (known geodesics, curvature values) that the
-test oracles rely on.
+closed-form certified bounds, and records the closed-form facts (known
+geodesics, curvature values) that the test oracles rely on.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfChart, UnknownSurface
-from .surface import GraphSurface, GridSurface, Regularity
+from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 
 @dataclass
@@ -41,7 +41,7 @@ def _flat():
 
     return GraphSurface(
         "flat", 2, 1, [-1.0, -1.0], [1.0, 1.0], h, grad, hess,
-        regularity=Regularity("smooth"),
+        regularity=Regularity("smooth"), bounds=SurfaceBounds(0.0, 0.0, 0.0),
     )
 
 
@@ -74,9 +74,13 @@ def _hemisphere():
         X = np.asarray(X, dtype=float)
         return np.einsum("...i,...i->...", X, X) <= r * r + 1e-15
 
+    # |grad h| = |x|/s and max |Hess h(u, u)| = |x|^2/s^3 + 1/s = 1/s^3, with
+    # s = sqrt(1 - |x|^2), peak on the rim; the sphere's curvatures are all 1.
+    rim = float(np.sqrt(1.0 - r * r))
     return GraphSurface(
         "hemisphere", 2, 1, [-r, -r], [r, r], h, grad, hess,
         regularity=Regularity("smooth"), membership=member,
+        bounds=SurfaceBounds(r / rim, rim ** -3, 1.0),
     )
 
 
@@ -85,8 +89,10 @@ def _ridge(X):
     return np.asarray(X, dtype=float)[..., 0]
 
 
-def _profile_surface(name, f, df, d2f, regularity, crease=None):
-    """Surface of the form h(x1, x2) = f(x1) over [-0.8, 0.8]^2; intrinsically flat."""
+def _profile_surface(name, f, df, d2f, regularity, peak, crease=None):
+    """Surface of the form h(x1, x2) = f(x1) over [-0.8, 0.8]^2; intrinsically flat.
+    |f'| and |f''| are nondecreasing in |x1| for every profile here, so they peak at
+    the chart edge; the one principal curvature f''/(1 + f'^2)^(3/2) peaks at peak."""
     def h(X):
         X = np.asarray(X, dtype=float)
         return f(X[..., 0])[..., None]
@@ -103,9 +109,11 @@ def _profile_surface(name, f, df, d2f, regularity, crease=None):
         out[..., 0, 0, 0] = d2f(X[..., 0])
         return out
 
+    kappa = d2f(peak) / (1.0 + df(peak) ** 2) ** 1.5
     return GraphSurface(
         name, 2, 1, [-0.8, -0.8], [0.8, 0.8], h, grad, hess,
         regularity=regularity, crease=crease,
+        bounds=SurfaceBounds(float(abs(df(0.8))), float(abs(d2f(0.8))), float(kappa)),
     )
 
 
@@ -115,7 +123,7 @@ def _trough():
         lambda u: 0.5 * (np.cosh(u) - 1.0),
         lambda u: 0.5 * np.sinh(u),
         lambda u: 0.5 * np.cosh(u),
-        Regularity("smooth"),
+        Regularity("smooth"), np.arcsinh(np.sqrt(0.5)),  # sinh(u)^2 = 1/2
     )
 
 
@@ -125,29 +133,33 @@ def _c21_cubic():
         lambda u: np.abs(u) ** 3,
         lambda u: 3.0 * u * np.abs(u),
         lambda u: 6.0 * np.abs(u),
-        Regularity("C2alpha", 1.0), crease=_ridge,
+        Regularity("C2alpha", 1.0), 45.0 ** -0.25, crease=_ridge,  # u^4 = 1/45
     )
 
 
 def _c2alpha(alpha=0.5):
     a = float(alpha)
+    regularity = Regularity("C2alpha", a)  # rejects alpha outside (0, 1] first
     p = 2.0 + a
     return _profile_surface(
         "c2alpha",
         lambda u: np.abs(u) ** p,
         lambda u: p * np.sign(u) * np.abs(u) ** (p - 1.0),
         lambda u: p * (p - 1.0) * np.abs(u) ** a,
-        Regularity("C2alpha", a), crease=_ridge,
+        regularity, min(0.8, (a / (p * p * (3.0 + 2.0 * a))) ** (0.5 / (1.0 + a))),
+        crease=_ridge,
     )
 
 
 def _vee():
+    # The curvature 2/(1 + 4u^2)^(3/2) has sup 2, its limit at the crease,
+    # where d2f(0) = 0; at the smallest positive double it evaluates to 2.
     return _profile_surface(
         "vee",
         lambda u: u * np.abs(u),
         lambda u: 2.0 * np.abs(u),
         lambda u: 2.0 * np.sign(u),
-        Regularity("C11"), crease=_ridge,
+        Regularity("C11"), np.nextafter(0.0, 1.0), crease=_ridge,
     )
 
 
@@ -180,7 +192,7 @@ CATALOG = {
     "vee": SurfaceCatalogEntry(
         "vee", "C11",
         "h = x1 |x1|; bounded discontinuous second derivative across the crease",
-        _vee, oracles={"sectional": 0.0, "hess_sup": 2.0},
+        _vee, oracles={"sectional": 0.0},
     ),
 }
 
@@ -206,6 +218,8 @@ def surface_from_spec(spec: dict) -> GraphSurface:
         return make_surface(spec["name"], **params)
     if kind == "grid":
         samples = np.asarray(spec["samples"], dtype=float)
+        if samples.ndim not in (2, 3) or not np.all(np.isfinite(samples)):
+            raise ValueError("grid samples must be a finite (Nx, Ny) or (Nx, Ny, c) array")
         (x0, x1), (y0, y1) = spec["domain"]
         xa = np.linspace(x0, x1, samples.shape[0])
         ya = np.linspace(y0, y1, samples.shape[1])

@@ -86,13 +86,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _resolve_surface(cfg: RunConfig):
+def _resolve_surface(spec: dict):
     try:
-        return surface_from_spec(cfg.surface)
-    except UnknownSurface:
-        raise
+        return surface_from_spec(spec)
     except KeyError as exc:
         raise ConfigError(f"surface spec missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed surface spec: {exc}") from exc
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -117,18 +117,14 @@ def cmd_surface(args, cfg: RunConfig) -> int:
             print(f"{name:12s} {entry.regularity:12s} {entry.description}")
         return 0
     name = args.name
-    if name not in CATALOG:
-        print(f"error: unknown surface {name!r}", file=sys.stderr)
-        return 2
+    surf = _resolve_surface({"type": "catalog", "name": name, "alpha": args.alpha})
     entry = CATALOG[name]
-    surf = make_surface(name)
     info = {
         "schema": SCHEMA,
         "name": name,
         "regularity": str(surf.regularity),
         "domain": [[float(a), float(b)] for a, b in zip(surf.domain_lo, surf.domain_hi)],
-        "grad_sup": surf.bounds.grad_sup,
-        "hess_sup": surf.bounds.hess_sup,
+        **asdict(surf.bounds),
         "oracles": {k: v for k, v in entry.oracles.items()},
         "description": entry.description,
     }
@@ -137,7 +133,7 @@ def cmd_surface(args, cfg: RunConfig) -> int:
 
 
 def cmd_geodesic(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg.surface)
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end, args.tol)
@@ -164,7 +160,7 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
 
 
 def cmd_jacobian(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg.surface)
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     v = TangentVector(x0, y0)
@@ -186,7 +182,7 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
 
 
 def cmd_smooth_converge(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg.surface)
     if surface.regularity.at_least("C3"):
         print(
             f"warning: {surface.name!r} is {surface.regularity}; the smoothing "
@@ -214,7 +210,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
 
 
 def cmd_minimality(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg.surface)
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)

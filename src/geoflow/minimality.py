@@ -120,7 +120,8 @@ def curve_length(surface, samples) -> float:
 
 
 def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
-    """Resolution allowance: lift factor * anisotropy * mesh step * hop count."""
+    """Resolution allowance: lift factor * anisotropy * mesh step * hop count,
+    with the lift sqrt(1 + grad_sup^2) from the surface's certified bounds."""
     lift = float(np.sqrt(1.0 + surface.bounds.grad_sup ** 2))
     return lift * KING_ANISOTROPY * oracle.mesh_step * hops
 

@@ -106,8 +106,10 @@ def empirical_modulus(samples) -> Modulus:
     the running max from the left when evaluated.
     """
     pairs = np.asarray(list(samples), dtype=float)
-    if pairs.ndim != 2 or len(pairs) < 2:
-        raise ValueError("need at least 2 (gap, deviation) samples")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
+        raise InvalidInput("need at least 2 (gap, deviation) samples")
+    if not np.all(np.isfinite(pairs) & (pairs >= 0)):
+        raise InvalidInput("gaps and deviations must be finite and nonnegative")
     gaps, devs = pairs[:, 0], pairs[:, 1]
     delta_max = max(float(np.max(gaps)), 2e-6)
     edges = np.logspace(np.log10(1e-6), np.log10(delta_max), _MODULUS_BINS)
@@ -127,8 +129,8 @@ def gronwall_bound(c_bar: float, x0_norm: float, t: float) -> float:
 
 def osgood_gamma(mu_r: Modulus, c_tilde: float, c_bar: float, t1: float) -> Modulus:
     """Modulus transfer Gamma(delta) = c_tilde * t1 * exp(c_bar * t1) * mu_r(delta)."""
-    if t1 <= 0:
-        raise ValueError("t1 must be positive")
+    if not (np.isfinite([c_tilde, c_bar, t1]).all() and c_tilde >= 0 and c_bar >= 0 and t1 > 0):
+        raise InvalidInput(f"need finite c_tilde, c_bar >= 0 and t1 > 0, got {c_tilde, c_bar, t1}")
     scale = c_tilde * t1 * np.exp(c_bar * t1)
     return Modulus("Transfer", inner=mu_r, scale=scale)
 
@@ -174,8 +176,8 @@ def osgood_integral_check(times, l_values, a: float, mu: Modulus):
 
 def injradius_lower_bound(c: float, l: float) -> float:
     """min(pi / c, l / 2) for curvature bound c and shortest-loop length l."""
-    if c <= 0 or l <= 0:
-        raise ValueError("c and l must be positive")
+    if not (np.isfinite([c, l]).all() and c > 0 and l > 0):
+        raise InvalidInput(f"c and l must be positive and finite, got {c}, {l}")
     return float(min(np.pi / c, l / 2.0))
 
 
@@ -184,8 +186,8 @@ def holder_modulus_check(samples, alpha: float, c_bound: float):
 
     Returns (holds, report) with per-bin margins.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    if not (0.0 < alpha <= 1.0 and np.isfinite(c_bound) and c_bound >= 0):
+        raise InvalidInput(f"need alpha in (0, 1] and finite c_bound >= 0, got {alpha, c_bound}")
     emp = empirical_modulus(samples)
     edges, values = emp.populated_bins()
     limits = c_bound * edges ** alpha

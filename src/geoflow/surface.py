@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePlane, OutOfChart
+from .errors import DegeneratePlane, InvalidInput, OutOfChart
 
 _REG_ORDER = {"C11": (1, 1.0), "C2": (2, 0.0), "C2alpha": None, "C3": (3, 0.0), "smooth": (99, 0.0)}
 
@@ -65,11 +65,17 @@ class Regularity:
 
 @dataclass(frozen=True)
 class SurfaceBounds:
-    """Sampled sup-norms (max-abs entry) of the derivative arrays over the
-    chart domain."""
+    """Certified sups over the chart domain, declared by the surface.
+
+    grad_sup: sup |grad h|, the Frobenius norm of the (m, c) gradient.
+    hess_sup: sup over unit u of |Hess h(u, u)|.
+    curvature_sup: sup over |u|_g = 1 of |Pi(u, u)|, the curvature bound C
+    of the injectivity-radius formula.
+    """
 
     grad_sup: float
     hess_sup: float
+    curvature_sup: float
 
 
 class GraphSurface:
@@ -84,6 +90,8 @@ class GraphSurface:
     not smooth: a vectorized switching function mapping points (..., m) to
     values (...) whose sign changes across the crease (e.g. x1 for a ridge
     at x1 = 0); the integrator ends a step at every crossing of it.
+    `bounds` declares the certified SurfaceBounds; a surface that declares
+    none raises InvalidInput wherever a certified bound is needed.
     """
 
     def __init__(
@@ -100,6 +108,7 @@ class GraphSurface:
         regularity: Regularity,
         membership=None,
         crease=None,
+        bounds: SurfaceBounds | None = None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -115,6 +124,7 @@ class GraphSurface:
         self.regularity = regularity
         self._membership = membership
         self.crease = crease
+        self._bounds = bounds
 
     # -- domain --------------------------------------------------------
 
@@ -146,22 +156,11 @@ class GraphSurface:
         X = np.asarray(X, dtype=float)
         return np.concatenate([X, self.height(X)], axis=-1)
 
-    @cached_property
+    @property
     def bounds(self) -> SurfaceBounds:
-        pts = self.sample_grid(64)
-        grad = self.gradient(pts)
-        hess = self.hessian(pts)
-        return SurfaceBounds(float(np.max(np.abs(grad))), float(np.max(np.abs(hess))))
-
-    def sample_grid(self, per_axis: int) -> np.ndarray:
-        """Dense grid of chart points inside the domain (membership applied)."""
-        axes = [
-            np.linspace(lo, hi, per_axis)
-            for lo, hi in zip(self.domain_lo, self.domain_hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return pts[self.contains_batch(pts)]
+        if self._bounds is None:
+            raise InvalidInput(f"{self.name!r} declares no certified derivative bounds")
+        return self._bounds
 
     def __repr__(self):
         return (
@@ -385,30 +384,6 @@ def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
     return -r
 
 
-def max_principal_curvature(surface, per_axis=48) -> float:
-    """Sup over sampled chart points of max |Pi(u,u)| over unit-g directions
-    u; the bound C for the injectivity-radius formula.
-
-    Codim 1: exact at each point, the largest |generalized eigenvalue| of
-    (Hess h, g) times (1 + |grad h|^2)^(-1/2). Higher codim: the square root
-    of the largest eigenvalue of S relative to g (x) g, which is never below
-    max |Pi(u,u)|^2 because S is the Gram matrix of the Pi(e_a, e_b). The
-    maximum is over grid points only, so a peak between them (vee's crease)
-    is underestimated.
-    """
-    geo = local_geometry(surface, surface.sample_grid(per_axis))
-    m = surface.dim
-    if surface.codim == 1:
-        scale = 1.0 / np.sqrt(1.0 + np.sum(geo.grad[..., 0] ** 2, axis=-1))
-        vals = np.linalg.eigvals(geo.g_inv @ geo.hess[..., 0]).real * scale[:, None]
-    else:
-        g2_inv = np.einsum("...ac,...bd->...abcd", geo.g_inv, geo.g_inv)
-        flat = (-1, m * m, m * m)
-        vals = np.linalg.eigvals(g2_inv.reshape(flat) @ geo.pi.reshape(flat)).real
-        vals = np.sqrt(np.maximum(vals, 0.0))
-    return float(np.max(np.abs(vals), initial=0.0))
-
-
 class GridSurface(GraphSurface):
     """Chart surface backed by sampled grids and bicubic splines (dim 2 only).
 
@@ -421,6 +396,11 @@ class GridSurface(GraphSurface):
     spline whose coefficients are stacked along a trailing axis, so one call
     evaluates all of its components. Points are clamped to the grid box
     first, as FITPACK evaluation does.
+
+    Bounds: a B-spline lies within its largest |coefficient| on the grid box
+    (convex hull; de Boor, A Practical Guide to Splines), so grad_sup and
+    hess_sup are Frobenius norms of per-entry coefficient maxima (12 counted
+    twice), and curvature_sup = hess_sup as |Pi(u,u)| <= |Hess h(u,u)|, |u| <= |u|_g.
     """
 
     def __init__(self, name, x_axis, y_axis, h, grad, hess, *, regularity=Regularity("smooth")):
@@ -445,6 +425,9 @@ class GridSurface(GraphSurface):
             return NdBSpline(spl.get_knots(), coeffs, 3)
 
         h_spl, g_spl, hess_spl = stacked(h), stacked(grad), stacked(hess)
+        grad_max = np.max(np.abs(g_spl.c), axis=(0, 1))
+        hess_max = np.max(np.abs(hess_spl.c), axis=(0, 1)).reshape(3, codim)
+        hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])
         # Exact sups of the stored grids; spline evaluation between knots can
@@ -472,6 +455,7 @@ class GridSurface(GraphSurface):
         super().__init__(
             name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)), gradient, hessian,
             regularity=regularity,
+            bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
 
     @classmethod

@@ -53,3 +53,10 @@ def random_chart_points(surface, n, rng, shrink=0.8):
         if surface.contains(x):
             pts.append(x)
     return np.array(pts)
+
+
+def grid_points(surface, per_axis):
+    """Chart points of a per_axis^m grid over the box, membership applied."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(surface.domain_lo, surface.domain_hi)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return pts[surface.contains_batch(pts)]

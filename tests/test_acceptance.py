@@ -16,8 +16,7 @@ from geoflow.jacobi import JacobiState, fd_flow_differential, flow_differential,
 from geoflow.minimality import branching_check, build_mesh_oracle, minimality_margin, \
     short_geodesic
 from geoflow.regularity import injradius_lower_bound
-from geoflow.surface import curvature_from_christoffel, curvature_operator, \
-    g_norm_batch, max_principal_curvature
+from geoflow.surface import curvature_from_christoffel, curvature_operator, g_norm_batch
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER, CATALOG_NAMES, random_chart_points
 
@@ -149,7 +148,7 @@ def test_09_minimality(surfaces):
     for name in CATALOG_NAMES:
         surf = surfaces[name]
         oracle = build_mesh_oracle(surf, 128)
-        c = max(max_principal_curvature(surf, per_axis=24), 1e-6)
+        c = max(surf.bounds.curvature_sup, 1e-6)
         inradius = 0.5 * float(np.min(surf.domain_hi - surf.domain_lo))
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(20):

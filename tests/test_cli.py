@@ -31,6 +31,14 @@ def test_surface_info_vee(capsys):
     assert info["hess_sup"] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_surface_info_alpha(capsys):
+    assert main(["--surface", "c2alpha", "--alpha", "0.3", "surface", "info", "c2alpha"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["regularity"] == "C2alpha(0.3)"
+    assert info["curvature_sup"] == pytest.approx(1.6425986, abs=1e-7)
+    assert list(info)[4:7] == ["grad_sup", "hess_sup", "curvature_sup"]
+
+
 def test_surface_info_unknown():
     assert main(["surface", "info", "nosuch"]) == 2
 
@@ -278,6 +286,32 @@ def test_config_bad_file(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run_cli(["--config", str(path), "surface", "list"], tmp_path, monkeypatch) == 2
+
+
+GRID_13 = np.zeros((13, 13)).tolist()
+
+
+@pytest.mark.parametrize("flags, spec", [
+    ([], {"type": "grid", "samples": np.zeros((12, 20)).tolist(), "domain": [[0, 1], [0, 1]]}),
+    ([], {"type": "grid", "samples": [[0.0] * 13] * 12 + [[0.0] * 12], "domain": [[0, 1], [0, 1]]}),
+    ([], {"type": "grid", "samples": [0.0] * 13, "domain": [[0, 1], [0, 1]]}),
+    ([], {"type": "grid", "samples": [[float("nan")] * 13] * 13, "domain": [[0, 1], [0, 1]]}),
+    ([], {"type": "grid", "samples": GRID_13, "domain": [0, 1]}),
+    ([], {"type": "grid", "samples": GRID_13, "domain": [[0, 1]]}),
+    (["--surface", "c2alpha", "--alpha", "2"], None),
+    (["--surface", "c2alpha", "--alpha", "nan"], None),
+    (["--surface", "c2alpha", "--alpha", "0"], None),
+    (["--surface", "vee", "--alpha", "0.5"], None),
+], ids=["12-rows", "ragged", "1d", "nan", "flat-domain", "one-pair-domain",
+        "alpha-2", "alpha-nan", "alpha-0", "alpha-on-vee"])
+def test_malformed_surface_spec_exit_2(flags, spec, tmp_path, monkeypatch, capsys):
+    if spec is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"surface": spec}))
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    argv = flags + ["geodesic", "--x0", "0.5,0.5", "--y0", "1,0", "--t-end", "0.1"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_grid_surface_spec(tmp_path, monkeypatch, capsys):

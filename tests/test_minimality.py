@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import OutOfChart
+from geoflow.errors import InvalidInput, OutOfChart
 from geoflow.flow import TangentVector, integrate_geodesic
 from geoflow.minimality import (
     KING_ANISOTROPY,
@@ -17,7 +17,7 @@ from geoflow.minimality import (
     short_geodesic,
 )
 from geoflow.regularity import injradius_lower_bound
-from geoflow.surface import max_principal_curvature
+from geoflow.surface import GraphSurface
 
 from conftest import CATALOG_NAMES, random_chart_points
 
@@ -171,6 +171,16 @@ def test_margin_hemisphere_arc(hemisphere):
     assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_margin_needs_declared_bounds(flat):
+    # the mesh budget's lift factor is a certified bound; a surface without
+    # one gets no margin
+    bare = GraphSurface("bare", 2, 1, flat.domain_lo, flat.domain_hi, flat.height,
+                        flat.gradient, flat.hessian, regularity=flat.regularity)
+    traj = integrate_geodesic(bare, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3)
+    with pytest.raises(InvalidInput):
+        minimality_report(bare, traj, build_mesh_oracle(bare, 16))
+
+
 def test_margin_vee_crease_crossing(vee):
     oracle = build_mesh_oracle(vee, 128)
     traj = integrate_geodesic(vee, TangentVector([-0.15, 0.0], [0.9, 0.3]), 0.3)
@@ -182,7 +192,7 @@ def test_short_geodesics_all_catalog(surfaces):
     for name in CATALOG_NAMES:
         surf = surfaces[name]
         oracle = build_mesh_oracle(surf, 64)
-        c = max(max_principal_curvature(surf, per_axis=24), 1e-6)
+        c = max(surf.bounds.curvature_sup, 1e-6)
         inradius = 0.5 * float(np.min(surf.domain_hi - surf.domain_lo))
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(3):

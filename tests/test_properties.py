@@ -3,7 +3,9 @@
 Start points lie in the disk |x| <= 0.25 with unit chart velocity and times
 in [0.05, 0.2] (up to 0.3 for batch rows); as argued in
 perfbench/workloads.py, such geodesics stay in every catalog chart even for
-the composed time s + t <= 0.4.
+the composed time s + t <= 0.4. Time reversal and speed conservation also
+draw c2alpha runs that cross its ridge x1 = 0, where the 0.5-Hoelder second
+derivative defeats the step-size control unless the step ends at the crossing.
 """
 
 import math
@@ -36,6 +38,23 @@ def tangents(draw):
     return TangentVector([r * math.cos(a), r * math.sin(a)], [math.cos(b), math.sin(b)])
 
 
+@st.composite
+def ridge_crossings(draw):
+    """c2alpha runs from within 0.05 of the ridge, heading across it at
+    |y1| >= 0.5 for long enough to reach it."""
+    y1 = draw(st.floats(0.5, 1.0))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    y2 = draw(st.sampled_from([-1.0, 1.0])) * math.sqrt(1.0 - y1 * y1)
+    x = [side * draw(st.floats(0.0, 0.05)), draw(st.floats(-0.25, 0.25))]
+    return "c2alpha", TangentVector(x, [-side * y1, y2]), draw(st.floats(0.1, 0.2))
+
+
+def runs(names):
+    """(surface name, start, time): generic runs on the named surfaces or
+    ridge crossings on c2alpha."""
+    return st.one_of(st.tuples(st.sampled_from(names), tangents(), times), ridge_crossings())
+
+
 @PROPERTY
 @given(st.sampled_from(C2_AND_BETTER), tangents(), times, times)
 def test_flow_composition(surfaces, name, v, s, t):
@@ -43,16 +62,18 @@ def test_flow_composition(surfaces, name, v, s, t):
 
 
 @PROPERTY
-@given(st.sampled_from(C2_AND_BETTER), tangents(), times)
-def test_flow_time_reversal(surfaces, name, v, t):
+@given(runs(C2_AND_BETTER))
+def test_flow_time_reversal(surfaces, run):
+    name, v, t = run
     surf = surfaces[name]
     back = geodesic_flow(surf, -t, geodesic_flow(surf, t, v))
     assert np.max(np.abs(back.as_state() - v.as_state())) <= 1e-7
 
 
 @PROPERTY
-@given(st.sampled_from(C2_AND_BETTER + ["vee"]), tangents(), times)
-def test_speed_conserved(surfaces, name, v, t):
+@given(runs(C2_AND_BETTER + ["vee"]))
+def test_speed_conserved(surfaces, run):
+    name, v, t = run
     surf = surfaces[name]
     traj = integrate_geodesic(surf, v, t)
     assert np.max(np.abs(speed_profile(surf, traj) - traj.speed)) <= 1e-8 * traj.speed

@@ -14,7 +14,7 @@ from geoflow.flow import TangentVector
 from geoflow.jacobi import JacobiState
 from geoflow.surface import GraphSurface, Regularity, g_norm_batch
 
-from conftest import random_chart_points
+from conftest import grid_points, random_chart_points
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,14 @@ def test_kernel_equal_radii_reference():
 
 def test_mollify_zero(flat):
     s = reg.mollify(flat, 0.1)
-    pts = s.sample_grid(30)
+    pts = grid_points(s, 30)
     assert np.max(np.abs(s.height(pts))) <= 1e-14
     assert np.max(np.abs(s.hessian(pts))) <= 1e-12
 
 
 def test_mollify_affine_exact():
     s = reg.mollify(_affine_surface(), 0.1)
-    pts = s.sample_grid(40)
+    pts = grid_points(s, 40)
     expected = 0.3 + 0.5 * pts[:, 0] - 0.2 * pts[:, 1]
     np.testing.assert_allclose(s.height(pts)[:, 0], expected, atol=1e-12)
     np.testing.assert_allclose(s.gradient(pts)[:, 0, 0], 0.5, atol=1e-12)
@@ -90,7 +90,7 @@ def test_mollify_vee_second_derivative(vee):
     # the splined field between nodes may ring above the data bound by its
     # interpolation error only
     s = reg.mollify(vee, 0.05)
-    pts = s.sample_grid(100)
+    pts = grid_points(s, 100)
     assert np.max(np.abs(s.hessian(pts)[..., 0, 0, 0])) <= 2.0 + 5e-3
 
 
@@ -320,6 +320,32 @@ def test_injradius_values():
     assert reg.injradius_lower_bound(1.0, 2 * math.pi) == pytest.approx(math.pi)
     assert reg.injradius_lower_bound(2.0, 10.0) == pytest.approx(math.pi / 2)
     assert reg.injradius_lower_bound(0.1, 1.0) == pytest.approx(0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+LINEAR = reg.Modulus("Linear", coeff=1.0)
+PAIRS = [(0.1, 0.2), (0.5, 0.3)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reg.injradius_lower_bound(NAN, 1.0),
+    lambda: reg.injradius_lower_bound(1.0, INF),
+    lambda: reg.injradius_lower_bound(0.0, 1.0),
+    lambda: reg.osgood_gamma(LINEAR, 1.0, 1.0, NAN),
+    lambda: reg.osgood_gamma(LINEAR, NAN, 1.0, 1.0),
+    lambda: reg.osgood_gamma(LINEAR, 1.0, INF, 1.0),
+    lambda: reg.osgood_gamma(LINEAR, -1.0, 1.0, 1.0),
+    lambda: reg.empirical_modulus([(0.1, NAN), (0.5, 0.3)]),
+    lambda: reg.empirical_modulus([(INF, 0.2), (0.5, 0.3)]),
+    lambda: reg.empirical_modulus([(0.1, 0.2)]),
+    lambda: reg.holder_modulus_check(PAIRS, NAN, 1.0),
+    lambda: reg.holder_modulus_check(PAIRS, 0.5, NAN),
+    lambda: reg.holder_modulus_check(PAIRS, 0.5, -1.0),
+])
+def test_formulas_reject_bad_input(call):
+    # a non-finite or out-of-range argument never comes back as a NaN result
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def test_holder_check_linear_map():

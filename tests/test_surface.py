@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoflow.errors import DegeneratePlane, OutOfChart
+from geoflow.errors import DegeneratePlane, InvalidInput, OutOfChart
 from geoflow.regularity import mollify
 from geoflow.surface import (
     GraphSurface,
@@ -17,7 +17,6 @@ from geoflow.surface import (
     curvature_operator,
     embed,
     local_geometry,
-    max_principal_curvature,
     metric_at,
     metric_batch,
     normal_projector,
@@ -26,7 +25,7 @@ from geoflow.surface import (
     tangent_frame,
 )
 
-from conftest import C3_AND_BETTER, CATALOG_NAMES, random_chart_points
+from conftest import C3_AND_BETTER, CATALOG_NAMES, grid_points, random_chart_points
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +90,10 @@ def test_metric_inverse_consistency(surfaces):
 
 
 def test_metric_eigenvalue_bounds(surfaces):
-    # eigenvalues of g lie in [1, 1 + grad_sup^2 * m]
+    # eigenvalues of g = I + grad grad^T lie in [1, 1 + |grad h|^2]
     rng = np.random.default_rng(11)
     for surf in surfaces.values():
-        hi = 1.0 + (1.1 * surf.bounds.grad_sup) ** 2 * surf.dim
+        hi = 1.0 + surf.bounds.grad_sup ** 2
         pts = random_chart_points(surf, 100, rng)
         g, _ = metric_batch(surf, pts)
         eig = np.linalg.eigvalsh(g)
@@ -171,12 +170,9 @@ def test_c11_hessian_bounded(vee):
     rng = np.random.default_rng(29)
     pts = random_chart_points(vee, 200, rng, shrink=0.99)
     hess = vee.hessian(pts)
-    assert np.max(np.abs(hess)) <= 1.1 * vee.bounds.hess_sup + 1e-12
+    assert np.max(np.abs(hess)) <= vee.bounds.hess_sup
 
 
-def test_vee_bounds(vee):
-    assert vee.bounds.hess_sup == pytest.approx(2.0, abs=1e-12)
-    assert vee.bounds.grad_sup == pytest.approx(1.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +460,78 @@ def test_stacked_spline_matches_fitpack():
 
 
 # ---------------------------------------------------------------------------
-# curvature bound
+# declared bounds
 # ---------------------------------------------------------------------------
 
 
-def test_max_principal_curvature_exact(surfaces):
-    assert max_principal_curvature(surfaces["hemisphere"]) == pytest.approx(1.0, abs=1e-12)
-    # vee: kappa = 2 / (1 + 4 x1^2)^(3/2) off the crease; the sup 2 is a limit
-    # at x1 -> 0, so the sampled value is the closed form at the nearest samples.
-    for per_axis in (48, 400):
-        u = surfaces["vee"].sample_grid(per_axis)[:, 0]
-        exact = float(np.max(2.0 * np.abs(np.sign(u)) / (1.0 + 4.0 * u ** 2) ** 1.5))
-        got = max_principal_curvature(surfaces["vee"], per_axis=per_axis)
-        assert got == pytest.approx(exact, abs=1e-12)
-    assert 2.0 - got < 1e-4
+def _codim2_grid():
+    """Spline surface of h = (0.3 sin(3 x1 + x2), 0.2 x1 cos(2 x2)) on a coarse grid."""
+    xa = np.linspace(-0.5, 0.5, 21)
+    x1, x2 = np.meshgrid(xa, xa, indexing="ij")
+    s, c = np.sin(3 * x1 + x2), np.cos(3 * x1 + x2)
+    s2, c2 = np.sin(2 * x2), np.cos(2 * x2)
+    zero = np.zeros_like(x1)
+    h = np.stack([0.3 * s, 0.2 * x1 * c2], -1)
+    grad = np.stack([np.stack([0.9 * c, 0.2 * c2], -1),
+                     np.stack([0.3 * c, -0.4 * x1 * s2], -1)], -2)
+    hess = np.stack([np.stack([-2.7 * s, zero], -1), np.stack([-0.9 * s, -0.4 * s2], -1),
+                     np.stack([-0.3 * s, -0.8 * x1 * c2], -1)], -2)
+    return GridSurface("codim2", xa, xa, h, grad, hess)
 
 
-def test_max_principal_curvature_bounds_sampled_directions(surfaces):
+def _dense_sups(surf, pts):
+    """Largest |grad h|, |Hess h(u, u)| over unit u and principal curvature
+    over the points of a codim-1 surface, each exact per point."""
+    geo = local_geometry(surf, pts)
+    grad = np.sqrt(np.sum(geo.grad ** 2, axis=(-2, -1)))
+    hess = np.abs(np.linalg.eigvalsh(geo.hess[..., 0])).max(axis=-1)
+    shape_op = np.linalg.solve(geo.g, geo.hess[..., 0]) / np.sqrt(1.0 + grad ** 2)[:, None, None]
+    kappa = np.abs(np.linalg.eigvals(shape_op).real).max(axis=-1)
+    return grad.max(), hess.max(), kappa.max()
+
+
+def test_hemisphere_bounds(hemisphere):
+    assert hemisphere.bounds.grad_sup == pytest.approx(4 / 3, rel=1e-15)
+    assert hemisphere.bounds.hess_sup == pytest.approx(125 / 27, rel=1e-15)
+    assert hemisphere.bounds.curvature_sup == 1.0
+
+
+def test_vee_bounds(vee):
+    assert (vee.bounds.grad_sup, vee.bounds.hess_sup, vee.bounds.curvature_sup) == (1.6, 2.0, 2.0)
+
+
+def test_declared_bounds_match_dense_maxima(surfaces):
+    # every sup is attained or approached on the x1 axis (the profiles depend
+    # on x1 alone, the hemisphere on |x|) or on the hemisphere's rim circle
+    angle = np.linspace(0.0, 2.0 * np.pi, 721)
+    rim = 0.8 * np.stack([np.cos(angle), np.sin(angle)], -1)
+    axis = np.stack([np.linspace(-0.8, 0.8, 100_001), np.zeros(100_001)], -1)
+    for name in CATALOG_NAMES:
+        surf = surfaces[name]
+        pts = np.concatenate([axis, rim, grid_points(surf, 101)])
+        b = surf.bounds
+        for declared, dense in zip((b.grad_sup, b.hess_sup, b.curvature_sup),
+                                   _dense_sups(surf, pts)):
+            assert dense <= declared * (1 + 1e-12), name
+            assert declared <= dense * (1 + 1e-6), name
+
+
+def test_grid_bounds_cover_splines(vee):
+    # the coefficient bounds hold between the grid nodes, where splines ring
+    angle = np.linspace(0.0, np.pi, 32, endpoint=False)
+    dirs = np.stack([np.cos(angle), np.sin(angle)], -1)
+    for surf in (mollify(vee, 0.05), _codim2_grid()):
+        grad_max = hess_max = 0.0
+        for pts in np.array_split(grid_points(surf, 400), 16):
+            grad_max = max(grad_max, np.sqrt(np.sum(surf.gradient(pts) ** 2, axis=(-2, -1))).max())
+            hess_uu = np.einsum("di,dj,pija->pda", dirs, dirs, surf.hessian(pts))
+            hess_max = max(hess_max, np.linalg.norm(hess_uu, axis=-1).max())
+        assert grad_max <= surf.bounds.grad_sup, surf.name
+        assert hess_max <= surf.bounds.hess_sup, surf.name
+        assert surf.bounds.curvature_sup == surf.bounds.hess_sup
+
+
+def test_curvature_sup_bounds_sampled_directions(surfaces):
     rng = np.random.default_rng(8)
     dirs = rng.normal(size=(64, 2))
 
@@ -490,28 +541,13 @@ def test_max_principal_curvature_bounds_sampled_directions(surfaces):
         val2 = np.einsum("di,dj,dk,dl,pijkl->pd", dirs, dirs, dirs, dirs, geo.pi) / gn2 ** 2
         return float(np.sqrt(np.max(val2)))
 
-    for name in CATALOG_NAMES:
-        surf = surfaces[name]
-        pts = surf.sample_grid(16)
-        assert max_principal_curvature(surf, per_axis=16) >= sampled(surf, pts) - 1e-12, name
+    for surf in [surfaces[name] for name in CATALOG_NAMES] + [_codim2_grid()]:
+        pts = grid_points(surf, 16)
+        assert surf.bounds.curvature_sup >= sampled(surf, pts) - 1e-12, surf.name
 
-    # codim 2: h = (x1^2 + x2^2 / 2, x1 x2), an upper bound never below the samples
-    def h(X):
-        return np.stack([X[..., 0] ** 2 + 0.5 * X[..., 1] ** 2, X[..., 0] * X[..., 1]], -1)
 
-    def grad(X):
-        out = np.zeros(X.shape[:-1] + (2, 2))
-        out[..., 0, 0], out[..., 1, 0] = 2 * X[..., 0], X[..., 1]
-        out[..., 0, 1], out[..., 1, 1] = X[..., 1], X[..., 0]
-        return out
-
-    def hess(X):
-        out = np.zeros(X.shape[:-1] + (2, 2, 2))
-        out[..., 0, 0, 0], out[..., 1, 1, 0] = 2.0, 1.0
-        out[..., 0, 1, 1] = out[..., 1, 0, 1] = 1.0
-        return out
-
-    surf = GraphSurface("codim2", 2, 2, [-0.5, -0.5], [0.5, 0.5], h, grad, hess,
+def test_undeclared_bounds_raise():
+    surf = GraphSurface("bare", 2, 1, [-1.0, -1.0], [1.0, 1.0], None, None, None,
                         regularity=Regularity("smooth"))
-    bound = max_principal_curvature(surf, per_axis=16)
-    assert np.isfinite(bound) and bound >= sampled(surf, surf.sample_grid(16)) - 1e-12
+    with pytest.raises(InvalidInput):
+        surf.bounds
