@@ -17,8 +17,6 @@ from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 @dataclass
 class SurfaceCatalogEntry:
-    name: str
-    regularity: str
     description: str
     build: callable
     oracles: dict = field(default_factory=dict)
@@ -165,32 +163,27 @@ def _vee():
 
 CATALOG = {
     "flat": SurfaceCatalogEntry(
-        "flat", "smooth", "plane h = 0; geodesics are straight lines",
+        "plane h = 0; geodesics are straight lines",
         _flat, oracles={"sectional": 0.0, "geodesic": "straight line"},
     ),
     "hemisphere": SurfaceCatalogEntry(
-        "hemisphere", "smooth",
         "unit sphere cap h = sqrt(1 - |x|^2), chart |x| <= 0.8; "
         "great circles through the pole project to x(t) = sin(t) * dir",
         _hemisphere, oracles={"sectional": 1.0, "geodesic": "great circle"},
     ),
     "trough": SurfaceCatalogEntry(
-        "trough", "smooth",
         "profile surface h = (cosh(x1) - 1)/2; developable, zero sectional curvature",
         _trough, oracles={"sectional": 0.0},
     ),
     "c21_cubic": SurfaceCatalogEntry(
-        "c21_cubic", "C2alpha(1)",
         "h = |x1|^3; second derivatives Lipschitz but not differentiable at the ridge",
         _c21_cubic, oracles={"sectional": 0.0},
     ),
     "c2alpha": SurfaceCatalogEntry(
-        "c2alpha", "C2alpha(alpha)",
         "h = |x1|^(2+alpha); second derivatives alpha-Hoelder at the ridge",
         _c2alpha, oracles={"sectional": 0.0},
     ),
     "vee": SurfaceCatalogEntry(
-        "vee", "C11",
         "h = x1 |x1|; bounded discontinuous second derivative across the crease",
         _vee, oracles={"sectional": 0.0},
     ),

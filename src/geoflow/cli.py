@@ -114,7 +114,7 @@ def _out_path(cfg: RunConfig, key: str, default: str) -> str:
 def cmd_surface(args, cfg: RunConfig) -> int:
     if args.action == "list":
         for name, entry in CATALOG.items():
-            print(f"{name:12s} {entry.regularity:12s} {entry.description}")
+            print(f"{name:12s} {str(make_surface(name).regularity):12s} {entry.description}")
         return 0
     name = args.name
     surf = _resolve_surface({"type": "catalog", "name": name, "alpha": args.alpha})
@@ -154,8 +154,7 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
     csv_path = args.out or _out_path(cfg, "trajectory_csv", "geodesic.csv")
     serialize.write_trajectory_csv(csv_path, surface, traj)
     json_path = _out_path(cfg, "summary_json", "geodesic.json")
-    serialize.write_json(json_path, summary)
-    print(serialize.dumps(summary))
+    print(serialize.write_json(json_path, summary))
     return 0
 
 
@@ -176,8 +175,7 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
         out["fd_matrix"] = num
         out["max_abs_diff"] = float(np.max(np.abs(num - fd.matrix)))
     path = args.out or _out_path(cfg, "jacobian_json", "jacobian.json")
-    serialize.write_json(path, out)
-    print(serialize.dumps(out))
+    print(serialize.write_json(path, out))
     return 0
 
 
@@ -196,7 +194,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
     out.update(report.as_dict())
     path = args.out or _out_path(cfg, "convergence_json", "convergence.json")
-    serialize.write_json(path, out)
+    text = serialize.write_json(path, out)
     csv_path = _out_path(cfg, "convergence_csv", "delta-vs-level.csv")
     rows = [
         [i, scales[i], seq.metric_c1_dist[i], seq.pi_c0_dist[i],
@@ -205,7 +203,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
         for i in range(len(scales))
     ]
     serialize.write_csv(csv_path, ["level", "scale", "metric_c1", "pi_c0", "flow_c0", "dflow_c0"], rows)
-    print(serialize.dumps(out))
+    print(text)
     return 0
 
 
@@ -219,8 +217,7 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)
     path = args.out or _out_path(cfg, "minimality_json", "minimality.json")
-    serialize.write_json(path, out)
-    print(serialize.dumps(out))
+    print(serialize.write_json(path, out))
     return 0
 
 
@@ -319,7 +316,7 @@ def _suite_regularity(tols, seed):
         rep = reg.measure_gronwall_margin(hemi, v, j0, 0.4)
         ok = ok and rep["dominated"]
     checks.append(_check("gronwall_dominance_hemisphere", ok, 1.0, ok))
-    gamma = reg.osgood_gamma(reg.Modulus("Linear", coeff=1.0), 1.0, 1.0, 1.0)
+    gamma = reg.osgood_gamma(lambda d: d, 1.0, 1.0, 1.0)
     checks.append(_check("gamma_formula", abs(gamma(0.1) - 0.1 * np.e), 1e-12))
     err = abs(reg.injradius_lower_bound(1.0, 2 * np.pi) - np.pi)
     checks.append(_check("injradius_formula", err, 1e-12))
@@ -363,8 +360,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         "all_passed": all_passed,
     }
     path = args.out or _out_path(cfg, "report_json", "report.json")
-    serialize.write_json(path, out)
-    print(serialize.dumps(out))
+    print(serialize.write_json(path, out))
     return 0 if all_passed else 1
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfChart
+from .errors import InvalidInput, OutOfChart
 
 COMPLETED = "Completed"
 LEFT_CHART = "LeftChart"
@@ -135,7 +135,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     u0 is one state (d,) or a batch of rows (B, d); f, inside and crease
     take states of the same shape, inside returning one bool and crease one
     switching value per row. The rows share every step, and the error norm
-    is the largest per-row RMS error. t_end is one end time or one per row.
+    is the largest per-row RMS error. t_end is one end time or one per row,
+    each finite and >= 0 (InvalidInput otherwise).
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
@@ -155,6 +156,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     u = current = np.array(u0, dtype=float, ndmin=2)  # current: every row's latest state
     n_rows, dim = u.shape
     ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
+    if not np.all(np.isfinite(ends) & (ends >= 0)):
+        raise InvalidInput(f"end times must be finite and >= 0, got {t_end}")
     due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
     rows = np.arange(n_rows)                    # original index of each running row
     row_status = [COMPLETED] * n_rows

@@ -162,6 +162,8 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     """
     u0 = np.concatenate(check_request(surface, t_end, v, positive=True))
     step_sizes = sorted(step_sizes, reverse=True)
+    if not step_sizes or not all(np.isfinite(s) and s > 0 for s in step_sizes):
+        raise InvalidInput(f"need one or more finite positive step sizes, got {step_sizes}")
     reference_step = step_sizes[-1] / 4.0
     runs = {}
     for s in list(step_sizes) + [reference_step]:

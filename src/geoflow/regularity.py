@@ -45,57 +45,23 @@ _MODULUS_GAPS = np.logspace(-3, -1, 7)  # base-point gaps of the modulus probes
 
 @dataclass
 class Modulus:
-    """Nondecreasing function mu on [0, delta_max] with mu(0) = 0.
+    """Empirical modulus of continuity mu on [0, delta_max], mu(0) = 0.
 
-    kind: Empirical (binned running-max estimates), Linear(C), Power(C, alpha)
-    or Transfer (the explicit exponential transfer built on an inner modulus).
+    edges: upper bin edges, increasing; values: the running max of the
+    per-bin sups, so mu is nondecreasing (0 left of the first sample);
+    populated: the bins that received a sample. Closed-form moduli (linear,
+    power, the transfer Gamma) are plain callables of delta.
     """
 
-    kind: str
-    coeff: float = 1.0
-    alpha: float = 1.0
-    bin_edges: np.ndarray | None = None   # upper edges, increasing
-    bin_values: np.ndarray | None = None  # running max per bin (nan = empty)
-    inner: "Modulus | None" = None
-    scale: float = 1.0                    # Transfer prefactor Ct*t1*exp(Cb*t1)
+    edges: np.ndarray
+    values: np.ndarray
+    populated: np.ndarray
 
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=float)
-        if self.kind == "Linear":
-            out = self.coeff * delta
-        elif self.kind == "Power":
-            out = self.coeff * delta ** self.alpha
-        elif self.kind == "Transfer":
-            out = self.scale * self.inner(delta)
-        elif self.kind == "Empirical":
-            out = self._eval_empirical(delta)
-        else:
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
+        idx = np.clip(np.searchsorted(self.edges, delta, side="left"), 0, len(self.values) - 1)
+        out = np.where(delta <= 0.0, 0.0, self.values[idx])
         return float(out) if out.ndim == 0 else out
-
-    def _eval_empirical(self, delta):
-        vals = self._running_max()
-        idx = np.searchsorted(self.bin_edges, delta, side="left")
-        idx = np.clip(idx, 0, len(vals) - 1)
-        out = vals[idx]
-        return np.where(delta <= 0.0, 0.0, out)
-
-    def populated_bins(self):
-        """(upper_edge, value) pairs for bins that received at least one sample."""
-        mask = ~np.isnan(self.bin_values)
-        return self.bin_edges[mask], np.asarray(self._running_max())[mask]
-
-    def _running_max(self):
-        vals = np.where(np.isnan(self.bin_values), -np.inf, self.bin_values)
-        run = np.maximum.accumulate(vals)
-        return np.where(run == -np.inf, 0.0, run)
-
-    def dump_rows(self):
-        """(delta, mu) rows for CSV output."""
-        if self.kind == "Empirical":
-            return np.column_stack([self.bin_edges, self._running_max()])
-        deltas = np.logspace(-6, 0, 49)
-        return np.column_stack([deltas, self(deltas)])
 
 
 def empirical_modulus(samples) -> Modulus:
@@ -103,7 +69,7 @@ def empirical_modulus(samples) -> Modulus:
 
     samples: iterable of (input_gap, output_deviation). _MODULUS_BINS bins
     are spaced logarithmically over [1e-6, largest gap]; empty bins inherit
-    the running max from the left when evaluated.
+    the running max from the left.
     """
     pairs = np.asarray(list(samples), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
@@ -113,30 +79,42 @@ def empirical_modulus(samples) -> Modulus:
     gaps, devs = pairs[:, 0], pairs[:, 1]
     delta_max = max(float(np.max(gaps)), 2e-6)
     edges = np.logspace(np.log10(1e-6), np.log10(delta_max), _MODULUS_BINS)
-    values = np.full(_MODULUS_BINS, np.nan)
-    idx = np.searchsorted(edges, gaps, side="left")
-    idx = np.clip(idx, 0, _MODULUS_BINS - 1)
-    for i, d in zip(idx, devs):
-        if np.isnan(values[i]) or d > values[i]:
-            values[i] = d
-    return Modulus("Empirical", bin_edges=edges, bin_values=values)
+    idx = np.clip(np.searchsorted(edges, gaps, side="left"), 0, _MODULUS_BINS - 1)
+    sups = np.full(_MODULUS_BINS, -np.inf)
+    np.maximum.at(sups, idx, devs)
+    run = np.maximum.accumulate(sups)
+    return Modulus(edges, np.where(run == -np.inf, 0.0, run), sups > -np.inf)
 
 
-def gronwall_bound(c_bar: float, x0_norm: float, t: float) -> float:
-    """A-priori bound x0 * exp(c_bar * t) for the joint Jacobi state."""
-    return float(x0_norm * np.exp(c_bar * t))
+def dominance(samples, limit) -> dict:
+    """Per-bin check of the empirical modulus of (gap, deviation) samples
+    against a closed-form modulus limit, on the populated bins: holds when
+    every margin limit(edge) - value is >= -1e-12."""
+    mu = empirical_modulus(samples)
+    edges, values = mu.edges[mu.populated], mu.values[mu.populated]
+    limits = limit(edges)
+    margins = limits - values
+    return {"edges": edges, "values": values, "limits": limits, "margins": margins,
+            "holds": bool(np.all(margins >= -1e-12))}
 
 
-def osgood_gamma(mu_r: Modulus, c_tilde: float, c_bar: float, t1: float) -> Modulus:
+def gronwall_bound(c_bar: float, x0_norm: float, t):
+    """A-priori bound x0 * exp(c_bar * t) for the joint Jacobi state, at one
+    time t or an array of times."""
+    return x0_norm * np.exp(c_bar * t)
+
+
+def osgood_gamma(mu_r, c_tilde: float, c_bar: float, t1: float):
     """Modulus transfer Gamma(delta) = c_tilde * t1 * exp(c_bar * t1) * mu_r(delta)."""
     if not (np.isfinite([c_tilde, c_bar, t1]).all() and c_tilde >= 0 and c_bar >= 0 and t1 > 0):
         raise InvalidInput(f"need finite c_tilde, c_bar >= 0 and t1 > 0, got {c_tilde, c_bar, t1}")
     scale = c_tilde * t1 * np.exp(c_bar * t1)
-    return Modulus("Transfer", inner=mu_r, scale=scale)
+    return lambda delta: scale * mu_r(delta)
 
 
-def osgood_integral_check(times, l_values, a: float, mu: Modulus):
-    """Check the integral inequality int_a^{L(t)} ds/mu(s) <= t - t0.
+def osgood_integral_check(times, l_values, a: float, mu):
+    """Check the integral inequality int_a^{L(t)} ds/mu(s) <= t - t0 for a
+    modulus mu, any callable of delta.
 
     Returns (holds, margin): margin is the minimum over samples of
     t - t0 - integral. For a = 0 with a divergent integral the check
@@ -145,12 +123,16 @@ def osgood_integral_check(times, l_values, a: float, mu: Modulus):
     times = np.asarray(times, dtype=float)
     l_values = np.asarray(l_values, dtype=float)
     t0 = times[0]
+
+    def inverse(s):
+        return 1.0 / max(mu(s), 1e-300)
+
     if a == 0.0:
         # Divergence probe: 1/mu is non-integrable at zero iff the partial
         # integrals over [a0, 1] keep growing as a0 shrinks.
         try:
-            i6, _ = quad(lambda s: 1.0 / max(mu(s), 1e-300), 1e-6, 1.0, limit=200)
-            i9, _ = quad(lambda s: 1.0 / max(mu(s), 1e-300), 1e-9, 1.0, limit=200)
+            i6, _ = quad(inverse, 1e-6, 1.0, limit=200)
+            i9, _ = quad(inverse, 1e-9, 1.0, limit=200)
         except Exception as exc:  # pragma: no cover - defensive
             raise QuadratureFailure(str(exc)) from exc
         if i9 > 1.2 * i6 + 1e-9 or not np.isfinite(i9):
@@ -163,7 +145,7 @@ def osgood_integral_check(times, l_values, a: float, mu: Modulus):
         if lv <= a:
             continue  # inequality trivially satisfied
         try:
-            integral, _ = quad(lambda s: 1.0 / max(mu(s), 1e-300), a, lv, limit=200)
+            integral, _ = quad(inverse, a, lv, limit=200)
         except Exception as exc:
             raise QuadratureFailure(str(exc)) from exc
         if not np.isfinite(integral):
@@ -184,22 +166,12 @@ def injradius_lower_bound(c: float, l: float) -> float:
 def holder_modulus_check(samples, alpha: float, c_bound: float):
     """Assert the empirical modulus lies below c_bound * delta^alpha per bin.
 
-    Returns (holds, report) with per-bin margins.
+    Returns (holds, report) with per-bin margins (see dominance).
     """
     if not (0.0 < alpha <= 1.0 and np.isfinite(c_bound) and c_bound >= 0):
         raise InvalidInput(f"need alpha in (0, 1] and finite c_bound >= 0, got {alpha, c_bound}")
-    emp = empirical_modulus(samples)
-    edges, values = emp.populated_bins()
-    limits = c_bound * edges ** alpha
-    margins = limits - values
-    holds = bool(np.all(margins >= -1e-12))
-    return holds, {
-        "edges": edges,
-        "values": values,
-        "limits": limits,
-        "margins": margins,
-        "holds": holds,
-    }
+    rep = dominance(samples, lambda d: c_bound * d ** alpha)
+    return rep["holds"], rep
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +449,7 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     jk = states[:, 2 * m:]
     norms = np.linalg.norm(jk, axis=1)
     c_bar = coefficient_bound_along(surface, states[:, : 2 * m])
-    bounds = np.linalg.norm(jk[0]) * np.exp(c_bar * res.times)
+    bounds = gronwall_bound(c_bar, np.linalg.norm(jk[0]), res.times)
     return {
         "c_bar": c_bar,
         "norms": norms,
@@ -519,7 +491,7 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
 
     stride = max(1, len(res.times) // 40)
     c_bar = coefficient_bound_along(surface, res.states[::stride])
-    bound = float(np.exp(c_bar * t_end))
+    bound = float(gronwall_bound(c_bar, 1.0, t_end))
     return {
         "t_end": t_end,
         "quotients": quotients,
@@ -585,25 +557,9 @@ def osgood_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
     gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
         surface, t1, n_centers, _MODULUS_GAPS, seed
     )
-    mu_r = empirical_modulus(zip(gaps, coeff_dev))
-    gamma = osgood_gamma(mu_r, c_tilde, c_bar, t1)
-    emp = empirical_modulus(zip(gaps, state_dev))
-    edges, values = emp.populated_bins()
-    limits = gamma(edges)
-    margins = limits - values
-    dominated = bool(np.all(margins >= -1e-12))
-    return {
-        "t1": t1,
-        "c_tilde": c_tilde,
-        "c_bar": c_bar,
-        "empirical": emp,
-        "gamma": gamma,
-        "edges": edges,
-        "values": values,
-        "limits": limits,
-        "margins": margins,
-        "dominated": dominated,
-    }
+    gamma = osgood_gamma(empirical_modulus(zip(gaps, coeff_dev)), c_tilde, c_bar, t1)
+    return {"t1": t1, "c_tilde": c_tilde, "c_bar": c_bar, "gamma": gamma,
+            **dominance(zip(gaps, state_dev), gamma)}
 
 
 def holder_dominance_report(surface, alpha, t1=0.3, n_centers=8, seed=0):

@@ -48,9 +48,12 @@ def dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_json(path, obj):
+def write_json(path, obj) -> str:
+    """Write obj as JSON plus a trailing newline; return the text without it."""
+    text = dumps(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def write_csv(path, header, rows):
@@ -67,7 +70,3 @@ def write_trajectory_csv(path, surface, traj):
     m = surface.dim
     header = ["t"] + [f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)] + ["speed"]
     write_csv(path, header, trajectory_rows(surface, traj))
-
-
-def write_modulus_csv(path, modulus):
-    write_csv(path, ["delta", "mu"], modulus.dump_rows())

@@ -128,10 +128,6 @@ class GraphSurface:
 
     # -- domain --------------------------------------------------------
 
-    @property
-    def width(self) -> float:
-        return float(np.max(self.domain_hi - self.domain_lo))
-
     def contains_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         ok = np.all((X >= self.domain_lo) & (X <= self.domain_hi), axis=-1)
@@ -435,8 +431,6 @@ class GridSurface(GraphSurface):
         self.grid_abs_max = {
             k: float(np.max(np.abs(a))) for k, a in (("h", h), ("grad", grad), ("hess", hess))
         }
-        self.x_axis = x_axis
-        self.y_axis = y_axis
 
         # Closures over the splines, not bound methods: a bound method stored
         # on self is a reference cycle, which leaves the coefficients to the

@@ -24,6 +24,16 @@ def test_surface_list(capsys):
     assert len(out) == 6
 
 
+def test_surface_list_regularity_matches_info(capsys):
+    # the listing prints each surface's own regularity, as `surface info` does
+    assert main(["surface", "list"]) == 0
+    listed = {line.split()[0]: line.split()[1]
+              for line in capsys.readouterr().out.strip().splitlines()}
+    for name, regularity in listed.items():
+        assert main(["surface", "info", name]) == 0
+        assert json.loads(capsys.readouterr().out)["regularity"] == regularity
+
+
 def test_surface_info_vee(capsys):
     assert main(["surface", "info", "vee"]) == 0
     info = json.loads(capsys.readouterr().out)

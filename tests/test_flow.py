@@ -225,6 +225,17 @@ def test_integrate_batch_row_leaving_chart(hemisphere):
         require_completed(res, "batch")
 
 
+@pytest.mark.parametrize("ics, t_end", [
+    ([[0.1, 0.0, 1.0, 0.0]], math.nan),
+    ([[0.1, 0.0, 1.0, 0.0]], -1.0),
+    ([[0.1, 0.0, 1.0, 0.0], [0.2, 0.0, 1.0, 0.0]], [0.3, math.inf]),
+], ids=["nan", "negative", "per_row_inf"])
+def test_integrate_batch_impossible_end_time_rejected(vee, ics, t_end):
+    # no row can reach such an end time; it is never reported Completed at t = 0
+    with pytest.raises(InvalidInput):
+        integrate_batch(vee, ics, t_end)
+
+
 # ---------------------------------------------------------------------------
 # flow map and exponential map
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from geoflow.jacobi import (
     mixed_partials_residual,
     propagate_jacobi,
 )
+from geoflow.regularity import jacobi_coefficient_matrix, mollify
 from geoflow.surface import g_norm_batch
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER, CATALOG_NAMES, random_chart_points
@@ -72,6 +73,22 @@ def test_joint_rhs_phase_matches_geodesic_rhs(surfaces):
         phase_dot, _ = joint_rhs(surf, v, JacobiState([0.3, -0.1], [0.2, 0.5]))
         expected = make_geodesic_rhs(surf)(v.as_state())
         np.testing.assert_allclose(phase_dot.as_state(), expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_points", [1, 64])
+def test_joint_rhs_matches_coefficient_matrix(surfaces, n_points):
+    # The joint RHS and regularity.jacobi_coefficient_matrix (which sets the
+    # Gronwall and transfer constants) both spell out A = [[-G, I], [M, -G]].
+    rng = np.random.default_rng(6)
+    for surf in [*surfaces.values(), mollify(surfaces["c2alpha"], 0.1)]:
+        m = surf.dim
+        x = random_chart_points(surf, n_points, rng)
+        y = rng.normal(size=(n_points, m))
+        jk = rng.normal(size=(n_points, 2 * m))
+        du = _make_joint_rhs(surf, 1)(np.concatenate([x, y, jk], axis=-1))
+        expected = (jacobi_coefficient_matrix(surf, x, y) @ jk[..., None])[..., 0]
+        err = np.linalg.norm(du[:, 2 * m:] - expected, axis=-1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=-1)), surf.name
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +306,12 @@ def test_flow_differential_bad_time_rejected(hemisphere):
                 fn(hemisphere, t, v)
         with pytest.raises(InvalidInput):
             propagate_jacobi(hemisphere, v, JacobiState([0, 0], [0, 1.0]), t)
+
+
+def test_fd_flow_differential_identity_at_zero(vee):
+    # t = 0 is a valid end time: every stencil row stays at its start
+    num = fd_flow_differential(vee, 0.0, TangentVector([0.1, 0.0], [1.0, 0.0]))
+    np.testing.assert_allclose(num, np.eye(4), rtol=0, atol=1e-11)
 
 
 def test_bad_tol_rejected_at_time_zero(flat):

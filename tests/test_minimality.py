@@ -214,6 +214,13 @@ def test_branching_flat(flat):
     assert rep["max_quotient"] == pytest.approx(1.0, abs=0.2)
 
 
+@pytest.mark.parametrize("step_sizes", [[], [0.0], [math.nan], [-1e-3]],
+                         ids=["empty", "zero", "nan", "negative"])
+def test_branching_bad_step_sizes_rejected(flat, step_sizes):
+    with pytest.raises(InvalidInput):
+        branching_check(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3, step_sizes, [])
+
+
 def test_branching_hemisphere_bounded(hemisphere):
     rng = np.random.default_rng(37)
     v = TangentVector([0.0, 0.0], [1.0, 0.0])
