@@ -314,7 +314,7 @@ def _suite_regularity(tols, seed):
         v = random_tangent(hemi, rng, 0.5)
         j0 = JacobiState(rng.normal(size=2), rng.normal(size=2))
         rep = reg.measure_gronwall_margin(hemi, v, j0, 0.4)
-        ok = ok and rep["dominated"]
+        ok = ok and rep["holds"]
     checks.append(_check("gronwall_dominance_hemisphere", ok, 1.0, ok))
     gamma = reg.osgood_gamma(lambda d: d, 1.0, 1.0, 1.0)
     checks.append(_check("gamma_formula", abs(gamma(0.1) - 0.1 * np.e), 1e-12))

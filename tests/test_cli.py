@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoflow
 from geoflow.cli import DEFAULT_TOLERANCES, RunConfig, _suite_flow, main
 from geoflow.errors import ConfigError
 
@@ -346,3 +351,11 @@ def test_grid_surface_spec(tmp_path, monkeypatch, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(out["final_x"], [0.2, 0.0], atol=1e-8)
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal takes most of the CLI's import time and nothing needs it
+    src = str(Path(geoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import geoflow.cli, sys; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
