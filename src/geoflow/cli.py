@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class RunConfig:
     output: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
     seed: int = 0
+
+    def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,10 +106,6 @@ def _parse_vec(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
 
-def _out_path(cfg: RunConfig, key: str, default: str) -> str:
-    return cfg.output.get(key, default)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -151,9 +151,9 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
         "speed": traj.speed,
         "speed_drift": drift,
     }
-    csv_path = args.out or _out_path(cfg, "trajectory_csv", "geodesic.csv")
+    csv_path = args.out or cfg.output.get("trajectory_csv", "geodesic.csv")
     serialize.write_trajectory_csv(csv_path, surface, traj)
-    json_path = _out_path(cfg, "summary_json", "geodesic.json")
+    json_path = cfg.output.get("summary_json", "geodesic.json")
     print(serialize.write_json(json_path, summary))
     return 0
 
@@ -174,7 +174,7 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
         num = fd_flow_differential(surface, args.t, v)
         out["fd_matrix"] = num
         out["max_abs_diff"] = float(np.max(np.abs(num - fd.matrix)))
-    path = args.out or _out_path(cfg, "jacobian_json", "jacobian.json")
+    path = args.out or cfg.output.get("jacobian_json", "jacobian.json")
     print(serialize.write_json(path, out))
     return 0
 
@@ -193,9 +193,9 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     report = reg.flow_convergence_report(seq, probes)
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
     out.update(report.as_dict())
-    path = args.out or _out_path(cfg, "convergence_json", "convergence.json")
+    path = args.out or cfg.output.get("convergence_json", "convergence.json")
     text = serialize.write_json(path, out)
-    csv_path = _out_path(cfg, "convergence_csv", "delta-vs-level.csv")
+    csv_path = cfg.output.get("convergence_csv", "delta-vs-level.csv")
     rows = [
         [i, scales[i], seq.metric_c1_dist[i], seq.pi_c0_dist[i],
          report.flow_c0[i] if i < len(report.flow_c0) else np.nan,
@@ -216,7 +216,7 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     rep = minimality_report(surface, traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)
-    path = args.out or _out_path(cfg, "minimality_json", "minimality.json")
+    path = args.out or cfg.output.get("minimality_json", "minimality.json")
     print(serialize.write_json(path, out))
     return 0
 
@@ -359,7 +359,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         "suites": results,
         "all_passed": all_passed,
     }
-    path = args.out or _out_path(cfg, "report_json", "report.json")
+    path = args.out or cfg.output.get("report_json", "report.json")
     print(serialize.write_json(path, out))
     return 0 if all_passed else 1
 
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         if args.surface is not None:
             cfg.surface = {"type": "catalog", "name": args.surface}
             if args.alpha is not None:
@@ -454,10 +454,8 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         return handler(args, cfg)
-    except (ConfigError, UnknownSurface, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OutOfChart, InvalidInput) as exc:
+    except (ConfigError, UnknownSurface, OutOfChart, InvalidInput, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeoflowError as exc:

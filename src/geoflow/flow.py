@@ -102,7 +102,7 @@ def check_request(surface, t, v: TangentVector, *, positive=False):
 
     Raises OutOfChart when v.x is not a chart point and InvalidInput for a
     non-finite t (or t <= 0 when positive), or a velocity of the wrong
-    shape or with non-finite entries.
+    shape, with non-finite entries or with a g-norm that is not finite.
     """
     if not np.isfinite(t):
         raise InvalidInput(f"time must be finite, got {t}")
@@ -112,16 +112,9 @@ def check_request(surface, t, v: TangentVector, *, positive=False):
     y0 = np.asarray(v.y, dtype=float)
     if y0.shape != (surface.dim,):
         raise InvalidInput(f"velocity has shape {y0.shape}, expected ({surface.dim},)")
-    if not np.all(np.isfinite(y0)):
-        raise InvalidInput(f"velocity {y0} is not finite")
+    if not (np.all(np.isfinite(y0)) and np.isfinite(g_norm_batch(surface, x0, y0))):
+        raise InvalidInput(f"velocity {y0} or its g-norm is not finite")
     return x0, y0
-
-
-def geodesic_rhs(surface, s: TangentVector) -> TangentVector:
-    """Derivative (y, -Gamma(y, y)) of the first-order geodesic system."""
-    x = surface.require_inside(s.x)
-    du = make_geodesic_rhs(surface)(np.concatenate([x, s.y]))
-    return TangentVector.from_state(du)
 
 
 def state_inside(surface):

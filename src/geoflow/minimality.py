@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from . import integrate
-from .errors import DisconnectedMesh, InvalidInput, OutOfChart, OutOfDomain
+from .errors import DisconnectedMesh, InvalidInput, OutOfDomain
 from .flow import (TangentVector, Trajectory, check_request, integrate_batch, integrate_geodesic,
                    make_geodesic_rhs, random_tangent, require_completed, state_inside)
 
@@ -104,21 +104,6 @@ def shortest_path(oracle: MeshGeodesicOracle, p, q):
     return float(dist[j]), hops, sp, sq
 
 
-def shortest_path_length(oracle: MeshGeodesicOracle, p, q) -> float:
-    return shortest_path(oracle, p, q)[0]
-
-
-def curve_length(surface, samples) -> float:
-    """Sum of ambient chord lengths of the embedded sample polyline."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or len(samples) < 2:
-        raise ValueError("need at least 2 chart samples")
-    if not np.all(surface.contains_batch(samples)):
-        raise OutOfChart("curve sample outside the chart")
-    emb = surface.embed_batch(samples)
-    return float(np.sum(np.linalg.norm(np.diff(emb, axis=0), axis=1)))
-
-
 def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
     """Resolution allowance: lift factor * anisotropy * mesh step * hop count,
     with the lift sqrt(1 + grad_sup^2) from the surface's certified bounds."""
@@ -126,16 +111,11 @@ def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
     return lift * KING_ANISOTROPY * oracle.mesh_step * hops
 
 
-def minimality_margin(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> float:
-    """shortest_path + budget - curve length; nonnegative certifies that the
-    trajectory is no longer than any mesh competitor up to mesh error."""
-    return minimality_report(surface, traj, oracle)["margin"]
-
-
 def minimality_report(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
-    """Margin of one trajectory against the mesh oracle. The geodesic length
-    is speed * final_time, the exact g-length of the geodesic, which a chord
-    sum over the samples would underestimate."""
+    """Margin of one trajectory against the mesh oracle: mesh length + budget
+    - geodesic length, nonnegative when no mesh competitor is shorter up to
+    mesh error. The geodesic length is speed * final_time, the exact g-length
+    of the geodesic, which a chord sum over the samples would underestimate."""
     pts = traj.positions(surface.dim)
     mesh_len, hops, sp, sq = shortest_path(oracle, pts[0], pts[-1])
     length = traj.speed * traj.final_time

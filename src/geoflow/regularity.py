@@ -131,15 +131,20 @@ def osgood_integral_check(times, l_values, a: float, mu):
 
     if a == 0.0:
         # Divergence probe: 1/mu is non-integrable at zero iff the partial
-        # integrals over [a0, 1] keep growing as a0 shrinks.
-        try:
-            with warnings.catch_warnings():  # a divergent integral is a result here
-                warnings.simplefilter("ignore", IntegrationWarning)
-                i6, _ = quad(inverse, 1e-6, 1.0, limit=200)
-                i9, _ = quad(inverse, 1e-9, 1.0, limit=200)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise QuadratureFailure(str(exc)) from exc
-        if i9 > 1.2 * i6 + 1e-9 or not np.isfinite(i9):
+        # integrals over [a0, 1] keep growing as a0 shrinks. mu is
+        # nondecreasing, so mu(1e-9) = 0 means mu = 0 near 0: divergent
+        # without any quadrature.
+        divergent = mu(1e-9) <= 0.0
+        if not divergent:
+            try:
+                with warnings.catch_warnings():  # a divergent integral is a result here
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    i6, _ = quad(inverse, 1e-6, 1.0, limit=200)
+                    i9, _ = quad(inverse, 1e-9, 1.0, limit=200)
+            except Exception as exc:  # pragma: no cover - defensive
+                raise QuadratureFailure(str(exc)) from exc
+            divergent = i9 > 1.2 * i6 + 1e-9 or not np.isfinite(i9)
+        if divergent:
             holds = bool(np.all(np.abs(l_values) <= _OSGOOD_FLOOR))
             margin = float(_OSGOOD_FLOOR - np.max(np.abs(l_values)))
             return holds, margin

@@ -225,12 +225,6 @@ def local_geometry(surface, X, Y=None) -> LocalGeometry:
     return LocalGeometry(grad, hess, g, gamma, None if Y is None else np.asarray(Y, dtype=float))
 
 
-def metric_batch(surface, X):
-    """Pullback metric g = I + grad_h grad_h^T, with inverse. X: (..., m)."""
-    geo = local_geometry(surface, X)
-    return geo.g, geo.g_inv
-
-
 def christoffel_batch(surface, X):
     """gamma[k,i,j] = sum_{l,a} ginv[k,l] grad[l,a] hess[i,j,a]."""
     return local_geometry(surface, X).gamma
@@ -254,22 +248,6 @@ def g_norm_batch(surface, X, Y):
 # ---------------------------------------------------------------------------
 # pointwise operations (checked)
 # ---------------------------------------------------------------------------
-
-def embed(surface, x) -> np.ndarray:
-    """Ambient position (x, h(x))."""
-    x = surface.require_inside(x)
-    return surface.embed_batch(x)
-
-
-def metric_at(surface, x):
-    """(g, g_inv) at the chart point x."""
-    return metric_batch(surface, surface.require_inside(x))
-
-
-def christoffel_at(surface, x) -> np.ndarray:
-    """gamma[k, i, j] at the chart point x."""
-    return christoffel_batch(surface, surface.require_inside(x))
-
 
 def tangent_frame(surface, x) -> np.ndarray:
     """n x m matrix whose columns are the embedded coordinate tangents (e_i, d_i h)."""
@@ -324,29 +302,28 @@ def sectional_curvature(surface, x, u, v) -> float:
     return float(num / den)
 
 
+def _central_diff(f, x, step) -> np.ndarray:
+    """Per-axis 4th-order central differences of f at x: out[k] = d_k f(x)."""
+    out = []
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = 1.0
+        fp1, fm1 = f(x + step * e), f(x - step * e)
+        fp2, fm2 = f(x + 2 * step * e), f(x - 2 * step * e)
+        out.append((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step))
+    return np.array(out)
+
+
 def christoffel_fd(surface, x, step=1e-3) -> np.ndarray:
     """Christoffels from the general metric formula, with the metric
-    derivatives taken by 4th-order central differences of metric_batch.
+    derivatives taken by 4th-order central differences of the metric.
     Cross-check only; valid on smooth catalog surfaces away from kinks.
     """
     x = surface.require_inside(x)
-    m = surface.dim
-    dg = np.empty((m, m, m))  # dg[k, i, j] = partial_k g_ij
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        gp1, _ = metric_batch(surface, x + step * e)
-        gm1, _ = metric_batch(surface, x - step * e)
-        gp2, _ = metric_batch(surface, x + 2 * step * e)
-        gm2, _ = metric_batch(surface, x - 2 * step * e)
-        dg[k] = (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * step)
-    _, g_inv = metric_batch(surface, x)
-    half = np.empty((m, m, m))  # half[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    for i in range(m):
-        for j in range(m):
-            for l in range(m):
-                half[i, j, l] = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
-    return 0.5 * np.einsum("kl,ijl->kij", g_inv, half)
+    dg = _central_diff(lambda p: local_geometry(surface, p).g, x, step)  # dg[k, i, j] = d_k g_ij
+    # half[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    half = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", local_geometry(surface, x).g_inv, half)
 
 
 def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
@@ -360,17 +337,9 @@ def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
     x = surface.require_inside(x)
     V = np.asarray(V, dtype=float)
     J = np.asarray(J, dtype=float)
-    m = surface.dim
     gamma = christoffel_batch(surface, x)
-    dgam = np.empty((m, m, m, m))  # dgam[a, k, i, j] = d_a gamma^k_ij
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = 1.0
-        gp1 = christoffel_batch(surface, x + step * e)
-        gm1 = christoffel_batch(surface, x - step * e)
-        gp2 = christoffel_batch(surface, x + 2 * step * e)
-        gm2 = christoffel_batch(surface, x - 2 * step * e)
-        dgam[a] = (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * step)
+    # dgam[a, k, i, j] = d_a gamma^k_ij
+    dgam = _central_diff(lambda p: christoffel_batch(surface, p), x, step)
     # R(V, J)W with W = V:  (R(V,J)W)^l = V^i J^j W^k (d_j G^l_ik - d_i G^l_jk
     #                                   + G^l_jm G^m_ik - G^l_im G^m_jk)
     r = np.einsum("i,j,k,jlik->l", V, J, V, dgam)
@@ -426,11 +395,6 @@ class GridSurface(GraphSurface):
         hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])
-        # Exact sups of the stored grids; spline evaluation between knots can
-        # overshoot these by its interpolation error, the data never does.
-        self.grid_abs_max = {
-            k: float(np.max(np.abs(a))) for k, a in (("h", h), ("grad", grad), ("hess", hess))
-        }
 
         # Closures over the splines, not bound methods: a bound method stored
         # on self is a reference cycle, which leaves the coefficients to the

@@ -13,7 +13,7 @@ from geoflow import regularity as reg
 from geoflow.flow import TangentVector, exp_map, flow_property_residual, geodesic_flow
 from geoflow.jacobi import JacobiState, fd_flow_differential, flow_differential, \
     mixed_partials_residual, propagate_jacobi
-from geoflow.minimality import branching_check, build_mesh_oracle, minimality_margin, \
+from geoflow.minimality import branching_check, build_mesh_oracle, minimality_report, \
     short_geodesic
 from geoflow.regularity import injradius_lower_bound
 from geoflow.surface import curvature_from_christoffel, curvature_operator, g_norm_batch
@@ -153,7 +153,7 @@ def test_09_minimality(surfaces):
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(20):
             traj = short_geodesic(surf, rng, max_len)
-            margin = minimality_margin(surf, traj, oracle)
+            margin = minimality_report(surf, traj, oracle)["margin"]
             if margin < worst:
                 worst, worst_name = margin, name
     report(9, "minimality-margins", worst >= 0.0,

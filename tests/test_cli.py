@@ -146,6 +146,9 @@ def test_start_outside_chart_is_bad_input(command, rest, tmp_path, monkeypatch):
      "--tol", "-1"],
     ["--surface", "flat", "jacobian", "--x0", "0,0", "--y0", "1,0", "--t", "0.3",
      "--tol", "nan"],
+    ["--seed", "-1", "report", "--suites", "flow"],
+    ["--surface", "vee", "geodesic", "--x0", "0,0", "--y0", "1e300,0", "--t-end", "0.3"],
+    ["--surface", "vee", "geodesic", "--x0", "0,0", "--y0", "1e160,0", "--t-end", "0.3"],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert run_cli(argv, tmp_path, monkeypatch) == 2
@@ -294,6 +297,16 @@ def test_config_rejects_bad_tolerances(tolerances, tmp_path, monkeypatch, capsys
     path.write_text(json.dumps({"tolerances": tolerances}))
     assert run_cli(["--config", str(path), "report", "--suites", "regularity"],
                    tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+def test_config_rejects_bad_seed(seed, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict({"seed": seed})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": seed}))
+    assert run_cli(["--config", str(path), "report", "--suites", "flow"], tmp_path, monkeypatch) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -10,7 +10,6 @@ from geoflow.flow import (
     exp_map,
     flow_property_residual,
     geodesic_flow,
-    geodesic_rhs,
     integrate_batch,
     integrate_geodesic,
     make_geodesic_rhs,
@@ -31,26 +30,28 @@ from conftest import C2_AND_BETTER, random_chart_points
 
 
 def test_rhs_flat(flat):
-    out = geodesic_rhs(flat, TangentVector([0.0, 0.0], [1.0, 0.0]))
-    np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(out.y, [0.0, 0.0], atol=1e-15)
+    out = make_geodesic_rhs(flat)(np.array([0.0, 0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_rhs_hemisphere_pole(hemisphere):
-    out = geodesic_rhs(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]))
-    np.testing.assert_allclose(out.y, [0.0, 0.0], atol=1e-15)
+    out = make_geodesic_rhs(hemisphere)(np.array([0.0, 0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(out[2:], [0.0, 0.0], atol=1e-15)
 
 
 def test_rhs_hemisphere_value(hemisphere):
-    out = geodesic_rhs(hemisphere, TangentVector([0.3, 0.0], [1.0, 0.0]))
-    np.testing.assert_allclose(out.x, [1.0, 0.0], atol=1e-15)
-    assert out.y[0] == pytest.approx(-0.3 / 0.91, rel=1e-13)
-    assert out.y[1] == pytest.approx(0.0, abs=1e-15)
+    out = make_geodesic_rhs(hemisphere)(np.array([0.3, 0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(out[:2], [1.0, 0.0], atol=1e-15)
+    assert out[2] == pytest.approx(-0.3 / 0.91, rel=1e-13)
+    assert out[3] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_out_of_chart(hemisphere):
+    # the right-hand side is unchecked; the chart predicate and the
+    # request check are what keep states off it
+    assert not state_inside(hemisphere)(np.array([0.9, 0.0, 1.0, 0.0]))
     with pytest.raises(OutOfChart):
-        geodesic_rhs(hemisphere, TangentVector([0.9, 0.0], [1.0, 0.0]))
+        integrate_geodesic(hemisphere, TangentVector([0.9, 0.0], [1.0, 0.0]), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +394,14 @@ def test_nan_velocity_rejected(hemisphere):
         integrate_geodesic(hemisphere, v, 0.3)
     with pytest.raises(InvalidInput):
         geodesic_flow(hemisphere, 0.0, v)
+
+
+@pytest.mark.parametrize("speed", [1e300, 1e160])
+def test_overflowing_speed_rejected(vee, speed):
+    # finite entries whose g-norm overflows: no trajectory can mean anything
+    v = TangentVector([0.0, 0.0], [speed, 0.0])
+    assert not np.isfinite(g_norm_batch(vee, v.x, v.y))
+    with pytest.raises(InvalidInput):
+        integrate_geodesic(vee, v, 0.3)
+    with pytest.raises(InvalidInput):
+        geodesic_flow(vee, 0.0, v)

@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import InvalidInput, OutOfChart
+from geoflow.errors import InvalidInput
 from geoflow.flow import TangentVector, integrate_geodesic
 from geoflow.minimality import (
     KING_ANISOTROPY,
     branching_check,
     build_mesh_oracle,
-    curve_length,
-    minimality_margin,
     minimality_report,
     shortest_path,
-    shortest_path_length,
     short_geodesic,
 )
 from geoflow.regularity import injradius_lower_bound
@@ -76,12 +73,12 @@ def test_build_on_c11_surface(vee):
 
 
 def test_flat_straight_path(flat_oracle):
-    length = shortest_path_length(flat_oracle, [0.0, 0.0], [0.5, 0.0])
+    length = shortest_path(flat_oracle, [0.0, 0.0], [0.5, 0.0])[0]
     assert length == pytest.approx(0.5, abs=flat_oracle.mesh_step)
 
 
 def test_same_point_zero(flat_oracle):
-    assert shortest_path_length(flat_oracle, [0.3, 0.3], [0.3, 0.3]) == 0.0
+    assert shortest_path(flat_oracle, [0.3, 0.3], [0.3, 0.3])[0] == 0.0
 
 
 def test_flat_sanity_bounds(flat_oracle):
@@ -108,9 +105,9 @@ def test_triangle_inequality(hemi_oracle):
     rng = np.random.default_rng(23)
     for _ in range(50):
         pts = random_chart_points(hemi_oracle.surface, 3, rng)
-        d_ab = shortest_path_length(hemi_oracle, pts[0], pts[1])
-        d_bc = shortest_path_length(hemi_oracle, pts[1], pts[2])
-        d_ac = shortest_path_length(hemi_oracle, pts[0], pts[2])
+        d_ab = shortest_path(hemi_oracle, pts[0], pts[1])[0]
+        d_bc = shortest_path(hemi_oracle, pts[1], pts[2])[0]
+        d_ac = shortest_path(hemi_oracle, pts[0], pts[2])[0]
         assert d_ac <= d_ab + d_bc + 1e-9
 
 
@@ -121,35 +118,9 @@ def test_refinement_never_lengthens_much(hemisphere):
     rng = np.random.default_rng(29)
     for _ in range(10):
         p, q = random_chart_points(hemisphere, 2, rng)
-        lc = shortest_path_length(coarse, p, q)
-        lf = shortest_path_length(fine, p, q)
+        lc = shortest_path(coarse, p, q)[0]
+        lf = shortest_path(fine, p, q)[0]
         assert lf <= lc + coarse.mesh_step
-
-
-# ---------------------------------------------------------------------------
-# curve length
-# ---------------------------------------------------------------------------
-
-
-def test_curve_length_straight(flat):
-    samples = np.linspace([0.0, 0.0], [1.0, 0.0], 11)
-    assert curve_length(flat, samples) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_curve_length_great_circle(hemisphere):
-    t = np.linspace(0.0, 0.5, 1000)
-    samples = np.stack([np.sin(t), np.zeros_like(t)], axis=1)
-    assert curve_length(hemisphere, samples) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_curve_length_repeated_point(flat):
-    samples = np.zeros((3, 2))
-    assert curve_length(flat, samples) == 0.0
-
-
-def test_curve_length_outside_chart(hemisphere):
-    with pytest.raises(OutOfChart):
-        curve_length(hemisphere, np.array([[0.0, 0.0], [0.9, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +131,7 @@ def test_curve_length_outside_chart(hemisphere):
 def test_margin_flat_segment(flat):
     oracle = build_mesh_oracle(flat, 128)
     traj = integrate_geodesic(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.5)
-    assert minimality_margin(flat, traj, oracle) >= 0.0
+    assert minimality_report(flat, traj, oracle)["margin"] >= 0.0
 
 
 def test_margin_hemisphere_arc(hemisphere):
@@ -184,7 +155,7 @@ def test_margin_needs_declared_bounds(flat):
 def test_margin_vee_crease_crossing(vee):
     oracle = build_mesh_oracle(vee, 128)
     traj = integrate_geodesic(vee, TangentVector([-0.15, 0.0], [0.9, 0.3]), 0.3)
-    assert minimality_margin(vee, traj, oracle) >= 0.0
+    assert minimality_report(vee, traj, oracle)["margin"] >= 0.0
 
 
 def test_short_geodesics_all_catalog(surfaces):
@@ -197,7 +168,7 @@ def test_short_geodesics_all_catalog(surfaces):
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(3):
             traj = short_geodesic(surf, rng, max_len)
-            assert minimality_margin(surf, traj, oracle) >= 0.0, name
+            assert minimality_report(surf, traj, oracle)["margin"] >= 0.0, name
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,15 @@ def test_mollify_affine_exact():
 
 def test_mollify_vee_second_derivative(vee):
     # smoothing of the sign-valued second derivative: positivity of the
-    # kernel keeps the stored values inside [-2, 2] exactly, and away from
+    # kernel keeps the smoothed samples inside [-2, 2] exactly, and away from
     # the crease the smoothed field sits at +-2
     for eps in (0.04, 0.02):
+        # mollify's fine grid (spacing eps / 16, radius 16, stride 3) across the crease
+        xs = np.arange(-64, 65) * (eps / 16)
+        pts = np.stack(np.meshgrid(xs, xs[:40], indexing="ij"), axis=-1)
+        hess = vee.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :]
+        assert np.max(np.abs(reg._smooth_field(hess, [16, 16], 3))) <= 2.0 + 1e-12
         s = reg.mollify(vee, eps)
-        assert s.grid_abs_max["hess"] <= 2.0 + 1e-12
         x = np.array([[2.5 * eps, 0.1], [-2.5 * eps, -0.2], [0.5, 0.3]])
         h11 = s.hessian(x)[:, 0, 0, 0]
         np.testing.assert_allclose(h11, [2.0, -2.0, 2.0], atol=1e-6)
@@ -315,16 +319,28 @@ def test_osgood_integral_with_empirical_modulus():
 
 
 def test_osgood_divergence_probe_is_quiet():
-    # an empirical modulus is 0 left of its first sample, so the a = 0 probe
-    # meets 1/mu = 1e300 and quad reports divergence: the outcome the probe
-    # looks for, so no warning may escape
+    # an empirical modulus is 0 left of its first sample, so 1/mu is not
+    # integrable at 0: the outcome the a = 0 probe looks for, so no warning
+    # may escape
     gaps = np.logspace(-5, -1, 50)
     mu = reg.empirical_modulus(zip(gaps, 2.0 * np.abs(np.sin(3.0 * gaps))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert reg.osgood_integral_check([0.0, 0.5], [0.0, 0.0], 0.0, mu) == (True, 0.5)
+        assert reg.osgood_integral_check([0.0, 0.5], [0.0, 0.0], 0.0, mu) == (True, 1e-12)
         holds, margin = reg.osgood_integral_check([0.0, 0.5], [0.0, 1e-3], 0.0, mu)
     assert not holds and margin < 0.0
+
+
+@pytest.mark.parametrize("mu", [
+    reg.empirical_modulus(zip(np.logspace(-3, -1, 20), np.logspace(-3, -1, 20))),
+    lambda d: max(d - 1e-4, 0.0),
+], ids=["empirical", "callable"])
+def test_osgood_modulus_vanishing_near_zero_diverges(mu):
+    # mu = 0 on [0, 1e-4] or further: divergent at a = 0, so only L == 0
+    # holds, and the margin is the floor minus |L|, not a 1/1e-300 artefact
+    assert reg.osgood_integral_check([0.0, 0.5], [0.0, 0.0], 0.0, mu) == (True, 1e-12)
+    holds, margin = reg.osgood_integral_check([0.0, 0.5], [0.0, 1e-3], 0.0, mu)
+    assert not holds and margin == pytest.approx(1e-12 - 1e-3, rel=1e-12)
 
 
 def test_empirical_modulus_identity_map():

@@ -11,14 +11,11 @@ from geoflow.surface import (
     GraphSurface,
     GridSurface,
     Regularity,
-    christoffel_at,
+    christoffel_batch,
     christoffel_fd,
     curvature_from_christoffel,
     curvature_operator,
-    embed,
     local_geometry,
-    metric_at,
-    metric_batch,
     normal_projector,
     second_fundamental_form,
     sectional_curvature,
@@ -34,23 +31,23 @@ from conftest import C3_AND_BETTER, CATALOG_NAMES, grid_points, random_chart_poi
 
 
 def test_embed_flat(flat):
-    np.testing.assert_allclose(embed(flat, [0.2, -0.1]), [0.2, -0.1, 0.0], atol=1e-15)
+    np.testing.assert_allclose(flat.embed_batch([0.2, -0.1]), [0.2, -0.1, 0.0], atol=1e-15)
 
 
 def test_embed_hemisphere_pole(hemisphere):
-    np.testing.assert_allclose(embed(hemisphere, [0.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(hemisphere.embed_batch([0.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_embed_hemisphere_value(hemisphere):
     # direct evaluation of sqrt(0.91)
     np.testing.assert_allclose(
-        embed(hemisphere, [0.3, 0.0]), [0.3, 0.0, math.sqrt(0.91)], rtol=1e-15
+        hemisphere.embed_batch([0.3, 0.0]), [0.3, 0.0, math.sqrt(0.91)], rtol=1e-15
     )
 
 
 def test_embed_out_of_chart(hemisphere):
     with pytest.raises(OutOfChart):
-        embed(hemisphere, [0.79, 0.2])  # |x| > 0.8
+        hemisphere.require_inside([0.79, 0.2])  # |x| > 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +56,24 @@ def test_embed_out_of_chart(hemisphere):
 
 
 def test_metric_flat_identity(flat):
-    g, _ = metric_at(flat, [0.3, -0.4])
+    g = local_geometry(flat, np.array([0.3, -0.4])).g
     np.testing.assert_allclose(g, np.eye(2), atol=1e-15)
 
 
 def test_metric_hemisphere_pole(hemisphere):
-    g, _ = metric_at(hemisphere, [0.0, 0.0])
+    g = local_geometry(hemisphere, np.zeros(2)).g
     np.testing.assert_allclose(g, np.eye(2), atol=1e-15)
 
 
 def test_metric_hemisphere_closed_form(hemisphere):
     # g = I + x x^T / (1 - |x|^2) for the sphere graph
-    g, _ = metric_at(hemisphere, [0.3, 0.0])
+    g = local_geometry(hemisphere, np.array([0.3, 0.0])).g
     assert g[0, 0] == pytest.approx(1.0 / 0.91, rel=1e-14)
     assert g[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert g[1, 1] == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(3)
     for x in random_chart_points(hemisphere, 10, rng):
-        g, _ = metric_at(hemisphere, x)
+        g = local_geometry(hemisphere, x).g
         expected = np.eye(2) + np.outer(x, x) / (1.0 - x @ x)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
@@ -85,7 +82,8 @@ def test_metric_inverse_consistency(surfaces):
     rng = np.random.default_rng(7)
     for surf in surfaces.values():
         for x in random_chart_points(surf, 20, rng):
-            g, g_inv = metric_at(surf, x)
+            geo = local_geometry(surf, x)
+            g, g_inv = geo.g, geo.g_inv
             np.testing.assert_allclose(g_inv @ g, np.eye(2), atol=1e-12)
 
 
@@ -95,7 +93,7 @@ def test_metric_eigenvalue_bounds(surfaces):
     for surf in surfaces.values():
         hi = 1.0 + surf.bounds.grad_sup ** 2
         pts = random_chart_points(surf, 100, rng)
-        g, _ = metric_batch(surf, pts)
+        g = local_geometry(surf, pts).g
         eig = np.linalg.eigvalsh(g)
         assert np.all(eig >= 1.0 - 1e-12)
         assert np.all(eig <= hi + 1e-12)
@@ -107,18 +105,18 @@ def test_metric_eigenvalue_bounds(surfaces):
 
 
 def test_christoffel_flat_zero(flat):
-    gamma = christoffel_at(flat, [0.5, 0.5])
+    gamma = christoffel_batch(flat, np.array([0.5, 0.5]))
     np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
 
 
 def test_christoffel_hemisphere_pole(hemisphere):
-    gamma = christoffel_at(hemisphere, [0.0, 0.0])
+    gamma = christoffel_batch(hemisphere, np.zeros(2))
     np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
 
 
 def test_christoffel_hemisphere_value(hemisphere):
     # closed form for the sphere graph: Gamma^1_11 = x1 / (1 - |x|^2)
-    gamma = christoffel_at(hemisphere, [0.3, 0.0])
+    gamma = christoffel_batch(hemisphere, np.array([0.3, 0.0]))
     assert gamma[0, 0, 0] == pytest.approx(0.3 / 0.91, rel=1e-13)
 
 
@@ -126,7 +124,7 @@ def test_christoffel_symmetry(surfaces):
     rng = np.random.default_rng(13)
     for surf in surfaces.values():
         for x in random_chart_points(surf, 10, rng):
-            g = christoffel_at(surf, x)
+            g = christoffel_batch(surf, x)
             np.testing.assert_array_equal(g, np.swapaxes(g, 1, 2))
 
 
@@ -135,7 +133,7 @@ def test_christoffel_matches_metric_formula(hemisphere, trough):
     rng = np.random.default_rng(17)
     for surf in (hemisphere, trough):
         for x in random_chart_points(surf, 10, rng, shrink=0.7):
-            direct = christoffel_at(surf, x)
+            direct = christoffel_batch(surf, x)
             fd = christoffel_fd(surf, x)
             np.testing.assert_allclose(direct, fd, atol=1e-9)
 
@@ -321,7 +319,7 @@ def test_curvature_quadratic_form_positive_on_sphere(x1, x2, u1, u2):
     x = np.array([x1, x2])
     v = np.array([1.0, 0.3])
     j = np.array([u1, u2])
-    g, _ = metric_at(hemi, x)
+    g = local_geometry(hemi, x).g
     m = curvature_operator(hemi, x, v)
     quad = j @ g @ (m @ j)
     gram = (v @ g @ v) * (j @ g @ j) - (v @ g @ j) ** 2
@@ -371,7 +369,7 @@ def test_grid_surface_out_of_chart():
         "flat_grid", xa, xa, np.zeros((41, 41))
     )
     with pytest.raises(OutOfChart):
-        embed(grid, [0.49, 0.0])  # outside the shrunk valid region
+        grid.require_inside([0.49, 0.0])  # outside the shrunk valid region
 
 
 # ---------------------------------------------------------------------------
