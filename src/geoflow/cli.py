@@ -53,25 +53,31 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.surface, dict):
+            raise ConfigError(f"surface must be an object, got {self.surface!r}")
+        if not (isinstance(self.output, dict) and all(isinstance(p, str) for p in self.output.values())):
+            raise ConfigError(f"output must be an object of path strings, got {self.output!r}")
+        if not (isinstance(self.suites, list) and all(isinstance(n, str) for n in self.suites)):
+            raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
+        for key, value in self.tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not np.isfinite(value):
+                raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {f for f in RunConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object, got {d!r}")
+        unknown = set(d) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        tols = d.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError(f"tolerances must be an object, got {tols!r}")
-        for key, value in tols.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
-                raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
         return RunConfig(**d)
 
     @staticmethod
@@ -137,7 +143,8 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end, args.tol)
-    speeds = speed_profile(surface, traj)
+    csv_path = args.out or cfg.output.get("trajectory_csv", "geodesic.csv")
+    speeds = serialize.write_trajectory_csv(csv_path, surface, traj)
     drift = float(np.max(np.abs(speeds - traj.speed))) / max(traj.speed, 1e-300)
     summary = {
         "schema": SCHEMA,
@@ -151,8 +158,6 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
         "speed": traj.speed,
         "speed_drift": drift,
     }
-    csv_path = args.out or cfg.output.get("trajectory_csv", "geodesic.csv")
-    serialize.write_trajectory_csv(csv_path, surface, traj)
     json_path = cfg.output.get("summary_json", "geodesic.json")
     print(serialize.write_json(json_path, summary))
     return 0
@@ -181,7 +186,7 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
 
 def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg.surface)
-    if surface.regularity.at_least("C3"):
+    if surface.regularity.c3:
         print(
             f"warning: {surface.name!r} is {surface.regularity}; the smoothing "
             "study targets surfaces of class C2 and below",

@@ -4,8 +4,9 @@ The chart state is s = (x, y) with dx/dt = y and dy_k/dt = -Gamma^k_ij y_i y_j.
 Trajectories stop at the chart boundary (located by bisection on the step's
 dense output) and report why they ended. The integration policy lives here
 once, in integrate_batch, the entry point for single runs and batches of
-rows alike: tolerances turns a requested tol into (rtol, atol), state_inside
-is the chart predicate, a surface's declared crease becomes the
+rows alike: the integrator checks every end time (finite and >= 0; t = 0
+returns the start), tolerances turns a requested tol into (rtol, atol),
+state_inside is the chart predicate, a surface's declared crease becomes the
 integrator's crease switch (the embedded error estimate is unreliable on a
 step across a curvature jump or kink, so every step ends at the crease
 instead), and require_completed turns a run with any incomplete row into an
@@ -67,7 +68,7 @@ def tolerances(surface, tol=None) -> tuple[float, float]:
     regularity class, sitting below the tolerances the verification suites
     assert. Raises InvalidInput for a tol that is not positive and finite."""
     if tol is None:
-        return (1e-10, 1e-12) if surface.regularity.at_least("C3") else (1e-9, 1e-11)
+        return (1e-10, 1e-12) if surface.regularity.c3 else (1e-9, 1e-11)
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
     return tol, tol * 1e-2
@@ -97,24 +98,22 @@ def make_geodesic_rhs(surface):
     return rhs
 
 
-def check_request(surface, t, v: TangentVector, *, positive=False):
-    """Validate a public request (t, v) once; return (x0, y0) as float arrays.
+def check_request(surface, v: TangentVector):
+    """Validate a public tangent vector v once; return (x0, y0, speed), the
+    base point and velocity as float arrays and the velocity's g-norm.
 
     Raises OutOfChart when v.x is not a chart point and InvalidInput for a
-    non-finite t (or t <= 0 when positive), or a velocity of the wrong
-    shape, with non-finite entries or with a g-norm that is not finite.
+    velocity of the wrong shape, with non-finite entries or with a g-norm
+    that is not finite. End times are the integrators' to check.
     """
-    if not np.isfinite(t):
-        raise InvalidInput(f"time must be finite, got {t}")
-    if positive and t <= 0:
-        raise InvalidInput(f"time must be positive, got {t}")
     x0 = surface.require_inside(v.x)
     y0 = np.asarray(v.y, dtype=float)
     if y0.shape != (surface.dim,):
         raise InvalidInput(f"velocity has shape {y0.shape}, expected ({surface.dim},)")
-    if not (np.all(np.isfinite(y0)) and np.isfinite(g_norm_batch(surface, x0, y0))):
+    speed = float(g_norm_batch(surface, x0, y0)) if np.all(np.isfinite(y0)) else np.nan
+    if not np.isfinite(speed):
         raise InvalidInput(f"velocity {y0} or its g-norm is not finite")
-    return x0, y0
+    return x0, y0, speed
 
 
 def state_inside(surface):
@@ -167,22 +166,19 @@ def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
 
 def integrate_geodesic(surface, v: TangentVector, t_end: float,
                        tol: float | None = None) -> Trajectory:
-    """Integrate the geodesic with gamma'(0) = v up to t_end or chart exit."""
-    x0, y0 = check_request(surface, t_end, v, positive=True)
-    speed = float(g_norm_batch(surface, x0, y0))
+    """Integrate the geodesic with gamma'(0) = v up to t_end or chart exit;
+    t_end = 0 gives the one-sample trajectory at v."""
+    x0, y0, speed = check_request(surface, v)
     res = integrate_batch(surface, np.concatenate([x0, y0]), t_end, tol)
     return Trajectory(res.times, res.states, res.status, speed)
 
 
 def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None) -> TangentVector:
-    """State of the geodesic with initial tangent v after time t."""
-    x0, y0 = check_request(surface, t, v)
-    tolerances(surface, tol)  # a bad tol is an error even where no step is taken
-    if t == 0.0:
-        return TangentVector(x0.copy(), y0.copy())
+    """State of the geodesic with initial tangent v after time t: v itself
+    at t = 0, and for t < 0 the reflection of the forward run of -t."""
     if t < 0.0:
         # Run the reflected geodesic forward: phi(-t, (x, y)) = N(phi(t, N v)).
-        out = geodesic_flow(surface, -t, TangentVector(x0, -y0), tol)
+        out = geodesic_flow(surface, -t, TangentVector(v.x, -v.y), tol)
         return TangentVector(out.x, -out.y)
     return require_completed(integrate_geodesic(surface, v, t, tol), "geodesic").final
 
@@ -194,8 +190,6 @@ def exp_map(surface, v: TangentVector, tol: float | None = None) -> np.ndarray:
 
 def flow_property_residual(surface, s: float, t: float, v: TangentVector, tol: float | None = None) -> float:
     """Chart distance between phi(s + t, v) and phi(s, phi(t, v))."""
-    if s == 0.0:
-        return 0.0
     a = geodesic_flow(surface, s + t, v, tol)
     mid = geodesic_flow(surface, t, v, tol)
     b = geodesic_flow(surface, s, mid, tol)
@@ -206,9 +200,3 @@ def speed_profile(surface, traj: Trajectory) -> np.ndarray:
     """g-norm of the velocity at every trajectory sample."""
     m = surface.dim
     return g_norm_batch(surface, traj.states[:, :m], traj.states[:, m:])
-
-
-def trajectory_rows(surface, traj: Trajectory) -> np.ndarray:
-    """Columns t, x1..xm, y1..ym, speed for CSV output."""
-    sp = speed_profile(surface, traj)
-    return np.column_stack([traj.times, traj.states, sp])

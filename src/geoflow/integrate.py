@@ -128,6 +128,15 @@ def _on_first_row(fn):
     return lambda x: np.asarray(fn(x[0]))[None]
 
 
+def end_times(t_end, n_rows=1) -> np.ndarray:
+    """t_end as one end time per row; raises InvalidInput unless each is
+    finite and >= 0."""
+    ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
+    if not np.all(np.isfinite(ends) & (ends >= 0)):
+        raise InvalidInput(f"end times must be finite and >= 0, got {t_end}")
+    return ends
+
+
 def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, crease=None,
                        checkpoints=None, max_steps=500_000):
     """Integrate u' = f(u) from t=0 with adaptive DP5(4) steps.
@@ -136,7 +145,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     take states of the same shape, inside returning one bool and crease one
     switching value per row. The rows share every step, and the error norm
     is the largest per-row RMS error. t_end is one end time or one per row,
-    each finite and >= 0 (InvalidInput otherwise).
+    checked by end_times; t_end = 0 returns the start as the only sample.
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
@@ -155,9 +164,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         crease = None if crease is None else _on_first_row(crease)
     u = current = np.array(u0, dtype=float, ndmin=2)  # current: every row's latest state
     n_rows, dim = u.shape
-    ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
-    if not np.all(np.isfinite(ends) & (ends >= 0)):
-        raise InvalidInput(f"end times must be finite and >= 0, got {t_end}")
+    ends = end_times(t_end, n_rows)
     due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
     rows = np.arange(n_rows)                    # original index of each running row
     row_status = [COMPLETED] * n_rows
@@ -284,14 +291,15 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
-    """Fixed-step RK4. A step that fails or lands outside ends the run with
-    status LeftChart at the last step inside."""
+    """Fixed-step RK4 from t=0 to t_end, checked by end_times, in steps of
+    at most step; t_end = 0 returns the start as the only sample. A step
+    that fails or lands outside ends the run with status LeftChart at the
+    last step inside."""
+    t_end = float(end_times(t_end)[0])
     u = np.asarray(u0, dtype=float).copy()
-    n = max(1, int(np.ceil(t_end / step)))
-    h = t_end / n
-    t = 0.0
-    times = [0.0]
-    states = [u.copy()]
+    n = int(np.ceil(t_end / step))
+    h = t_end / max(n, 1)
+    t, times, states = 0.0, [0.0], [u.copy()]
     for i in range(n):
         try:
             k1 = f(u)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, OutOfDomain
-from .flow import TangentVector, check_request, integrate_batch, require_completed, tolerances
+from .flow import TangentVector, check_request, integrate_batch, require_completed
 from .surface import local_geometry
 
 # Tolerance of the finite-difference estimators, well below their stencil error.
@@ -90,9 +90,10 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
     along the geodesic of v, or, for a list v, along each of its geodesics
     as the rows of one batch; t_end is one time or one per row.
 
-    Validates every (t_end, v) with check_request and the block. Returns the
-    IntegrationResult, whose states hold [x, y, J, K] flattened; apply
-    require_completed where every row must complete.
+    Validates every v with check_request and the block; the integrator
+    checks t_end. Returns the IntegrationResult, whose states hold
+    [x, y, J, K] flattened; apply require_completed where every row must
+    complete.
     """
     m = surface.dim
     jk0 = np.asarray(jk0, dtype=float)
@@ -101,8 +102,7 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
                            f"got shape {jk0.shape}")
     single = isinstance(v, TangentVector)
     vs = [v] if single else v
-    u0 = np.array([np.concatenate([*check_request(surface, t, w, positive=True), jk0.ravel()])
-                   for t, w in zip(np.broadcast_to(t_end, (len(vs),)), vs)])
+    u0 = np.array([np.concatenate([*check_request(surface, w)[:2], jk0.ravel()]) for w in vs])
     return integrate_batch(surface, u0[0] if single else u0, t_end, tol, checkpoints,
                            rhs=_make_joint_rhs(surface, jk0.shape[-1]))
 
@@ -122,12 +122,9 @@ def basis_block(m):
 
 
 def flow_differential(surface, t: float, v: TangentVector, tol: float | None = None) -> FlowDifferential:
-    """Propagate the 2m standard basis initial conditions as one joint run."""
+    """Propagate the 2m standard basis initial conditions as one joint run;
+    at t = 0 the matrix is the identity and the end state is v."""
     m = surface.dim
-    if t == 0.0:
-        x0, y0 = check_request(surface, t, v)
-        tolerances(surface, tol)  # a bad tol is an error even where no step is taken
-        return FlowDifferential(np.eye(2 * m), 0.0, v, TangentVector(x0.copy(), y0.copy()))
     res = propagate_block(surface, v, basis_block(m), t, tol)
     require_completed(res, "Jacobi propagation")
     mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
@@ -142,11 +139,6 @@ def chart_to_covariant(surface, x, y) -> np.ndarray:
     return c
 
 
-def covariant_to_chart(surface, x, y) -> np.ndarray:
-    """Inverse of chart_to_covariant: dy = K - Gamma(J, y)."""
-    return 2.0 * np.eye(2 * surface.dim) - chart_to_covariant(surface, x, y)
-
-
 def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
                          order: int | None = None) -> np.ndarray:
     """Central-difference Jacobian of the flow, in (J, K) coordinates.
@@ -159,12 +151,10 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     """
     m = surface.dim
     if order is None:
-        order = 4 if surface.regularity.at_least("C3") else 2
+        order = 4 if surface.regularity.c3 else 2
     if order not in (2, 4) or not (np.isfinite(eps) and eps > 0):
         raise InvalidInput(f"need order 2 or 4 and a positive finite eps, got {order}, {eps}")
-    x0, y0 = check_request(surface, t, v)
-    if t < 0.0:
-        raise InvalidInput(f"flow differential needs t >= 0, got {t}")
+    x0, y0, _ = check_request(surface, v)
     base = np.concatenate([x0, y0])
 
     if order == 4:
@@ -182,7 +172,7 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     d_chart = (weights @ ends[1:].reshape(n, k, n)).T
 
     c_end = chart_to_covariant(surface, ends[0, :m], ends[0, m:])
-    c_start_inv = covariant_to_chart(surface, x0, y0)
+    c_start_inv = 2.0 * np.eye(n) - chart_to_covariant(surface, x0, y0)  # dy = K - Gamma(J, y)
     return c_end @ d_chart @ c_start_inv
 
 
@@ -203,7 +193,7 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     """
     eps, t_end, n_samples, dt = 1e-4, 0.4, 5, 0.01
     m = surface.dim
-    x0, y0 = check_request(surface, t_end, v, positive=True)
+    x0, y0, _ = check_request(surface, v)
     w = np.asarray(w, dtype=float)
     if w.shape != (m,) or not np.all(np.isfinite(w)):
         raise InvalidInput(f"variation direction must be a finite {m}-vector, got {w}")

@@ -140,7 +140,7 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     trajectory; (b) Lipschitz quotients |phi(t, v) - phi(t, w)| / |v - w|
     over the perturbation set.
     """
-    u0 = np.concatenate(check_request(surface, t_end, v, positive=True))
+    u0 = np.concatenate(check_request(surface, v)[:2])
     step_sizes = sorted(step_sizes, reverse=True)
     if not step_sizes or not all(np.isfinite(s) and s > 0 for s in step_sizes):
         raise InvalidInput(f"need one or more finite positive step sizes, got {step_sizes}")
@@ -165,7 +165,7 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
         dv = np.linalg.norm(w.as_state() - v.as_state())
         if dv == 0:
             continue
-        rows.append(np.concatenate(check_request(surface, t_end, w, positive=True)))
+        rows.append(np.concatenate(check_request(surface, w)[:2]))
         gaps.append(dv)
     res = integrate_batch(surface, np.array(rows), t_end)
     ends = require_completed(res, f"batch of {len(rows)} perturbed geodesics").final_state

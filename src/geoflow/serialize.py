@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .flow import speed_profile
+
 
 def fmt_float(x: float) -> str:
     if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
@@ -64,9 +66,11 @@ def write_csv(path, header, rows):
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def write_trajectory_csv(path, surface, traj):
-    from .flow import trajectory_rows
-
+def write_trajectory_csv(path, surface, traj) -> np.ndarray:
+    """Columns t, x1..xm, y1..ym, speed; return the speed column, the
+    g-norm of the velocity at every sample."""
     m = surface.dim
+    speeds = speed_profile(surface, traj)
     header = ["t"] + [f"x{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(m)] + ["speed"]
-    write_csv(path, header, trajectory_rows(surface, traj))
+    write_csv(path, header, np.column_stack([traj.times, traj.states, speeds]))
+    return speeds

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DegeneratePlane, InvalidInput, OutOfChart
 
-_REG_ORDER = {"C11": (1, 1.0), "C2": (2, 0.0), "C2alpha": None, "C3": (3, 0.0), "smooth": (99, 0.0)}
+# Step of the finite differences in christoffel_fd and curvature_from_christoffel.
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -34,21 +35,15 @@ class Regularity:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.tag not in _REG_ORDER:
+        if self.tag not in ("C11", "C2", "C2alpha", "C3", "smooth"):
             raise ValueError(f"unknown regularity tag {self.tag!r}")
         if self.tag == "C2alpha" and not (self.alpha and 0.0 < self.alpha <= 1.0):
             raise ValueError("C2alpha requires alpha in (0, 1]")
 
     @property
-    def order(self) -> tuple:
-        if self.tag == "C2alpha":
-            return (2, float(self.alpha))
-        return _REG_ORDER[self.tag]
-
-    def at_least(self, other) -> bool:
-        if isinstance(other, str):
-            other = Regularity(other) if other != "C2alpha" else Regularity("C2alpha", 1e-9)
-        return self.order >= other.order
+    def c3(self) -> bool:
+        """Whether the class is C3 or smoother."""
+        return self.tag in ("C3", "smooth")
 
     def __str__(self):
         if self.tag == "C2alpha":
@@ -220,7 +215,7 @@ def local_geometry(surface, X, Y=None) -> LocalGeometry:
     """
     grad = surface.gradient(X)
     hess = surface.hessian(X)
-    g = np.eye(surface.dim) + grad @ np.swapaxes(grad, -1, -2)
+    g = _metric(surface, grad)
     gamma = np.einsum("...la,...ija->...lij", np.linalg.solve(g, grad), hess)
     return LocalGeometry(grad, hess, g, gamma, None if Y is None else np.asarray(Y, dtype=float))
 
@@ -240,8 +235,14 @@ def curvature_matrix_batch(surface, X, Y):
     return local_geometry(surface, X, Y).curvature
 
 
+def _metric(surface, grad) -> np.ndarray:
+    """g = I + grad grad^T from the gradient (..., m, c)."""
+    return np.eye(surface.dim) + grad @ np.swapaxes(grad, -1, -2)
+
+
 def g_norm_batch(surface, X, Y):
-    g = local_geometry(surface, X).g
+    """|Y|_g at X, from one gradient evaluation."""
+    g = _metric(surface, surface.gradient(X))
     return np.sqrt(np.einsum("...i,...ij,...j->...", Y, g, Y))
 
 
@@ -302,31 +303,30 @@ def sectional_curvature(surface, x, u, v) -> float:
     return float(num / den)
 
 
-def _central_diff(f, x, step) -> np.ndarray:
+def _central_diff(f, x) -> np.ndarray:
     """Per-axis 4th-order central differences of f at x: out[k] = d_k f(x)."""
     out = []
     for k in range(len(x)):
         e = np.zeros(len(x))
-        e[k] = 1.0
-        fp1, fm1 = f(x + step * e), f(x - step * e)
-        fp2, fm2 = f(x + 2 * step * e), f(x - 2 * step * e)
-        out.append((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step))
+        e[k] = _FD_STEP
+        fp1, fm1, fp2, fm2 = f(x + e), f(x - e), f(x + 2 * e), f(x - 2 * e)
+        out.append((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * _FD_STEP))
     return np.array(out)
 
 
-def christoffel_fd(surface, x, step=1e-3) -> np.ndarray:
+def christoffel_fd(surface, x) -> np.ndarray:
     """Christoffels from the general metric formula, with the metric
     derivatives taken by 4th-order central differences of the metric.
     Cross-check only; valid on smooth catalog surfaces away from kinks.
     """
     x = surface.require_inside(x)
-    dg = _central_diff(lambda p: local_geometry(surface, p).g, x, step)  # dg[k, i, j] = d_k g_ij
+    dg = _central_diff(lambda p: _metric(surface, surface.gradient(p)), x)  # dg[k, i, j] = d_k g_ij
     # half[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     half = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", local_geometry(surface, x).g_inv, half)
 
 
-def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
+def curvature_from_christoffel(surface, x, V, J) -> np.ndarray:
     """Jacobi right-hand side via derivatives of the Christoffel symbols.
 
     Independent route that numerically differentiates christoffel_batch
@@ -339,7 +339,7 @@ def curvature_from_christoffel(surface, x, V, J, step=1e-3) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     gamma = christoffel_batch(surface, x)
     # dgam[a, k, i, j] = d_a gamma^k_ij
-    dgam = _central_diff(lambda p: christoffel_batch(surface, p), x, step)
+    dgam = _central_diff(lambda p: christoffel_batch(surface, p), x)
     # R(V, J)W with W = V:  (R(V,J)W)^l = V^i J^j W^k (d_j G^l_ik - d_i G^l_jk
     #                                   + G^l_jm G^m_ik - G^l_im G^m_jk)
     r = np.einsum("i,j,k,jlik->l", V, J, V, dgam)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -308,6 +309,31 @@ def test_config_rejects_bad_seed(seed, tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"seed": seed}))
     assert run_cli(["--config", str(path), "report", "--suites", "flow"], tmp_path, monkeypatch) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("config", [
+    3, None, [["seed", 1]],
+    {"surface": "flat"},
+    {"output": 3},
+    {"output": {"summary_json": 2}},
+    {"output": {"trajectory_csv": None}},
+    {"suites": "flow"},
+    {"suites": ["flow", 1]},
+], ids=["top-int", "top-null", "top-list", "surface-str", "output-int", "output-fd",
+        "output-null-path", "suites-str", "suites-int-entry"])
+def test_config_malformed_value_exit_2(config, tmp_path, monkeypatch, capsys):
+    # rejected before any output is opened: no file, and no file descriptor
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["--config", str(tmp_path / "cfg.json"), "geodesic", "--x0", "0,0", "--y0", "1,0",
+            "--t-end", "0.1"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert opened == [str(tmp_path / "cfg.json")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_bad_file(tmp_path, monkeypatch):

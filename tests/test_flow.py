@@ -18,6 +18,8 @@ from geoflow.flow import (
     speed_profile,
     state_inside,
 )
+from geoflow.jacobi import JacobiState, fd_flow_differential, flow_differential, propagate_jacobi
+from geoflow.minimality import branching_check
 from geoflow.serialize import write_trajectory_csv
 from geoflow.surface import GraphSurface, Regularity, g_norm_batch
 
@@ -369,8 +371,51 @@ def test_trajectory_csv(tmp_path, hemisphere):
 def test_infinite_t_end_rejected(hemisphere):
     with pytest.raises(InvalidInput):
         integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), math.inf)
-    with pytest.raises(ValueError):  # non-positive t_end stays a ValueError
-        integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.0)
+    # t_end = 0 is the one-sample trajectory at the start
+    traj = integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.0)
+    assert traj.status == integrate.COMPLETED and traj.times.tolist() == [0.0]
+    np.testing.assert_array_equal(traj.states, [[0.0, 0.0, 1.0, 0.0]])
+
+
+V0 = TangentVector([0.1, 0.2], [0.6, -0.3])
+J0 = JacobiState([0.3, -0.2], [0.1, 0.5])
+
+
+def _branching_spreads_and_quotients(surface, t):
+    rep = branching_check(surface, V0, t, [0.1, 0.05], [TangentVector(V0.x, V0.y + [1e-3, 0.0])])
+    return np.array(rep["spreads"] + rep["quotients"])
+
+
+def _matrix_and_end(surface, t):
+    fd = flow_differential(surface, t, V0)
+    return np.vstack([fd.matrix, fd.end.as_state()])
+
+
+# Each entry point as a function of (surface, t), and what it returns at t = 0.
+END_TIME_ENTRY_POINTS = {
+    "integrate_geodesic": (lambda s, t: integrate_geodesic(s, V0, t).states, [V0.as_state()]),
+    "geodesic_flow": (lambda s, t: geodesic_flow(s, t, V0).as_state(), V0.as_state()),
+    "flow_differential": (_matrix_and_end, np.vstack([np.eye(4), V0.as_state()])),
+    "fd_flow_differential": (lambda s, t: fd_flow_differential(s, t, V0), np.eye(4)),
+    "propagate_jacobi": (lambda s, t: propagate_jacobi(s, V0, J0, t).as_vector(), J0.as_vector()),
+    "branching_check": (_branching_spreads_and_quotients, [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(END_TIME_ENTRY_POINTS))
+def test_one_end_time_rule(hemisphere, name):
+    # t = 0 returns the start; a non-finite or negative time is InvalidInput,
+    # except that geodesic_flow runs negative times backwards
+    run, start = END_TIME_ENTRY_POINTS[name]
+    if name == "fd_flow_differential":  # differences of rows that did not move
+        np.testing.assert_allclose(run(hemisphere, 0.0), start, rtol=0, atol=1e-11)
+    else:
+        np.testing.assert_array_equal(run(hemisphere, 0.0), start)
+    for t in (math.nan, math.inf, -0.3):
+        if name == "geodesic_flow" and t < 0:
+            continue
+        with pytest.raises(InvalidInput):
+            run(hemisphere, t)
 
 
 def test_nan_time_rejected(hemisphere):
