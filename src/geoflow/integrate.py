@@ -145,7 +145,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     take states of the same shape, inside returning one bool and crease one
     switching value per row. The rows share every step, and the error norm
     is the largest per-row RMS error. t_end is one end time or one per row,
-    checked by end_times; t_end = 0 returns the start as the only sample.
+    checked by end_times; t_end = 0 returns the start as the only sample,
+    without evaluating f.
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
@@ -189,6 +190,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         out = out[:, 0] if single else out
         return IntegrationResult(np.array(times), out, row_status, n_acc, n_rej, n_cuts)
 
+    if np.all(due <= 0):  # every row is done at the start: f is never evaluated
+        return result()
     try:
         f_cur = eval_rhs(u)
     except OutOfChart:

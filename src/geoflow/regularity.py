@@ -2,6 +2,8 @@
 
 Height fields are smoothed by convolution with a compactly supported product
 of 1-D bump kernels, sampled on a fine grid and applied one axis at a time.
+The fine grid is never held whole: it is sampled and smoothed one strip of
+rows at a time.
 Derivative grids are produced by convolving the surface's own derivative
 arrays with the same kernel (the convolution commutes with differentiation
 for the classes handled here); the discrete weights are nonnegative,
@@ -39,6 +41,7 @@ _PROBE_TIMES = (0.15, 0.3)              # flow-time range of the convergence pro
 _CONVERGE_FACTOR = 1.5                  # mean shrink per level that counts as converging
 _LIPSCHITZ_GAPS = (1e-4, 1e-2)          # log-uniform range of initial-state gaps
 _MODULUS_GAPS = np.logspace(-3, -1, 7)  # base-point gaps of the modulus probes
+_STRIP_ROWS = 32                        # spline-grid rows that mollify smooths at a time
 
 # ---------------------------------------------------------------------------
 # moduli of continuity
@@ -211,12 +214,14 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     """Smoothed copy of the surface on the chart box shrunk by eps.
 
     The height, gradient and Hessian (entries 11, 12, 22) are sampled on a
-    fine grid of spacing eps / kernel_cells, one field at a time. Each
-    component is convolved with a product of 1-D bumps of support radius
-    eps, one axis at a time, each pass keeping only the outputs on the
-    spline grid, so the fine grid holds the points and one field at a time.
-    The smoothed height at the chart origin is re-normalized to match the
-    original. Only box-domain charts of dim 2 are supported.
+    fine grid of spacing eps / kernel_cells. Each component is convolved
+    with a product of 1-D bumps of support radius eps, one axis at a time,
+    each pass keeping only the outputs on the spline grid. The fine grid
+    exists one strip at a time, never whole: a strip of _STRIP_ROWS rows of
+    the spline grid samples only the fine rows its kernel windows cover, so
+    memory follows the strip, not (1 / eps)^2. The smoothed height is
+    re-normalized to match the original at the chart origin when the origin
+    is on the grid. Only box-domain charts of dim 2 are supported.
     """
     if not (np.isfinite(eps) and eps > 0 and isinstance(kernel_cells, (int, np.integer))
             and kernel_cells >= 1):
@@ -235,27 +240,31 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     radius = [int(np.floor(eps / (ax[1] - ax[0]) + 1e-9)) for ax in axes]
     if min(radius) < 2:
         raise DomainTooSmall("kernel support under-resolved; increase kernel_cells")
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     # Subsample to the spline grid: spacing about eps/6 resolves every
     # eps-scale feature while keeping the spline fits cheap.
     k = max(1, int(round(kernel_cells / 6)))
     xa = axes[0][radius[0]: len(axes[0]) - radius[0]: k]
     ya = axes[1][radius[1]: len(axes[1]) - radius[1]: k]
-    h = _smooth_field(surface.height(pts), radius, k)
-    grad = _smooth_field(surface.gradient(pts), radius, k)
-    hess = _smooth_field(surface.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :], radius, k)
+    shape = (len(xa), len(ya))
+    h = np.empty(shape + (surface.codim,))
+    grad = np.empty(shape + (2, surface.codim))
+    hess = np.empty(shape + (3, surface.codim))
+    for i0 in range(0, len(xa), _STRIP_ROWS):
+        # Spline rows i0:i1 are the kernel windows starting at fine rows
+        # i0 * k, ..., (i1 - 1) * k: the same dot products as on the whole grid.
+        i1 = min(i0 + _STRIP_ROWS, len(xa))
+        rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
+        pts = np.stack(np.meshgrid(rows, axes[1], indexing="ij"), axis=-1)
+        h[i0:i1] = _smooth_field(surface.height(pts), radius, k)
+        grad[i0:i1] = _smooth_field(surface.gradient(pts), radius, k)
+        hess[i0:i1] = _smooth_field(surface.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :], radius, k)
 
-    # Re-normalize the height at the chart origin when it is on the grid.
+    smoothed = GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
+                           regularity=Regularity("smooth"))
     if (xa[0] <= 0 <= xa[-1]) and (ya[0] <= 0 <= ya[-1]):
-        from scipy.interpolate import RectBivariateSpline
-
-        h0 = surface.height(np.zeros(2))
-        for a in range(surface.codim):
-            spl = RectBivariateSpline(xa, ya, h[..., a], kx=3, ky=3, s=0)
-            h[..., a] -= float(spl.ev(0.0, 0.0)) - h0[a]
-
-    return GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
-                       regularity=Regularity("smooth"))
+        origin = np.zeros(2)
+        smoothed._shift_height(surface.height(origin) - smoothed.height(origin))
+    return smoothed
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,7 @@ class GridSurface(GraphSurface):
             return NdBSpline(spl.get_knots(), coeffs, 3)
 
         h_spl, g_spl, hess_spl = stacked(h), stacked(grad), stacked(hess)
+        self._h_coeffs = h_spl.c  # the array h_spl evaluates, shared (see _shift_height)
         grad_max = np.max(np.abs(g_spl.c), axis=(0, 1))
         hess_max = np.max(np.abs(hess_spl.c), axis=(0, 1)).reshape(3, codim)
         hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
@@ -415,6 +416,12 @@ class GridSurface(GraphSurface):
             regularity=regularity,
             bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
+
+    def _shift_height(self, delta):
+        """Add the constant delta (codim,) to the height without a refit: the
+        B-splines sum to one on the grid box, so adding delta to every
+        coefficient adds it to the spline (up to rounding)."""
+        self._h_coeffs += delta
 
     @classmethod
     def from_samples(cls, name, x_axis, y_axis, h_samples, *, regularity=Regularity("smooth")):

@@ -398,3 +398,22 @@ def test_cli_import_skips_scipy_signal():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import geoflow.cli, sys; assert 'scipy.signal' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_smooth_converge_peak_rss(tmp_path):
+    # the default scales smooth a 2049 x 2049 fine grid at the finest level;
+    # mollifying in strips keeps the whole run far below the ~410 MB that
+    # holding that grid takes (ru_maxrss is in KiB on Linux)
+    src = str(Path(geoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import resource, sys\n"
+        "from geoflow.cli import main\n"
+        "code = main(['--seed', '12345', '--surface', 'vee', 'smooth-converge'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+                         timeout=300, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    max_rss_kib = int(run.stderr.split()[-1])
+    assert max_rss_kib <= 250 * 1024, max_rss_kib

@@ -100,6 +100,22 @@ def test_chart_exit_costs_no_extra_rhs_evaluations(hemisphere):
     assert len(calls) <= 1 + 6 * (res.n_accepted + res.n_rejected)
 
 
+def test_zero_end_time_evaluates_no_rhs():
+    # every row is done at the start, so f is never called, and a start
+    # whose right-hand side is not finite is still returned as it is
+    calls = []
+
+    def counting_rhs(u):
+        calls.append(1)
+        return np.array([u[1], -u[0]])
+
+    res = integrate.integrate_adaptive(counting_rhs, [1.0, 0.0], 0.0)
+    assert calls == [] and res.status == "Completed"
+    np.testing.assert_array_equal(res.states, [[1.0, 0.0]])
+    res = integrate.integrate_adaptive(lambda u: np.full(u.shape, np.nan), [[1.0, 0.0]] * 2, 0.0)
+    assert res.row_status == ["Completed"] * 2 and res.final_time == 0.0
+
+
 def test_crease_crossing_cuts_the_step(vee):
     # the geodesic crosses the ridge x1 = 0 once: the accepted step across it
     # is cut and retaken to end just past the crease

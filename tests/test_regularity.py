@@ -142,8 +142,8 @@ def test_mollify_rejects_invalid_input(vee, eps, kernel_cells):
 
 
 def test_mollify_peak_memory(vee):
-    # vee at eps = 0.05 samples a 513 x 513 fine grid; smoothing one field
-    # at a time keeps the peak near the derivative arrays themselves
+    # vee at eps = 0.05 samples a 513 x 513 fine grid, in strips of 128 fine
+    # rows; the peak stays near the derivative arrays of one strip
     field_bytes = 8 * 513 ** 2
     tracemalloc.start()
     try:
@@ -152,7 +152,63 @@ def test_mollify_peak_memory(vee):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * field_bytes, peak / field_bytes
+    assert peak <= 4 * field_bytes, peak / field_bytes
+
+
+def test_mollify_memory_follows_strip(vee):
+    # vee at eps = 0.025 samples a 1025 x 1025 fine grid, but one strip of
+    # fine rows at a time: the peak stays under three such fields, where
+    # smoothing the whole grid at once reached 9.3
+    reg.mollify(vee, 0.1)  # imports scipy.interpolate before tracing starts
+    field_bytes = 8 * 1025 ** 2
+    tracemalloc.start()
+    try:
+        reg.mollify(vee, 0.025)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * field_bytes, peak / field_bytes
+
+
+@pytest.mark.parametrize("name", ["vee", "c2alpha"])
+def test_strips_change_no_bits(name, monkeypatch):
+    # at eps = 0.05 the spline grid has 161 rows, so the last strip holds one
+    # row, and vee's crease x1 = 0 (row 80) lies inside a strip; every field
+    # must equal the smoothing of the whole fine grid bit for bit
+    surf = make_surface(name)
+    fields = []
+    grid_surface = reg.GridSurface
+
+    def capture(label, xa, ya, h, grad, hess, **kwargs):
+        fields.extend([h, grad, hess])
+        return grid_surface(label, xa, ya, h, grad, hess, **kwargs)
+
+    monkeypatch.setattr(reg, "GridSurface", capture)
+    reg.mollify(surf, 0.05)
+    assert len(fields[0]) == 161 and 161 % reg._STRIP_ROWS != 0
+    # mollify's fine grid: 513 points per axis (spacing eps / 16), radius 16, stride 3
+    axes = [np.linspace(lo, hi, 513) for lo, hi in zip(surf.domain_lo, surf.domain_hi)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    whole = [surf.height(pts), surf.gradient(pts), surf.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :]]
+    for got, field in zip(fields, whole):
+        np.testing.assert_array_equal(got, reg._smooth_field(field, [16, 16], 3))
+
+
+def test_mollify_fits_each_field_once(c2alpha, monkeypatch):
+    # 1 height, 2 gradient and 3 Hessian fits per level: the origin
+    # re-normalization shifts the fitted height instead of fitting it again
+    import scipy.interpolate
+
+    fits = []
+    fit = scipy.interpolate.RectBivariateSpline
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "RectBivariateSpline", counted)
+    reg.approximation_sequence(c2alpha, [0.1, 0.05, 0.025, 0.0125])
+    assert len(fits) == 24
 
 
 # ---------------------------------------------------------------------------
