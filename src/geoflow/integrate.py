@@ -145,8 +145,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     take states of the same shape, inside returning one bool and crease one
     switching value per row. The rows share every step, and the error norm
     is the largest per-row RMS error. t_end is one end time or one per row,
-    checked by end_times; t_end = 0 returns the start as the only sample,
-    without evaluating f.
+    checked by end_times; a row whose end time is 0 is retired before f is
+    first evaluated, so t_end = 0 returns the start as the only sample.
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
@@ -167,7 +167,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     n_rows, dim = u.shape
     ends = end_times(t_end, n_rows)
     due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
-    rows = np.arange(n_rows)                    # original index of each running row
+    rows = np.flatnonzero(due > 0)              # original index of each running row
     row_status = [COMPLETED] * n_rows
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = n_cuts = 0
@@ -190,14 +190,15 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         out = out[:, 0] if single else out
         return IntegrationResult(np.array(times), out, row_status, n_acc, n_rej, n_cuts)
 
-    if np.all(due <= 0):  # every row is done at the start: f is never evaluated
+    if not len(rows):  # rows done at the start are retired before f is evaluated
         return result()
+    u = u[rows]
     try:
         f_cur = eval_rhs(u)
     except OutOfChart:
         return result(failed=True)
     side = None if crease is None else crease(u)  # each running row's crease switch
-    h = _initial_step(f_cur, u, rtol, atol, ends)
+    h = _initial_step(f_cur, u, rtol, atol, ends[rows])
     err_old = 1e-4
     next_due = -np.inf
 

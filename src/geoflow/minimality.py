@@ -5,7 +5,7 @@ by ambient chord length. Shortest vertex paths overestimate the intrinsic
 distance by at most a mesh-resolution term times the king-move anisotropy
 constant sec(pi/8), which the margin computation budgets explicitly. The
 oracle needs height values only, so it also works on surfaces whose
-derivatives are discontinuous.
+derivatives are discontinuous. scipy.sparse is imported where it is used.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from . import integrate
 from .errors import DisconnectedMesh, InvalidInput, OutOfDomain
@@ -43,6 +41,7 @@ class MeshGeodesicOracle:
 
 def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
     """King-move mesh over the chart with ambient chord-length weights."""
+    from scipy.sparse import coo_matrix
     if resolution < 8:
         raise InvalidInput(f"resolution must be at least 8 per axis, got {resolution}")
     m = surface.dim
@@ -87,11 +86,10 @@ def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
 
 def shortest_path(oracle: MeshGeodesicOracle, p, q):
     """(length, hop_count, snap_p, snap_q) of the shortest vertex path."""
+    from scipy.sparse.csgraph import dijkstra
     i, sp = oracle.snap(p)
     j, sq = oracle.snap(q)
-    dist, pred = _dijkstra(
-        oracle.graph, directed=False, indices=i, return_predecessors=True
-    )
+    dist, pred = dijkstra(oracle.graph, directed=False, indices=i, return_predecessors=True)
     if not np.isfinite(dist[j]):
         raise DisconnectedMesh(f"no mesh path between {p} and {q}")
     hops = 0

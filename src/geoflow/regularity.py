@@ -16,7 +16,8 @@ behaviour: the exponential a-priori bound on Jacobi states, the explicit
 modulus transfer Gamma(delta) = Ct * t1 * exp(Cb * t1) * mu(delta) for the
 dependence of solutions of a linear system on a parameter entering its
 coefficients, the integral-inequality form of that argument, and empirical
-modulus estimation over binned sample pairs.
+modulus estimation over binned sample pairs. scipy is imported where it is
+used: scipy.integrate in osgood_integral_check only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
@@ -125,6 +125,7 @@ def osgood_integral_check(times, l_values, a: float, mu):
     t - t0 - integral. For a = 0 with a divergent integral the check
     asserts L == 0 within _OSGOOD_FLOOR.
     """
+    from scipy.integrate import IntegrationWarning, quad
     times = np.asarray(times, dtype=float)
     l_values = np.asarray(l_values, dtype=float)
     t0 = times[0]

@@ -392,20 +392,46 @@ def test_grid_surface_spec(tmp_path, monkeypatch, capsys):
     np.testing.assert_allclose(out["final_x"], [0.2, 0.0], atol=1e-8)
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal takes most of the CLI's import time and nothing needs it
+def run_fresh(code, **kwargs):
+    """Run a code string in a fresh interpreter that imports geoflow from this
+    checkout; raises CalledProcessError unless it exits 0."""
     src = str(Path(geoflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import geoflow.cli, sys; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, **kwargs)
+
+
+def test_cli_loads_scipy_only_where_used(tmp_path):
+    # scipy is imported where it is used: importing the CLI and running the
+    # numpy-only commands loads no scipy module, and minimality, which needs
+    # scipy.sparse.csgraph, still runs from a cold start
+    numpy_only = [
+        ["surface", "list"],
+        ["--surface", "vee", "geodesic", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t-end", "0.3"],
+        ["--surface", "vee", "jacobian", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t", "0.3",
+         "--fd-check"],
+    ]
+    code = (
+        "import sys\n"
+        "from geoflow.cli import main\n"
+        "def no_scipy():\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    assert not loaded, loaded[:5]\n"
+        "no_scipy()\n"
+        f"for argv in {numpy_only!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    no_scipy()\n"
+    )
+    run_fresh(code, cwd=tmp_path, timeout=120, stdout=subprocess.DEVNULL)
+    argv = ["--surface", "vee", "minimality", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t-end", "0.3",
+            "--resolution", "32"]
+    run_fresh(f"import sys\nfrom geoflow.cli import main\nsys.exit(main({argv!r}))\n",
+              cwd=tmp_path, timeout=120, stdout=subprocess.DEVNULL)
 
 
 def test_smooth_converge_peak_rss(tmp_path):
     # the default scales smooth a 2049 x 2049 fine grid at the finest level;
     # mollifying in strips keeps the whole run far below the ~410 MB that
     # holding that grid takes (ru_maxrss is in KiB on Linux)
-    src = str(Path(geoflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import resource, sys\n"
         "from geoflow.cli import main\n"
@@ -413,7 +439,7 @@ def test_smooth_converge_peak_rss(tmp_path):
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
-                         timeout=300, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    run = run_fresh(code, cwd=tmp_path, timeout=300, stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE, text=True)
     max_rss_kib = int(run.stderr.split()[-1])
     assert max_rss_kib <= 250 * 1024, max_rss_kib

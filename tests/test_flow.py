@@ -116,6 +116,24 @@ def test_zero_end_time_evaluates_no_rhs():
     assert res.row_status == ["Completed"] * 2 and res.final_time == 0.0
 
 
+def test_zero_end_time_rows_retire_before_the_first_rhs():
+    # a row done at the start is never evaluated: a non-finite right-hand
+    # side on another row fails that row only
+    def rhs(u):
+        return np.where(u[:, 1:] > 0.5, np.nan, -u)
+
+    res = integrate.integrate_adaptive(rhs, [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
+    assert res.row_status == ["Completed", "StepFailure"]
+    np.testing.assert_array_equal(res.final_state, [[1.0, 0.0], [0.0, 1.0]])
+    # the running rows step exactly as they would alone
+    res = integrate.integrate_adaptive(lambda u: -u, [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
+    alone = integrate.integrate_adaptive(lambda u: -u, [[0.0, 1.0]], [1.0])
+    assert res.row_status == ["Completed"] * 2
+    np.testing.assert_array_equal(res.times, alone.times)
+    np.testing.assert_array_equal(res.states[:, 1], alone.states[:, 0])
+    np.testing.assert_array_equal(res.states[:, 0], np.tile([1.0, 0.0], (len(res.times), 1)))
+
+
 def test_crease_crossing_cuts_the_step(vee):
     # the geodesic crosses the ridge x1 = 0 once: the accepted step across it
     # is cut and retaken to end just past the crease
