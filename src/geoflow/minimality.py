@@ -5,12 +5,21 @@ by ambient chord length. Shortest vertex paths overestimate the intrinsic
 distance by at most a mesh-resolution term times the king-move anisotropy
 constant sec(pi/8), which the margin computation budgets explicitly. The
 oracle needs height values only, so it also works on surfaces whose
-derivatives are discontinuous. scipy.sparse is imported where it is used.
+derivatives are discontinuous.
+
+A query searches only the index box that one king path bounds. Its length U
+is the ambient length of the straight king walk between the two snapped
+vertices. On a graph chart |F(x) - F(x')| >= |x - x'|, so every vertex of a
+path no longer than U lies within chart distance U of both ends; the box of
+those vertices holds the shortest path and the windowed search is exact.
+When the walk leaves the chart (near a curved rim) there is no such bound
+and the box is the whole grid. scipy.sparse is imported where it is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -27,9 +36,21 @@ KING_ANISOTROPY = 1.0 / np.cos(np.pi / 8.0)  # worst king-path overhead, 1.0824
 class MeshGeodesicOracle:
     surface: object
     resolution: int
+    index: np.ndarray          # (resolution,) * m grid of vertex ids, -1 outside the chart
     vertices: np.ndarray       # (V, m) chart points
-    graph: object              # CSR matrix of symmetric chord-length weights
-    mesh_step: float           # largest per-axis grid spacing
+    cells: np.ndarray          # (V, m) grid cell of each vertex
+    embedded: np.ndarray       # (V, m + codim) ambient points
+    steps: np.ndarray          # (m,) grid spacing per axis
+
+    @property
+    def mesh_step(self) -> float:
+        """Largest per-axis grid spacing."""
+        return float(max(self.steps))
+
+    @cached_property
+    def graph(self):
+        """CSR matrix of symmetric chord-length weights over the whole mesh."""
+        return box_graph(self, (0,) * self.index.ndim, self.index.shape)[0]
 
     def snap(self, p) -> tuple[int, float]:
         """Nearest vertex index and its chart distance to p."""
@@ -40,66 +61,79 @@ class MeshGeodesicOracle:
 
 
 def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
-    """King-move mesh over the chart with ambient chord-length weights."""
-    from scipy.sparse import coo_matrix
-    if resolution < 8:
-        raise InvalidInput(f"resolution must be at least 8 per axis, got {resolution}")
-    m = surface.dim
+    """Vertices of the king-move mesh over the chart and their embedding."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 8:
+        raise InvalidInput(f"resolution must be an integer of at least 8 per axis, got {resolution!r}")
     axes = [
         np.linspace(lo, hi, resolution)
         for lo, hi in zip(surface.domain_lo, surface.domain_hi)
     ]
-    steps = [ax[1] - ax[0] for ax in axes]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     keep = surface.contains_batch(pts)
-    index = -np.ones(len(pts), dtype=np.int64)
-    index[keep] = np.arange(int(keep.sum()))
+    index = np.where(keep, np.cumsum(keep) - 1, -1).reshape(mesh[0].shape)
     verts = pts[keep]
-    emb = surface.embed_batch(verts)
+    return MeshGeodesicOracle(surface, resolution, index, verts, np.argwhere(index >= 0),
+                              surface.embed_batch(verts), np.array([ax[1] - ax[0] for ax in axes]))
 
-    shape = (resolution,) * m
-    lin = np.arange(len(pts)).reshape(shape)
-    rows, cols, vals = [], [], []
-    for offset in product((-1, 0, 1), repeat=m):
+
+def box_graph(oracle: MeshGeodesicOracle, lo, hi):
+    """(graph, ids): CSR king-move graph over the inside vertices of the index
+    box [lo, hi), whose nodes are the vertex ids `ids` in increasing order."""
+    from scipy.sparse import coo_matrix
+    sub = oracle.index[tuple(slice(a, b) for a, b in zip(lo, hi))]
+    ids = sub[sub >= 0]
+    local = np.where(sub >= 0, np.searchsorted(ids, sub), -1)
+    pairs = []
+    for offset in product((-1, 0, 1), repeat=sub.ndim):
         if all(o == 0 for o in offset) or offset < tuple(-o for o in offset):
             continue  # half of the offsets; weights are symmetric
-        src = lin[tuple(slice(max(0, -o), resolution - max(0, o)) for o in offset)]
-        dst = lin[tuple(slice(max(0, o), resolution - max(0, -o)) for o in offset)]
-        a = index[src.ravel()]
-        b = index[dst.ravel()]
+        a = local[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, sub.shape))].ravel()
+        b = local[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, sub.shape))].ravel()
         ok = (a >= 0) & (b >= 0)
-        a, b = a[ok], b[ok]
-        w = np.linalg.norm(emb[a] - emb[b], axis=1)
-        rows.append(a)
-        cols.append(b)
-        vals.append(w)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    graph = coo_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(len(verts), len(verts)),
-    ).tocsr()
-    return MeshGeodesicOracle(surface, resolution, verts, graph, float(max(steps)))
+        pairs.append((a[ok], b[ok]))
+    a, b = (np.concatenate(col) for col in zip(*pairs))
+    w = np.linalg.norm(oracle.embedded[ids[a]] - oracle.embedded[ids[b]], axis=1)
+    return coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+                      shape=(len(ids),) * 2).tocsr(), ids
+
+
+def search_box(oracle: MeshGeodesicOracle, i: int, j: int):
+    """Index box [lo, hi) that holds every vertex path from vertex i to vertex j
+    no longer than the straight king walk between them; the whole grid when
+    that walk leaves the chart."""
+    ci, cj = oracle.cells[i], oracle.cells[j]
+    n = int(np.max(np.abs(cj - ci)))
+    walk = ci + np.floor(np.arange(n + 1)[:, None] * (cj - ci) / max(n, 1) + 0.5).astype(np.int64)
+    ids = oracle.index[tuple(walk.T)]
+    if np.any(ids < 0):
+        return np.zeros_like(ci), np.full_like(ci, oracle.resolution)
+    bound = float(np.sum(np.linalg.norm(np.diff(oracle.embedded[ids], axis=0), axis=1)))
+    # cells per axis within chart distance U, with slack for rounding
+    reach = np.ceil(bound * (1 + 1e-9) / oracle.steps).astype(np.int64) + 1
+    return np.maximum(np.maximum(ci, cj) - reach, 0), \
+        np.minimum(np.minimum(ci, cj) + reach + 1, oracle.resolution)
 
 
 def shortest_path(oracle: MeshGeodesicOracle, p, q):
-    """(length, hop_count, snap_p, snap_q) of the shortest vertex path."""
+    """(length, hop_count, snap_p, snap_q) of the shortest vertex path; p and q
+    must lie in the chart."""
     from scipy.sparse.csgraph import dijkstra
-    i, sp = oracle.snap(p)
-    j, sq = oracle.snap(q)
-    dist, pred = dijkstra(oracle.graph, directed=False, indices=i, return_predecessors=True)
-    if not np.isfinite(dist[j]):
+    i, sp = oracle.snap(oracle.surface.require_inside(p))
+    j, sq = oracle.snap(oracle.surface.require_inside(q))
+    graph, ids = box_graph(oracle, *search_box(oracle, i, j))
+    a, b = np.searchsorted(ids, [i, j])
+    dist, pred = dijkstra(graph, directed=False, indices=a, return_predecessors=True)
+    if not np.isfinite(dist[b]):
         raise DisconnectedMesh(f"no mesh path between {p} and {q}")
     hops = 0
-    k = j
-    while k != i:
+    k = b
+    while k != a:
         k = pred[k]
         if k < 0:
             raise DisconnectedMesh("predecessor chain broken")
         hops += 1
-    return float(dist[j]), hops, sp, sq
+    return float(dist[b]), hops, sp, sq
 
 
 def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:

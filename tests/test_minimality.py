@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import InvalidInput
+from geoflow.errors import InvalidInput, OutOfChart
 from geoflow.flow import TangentVector, integrate_geodesic
 from geoflow.minimality import (
     KING_ANISOTROPY,
     branching_check,
     build_mesh_oracle,
     minimality_report,
+    search_box,
     shortest_path,
     short_geodesic,
 )
@@ -58,7 +59,12 @@ def test_edge_weights_dominate_chart_distance(hemi_oracle):
 def test_weights_symmetric(hemi_oracle):
     g = hemi_oracle.graph
     diff = (g - g.T).tocoo()
-    assert np.max(np.abs(diff.data)) if diff.nnz else 0.0 <= 1e-15
+    assert (np.max(np.abs(diff.data)) if diff.nnz else 0.0) <= 1e-15
+
+
+def test_build_rejects_fractional_resolution(flat):
+    with pytest.raises(InvalidInput):
+        build_mesh_oracle(flat, 16.5)
 
 
 def test_build_on_c11_surface(vee):
@@ -94,6 +100,15 @@ def test_flat_sanity_bounds(flat_oracle):
         assert length <= e * KING_ANISOTROPY + 2 * flat_oracle.mesh_step
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [5.0, 5.0], [0.1], [0.0, 0.0, 0.0]],
+                         ids=["nan", "outside", "short", "long"])
+def test_shortest_path_rejects_points_off_chart(flat, bad):
+    oracle = build_mesh_oracle(flat, 16)
+    for p, q in ((bad, [0.0, 0.0]), ([0.0, 0.0], bad)):
+        with pytest.raises(OutOfChart):
+            shortest_path(oracle, p, q)
+
+
 def test_hemisphere_great_circle_distance(hemi_oracle):
     # intrinsic distance between the pole point and (sin 0.5, 0) is 0.5
     length, hops, sp, sq = shortest_path(hemi_oracle, [0.0, 0.0], [math.sin(0.5), 0.0])
@@ -121,6 +136,57 @@ def test_refinement_never_lengthens_much(hemisphere):
         lc = shortest_path(coarse, p, q)[0]
         lf = shortest_path(fine, p, q)[0]
         assert lf <= lc + coarse.mesh_step
+
+
+# ---------------------------------------------------------------------------
+# the search window
+# ---------------------------------------------------------------------------
+
+
+def _full_search(oracle, p, q):
+    """Length and hop count of the shortest path over the whole oracle.graph."""
+    from scipy.sparse.csgraph import dijkstra
+    i, j = oracle.snap(p)[0], oracle.snap(q)[0]
+    dist, pred = dijkstra(oracle.graph, directed=False, indices=i, return_predecessors=True)
+    hops, k = 0, j
+    while k != i:
+        k, hops = pred[k], hops + 1
+    return float(dist[j]), hops
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_window_matches_full_search(surfaces, name):
+    surf = surfaces[name]
+    oracle = build_mesh_oracle(surf, 64)
+    rng = np.random.default_rng(41)
+    pts = random_chart_points(surf, 40, rng, shrink=1.0)
+    pairs = list(zip(pts[::2], pts[1::2])) + [(pts[0], pts[0])]
+    for p, q in pairs:
+        assert shortest_path(oracle, p, q)[:2] == _full_search(oracle, p, q)
+
+
+def test_window_rim_pairs_fall_back_to_full_grid(hemi_oracle):
+    # close pairs just inside |x| = 0.8, where the straight king walk can
+    # cut a grid cell outside the disk
+    rng = np.random.default_rng(43)
+    fallbacks = 0
+    for _ in range(60):
+        a = rng.uniform(0.0, 2.0 * np.pi) + np.array([0.0, rng.uniform(0.02, 0.5)])
+        r = 0.8 - rng.uniform(0.0, 0.02, 2)
+        p, q = (r * np.array([np.cos(a), np.sin(a)])).T
+        assert shortest_path(hemi_oracle, p, q)[:2] == _full_search(hemi_oracle, p, q)
+        lo, hi = search_box(hemi_oracle, hemi_oracle.snap(p)[0], hemi_oracle.snap(q)[0])
+        fallbacks += bool(np.all(lo == 0) and np.all(hi == hemi_oracle.resolution))
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_short_query_searches_small_window(surfaces, name):
+    oracle = build_mesh_oracle(surfaces[name], 256)
+    i, j = oracle.snap([0.0, 0.0])[0], oracle.snap([0.2, 0.1])[0]
+    lo, hi = search_box(oracle, i, j)
+    searched = int(np.sum(oracle.index[tuple(slice(a, b) for a, b in zip(lo, hi))] >= 0))
+    assert searched <= 0.1 * len(oracle.vertices)
 
 
 # ---------------------------------------------------------------------------
