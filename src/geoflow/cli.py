@@ -16,6 +16,7 @@ All randomness derives from the seed recorded in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -374,6 +375,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="geoflow", description=__doc__)
     p.add_argument("--config", help="JSON run configuration file")
@@ -438,10 +440,9 @@ def _join_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_value_flags(list(argv)))
+    args = build_parser().parse_args(_join_value_flags(list(argv)))
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:

@@ -7,13 +7,13 @@ constant sec(pi/8), which the margin computation budgets explicitly. The
 oracle needs height values only, so it also works on surfaces whose
 derivatives are discontinuous.
 
-A query searches only the index box that one king path bounds. Its length U
-is the ambient length of the straight king walk between the two snapped
-vertices. On a graph chart |F(x) - F(x')| >= |x - x'|, so every vertex of a
-path no longer than U lies within chart distance U of both ends; the box of
-those vertices holds the shortest path and the windowed search is exact.
-When the walk leaves the chart (near a curved rim) there is no such bound
-and the box is the whole grid. scipy.sparse is imported where it is used.
+The oracle keeps only the grid axes; the chart test and the embedding run on
+the cells a query looks at. A point snaps to the nearest corner of its grid
+cell, and a query searches the index box that one king path bounds: on a graph
+chart |F(x) - F(x')| >= |x - x'|, so each vertex of a path no longer than the
+king walk between the snapped vertices lies within that length of both ends.
+Where a cell corner or the walk leaves the chart, the snap or search covers
+the whole grid. scipy.sparse is imported where it is used.
 """
 
 from __future__ import annotations
@@ -34,81 +34,95 @@ KING_ANISOTROPY = 1.0 / np.cos(np.pi / 8.0)  # worst king-path overhead, 1.0824
 
 @dataclass
 class MeshGeodesicOracle:
+    """King-move mesh over the chart; a vertex id is the flat row-major index of its grid cell."""
     surface: object
     resolution: int
-    index: np.ndarray          # (resolution,) * m grid of vertex ids, -1 outside the chart
-    vertices: np.ndarray       # (V, m) chart points
-    cells: np.ndarray          # (V, m) grid cell of each vertex
-    embedded: np.ndarray       # (V, m + codim) ambient points
+    axes: np.ndarray           # (m, resolution) grid coordinates per axis
     steps: np.ndarray          # (m,) grid spacing per axis
+    shape: tuple               # (resolution,) * m
 
     @property
     def mesh_step(self) -> float:
         """Largest per-axis grid spacing."""
         return float(max(self.steps))
 
+    def points(self, cells) -> np.ndarray:
+        """Chart points of integer grid cells (..., m)."""
+        return self.axes[np.arange(len(self.shape)), cells]
+
+    def box(self, lo, hi):
+        """(cells, local): the inside cells (K, m) of the index box [lo, hi) in
+        row-major order, and the box grid of positions among them, -1 outside."""
+        cells = np.moveaxis(np.mgrid[tuple(slice(a, b) for a, b in zip(lo, hi))], 0, -1)
+        inside = self.surface.contains_batch(self.points(cells))
+        return cells[inside], np.where(inside, np.cumsum(inside).reshape(inside.shape) - 1, -1)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Whole grid of positions in `vertices`, -1 outside the chart."""
+        return self.box((0,) * len(self.shape), self.shape)[1]
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """(V, m) chart points of the vertices, in id order."""
+        return self.points(np.argwhere(self.index >= 0))
+
     @cached_property
     def graph(self):
         """CSR matrix of symmetric chord-length weights over the whole mesh."""
-        return box_graph(self, (0,) * self.index.ndim, self.index.shape)[0]
+        return box_graph(self, (0,) * len(self.shape), self.shape)[0]
 
     def snap(self, p) -> tuple[int, float]:
-        """Nearest vertex index and its chart distance to p."""
-        p = np.asarray(p, dtype=float)
-        d = np.linalg.norm(self.vertices - p, axis=1)
+        """Nearest vertex id and its chart distance to the chart point p: the nearest
+        corner of p's grid cell, or the nearest vertex when a corner is outside the chart."""
+        p = self.surface.require_inside(p)
+        lo = np.clip(np.floor((p - self.axes[:, 0]) / self.steps), 0, self.resolution - 2).astype(np.int64)
+        cells, local = self.box(lo, lo + 2)
+        cells = cells if np.all(local >= 0) else np.argwhere(self.index >= 0)
+        d = np.linalg.norm(self.points(cells) - p, axis=1)
         i = int(np.argmin(d))
-        return i, float(d[i])
+        return int(np.ravel_multi_index(cells[i], self.shape)), float(d[i])
 
 
 def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
-    """Vertices of the king-move mesh over the chart and their embedding."""
+    """King-move mesh over the chart at `resolution` points per axis."""
     if not isinstance(resolution, (int, np.integer)) or resolution < 8:
         raise InvalidInput(f"resolution must be an integer of at least 8 per axis, got {resolution!r}")
-    axes = [
-        np.linspace(lo, hi, resolution)
-        for lo, hi in zip(surface.domain_lo, surface.domain_hi)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    keep = surface.contains_batch(pts)
-    index = np.where(keep, np.cumsum(keep) - 1, -1).reshape(mesh[0].shape)
-    verts = pts[keep]
-    return MeshGeodesicOracle(surface, resolution, index, verts, np.argwhere(index >= 0),
-                              surface.embed_batch(verts), np.array([ax[1] - ax[0] for ax in axes]))
+    axes = np.array([np.linspace(lo, hi, resolution) for lo, hi in zip(surface.domain_lo, surface.domain_hi)])
+    return MeshGeodesicOracle(surface, resolution, axes, axes[:, 1] - axes[:, 0], (resolution,) * len(axes))
 
 
 def box_graph(oracle: MeshGeodesicOracle, lo, hi):
     """(graph, ids): CSR king-move graph over the inside vertices of the index
     box [lo, hi), whose nodes are the vertex ids `ids` in increasing order."""
     from scipy.sparse import coo_matrix
-    sub = oracle.index[tuple(slice(a, b) for a, b in zip(lo, hi))]
-    ids = sub[sub >= 0]
-    local = np.where(sub >= 0, np.searchsorted(ids, sub), -1)
+    cells, local = oracle.box(lo, hi)
     pairs = []
-    for offset in product((-1, 0, 1), repeat=sub.ndim):
+    for offset in product((-1, 0, 1), repeat=local.ndim):
         if all(o == 0 for o in offset) or offset < tuple(-o for o in offset):
             continue  # half of the offsets; weights are symmetric
-        a = local[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, sub.shape))].ravel()
-        b = local[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, sub.shape))].ravel()
+        a = local[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, local.shape))].ravel()
+        b = local[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, local.shape))].ravel()
         ok = (a >= 0) & (b >= 0)
         pairs.append((a[ok], b[ok]))
     a, b = (np.concatenate(col) for col in zip(*pairs))
-    w = np.linalg.norm(oracle.embedded[ids[a]] - oracle.embedded[ids[b]], axis=1)
+    emb = oracle.surface.embed_batch(oracle.points(cells))
+    w = np.linalg.norm(emb[a] - emb[b], axis=1)
     return coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
-                      shape=(len(ids),) * 2).tocsr(), ids
+                      shape=(len(cells),) * 2).tocsr(), np.ravel_multi_index(cells.T, oracle.shape)
 
 
 def search_box(oracle: MeshGeodesicOracle, i: int, j: int):
     """Index box [lo, hi) that holds every vertex path from vertex i to vertex j
     no longer than the straight king walk between them; the whole grid when
     that walk leaves the chart."""
-    ci, cj = oracle.cells[i], oracle.cells[j]
+    ci, cj = np.array(np.unravel_index([i, j], oracle.shape)).T
     n = int(np.max(np.abs(cj - ci)))
     walk = ci + np.floor(np.arange(n + 1)[:, None] * (cj - ci) / max(n, 1) + 0.5).astype(np.int64)
-    ids = oracle.index[tuple(walk.T)]
-    if np.any(ids < 0):
+    pts = oracle.points(walk)
+    if not np.all(oracle.surface.contains_batch(pts)):
         return np.zeros_like(ci), np.full_like(ci, oracle.resolution)
-    bound = float(np.sum(np.linalg.norm(np.diff(oracle.embedded[ids], axis=0), axis=1)))
+    bound = float(np.sum(np.linalg.norm(np.diff(oracle.surface.embed_batch(pts), axis=0), axis=1)))
     # cells per axis within chart distance U, with slack for rounding
     reach = np.ceil(bound * (1 + 1e-9) / oracle.steps).astype(np.int64) + 1
     return np.maximum(np.maximum(ci, cj) - reach, 0), \
@@ -119,26 +133,23 @@ def shortest_path(oracle: MeshGeodesicOracle, p, q):
     """(length, hop_count, snap_p, snap_q) of the shortest vertex path; p and q
     must lie in the chart."""
     from scipy.sparse.csgraph import dijkstra
-    i, sp = oracle.snap(oracle.surface.require_inside(p))
-    j, sq = oracle.snap(oracle.surface.require_inside(q))
+    (i, sp), (j, sq) = oracle.snap(p), oracle.snap(q)
     graph, ids = box_graph(oracle, *search_box(oracle, i, j))
     a, b = np.searchsorted(ids, [i, j])
     dist, pred = dijkstra(graph, directed=False, indices=a, return_predecessors=True)
     if not np.isfinite(dist[b]):
         raise DisconnectedMesh(f"no mesh path between {p} and {q}")
-    hops = 0
-    k = b
-    while k != a:
-        k = pred[k]
-        if k < 0:
-            raise DisconnectedMesh("predecessor chain broken")
-        hops += 1
+    hops, k = 0, b
+    while k != a:  # dist[b] is finite, so the predecessor chain reaches a
+        k, hops = pred[k], hops + 1
     return float(dist[b]), hops, sp, sq
 
 
 def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
     """Resolution allowance: lift factor * anisotropy * mesh step * hop count,
     with the lift sqrt(1 + grad_sup^2) from the surface's certified bounds."""
+    if surface.dim != 2 or not (isinstance(hops, (int, np.integer)) and hops >= 0):  # sec(pi/8) is 2-D only
+        raise InvalidInput(f"need a 2-dim chart and a hop count >= 0, got dim {surface.dim}, hops {hops!r}")
     lift = float(np.sqrt(1.0 + surface.bounds.grad_sup ** 2))
     return lift * KING_ANISOTROPY * oracle.mesh_step * hops
 

@@ -1,4 +1,6 @@
+import copy
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,13 +11,14 @@ from geoflow.minimality import (
     KING_ANISOTROPY,
     branching_check,
     build_mesh_oracle,
+    mesh_error_budget,
     minimality_report,
     search_box,
     shortest_path,
     short_geodesic,
 )
 from geoflow.regularity import injradius_lower_bound
-from geoflow.surface import GraphSurface
+from geoflow.surface import GraphSurface, SurfaceBounds
 
 from conftest import CATALOG_NAMES, random_chart_points
 
@@ -73,6 +76,57 @@ def test_build_on_c11_surface(vee):
     assert len(oracle.vertices) == 32 * 32
 
 
+def _counted(surface):
+    """A copy of surface whose height and chart test count the points they see."""
+    seen = {"height": 0, "contains": 0}
+
+    def counting(key, fn):
+        def wrapped(X):
+            seen[key] += np.asarray(X)[..., 0].size
+            return fn(X)
+        return wrapped
+
+    surf = copy.copy(surface)
+    surf.height = counting("height", surface.height)
+    surf.contains_batch = counting("contains", surface.contains_batch)
+    return surf, seen
+
+
+def _snap_cases(surface, oracle, rng):
+    """Random chart points, exact midpoints between grid points and points on
+    the box faces, each kept when it lies in the chart."""
+    lo, hi, axes = surface.domain_lo, surface.domain_hi, oracle.axes
+    mid = 0.5 * (axes[:, :-1] + axes[:, 1:])
+    n = oracle.resolution // 2 - 1
+    pts = list(random_chart_points(surface, 40, rng, shrink=1.0))
+    pts += [0.5 * (lo + hi), mid[:, n], mid[:, 0], mid[:, -1], [axes[0, 3], mid[1, n]]]
+    pts += [np.where(face, a, b) for face in product((0, 1), repeat=2)
+            for a, b in ((lo, hi), (lo, mid[:, n]), (hi, mid[:, n]))]
+    return [np.asarray(p, dtype=float) for p in pts if surface.contains(p)]
+
+
+@pytest.mark.parametrize("resolution", [64, 256])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cell_snap_matches_full_argmin(surfaces, name, resolution):
+    surf, seen = _counted(surfaces[name])
+    oracle, full = build_mesh_oracle(surf, resolution), build_mesh_oracle(surfaces[name], resolution)
+    rng = np.random.default_rng(47)
+    pts = _snap_cases(surfaces[name], full, rng)
+    if name == "hemisphere":  # within 0.02 of the rim |x| = 0.8
+        a = rng.uniform(0.0, 2.0 * np.pi, 40)
+        pts += list(((0.8 - rng.uniform(0.0, 0.02, 40)) * np.array([np.cos(a), np.sin(a)])).T)
+    ids = np.flatnonzero(full.index >= 0)
+    for p in pts:
+        d = np.linalg.norm(full.vertices - p, axis=1)
+        k = int(np.argmin(d))
+        i, dist = oracle.snap(p)
+        assert (i, dist.hex()) == (ids[k], float(d[k]).hex()), p
+    # a point whose cell has a corner outside the chart searches the whole
+    # mesh (once built, its views are cached); elsewhere a snap tests only p
+    # and its cell's 4 corners
+    assert (seen["contains"] > 5 * len(pts)) == (name == "hemisphere")
+
+
 # ---------------------------------------------------------------------------
 # shortest paths
 # ---------------------------------------------------------------------------
@@ -107,6 +161,8 @@ def test_shortest_path_rejects_points_off_chart(flat, bad):
     for p, q in ((bad, [0.0, 0.0]), ([0.0, 0.0], bad)):
         with pytest.raises(OutOfChart):
             shortest_path(oracle, p, q)
+    with pytest.raises(OutOfChart):
+        oracle.snap(bad)
 
 
 def test_hemisphere_great_circle_distance(hemi_oracle):
@@ -144,9 +200,10 @@ def test_refinement_never_lengthens_much(hemisphere):
 
 
 def _full_search(oracle, p, q):
-    """Length and hop count of the shortest path over the whole oracle.graph."""
+    """Length and hop count of the shortest path over the whole oracle.graph,
+    whose nodes are the vertex positions that oracle.index maps vertex ids to."""
     from scipy.sparse.csgraph import dijkstra
-    i, j = oracle.snap(p)[0], oracle.snap(q)[0]
+    i, j = oracle.index.flat[oracle.snap(p)[0]], oracle.index.flat[oracle.snap(q)[0]]
     dist, pred = dijkstra(oracle.graph, directed=False, indices=i, return_predecessors=True)
     hops, k = 0, j
     while k != i:
@@ -189,6 +246,15 @@ def test_short_query_searches_small_window(surfaces, name):
     assert searched <= 0.1 * len(oracle.vertices)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_short_query_evaluates_only_its_window(surfaces, name):
+    # the chart test and the height run on the walk and the window, not the
+    # whole 256 x 256 grid
+    surf, seen = _counted(surfaces[name])
+    shortest_path(build_mesh_oracle(surf, 256), [0.0, 0.0], [0.2, 0.1])
+    assert 0 < max(seen.values()) <= 0.1 * 256 ** 2
+
+
 # ---------------------------------------------------------------------------
 # minimality margins
 # ---------------------------------------------------------------------------
@@ -206,6 +272,26 @@ def test_margin_hemisphere_arc(hemisphere):
     rep = minimality_report(hemisphere, traj, oracle)
     assert rep["margin"] >= 0.0
     assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("hops", [-3, math.nan, 2.5], ids=["negative", "nan", "fractional"])
+def test_error_budget_rejects_bad_hop_count(flat, hops):
+    with pytest.raises(InvalidInput):
+        mesh_error_budget(flat, build_mesh_oracle(flat, 32), hops)
+
+
+def test_error_budget_needs_2dim_chart():
+    # sec(pi/8) bounds 8-neighbour paths only; 26-neighbour paths in 3-D
+    # overshoot by up to about 1.1281
+    def h(X):
+        return np.zeros(np.shape(X)[:-1] + (1,))
+
+    flat3 = GraphSurface("flat3", 3, 1, [-1.0] * 3, [1.0] * 3, h, None, None,
+                         regularity=None, bounds=SurfaceBounds(0.0, 0.0, 0.0))
+    oracle = build_mesh_oracle(flat3, 8)
+    assert shortest_path(oracle, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5])[1] > 0
+    with pytest.raises(InvalidInput):
+        mesh_error_budget(flat3, oracle, 3)
 
 
 def test_margin_needs_declared_bounds(flat):
