@@ -18,6 +18,7 @@ from .errors import (
     DisconnectedMesh,
     DomainTooSmall,
     GeoflowError,
+    InvalidInput,
     OutOfChart,
     OutOfDomain,
     QuadratureFailure,
@@ -40,6 +41,7 @@ __all__ = [
     "GeoflowError",
     "GraphSurface",
     "GridSurface",
+    "InvalidInput",
     "JacobiState",
     "OutOfChart",
     "OutOfDomain",

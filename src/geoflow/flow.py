@@ -91,9 +91,10 @@ def make_geodesic_rhs(surface):
     def rhs(u):
         u = np.asarray(u, dtype=float)
         y = u[..., m:]
-        gamma = local_geometry(surface, u[..., :m]).gamma
-        acc = -np.einsum("...kij,...i,...j->...k", gamma, y, y)
-        return np.concatenate([y, acc], axis=-1)
+        geo = local_geometry(surface, u[..., :m])
+        # -Gamma(y, y) = -w (y^T hess y), without forming Gamma
+        acc = geo.w @ np.einsum("...i,...ija,...j->...a", y, geo.hess, -y)[..., None]
+        return np.concatenate([y, acc[..., 0]], axis=-1)
 
     return rhs
 
@@ -107,12 +108,10 @@ def check_request(surface, v: TangentVector):
     that is not finite. End times are the integrators' to check.
     """
     x0 = surface.require_inside(v.x)
-    y0 = np.asarray(v.y, dtype=float)
-    if y0.shape != (surface.dim,):
-        raise InvalidInput(f"velocity has shape {y0.shape}, expected ({surface.dim},)")
-    speed = float(g_norm_batch(surface, x0, y0)) if np.all(np.isfinite(y0)) else np.nan
+    y0 = surface.require_vector(v.y, "velocity")
+    speed = float(g_norm_batch(surface, x0, y0))
     if not np.isfinite(speed):
-        raise InvalidInput(f"velocity {y0} or its g-norm is not finite")
+        raise InvalidInput(f"g-norm of velocity {y0} is not finite")
     return x0, y0, speed
 
 

@@ -194,9 +194,7 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     eps, t_end, n_samples, dt = 1e-4, 0.4, 5, 0.01
     m = surface.dim
     x0, y0, _ = check_request(surface, v)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (m,) or not np.all(np.isfinite(w)):
-        raise InvalidInput(f"variation direction must be a finite {m}-vector, got {w}")
+    w = surface.require_vector(w, "variation direction")
 
     t_max = t_end - 2.0 * dt
     t_samples = np.linspace(t_max / n_samples, t_max, n_samples)

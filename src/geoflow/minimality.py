@@ -94,22 +94,30 @@ def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
 
 def box_graph(oracle: MeshGeodesicOracle, lo, hi):
     """(graph, ids): CSR king-move graph over the inside vertices of the index
-    box [lo, hi), whose nodes are the vertex ids `ids` in increasing order."""
-    from scipy.sparse import coo_matrix
+    box [lo, hi), whose nodes are the vertex ids `ids` in increasing order.
+    The CSR arrays are filled offset by offset on the box grid, so a row lists
+    its neighbours in increasing column order, as scipy's canonical CSR does."""
+    from scipy.sparse import csr_matrix
     cells, local = oracle.box(lo, hi)
-    pairs = []
+    inside = local >= 0
+    emb = np.zeros((oracle.surface.ambient_dim,) + local.shape)  # embedding per box cell
+    emb[:, inside] = oracle.surface.embed_batch(oracle.points(cells)).T
+    nbrs, weights = [], []
     for offset in product((-1, 0, 1), repeat=local.ndim):
-        if all(o == 0 for o in offset) or offset < tuple(-o for o in offset):
-            continue  # half of the offsets; weights are symmetric
-        a = local[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, local.shape))].ravel()
-        b = local[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, local.shape))].ravel()
-        ok = (a >= 0) & (b >= 0)
-        pairs.append((a[ok], b[ok]))
-    a, b = (np.concatenate(col) for col in zip(*pairs))
-    emb = oracle.surface.embed_batch(oracle.points(cells))
-    w = np.linalg.norm(emb[a] - emb[b], axis=1)
-    return coo_matrix((np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
-                      shape=(len(cells),) * 2).tocsr(), np.ravel_multi_index(cells.T, oracle.shape)
+        if any(offset):  # cells p in src and their neighbours p + offset in dst
+            src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, local.shape))
+            dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, local.shape))
+            nb, w = np.full(local.shape, -1), np.zeros(local.shape)
+            nb[src] = local[dst]
+            d = emb[(slice(None),) + src] - emb[(slice(None),) + dst]
+            w[src] = np.sqrt(np.sum(d * d, axis=0))
+            nbrs.append(nb[inside])
+            weights.append(w[inside])
+    nbrs, weights = np.stack(nbrs, axis=1), np.stack(weights, axis=1)
+    ok = nbrs >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(ok, axis=1))])
+    return csr_matrix((weights[ok], nbrs[ok], indptr), shape=(len(cells),) * 2), \
+        np.ravel_multi_index(cells.T, oracle.shape)
 
 
 def search_box(oracle: MeshGeodesicOracle, i: int, j: int):

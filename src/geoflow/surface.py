@@ -7,6 +7,11 @@ fundamental form all come from h and its first two derivative arrays;
 local_geometry derives them from one gradient and one Hessian evaluation
 per batch of points, and every batch kernel below is built on it.
 
+No kernel solves against g = I + grad grad^T: by the push-through identity,
+all follows from the c x c normal metric a_inv = (I_c + grad^T grad)^-1 (a
+division for codim 1) and w = g^-1 grad = grad a_inv, as gamma = w . hess,
+g^-1 = I - w grad^T, <Pi_ab, Pi_cd> = hess_ab^T a_inv hess_cd, g^-1 b = b - w grad^T b.
+
 The curvature operator entering the Jacobi equation is assembled purely
 from products of second-fundamental-form values, so it needs second
 derivatives of h only. A finite-difference route through derivatives of
@@ -36,9 +41,9 @@ class Regularity:
 
     def __post_init__(self):
         if self.tag not in ("C11", "C2", "C2alpha", "C3", "smooth"):
-            raise ValueError(f"unknown regularity tag {self.tag!r}")
-        if self.tag == "C2alpha" and not (self.alpha and 0.0 < self.alpha <= 1.0):
-            raise ValueError("C2alpha requires alpha in (0, 1]")
+            raise InvalidInput(f"unknown regularity tag {self.tag!r}")
+        if self.tag == "C2alpha" and not (self.alpha and 0.0 < self.alpha <= 1.0):  # NaN fails too
+            raise InvalidInput(f"C2alpha requires alpha in (0, 1], got {self.alpha!r}")
 
     @property
     def c3(self) -> bool:
@@ -141,6 +146,13 @@ class GraphSurface:
             raise OutOfChart(f"{x} outside chart domain of {self.name!r}")
         return x
 
+    def require_vector(self, v, what="vector"):
+        """v as a float array; raises InvalidInput unless it is a finite m-vector."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,) or not np.all(np.isfinite(v)):
+            raise InvalidInput(f"{what} must be a finite {self.dim}-vector, got {v}")
+        return v
+
     # -- geometry ------------------------------------------------------
 
     def embed_batch(self, X) -> np.ndarray:
@@ -166,62 +178,62 @@ class GraphSurface:
 
 @dataclass
 class LocalGeometry:
-    """Geometry at a batch of chart points X (..., m) from one gradient and
-    one Hessian evaluation. Everything past gamma is derived on first use;
-    gamma_v and curvature need the velocity field Y."""
+    """Geometry at chart points X (..., m) from one gradient and one Hessian
+    evaluation, held as a_inv and w; every other field is derived from them on
+    first use, with no solve against g. gamma_v and curvature need Y."""
 
     grad: np.ndarray                 # (..., m, c)
     hess: np.ndarray                 # (..., m, m, c)
-    g: np.ndarray                    # (..., m, m)  g = I + grad grad^T
-    gamma: np.ndarray                # (..., m, m, m)  gamma[k, i, j] = (g^-1 q)[k, i, j]
+    a_inv: np.ndarray                # (..., c, c)  (I_c + grad^T grad)^-1
+    w: np.ndarray                    # (..., m, c)  g^-1 grad = grad a_inv
     Y: np.ndarray | None = None      # (..., m)
 
     @cached_property
+    def g(self) -> np.ndarray:
+        return _metric(self.grad)
+
+    @cached_property
     def g_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
+        return np.eye(self.grad.shape[-2]) - self.w @ self.grad.swapaxes(-1, -2)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return np.einsum("...ka,...ija->...kij", self.w, self.hess)
 
     @cached_property
     def pi(self) -> np.ndarray:
-        """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> = hess_ab . hess_cd - q_ab^T g^-1 q_cd,
-        with q[l,a,b] = grad[l] . hess[a,b] the normal-projector correction."""
-        m = self.g.shape[-1]
+        """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> = hess_ab^T a_inv hess_cd."""
+        m = self.grad.shape[-2]
         h = self.hess.reshape(self.hess.shape[:-3] + (m * m, -1))
-        q = self.grad @ np.swapaxes(h, -1, -2)                    # (..., m, m*m)
-        s = h @ np.swapaxes(h, -1, -2) - np.swapaxes(q, -1, -2) @ self.gamma.reshape(q.shape)
+        s = h @ (self.a_inv @ h.swapaxes(-1, -2))
         return s.reshape(s.shape[:-2] + (m, m, m, m))
 
     @cached_property
     def gamma_v(self) -> np.ndarray:
-        """G[k, i] = gamma[k, i, j] Y^j, shape (..., m, m)."""
-        return np.einsum("...kij,...j->...ki", self.gamma, self.Y)
+        """G[k, i] = gamma[k, i, j] Y^j = w[k] . (hess Y)[i], shape (..., m, m)."""
+        return self.w @ np.einsum("...ija,...j->...ai", self.hess, self.Y)
 
     @cached_property
     def curvature(self) -> np.ndarray:
-        """M = g^-1 b, b[l,j] = <Pi(e_j,Y), Pi(Y,e_l)> - <Pi(Y,Y), Pi(e_j,e_l)>;
-        see curvature_matrix_batch."""
+        """M = g^-1 b = b - w (grad^T b); both terms of b (see curvature_matrix_batch) are
+        contracted from one S, so b is exactly 0 where S has a single nonzero entry."""
         Y, s = self.Y, self.pi
         b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
         b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
-        return np.linalg.solve(self.g, b)
+        return b - self.w @ (self.grad.swapaxes(-1, -2) @ b)
 
 
 def local_geometry(surface, X, Y=None) -> LocalGeometry:
-    """Metric and Christoffel symbols at X, with the rest of LocalGeometry
-    derived from the same evaluation on first use.
-
-    Calls surface.gradient and surface.hessian once each. One batched solve
-    gives g^-1 grad, so gamma = (g^-1 grad) . hess = g^-1 q; solving against
-    grad rather than q keeps geodesics bit-for-bit those of that formula.
-    """
-    grad = surface.gradient(X)
-    hess = surface.hessian(X)
-    g = _metric(surface, grad)
-    gamma = np.einsum("...la,...ija->...lij", np.linalg.solve(g, grad), hess)
-    return LocalGeometry(grad, hess, g, gamma, None if Y is None else np.asarray(Y, dtype=float))
+    """LocalGeometry at X from one surface.gradient and one surface.hessian
+    call. The normal metric a_inv is a division for codim 1, else one c x c inverse."""
+    grad, hess = surface.gradient(X), surface.hessian(X)
+    gram = grad.swapaxes(-1, -2) @ grad
+    a_inv = 1.0 / (1.0 + gram) if surface.codim == 1 else np.linalg.inv(np.eye(surface.codim) + gram)
+    return LocalGeometry(grad, hess, a_inv, grad @ a_inv, None if Y is None else np.asarray(Y, dtype=float))
 
 
 def christoffel_batch(surface, X):
-    """gamma[k,i,j] = sum_{l,a} ginv[k,l] grad[l,a] hess[i,j,a]."""
+    """gamma[k,i,j] = sum_a (g^-1 grad)[k,a] hess[i,j,a]."""
     return local_geometry(surface, X).gamma
 
 
@@ -235,14 +247,14 @@ def curvature_matrix_batch(surface, X, Y):
     return local_geometry(surface, X, Y).curvature
 
 
-def _metric(surface, grad) -> np.ndarray:
+def _metric(grad) -> np.ndarray:
     """g = I + grad grad^T from the gradient (..., m, c)."""
-    return np.eye(surface.dim) + grad @ np.swapaxes(grad, -1, -2)
+    return np.eye(grad.shape[-2]) + grad @ np.swapaxes(grad, -1, -2)
 
 
 def g_norm_batch(surface, X, Y):
     """|Y|_g at X, from one gradient evaluation."""
-    g = _metric(surface, surface.gradient(X))
+    g = _metric(surface.gradient(X))
     return np.sqrt(np.einsum("...i,...ij,...j->...", Y, g, Y))
 
 
@@ -253,9 +265,7 @@ def g_norm_batch(surface, X, Y):
 def tangent_frame(surface, x) -> np.ndarray:
     """n x m matrix whose columns are the embedded coordinate tangents (e_i, d_i h)."""
     x = surface.require_inside(x)
-    grad = surface.gradient(x)                       # (m, c)
-    top = np.eye(surface.dim)
-    return np.concatenate([top, grad.T], axis=0)
+    return np.concatenate([np.eye(surface.dim), surface.gradient(x).T], axis=0)
 
 
 def normal_projector(surface, x) -> np.ndarray:
@@ -269,8 +279,7 @@ def second_fundamental_form(surface, x, u, v) -> np.ndarray:
     """Pi(u, v): the normal component of the ambient second derivative
     (0, u^T Hess h v), as an ambient n-vector."""
     x = surface.require_inside(x)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = surface.require_vector(u), surface.require_vector(v)
     hess = surface.hessian(x)                        # (m, m, c)
     w = np.einsum("i,j,ija->a", u, v, hess)
     ambient = np.concatenate([np.zeros(surface.dim), w])
@@ -283,20 +292,15 @@ def curvature_operator(surface, x, V) -> np.ndarray:
     Built from products of second-fundamental-form values; second
     derivatives of h are the highest ones touched.
     """
-    x = surface.require_inside(x)
-    V = np.asarray(V, dtype=float)
-    return curvature_matrix_batch(surface, x, V)
+    return curvature_matrix_batch(surface, surface.require_inside(x), surface.require_vector(V))
 
 
 def sectional_curvature(surface, x, u, v) -> float:
     x = surface.require_inside(x)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = surface.require_vector(u), surface.require_vector(v)
     geo = local_geometry(surface, x)
     s, g = geo.pi, geo.g
-    num = np.einsum("i,j,k,l,ijkl->", u, u, v, v, s) - np.einsum(
-        "i,j,k,l,ijkl->", u, v, u, v, s
-    )
+    num = np.einsum("i,j,k,l,ijkl->", u, u, v, v, s) - np.einsum("i,j,k,l,ijkl->", u, v, u, v, s)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if den < 1e-12:
         raise DegeneratePlane(f"plane spanned by {u}, {v} is degenerate (denominator {den:.3e})")
@@ -320,7 +324,7 @@ def christoffel_fd(surface, x) -> np.ndarray:
     Cross-check only; valid on smooth catalog surfaces away from kinks.
     """
     x = surface.require_inside(x)
-    dg = _central_diff(lambda p: _metric(surface, surface.gradient(p)), x)  # dg[k, i, j] = d_k g_ij
+    dg = _central_diff(lambda p: _metric(surface.gradient(p)), x)  # dg[k, i, j] = d_k g_ij
     # half[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     half = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", local_geometry(surface, x).g_inv, half)
@@ -335,8 +339,7 @@ def curvature_from_christoffel(surface, x, V, J) -> np.ndarray:
     the interchange of derivatives.
     """
     x = surface.require_inside(x)
-    V = np.asarray(V, dtype=float)
-    J = np.asarray(J, dtype=float)
+    V, J = surface.require_vector(V), surface.require_vector(J)
     gamma = christoffel_batch(surface, x)
     # dgam[a, k, i, j] = d_a gamma^k_ij
     dgam = _central_diff(lambda p: christoffel_batch(surface, p), x)

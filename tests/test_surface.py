@@ -304,6 +304,40 @@ def test_sectional_degenerate_plane(hemisphere):
         sectional_curvature(hemisphere, [0.1, 0.1], [1.0, 0.5], [2.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [1.0, 0.0, 0.0], [1.0], 1.0])
+def test_pointwise_ops_reject_malformed_vectors(hemisphere, bad):
+    x, e = [0.1, 0.1], [0.0, 1.0]
+    calls = [
+        lambda: sectional_curvature(hemisphere, x, bad, e),
+        lambda: sectional_curvature(hemisphere, x, e, bad),
+        lambda: second_fundamental_form(hemisphere, x, bad, e),
+        lambda: second_fundamental_form(hemisphere, x, e, bad),
+        lambda: curvature_operator(hemisphere, x, bad),
+        lambda: curvature_from_christoffel(hemisphere, x, bad, e),
+        lambda: curvature_from_christoffel(hemisphere, x, e, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
+
+
+@pytest.mark.parametrize("tag, alpha", [("C4", None), ("C2alpha", math.nan), ("C2alpha", 0.0),
+                                        ("C2alpha", 1.5), ("C2alpha", -0.5)])
+def test_regularity_rejects_bad_tag_or_alpha(tag, alpha):
+    with pytest.raises(InvalidInput):
+        Regularity(tag, alpha)
+
+
+def test_make_surface_rejects_bad_alpha():
+    from geoflow import InvalidInput as exported, __all__
+    from geoflow.catalog import make_surface
+
+    assert "InvalidInput" in __all__ and exported is InvalidInput
+    for alpha in (math.nan, 0.0, 2.0):
+        with pytest.raises(InvalidInput):
+            make_surface("c2alpha", alpha=alpha)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x1=st.floats(-0.5, 0.5),
@@ -393,9 +427,33 @@ def reference_geometry(surface, X, Y):
     return g, np.linalg.inv(g), gamma, s, np.einsum("...kl,...lj->...kj", np.linalg.inv(g), b)
 
 
+def _sphere_cap3():
+    """Cap of the unit 3-sphere in R^4: h = sqrt(1 - |x|^2) over the ball |x| <= 0.8 in R^3."""
+    def root(X):
+        X = np.asarray(X, dtype=float)
+        return X, np.sqrt(1.0 - np.einsum("...i,...i->...", X, X))
+
+    def height(X):
+        return root(X)[1][..., None]
+
+    def gradient(X):
+        X, s = root(X)
+        return (-X / s[..., None])[..., None]
+
+    def hessian(X):
+        X, s = root(X)
+        eye = np.eye(3) / s[..., None, None]
+        return (-eye - X[..., :, None] * X[..., None, :] / s[..., None, None] ** 3)[..., None]
+
+    return GraphSurface("cap3", 3, 1, [-0.8] * 3, [0.8] * 3, height, gradient, hessian,
+                        regularity=Regularity("smooth"),
+                        membership=lambda X: np.einsum("...i,...i->...", X, X) <= 0.64)
+
+
 @pytest.fixture(scope="module")
 def kernel_surfaces(surfaces):
-    return list(surfaces.values()) + [mollify(surfaces["c21_cubic"], 0.1, kernel_cells=8)]
+    return list(surfaces.values()) + [mollify(surfaces["c21_cubic"], 0.1, kernel_cells=8),
+                                      _codim2_grid(), _sphere_cap3()]
 
 
 def _rel(a, b):
@@ -421,6 +479,29 @@ def test_local_geometry_matches_reference(kernel_surfaces, n_points):
                 assert np.max(np.abs(a)) <= 1e-15, (surf.name, name)
         np.testing.assert_allclose(geo.gamma_v, np.einsum("...kij,...j->...ki", ref[2], Y),
                                    rtol=1e-13, atol=1e-15)
+
+
+def test_rhs_solves_only_in_the_normal_space(monkeypatch, surfaces):
+    # codim 1: no np.linalg call; codim c: one c x c inverse per RHS evaluation
+    from geoflow.flow import make_geodesic_rhs
+    from geoflow.jacobi import _make_joint_rhs
+
+    calls = []
+
+    def counted(name, f):
+        def wrapped(a, *args):
+            calls.append((name, np.shape(a)))
+            return f(a, *args)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    u = np.array([0.2, -0.1, 0.6, 0.5])
+    for surf in list(surfaces.values()) + [_codim2_grid()]:
+        calls.clear()
+        assert np.all(np.isfinite(make_geodesic_rhs(surf)(np.stack([u, -u]))))
+        assert np.all(np.isfinite(_make_joint_rhs(surf, 4)(np.concatenate([u, np.eye(4).ravel()]))))
+        assert calls == ([] if surf.codim == 1 else [("inv", (2, 2, 2)), ("inv", (2, 2))]), surf.name
 
 
 def test_stacked_spline_matches_fitpack():
