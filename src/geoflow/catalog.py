@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfChart, UnknownSurface
+from .errors import InvalidInput, OutOfChart, UnknownSurface
 from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 
@@ -57,16 +57,18 @@ def _hemisphere():
         _, s = safe(X)
         return s[..., None]
 
-    def grad(X):
-        X, s = safe(X)
+    def grad(X, s):
         return (-X / s[..., None])[..., None]
 
-    def hess(X):
-        X, s = safe(X)
+    def hess(X, s):
         out = -np.einsum("...i,...j->...ij", X, X) / (s ** 3)[..., None, None]
         idx = np.arange(2)
         out[..., idx, idx] -= 1.0 / s[..., None]
         return out[..., None]
+
+    def derivatives(X):
+        X, s = safe(X)  # one rim check and square root for both arrays
+        return grad(X, s), hess(X, s)
 
     def member(X):
         X = np.asarray(X, dtype=float)
@@ -76,7 +78,8 @@ def _hemisphere():
     # s = sqrt(1 - |x|^2), peak on the rim; the sphere's curvatures are all 1.
     rim = float(np.sqrt(1.0 - r * r))
     return GraphSurface(
-        "hemisphere", 2, 1, [-r, -r], [r, r], h, grad, hess,
+        "hemisphere", 2, 1, [-r, -r], [r, r], h,
+        lambda X: grad(*safe(X)), lambda X: hess(*safe(X)), derivatives=derivatives,
         regularity=Regularity("smooth"), membership=member,
         bounds=SurfaceBounds(r / rim, rim ** -3, 1.0),
     )
@@ -212,7 +215,7 @@ def surface_from_spec(spec: dict) -> GraphSurface:
     if kind == "grid":
         samples = np.asarray(spec["samples"], dtype=float)
         if samples.ndim not in (2, 3) or not np.all(np.isfinite(samples)):
-            raise ValueError("grid samples must be a finite (Nx, Ny) or (Nx, Ny, c) array")
+            raise InvalidInput("grid samples must be a finite (Nx, Ny) or (Nx, Ny, c) array")
         (x0, x1), (y0, y1) = spec["domain"]
         xa = np.linspace(x0, x1, samples.shape[0])
         ya = np.linspace(y0, y1, samples.shape[1])

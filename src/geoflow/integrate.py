@@ -155,8 +155,11 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     theta * h * (1 + 1e-12) queued as a step target. A step that ends on a
     target is not cut again, and its rows count as past their crossings;
     after the last target, stepping resumes with the step length from
-    before the cut. checkpoints: optional increasing times the stepper must
-    land on exactly (sample times end up in the returned arrays).
+    before the cut. A step where f raises OutOfChart or returns a
+    non-finite stage is rejected and retried at a quarter of its length; a
+    non-finite f at the start fails the run. checkpoints: optional
+    increasing times the stepper must land on exactly (sample times end up
+    in the returned arrays).
     """
     single = np.ndim(u0) == 1
     if single:  # the batch of one row, with f, inside and crease still seeing (d,) states
@@ -177,12 +180,6 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     cp_idx = 0
     crossings = []  # (time, row) of located crease crossings still ahead, ascending
 
-    def eval_rhs(x):
-        k = f(x)
-        if not np.all(np.isfinite(k)):
-            raise OutOfChart("non-finite right-hand side")
-        return k
-
     def result(failed=False):
         for r in rows if failed else ():
             row_status[r] = STEP_FAILURE
@@ -194,8 +191,10 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         return result()
     u = u[rows]
     try:
-        f_cur = eval_rhs(u)
+        f_cur = f(u)
     except OutOfChart:
+        return result(failed=True)
+    if not np.isfinite(f_cur).all():
         return result(failed=True)
     side = None if crease is None else crease(u)  # each running row's crease switch
     h = _initial_step(f_cur, u, rtol, atol, ends[rows])
@@ -217,14 +216,21 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         h_step = max(crossings[0][0] - t, h_min) if located else h
 
         # Stages (7, rows, d), combined as one (7, rows * d) matrix: for one
-        # row this is the product of a single run, bit for bit.
+        # row this is the product of a single run, bit for bit. The stages
+        # are tested once, after the last: a non-finite one rejects the step
+        # as an OutOfChart from f does, and the floating-point warnings of
+        # the stages computed from it are silenced.
         stages = np.empty((7,) + u.shape)
         stages[0] = f_cur
         flat = stages.reshape(7, -1)
         try:
-            for i in range(1, 7):
-                stages[i] = eval_rhs(u + h_step * (_DP_A[i] @ flat[:i]).reshape(u.shape))
+            with np.errstate(all="ignore"):
+                for i in range(1, 7):
+                    stages[i] = f(u + h_step * (_DP_A[i] @ flat[:i]).reshape(u.shape))
+            finite = np.isfinite(flat[1:]).all()
         except OutOfChart:
+            finite = False
+        if not finite:
             n_rej += 1
             h = 0.25 * h_step
             if h < h_min:

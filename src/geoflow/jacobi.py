@@ -132,7 +132,9 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
 
 
 def chart_to_covariant(surface, x, y) -> np.ndarray:
-    """Block matrix C with (J, K) = C (dx, dy): K = dy + Gamma(dx, y)."""
+    """Block matrix C with (J, K) = C (dx, dy): K = dy + Gamma(dx, y), at a
+    chart point x and a finite velocity y."""
+    x, y = surface.require_inside(x), surface.require_vector(y, "velocity")
     m = surface.dim
     c = np.eye(2 * m)
     c[m:, :m] = local_geometry(surface, x, y).gamma_v

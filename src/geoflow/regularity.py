@@ -22,6 +22,7 @@ used: scipy.integrate in osgood_integral_check only.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,10 +78,10 @@ def empirical_modulus(samples) -> Modulus:
     the running max from the left.
     """
     pairs = np.asarray(list(samples), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
-        raise InvalidInput("need at least 2 (gap, deviation) samples")
     if not np.all(np.isfinite(pairs) & (pairs >= 0)):
         raise InvalidInput("gaps and deviations must be finite and nonnegative")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
+        raise InvalidInput("need at least 2 (gap, deviation) samples")
     gaps, devs = pairs[:, 0], pairs[:, 1]
     delta_max = max(float(np.max(gaps)), 2e-6)
     edges = np.logspace(np.log10(1e-6), np.log10(delta_max), _MODULUS_BINS)
@@ -106,6 +107,9 @@ def dominance(samples, limit) -> dict:
 def gronwall_bound(c_bar: float, x0_norm: float, t):
     """A-priori bound x0 * exp(c_bar * t) for the joint Jacobi state, at one
     time t or an array of times."""
+    if not (np.isfinite([c_bar, x0_norm]).all() and c_bar >= 0 and x0_norm >= 0
+            and np.all(np.isfinite(t) & (np.asarray(t) >= 0))):
+        raise InvalidInput(f"need finite c_bar, x0_norm and t >= 0, got {c_bar, x0_norm, t}")
     return x0_norm * np.exp(c_bar * t)
 
 
@@ -128,6 +132,9 @@ def osgood_integral_check(times, l_values, a: float, mu):
     from scipy.integrate import IntegrationWarning, quad
     times = np.asarray(times, dtype=float)
     l_values = np.asarray(l_values, dtype=float)
+    if not (times.ndim == 1 and len(times) and times.shape == l_values.shape and np.isfinite(a)
+            and np.isfinite(times).all() and np.isfinite(l_values).all()):
+        raise InvalidInput("need equal-length, non-empty finite times and L values, and finite a")
     t0 = times[0]
 
     def inverse(s):
@@ -192,12 +199,15 @@ def holder_modulus_check(samples, alpha: float, c_bound: float):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _bump_weights(radius: int) -> np.ndarray:
     """1-D bump exp(-1 / (1 - s^2)) at s = i / radius, |i| <= radius (zero at
-    both ends), normalized to unit mass."""
+    both ends), normalized to unit mass; built once per radius, read-only."""
     s = np.arange(1 - radius, radius) / radius
     w = np.pad(np.exp(-1.0 / (1.0 - s ** 2)), 1)
-    return w / w.sum()
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def _smooth_field(field, radius, k: int) -> np.ndarray:
@@ -443,9 +453,13 @@ def jacobi_coefficient_matrix(surface, x, y) -> np.ndarray:
 
 
 def coefficient_bound_along(surface, traj_states) -> float:
-    """sup of the spectral norm of the (J, K) coefficient matrix along samples."""
+    """sup of the spectral norm of the (J, K) coefficient matrix along phase
+    samples (..., 2m)."""
     m = surface.dim
     states = np.asarray(traj_states, dtype=float)
+    if states.ndim < 1 or states.shape[-1] != 2 * m or not states.size:
+        raise InvalidInput(f"need at least one phase sample of shape (..., {2 * m}), "
+                           f"got {states.shape}")
     a = jacobi_coefficient_matrix(surface, states[..., :m], states[..., m:])
     return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
 

@@ -4,8 +4,8 @@ A surface is described locally as the graph of a height function
 h: U -> R^{n-m} over an axis-aligned chart box U in R^m, embedded as
 F(x) = (x, h(x)). The induced metric, Christoffel symbols and second
 fundamental form all come from h and its first two derivative arrays;
-local_geometry derives them from one gradient and one Hessian evaluation
-per batch of points, and every batch kernel below is built on it.
+local_geometry derives them from one surface.derivatives call per batch of
+points, and every batch kernel below is built on it.
 
 No kernel solves against g = I + grad grad^T: by the push-through identity,
 all follows from the c x c normal metric a_inv = (I_c + grad^T grad)^-1 (a
@@ -92,6 +92,9 @@ class GraphSurface:
     at x1 = 0); the integrator ends a step at every crossing of it.
     `bounds` declares the certified SurfaceBounds; a surface that declares
     none raises InvalidInput wherever a certified bound is needed.
+    `derivatives` optionally computes (gradient(X), hessian(X)) in one call,
+    for surfaces whose two derivatives share work; it must return the same
+    bits as the two separate calls.
     """
 
     def __init__(
@@ -109,6 +112,7 @@ class GraphSurface:
         membership=None,
         crease=None,
         bounds: SurfaceBounds | None = None,
+        derivatives=None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -117,7 +121,7 @@ class GraphSurface:
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
         if self.domain_lo.shape != (self.dim,) or np.any(self.domain_hi <= self.domain_lo):
-            raise ValueError("invalid chart box")
+            raise InvalidInput("invalid chart box")
         self.height = height
         self.gradient = gradient
         self.hessian = hessian
@@ -125,6 +129,8 @@ class GraphSurface:
         self._membership = membership
         self.crease = crease
         self._bounds = bounds
+        if derivatives is not None:
+            self.derivatives = derivatives  # shadows the two-call method below
 
     # -- domain --------------------------------------------------------
 
@@ -155,6 +161,11 @@ class GraphSurface:
 
     # -- geometry ------------------------------------------------------
 
+    def derivatives(self, X):
+        """(gradient(X), hessian(X)): the derivative arrays every geometry
+        kernel needs, from one call."""
+        return self.gradient(X), self.hessian(X)
+
     def embed_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return np.concatenate([X, self.height(X)], axis=-1)
@@ -178,8 +189,8 @@ class GraphSurface:
 
 @dataclass
 class LocalGeometry:
-    """Geometry at chart points X (..., m) from one gradient and one Hessian
-    evaluation, held as a_inv and w; every other field is derived from them on
+    """Geometry at chart points X (..., m) from one derivatives evaluation,
+    held as a_inv and w; every other field is derived from them on
     first use, with no solve against g. gamma_v and curvature need Y."""
 
     grad: np.ndarray                 # (..., m, c)
@@ -224,9 +235,9 @@ class LocalGeometry:
 
 
 def local_geometry(surface, X, Y=None) -> LocalGeometry:
-    """LocalGeometry at X from one surface.gradient and one surface.hessian
-    call. The normal metric a_inv is a division for codim 1, else one c x c inverse."""
-    grad, hess = surface.gradient(X), surface.hessian(X)
+    """LocalGeometry at X from one surface.derivatives call. The normal
+    metric a_inv is a division for codim 1, else one c x c inverse."""
+    grad, hess = surface.derivatives(X)
     gram = grad.swapaxes(-1, -2) @ grad
     a_inv = 1.0 / (1.0 + gram) if surface.codim == 1 else np.linalg.inv(np.eye(surface.codim) + gram)
     return LocalGeometry(grad, hess, a_inv, grad @ a_inv, None if Y is None else np.asarray(Y, dtype=float))
@@ -360,10 +371,12 @@ class GridSurface(GraphSurface):
     Hessian holds the entries 11, 12 and 22. The codim c is read from h.
     The three fields are fitted independently, not by differentiating one
     another, so sampled data (e.g. smoothed height fields with convolved
-    derivative grids) plug in directly. Each field is one tensor-product
-    spline whose coefficients are stacked along a trailing axis, so one call
-    evaluates all of its components. Points are clamped to the grid box
-    first, as FITPACK evaluation does.
+    derivative grids) plug in directly. The height is one tensor-product
+    spline, and the 2c gradient and 3c Hessian components are another, with
+    all their coefficients in one array stacked along a trailing axis, so
+    one derivatives call evaluates every component once; gradient and
+    hessian read their parts of the same evaluation. Points are clamped to
+    the grid box first, as FITPACK evaluation does.
 
     Bounds: a B-spline lies within its largest |coefficient| on the grid box
     (convex hull; de Boor, A Practical Guide to Splines), so grad_sup and
@@ -380,22 +393,25 @@ class GridSurface(GraphSurface):
         nx, ny, codim = h.shape
         if (len(x_axis), len(y_axis), grad.shape, hess.shape) \
                 != (nx, ny, (nx, ny, 2, codim), (nx, ny, 3, codim)):
-            raise ValueError("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
+            raise InvalidInput("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
+        if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):  # NaN fails too
+            raise InvalidInput("grid axes must be strictly increasing")
 
-        def stacked(field):
+        def stacked(*fields):
             # Interpolating (s=0) fits on one grid share their knots and have
             # one coefficient per sample, so they stack into one spline.
-            field = field.reshape(nx, ny, -1)
-            coeffs = np.empty_like(field)
-            for i in range(field.shape[-1]):
-                spl = RectBivariateSpline(x_axis, y_axis, field[..., i], kx=3, ky=3, s=0)
+            comps = [f.reshape(nx, ny, -1) for f in fields]
+            coeffs = np.empty((nx, ny, sum(c.shape[-1] for c in comps)))
+            for i, comp in enumerate(c[..., j] for c in comps for j in range(c.shape[-1])):
+                spl = RectBivariateSpline(x_axis, y_axis, comp, kx=3, ky=3, s=0)
                 coeffs[..., i] = spl.get_coeffs().reshape(nx, ny)
             return NdBSpline(spl.get_knots(), coeffs, 3)
 
-        h_spl, g_spl, hess_spl = stacked(h), stacked(grad), stacked(hess)
+        n_grad = 2 * codim
+        h_spl, d_spl = stacked(h), stacked(grad, hess)
         self._h_coeffs = h_spl.c  # the array h_spl evaluates, shared (see _shift_height)
-        grad_max = np.max(np.abs(g_spl.c), axis=(0, 1))
-        hess_max = np.max(np.abs(hess_spl.c), axis=(0, 1)).reshape(3, codim)
+        grad_max = np.max(np.abs(d_spl.c[..., :n_grad]), axis=(0, 1))
+        hess_max = np.max(np.abs(d_spl.c[..., n_grad:]), axis=(0, 1)).reshape(3, codim)
         hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])
@@ -406,17 +422,16 @@ class GridSurface(GraphSurface):
         def clamped(X):
             return np.minimum(np.maximum(np.asarray(X, dtype=float), lo), hi)
 
-        def gradient(X):
-            out = g_spl(clamped(X))
-            return out.reshape(out.shape[:-1] + (2, codim))
-
-        def hessian(X):
-            out = hess_spl(clamped(X))
-            return out.reshape(out.shape[:-1] + (3, codim))[..., [[0, 1], [1, 2]], :]
+        def derivatives(X):
+            out = d_spl(clamped(X))
+            lead = out.shape[:-1]
+            return (out[..., :n_grad].reshape(lead + (2, codim)),
+                    out[..., n_grad:].reshape(lead + (3, codim))[..., [[0, 1], [1, 2]], :])
 
         super().__init__(
-            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)), gradient, hessian,
-            regularity=regularity,
+            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)),
+            lambda X: derivatives(X)[0], lambda X: derivatives(X)[1],
+            regularity=regularity, derivatives=derivatives,
             bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
 
@@ -437,7 +452,7 @@ class GridSurface(GraphSurface):
         if h.ndim == 2:
             h = h[..., None]
         if len(x_axis) < 13 or len(y_axis) < 13:
-            raise ValueError("need at least 13 samples per axis")
+            raise InvalidInput("need at least 13 samples per axis")
         dx = x_axis[1] - x_axis[0]
         dy = y_axis[1] - y_axis[0]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,37 @@ def test_speed_conservation_catalog(surfaces):
                 continue
             sp = speed_profile(surf, traj)
             assert np.max(np.abs(sp - traj.speed)) / traj.speed <= 1e-8, name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("u0", [[1.0, 0.5], [[1.0, 0.5], [0.2, -0.7]]], ids=["single", "batch"])
+def test_non_finite_stage_rejected_as_out_of_chart(bad, u0):
+    # stage 3 of the first attempt is non-finite in one run and raises
+    # OutOfChart in the other: same rejection, same steps, same bits, and
+    # the warnings of later stages computed from it (sin(inf)) stay silent
+    def pendulum(poison):
+        calls = []
+
+        def rhs(u):
+            calls.append(1)
+            out = np.stack([u[..., 1], -np.sin(u[..., 0])], axis=-1)
+            if len(calls) == 4:  # f(u0), then stages 1, 2, 3
+                if poison is None:
+                    raise OutOfChart("poisoned stage")
+                out[...] = poison
+            return out
+
+        return rhs
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate.integrate_adaptive(pendulum(bad), u0, 2.0)
+    want = integrate.integrate_adaptive(pendulum(None), u0, 2.0)
+    assert got.status == want.status == "Completed"
+    assert (got.n_accepted, got.n_rejected) == (want.n_accepted, want.n_rejected)
+    assert want.n_rejected >= 1
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.states, want.states)
 
 
 def test_step_failure_reported(hemisphere):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from geoflow.errors import InvalidInput, OutOfDomain
+from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain
 from geoflow.flow import TangentVector, geodesic_flow, integrate_batch, make_geodesic_rhs
 from geoflow.jacobi import (
     JacobiState,
     _make_joint_rhs,
     basis_block,
+    chart_to_covariant,
     fd_flow_differential,
     flow_differential,
     mixed_partials_residual,
@@ -344,10 +345,22 @@ def test_flow_differential_bad_velocity_rejected(hemisphere):
             propagate_jacobi(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), j0, 0.3)
 
 
+@pytest.mark.parametrize("x, y, error", [
+    ([math.nan, 0.0], [1.0, 0.0], OutOfChart),
+    ([0.9, 0.0], [1.0, 0.0], OutOfChart),
+    ([0.1, 0.0], [math.nan, 0.0], InvalidInput),
+    ([0.1, 0.0], [1.0, 0.0, 0.0], InvalidInput),
+])
+def test_chart_to_covariant_rejects_bad_input(vee, x, y, error):
+    with pytest.raises(error):
+        chart_to_covariant(vee, x, y)
+
+
 def test_rhs_one_derivative_evaluation_each(surfaces):
+    # one surface.derivatives call per RHS, and no separate gradient or Hessian call
     for surf in surfaces.values():
         counted = copy.copy(surf)
-        calls = {"gradient": 0, "hessian": 0}
+        calls = {"derivatives": 0, "gradient": 0, "hessian": 0}
 
         def counting(attr):
             fn = getattr(surf, attr)
@@ -358,13 +371,13 @@ def test_rhs_one_derivative_evaluation_each(surfaces):
 
             return wrapper
 
-        counted.gradient = counting("gradient")
-        counted.hessian = counting("hessian")
+        for attr in calls:
+            setattr(counted, attr, counting(attr))
         u = np.concatenate([[0.1, -0.05], [0.6, 0.8], np.eye(4).ravel()])
         _make_joint_rhs(counted, 4)(u)
-        assert calls == {"gradient": 1, "hessian": 1}, surf.name
+        assert calls == {"derivatives": 1, "gradient": 0, "hessian": 0}, surf.name
         make_geodesic_rhs(counted)(u[:4])
-        assert calls == {"gradient": 2, "hessian": 2}, surf.name
+        assert calls == {"derivatives": 2, "gradient": 0, "hessian": 0}, surf.name
 
 
 def test_vee_flow_differential_rhs_budget(vee):

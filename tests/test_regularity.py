@@ -457,11 +457,25 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.holder_modulus_check(PAIRS, NAN, 1.0),
     lambda: reg.holder_modulus_check(PAIRS, 0.5, NAN),
     lambda: reg.holder_modulus_check(PAIRS, 0.5, -1.0),
+    lambda: reg.osgood_integral_check([], [], 0.0, LINEAR),
+    lambda: reg.osgood_integral_check([0.0, 0.5], [0.0], 0.1, LINEAR),
+    lambda: reg.osgood_integral_check([0.0, NAN], [0.0, 0.1], 0.1, LINEAR),
+    lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((0, 4))),
+    lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((3, 5))),
+    lambda: reg.gronwall_bound(NAN, 1.0, 0.1),
+    lambda: reg.gronwall_bound(1.0, INF, 0.1),
+    lambda: reg.gronwall_bound(1.0, 1.0, [0.0, NAN]),
 ])
 def test_formulas_reject_bad_input(call):
     # a non-finite or out-of-range argument never comes back as a NaN result
     with pytest.raises(InvalidInput):
         call()
+
+
+def test_empirical_modulus_names_the_non_finite_sample():
+    # a single non-finite pair is reported as non-finite, not as too few samples
+    with pytest.raises(InvalidInput, match="finite"):
+        reg.empirical_modulus([(NAN, 1.0)])
 
 
 def test_holder_check_linear_map():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoflow.catalog import surface_from_spec
 from geoflow.errors import DegeneratePlane, InvalidInput, OutOfChart
 from geoflow.regularity import mollify
 from geoflow.surface import (
@@ -479,6 +480,32 @@ def test_local_geometry_matches_reference(kernel_surfaces, n_points):
                 assert np.max(np.abs(a)) <= 1e-15, (surf.name, name)
         np.testing.assert_allclose(geo.gamma_v, np.einsum("...kij,...j->...ki", ref[2], Y),
                                    rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("domain", [[[0.5, -0.5], [-0.5, 0.5]], [[-0.5, 0.5], [0.5, -0.5]],
+                                    [[math.nan, 0.5], [-0.5, 0.5]]])
+def test_grid_spec_rejects_bad_domain(domain):
+    # a reversed or non-finite domain is InvalidInput, not scipy's raw ValueError
+    samples = np.random.default_rng(3).normal(size=(17, 17)).tolist()
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        surface_from_spec({"type": "grid", "samples": samples, "domain": domain})
+
+
+def test_derivatives_match_separate_calls(kernel_surfaces, hemisphere):
+    # kernel_surfaces: the catalog, a mollified GridSurface, a codim-2 grid and a 3-dim cap
+    rng = np.random.default_rng(29)
+    for surf in kernel_surfaces:
+        pts = random_chart_points(surf, 12, rng)
+        for X in (pts[0], pts, pts.reshape(3, 4, surf.dim)):
+            got = surf.derivatives(X)
+            assert got[0].shape == X.shape + (surf.codim,), surf.name
+            assert got[1].shape == X.shape + (surf.dim, surf.codim), surf.name
+            for a, b in zip(got, (surf.gradient(X), surf.hessian(X))):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), surf.name
+    for bad in ([0.6, 0.8], [[0.0, 0.1], [1.2, 0.0]]):
+        for fn in (hemisphere.derivatives, hemisphere.gradient, hemisphere.hessian):
+            with pytest.raises(OutOfChart):
+                fn(bad)
 
 
 def test_rhs_solves_only_in_the_normal_space(monkeypatch, surfaces):
