@@ -31,14 +31,11 @@ def _flat():
     def h(X):
         return _zeros_like_point(X, (1,))
 
-    def grad(X):
-        return _zeros_like_point(X, (2, 1))
-
-    def hess(X):
-        return _zeros_like_point(X, (2, 2, 1))
+    def derivatives(X):
+        return _zeros_like_point(X, (2, 1)), _zeros_like_point(X, (2, 2, 1))
 
     return GraphSurface(
-        "flat", 2, 1, [-1.0, -1.0], [1.0, 1.0], h, grad, hess,
+        "flat", 2, 1, [-1.0, -1.0], [1.0, 1.0], h, derivatives,
         regularity=Regularity("smooth"), bounds=SurfaceBounds(0.0, 0.0, 0.0),
     )
 
@@ -57,18 +54,12 @@ def _hemisphere():
         _, s = safe(X)
         return s[..., None]
 
-    def grad(X, s):
-        return (-X / s[..., None])[..., None]
-
-    def hess(X, s):
-        out = -np.einsum("...i,...j->...ij", X, X) / (s ** 3)[..., None, None]
-        idx = np.arange(2)
-        out[..., idx, idx] -= 1.0 / s[..., None]
-        return out[..., None]
-
     def derivatives(X):
         X, s = safe(X)  # one rim check and square root for both arrays
-        return grad(X, s), hess(X, s)
+        hess = -np.einsum("...i,...j->...ij", X, X) / (s ** 3)[..., None, None]
+        idx = np.arange(2)
+        hess[..., idx, idx] -= 1.0 / s[..., None]
+        return (-X / s[..., None])[..., None], hess[..., None]
 
     def member(X):
         X = np.asarray(X, dtype=float)
@@ -78,8 +69,7 @@ def _hemisphere():
     # s = sqrt(1 - |x|^2), peak on the rim; the sphere's curvatures are all 1.
     rim = float(np.sqrt(1.0 - r * r))
     return GraphSurface(
-        "hemisphere", 2, 1, [-r, -r], [r, r], h,
-        lambda X: grad(*safe(X)), lambda X: hess(*safe(X)), derivatives=derivatives,
+        "hemisphere", 2, 1, [-r, -r], [r, r], h, derivatives,
         regularity=Regularity("smooth"), membership=member,
         bounds=SurfaceBounds(r / rim, rim ** -3, 1.0),
     )
@@ -98,21 +88,17 @@ def _profile_surface(name, f, df, d2f, regularity, peak, crease=None):
         X = np.asarray(X, dtype=float)
         return f(X[..., 0])[..., None]
 
-    def grad(X):
+    def derivatives(X):
         X = np.asarray(X, dtype=float)
-        out = _zeros_like_point(X, (2, 1))
-        out[..., 0, 0] = df(X[..., 0])
-        return out
-
-    def hess(X):
-        X = np.asarray(X, dtype=float)
-        out = _zeros_like_point(X, (2, 2, 1))
-        out[..., 0, 0, 0] = d2f(X[..., 0])
-        return out
+        grad = _zeros_like_point(X, (2, 1))
+        grad[..., 0, 0] = df(X[..., 0])
+        hess = _zeros_like_point(X, (2, 2, 1))
+        hess[..., 0, 0, 0] = d2f(X[..., 0])
+        return grad, hess
 
     kappa = d2f(peak) / (1.0 + df(peak) ** 2) ** 1.5
     return GraphSurface(
-        name, 2, 1, [-0.8, -0.8], [0.8, 0.8], h, grad, hess,
+        name, 2, 1, [-0.8, -0.8], [0.8, 0.8], h, derivatives,
         regularity=regularity, crease=crease,
         bounds=SurfaceBounds(float(abs(df(0.8))), float(abs(d2f(0.8))), float(kappa)),
     )
@@ -216,7 +202,14 @@ def surface_from_spec(spec: dict) -> GraphSurface:
         samples = np.asarray(spec["samples"], dtype=float)
         if samples.ndim not in (2, 3) or not np.all(np.isfinite(samples)):
             raise InvalidInput("grid samples must be a finite (Nx, Ny) or (Nx, Ny, c) array")
-        (x0, x1), (y0, y1) = spec["domain"]
+        bad_domain = "grid domain must be [[x0, x1], [y0, y1]], finite and strictly increasing"
+        try:
+            domain = np.asarray(spec["domain"], dtype=float)
+            (x0, x1), (y0, y1) = domain
+        except (TypeError, ValueError) as exc:  # not two pairs, ragged, or not numbers
+            raise InvalidInput(bad_domain) from exc
+        if not np.all(np.isfinite(domain)):  # GridSurface rejects pairs that do not increase
+            raise InvalidInput(bad_domain)
         xa = np.linspace(x0, x1, samples.shape[0])
         ya = np.linspace(y0, y1, samples.shape[1])
         reg = Regularity.parse(spec.get("regularity", "smooth"), spec.get("alpha"))

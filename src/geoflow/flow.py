@@ -23,6 +23,9 @@ from . import integrate
 from .errors import InvalidInput, OutOfDomain, StepFailure
 from .surface import g_norm_batch, local_geometry
 
+# Base-point draws random_tangent makes before it gives up on a box without chart points.
+_MAX_BASE_DRAWS = 1000
+
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -131,15 +134,18 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     central part of a box (default: the chart box), scaled by shrink.
 
     Draws the base point (redrawn until it is a chart point), then a normal
-    direction, from rng in that order.
+    direction, from rng in that order. Raises OutOfDomain when
+    _MAX_BASE_DRAWS base points all miss the chart.
     """
-    lo, hi = (surface.domain_lo, surface.domain_hi) if box is None else box
+    lo, hi = (surface.domain_lo, surface.domain_hi) if box is None else np.asarray(box, dtype=float)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    while True:
+    for _ in range(_MAX_BASE_DRAWS):
         x = center + (rng.random(surface.dim) - 0.5) * shrink * half
         if surface.contains(x):
             break
+    else:
+        raise OutOfDomain(f"no chart point of {surface.name!r} in {_MAX_BASE_DRAWS} draws")
     y = rng.normal(size=surface.dim)
     # Scaling by the reciprocal, not dividing: the report's roundoff-level
     # residuals are pinned to the bits of tangents drawn this way.

@@ -71,11 +71,11 @@ def _make_joint_rhs(surface, n_cols):
 
     def rhs(u):
         y = u[..., m: 2 * m]
-        geo = local_geometry(surface, u[..., :m], y)
-        g_mat = geo.gamma_v
+        geo = local_geometry(surface, u[..., :m])
+        g_mat = geo.gamma_v(y)
         jk = u[..., 2 * m:].reshape(u.shape[:-1] + (2, m, n_cols))
         j_dot = jk[..., 1, :, :] - g_mat @ jk[..., 0, :, :]
-        k_dot = geo.curvature @ jk[..., 0, :, :] - g_mat @ jk[..., 1, :, :]
+        k_dot = geo.curvature(y) @ jk[..., 0, :, :] - g_mat @ jk[..., 1, :, :]
         flat = u.shape[:-1] + (-1,)
         return np.concatenate(
             [y, -(g_mat @ y[..., None])[..., 0], j_dot.reshape(flat), k_dot.reshape(flat)],
@@ -137,7 +137,7 @@ def chart_to_covariant(surface, x, y) -> np.ndarray:
     x, y = surface.require_inside(x), surface.require_vector(y, "velocity")
     m = surface.dim
     c = np.eye(2 * m)
-    c[m:, :m] = local_geometry(surface, x, y).gamma_v
+    c[m:, :m] = local_geometry(surface, x).gamma_v(y)
     return c
 
 

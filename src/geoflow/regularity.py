@@ -267,6 +267,7 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
         rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
         pts = np.stack(np.meshgrid(rows, axes[1], indexing="ij"), axis=-1)
         h[i0:i1] = _smooth_field(surface.height(pts), radius, k)
+        # Two derivative calls, not one: one raw strip array alive while smoothing.
         grad[i0:i1] = _smooth_field(surface.gradient(pts), radius, k)
         hess[i0:i1] = _smooth_field(surface.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :], radius, k)
 
@@ -299,11 +300,12 @@ def _level_fields(surf, pts):
     """grad, g, dg[k,i,j] = partial_k g_ij and Pi(e_i, e_j) as ambient
     vectors (P, m, m, n), from one derivative evaluation."""
     geo = local_geometry(surf, pts)
+    gamma = geo.gamma
     dg = np.einsum("...kia,...ja->...kij", geo.hess, geo.grad)
     dg += np.swapaxes(dg, -1, -2)
     # ambient = (0, hess_ab) - sum_k T_k gamma[k,a,b];  T_k = (e_k, grad[k])
-    p_top = -np.moveaxis(geo.gamma, -3, -1)                   # (P, a, b, m)
-    p_bot = geo.hess - np.einsum("...kab,...ke->...abe", geo.gamma, geo.grad)
+    p_top = -np.moveaxis(gamma, -3, -1)                       # (P, a, b, m)
+    p_bot = geo.hess - np.einsum("...kab,...ke->...abe", gamma, geo.grad)
     return geo.grad, geo.g, dg, np.concatenate([p_top, p_bot], axis=-1)
 
 
@@ -443,12 +445,13 @@ def jacobi_coefficient_matrix(surface, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = surface.dim
-    geo = local_geometry(surface, x, y)
+    geo = local_geometry(surface, x)
+    neg_gamma_v = -geo.gamma_v(y)
     a = np.zeros(x.shape[:-1] + (2 * m, 2 * m))
-    a[..., :m, :m] = -geo.gamma_v
+    a[..., :m, :m] = neg_gamma_v
     a[..., :m, m:] = np.eye(m)
-    a[..., m:, :m] = geo.curvature
-    a[..., m:, m:] = -geo.gamma_v
+    a[..., m:, :m] = geo.curvature(y)
+    a[..., m:, m:] = neg_gamma_v
     return a
 
 

@@ -22,7 +22,6 @@ provided as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +80,13 @@ class SurfaceBounds:
 class GraphSurface:
     """Immutable chart description of a graph submanifold of R^n.
 
-    height/gradient/hessian are vectorized callables mapping points of
-    shape (..., m) to arrays of shape (..., codim), (..., m, codim) and
-    (..., m, m, codim). `membership` optionally tightens the box domain
+    height is a vectorized callable mapping points of shape (..., m) to
+    arrays of shape (..., codim); derivatives maps them to the pair
+    (gradient, Hessian) of shapes (..., m, codim) and (..., m, m, codim),
+    the Hessian symmetric in its two chart indices. It is the one derivative
+    callable a surface supplies, so work the two arrays share (a chart test,
+    a square root, a spline evaluation) runs once; gradient and hessian are
+    its two parts. `membership` optionally tightens the box domain
     (e.g. to a disk). The callables are also invoked slightly outside the
     domain, where integrator stages overshoot before a chart exit is
     located. `crease` optionally declares where the second derivatives are
@@ -92,9 +95,6 @@ class GraphSurface:
     at x1 = 0); the integrator ends a step at every crossing of it.
     `bounds` declares the certified SurfaceBounds; a surface that declares
     none raises InvalidInput wherever a certified bound is needed.
-    `derivatives` optionally computes (gradient(X), hessian(X)) in one call,
-    for surfaces whose two derivatives share work; it must return the same
-    bits as the two separate calls.
     """
 
     def __init__(
@@ -105,14 +105,12 @@ class GraphSurface:
         domain_lo,
         domain_hi,
         height,
-        gradient,
-        hessian,
+        derivatives,
         *,
         regularity: Regularity,
         membership=None,
         crease=None,
         bounds: SurfaceBounds | None = None,
-        derivatives=None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -120,17 +118,17 @@ class GraphSurface:
         self.ambient_dim = self.dim + self.codim
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
-        if self.domain_lo.shape != (self.dim,) or np.any(self.domain_hi <= self.domain_lo):
-            raise InvalidInput("invalid chart box")
+        # NaN would pass a hi <= lo test, and a (1,) corner would broadcast
+        if any(c.shape != (self.dim,) or not np.all(np.isfinite(c))
+               for c in (self.domain_lo, self.domain_hi)) \
+                or not np.all(self.domain_lo < self.domain_hi):
+            raise InvalidInput(f"chart box corners must be finite {self.dim}-vectors with lo < hi")
         self.height = height
-        self.gradient = gradient
-        self.hessian = hessian
+        self.derivatives = derivatives
         self.regularity = regularity
         self._membership = membership
         self.crease = crease
         self._bounds = bounds
-        if derivatives is not None:
-            self.derivatives = derivatives  # shadows the two-call method below
 
     # -- domain --------------------------------------------------------
 
@@ -161,10 +159,13 @@ class GraphSurface:
 
     # -- geometry ------------------------------------------------------
 
-    def derivatives(self, X):
-        """(gradient(X), hessian(X)): the derivative arrays every geometry
-        kernel needs, from one call."""
-        return self.gradient(X), self.hessian(X)
+    def gradient(self, X):
+        """The gradient part of derivatives(X), shape (..., m, c)."""
+        return self.derivatives(X)[0]
+
+    def hessian(self, X):
+        """The Hessian part of derivatives(X), shape (..., m, m, c)."""
+        return self.derivatives(X)[1]
 
     def embed_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -187,31 +188,30 @@ class GraphSurface:
 # batch geometry kernels (unchecked; used by the ODE right-hand sides)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LocalGeometry:
     """Geometry at chart points X (..., m) from one derivatives evaluation,
-    held as a_inv and w; every other field is derived from them on
-    first use, with no solve against g. gamma_v and curvature need Y."""
+    held as a_inv and w; every other quantity is derived from them on each
+    read, with no solve against g. gamma_v and curvature take the velocity Y."""
 
     grad: np.ndarray                 # (..., m, c)
     hess: np.ndarray                 # (..., m, m, c)
     a_inv: np.ndarray                # (..., c, c)  (I_c + grad^T grad)^-1
     w: np.ndarray                    # (..., m, c)  g^-1 grad = grad a_inv
-    Y: np.ndarray | None = None      # (..., m)
 
-    @cached_property
+    @property
     def g(self) -> np.ndarray:
         return _metric(self.grad)
 
-    @cached_property
+    @property
     def g_inv(self) -> np.ndarray:
         return np.eye(self.grad.shape[-2]) - self.w @ self.grad.swapaxes(-1, -2)
 
-    @cached_property
+    @property
     def gamma(self) -> np.ndarray:
         return np.einsum("...ka,...ija->...kij", self.w, self.hess)
 
-    @cached_property
+    @property
     def pi(self) -> np.ndarray:
         """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> = hess_ab^T a_inv hess_cd."""
         m = self.grad.shape[-2]
@@ -219,28 +219,26 @@ class LocalGeometry:
         s = h @ (self.a_inv @ h.swapaxes(-1, -2))
         return s.reshape(s.shape[:-2] + (m, m, m, m))
 
-    @cached_property
-    def gamma_v(self) -> np.ndarray:
+    def gamma_v(self, Y) -> np.ndarray:
         """G[k, i] = gamma[k, i, j] Y^j = w[k] . (hess Y)[i], shape (..., m, m)."""
-        return self.w @ np.einsum("...ija,...j->...ai", self.hess, self.Y)
+        return self.w @ np.einsum("...ija,...j->...ai", self.hess, Y)
 
-    @cached_property
-    def curvature(self) -> np.ndarray:
+    def curvature(self, Y) -> np.ndarray:
         """M = g^-1 b = b - w (grad^T b); both terms of b (see curvature_matrix_batch) are
         contracted from one S, so b is exactly 0 where S has a single nonzero entry."""
-        Y, s = self.Y, self.pi
+        s = self.pi
         b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
         b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
         return b - self.w @ (self.grad.swapaxes(-1, -2) @ b)
 
 
-def local_geometry(surface, X, Y=None) -> LocalGeometry:
+def local_geometry(surface, X) -> LocalGeometry:
     """LocalGeometry at X from one surface.derivatives call. The normal
     metric a_inv is a division for codim 1, else one c x c inverse."""
     grad, hess = surface.derivatives(X)
     gram = grad.swapaxes(-1, -2) @ grad
     a_inv = 1.0 / (1.0 + gram) if surface.codim == 1 else np.linalg.inv(np.eye(surface.codim) + gram)
-    return LocalGeometry(grad, hess, a_inv, grad @ a_inv, None if Y is None else np.asarray(Y, dtype=float))
+    return LocalGeometry(grad, hess, a_inv, grad @ a_inv)
 
 
 def christoffel_batch(surface, X):
@@ -255,7 +253,7 @@ def curvature_matrix_batch(surface, X, Y):
     Assembled from second-fundamental-form products only:
     b[l,j] = <Pi(e_j,V), Pi(V,e_l)> - <Pi(V,V), Pi(e_j,e_l)>, M = g^{-1} b.
     """
-    return local_geometry(surface, X, Y).curvature
+    return local_geometry(surface, X).curvature(Y)
 
 
 def _metric(grad) -> np.ndarray:
@@ -367,15 +365,14 @@ class GridSurface(GraphSurface):
     """Chart surface backed by sampled grids and bicubic splines (dim 2 only).
 
     h (Nx, Ny, c), grad (Nx, Ny, 2, c) and hess (Nx, Ny, 3, c) are samples on
-    the grid x_axis x y_axis, in the layout of the derivative callables; the
+    the grid x_axis x y_axis, in the layout of height and derivatives; the
     Hessian holds the entries 11, 12 and 22. The codim c is read from h.
     The three fields are fitted independently, not by differentiating one
     another, so sampled data (e.g. smoothed height fields with convolved
     derivative grids) plug in directly. The height is one tensor-product
     spline, and the 2c gradient and 3c Hessian components are another, with
     all their coefficients in one array stacked along a trailing axis, so
-    one derivatives call evaluates every component once; gradient and
-    hessian read their parts of the same evaluation. Points are clamped to
+    one derivatives call evaluates every component once. Points are clamped to
     the grid box first, as FITPACK evaluation does.
 
     Bounds: a B-spline lies within its largest |coefficient| on the grid box
@@ -429,9 +426,7 @@ class GridSurface(GraphSurface):
                     out[..., n_grad:].reshape(lead + (3, codim))[..., [[0, 1], [1, 2]], :])
 
         super().__init__(
-            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)),
-            lambda X: derivatives(X)[0], lambda X: derivatives(X)[1],
-            regularity=regularity, derivatives=derivatives,
+            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)), derivatives, regularity=regularity,
             bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geoflow import integrate
+from geoflow import flow, integrate
 from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain, StepFailure
 from geoflow.flow import (
     TangentVector,
@@ -247,9 +247,9 @@ def test_geodesic_flow_step_failure_inside_chart():
             return out
         return f
 
+    grad, hess = field((2, 1), nan_past=0.3), field((2, 2, 1))
     surf = GraphSurface("nan_gradient", 2, 1, [-1.0, -1.0], [1.0, 1.0], field((1,)),
-                        field((2, 1), nan_past=0.3), field((2, 2, 1)),
-                        regularity=Regularity("smooth"))
+                        lambda X: (grad(X), hess(X)), regularity=Regularity("smooth"))
     with pytest.raises(StepFailure):
         geodesic_flow(surf, 0.5, TangentVector([0.0, 0.0], [1.0, 0.0]))
 
@@ -267,6 +267,25 @@ def test_random_tangent_unit_speed_in_box(surfaces):
     box = (np.array([0.1, -0.2]), np.array([0.3, 0.0]))
     v = random_tangent(surfaces["trough"], rng, 1.0, box=box)
     assert np.all((v.x >= box[0]) & (v.x <= box[1]))
+
+
+def test_random_tangent_box_without_chart_point(hemisphere):
+    # [0.7, 0.8]^2 lies outside the chart disk |x| <= 0.8: the redraws end
+    rng, ref = np.random.default_rng(43), np.random.default_rng(43)
+    with pytest.raises(OutOfDomain):
+        random_tangent(hemisphere, rng, 1.0, box=([0.7, 0.7], [0.8, 0.8]))
+    ref.random((flow._MAX_BASE_DRAWS, 2))
+    assert rng.random() == ref.random()
+    # a box the rim cuts: base points are redrawn until one is a chart
+    # point, then one normal direction is drawn, as before the bound
+    lo, hi = np.array([0.4, 0.4]), np.array([0.7, 0.7])
+    rng, ref = np.random.default_rng(43), np.random.default_rng(43)
+    v = random_tangent(hemisphere, rng, 1.0, box=(lo, hi))
+    while not hemisphere.contains(x := 0.5 * (lo + hi) + (ref.random(2) - 0.5) * (0.5 * (hi - lo))):
+        pass
+    np.testing.assert_array_equal(v.x, x)
+    ref.normal(size=2)
+    assert rng.random() == ref.random()
 
 
 def test_integrate_batch_matches_single_runs(hemisphere):

@@ -286,7 +286,7 @@ def test_error_budget_needs_2dim_chart():
     def h(X):
         return np.zeros(np.shape(X)[:-1] + (1,))
 
-    flat3 = GraphSurface("flat3", 3, 1, [-1.0] * 3, [1.0] * 3, h, None, None,
+    flat3 = GraphSurface("flat3", 3, 1, [-1.0] * 3, [1.0] * 3, h, None,
                          regularity=None, bounds=SurfaceBounds(0.0, 0.0, 0.0))
     oracle = build_mesh_oracle(flat3, 8)
     assert shortest_path(oracle, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5])[1] > 0
@@ -298,7 +298,7 @@ def test_margin_needs_declared_bounds(flat):
     # the mesh budget's lift factor is a certified bound; a surface without
     # one gets no margin
     bare = GraphSurface("bare", 2, 1, flat.domain_lo, flat.domain_hi, flat.height,
-                        flat.gradient, flat.hessian, regularity=flat.regularity)
+                        flat.derivatives, regularity=flat.regularity)
     traj = integrate_geodesic(bare, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3)
     with pytest.raises(InvalidInput):
         minimality_report(bare, traj, build_mesh_oracle(bare, 16))

@@ -27,17 +27,14 @@ def _affine_surface():
     def h(X):
         return (0.3 + 0.5 * X[..., 0] - 0.2 * X[..., 1])[..., None]
 
-    def grad(X):
-        out = np.zeros(X.shape[:-1] + (2, 1))
-        out[..., 0, 0] = 0.5
-        out[..., 1, 0] = -0.2
-        return out
-
-    def hess(X):
-        return np.zeros(X.shape[:-1] + (2, 2, 1))
+    def derivatives(X):
+        grad = np.zeros(X.shape[:-1] + (2, 1))
+        grad[..., 0, 0] = 0.5
+        grad[..., 1, 0] = -0.2
+        return grad, np.zeros(X.shape[:-1] + (2, 2, 1))
 
     return GraphSurface(
-        "affine", 2, 1, [-0.8, -0.8], [0.8, 0.8], h, grad, hess,
+        "affine", 2, 1, [-0.8, -0.8], [0.8, 0.8], h, derivatives,
         regularity=Regularity("smooth"),
     )
 

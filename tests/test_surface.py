@@ -437,16 +437,13 @@ def _sphere_cap3():
     def height(X):
         return root(X)[1][..., None]
 
-    def gradient(X):
-        X, s = root(X)
-        return (-X / s[..., None])[..., None]
-
-    def hessian(X):
+    def derivatives(X):
         X, s = root(X)
         eye = np.eye(3) / s[..., None, None]
-        return (-eye - X[..., :, None] * X[..., None, :] / s[..., None, None] ** 3)[..., None]
+        hess = -eye - X[..., :, None] * X[..., None, :] / s[..., None, None] ** 3
+        return (-X / s[..., None])[..., None], hess[..., None]
 
-    return GraphSurface("cap3", 3, 1, [-0.8] * 3, [0.8] * 3, height, gradient, hessian,
+    return GraphSurface("cap3", 3, 1, [-0.8] * 3, [0.8] * 3, height, derivatives,
                         regularity=Regularity("smooth"),
                         membership=lambda X: np.einsum("...i,...i->...", X, X) <= 0.64)
 
@@ -469,39 +466,45 @@ def test_local_geometry_matches_reference(kernel_surfaces, n_points):
         Y = rng.normal(size=X.shape)
         if n_points == 1:
             X, Y = X[0], Y[0]
-        geo = local_geometry(surf, X, Y)
+        geo = local_geometry(surf, X)
         ref = reference_geometry(surf, X, Y)
-        got = (geo.g, geo.g_inv, geo.gamma, geo.pi, geo.curvature)
+        got = (geo.g, geo.g_inv, geo.gamma, geo.pi, geo.curvature(Y))
         for name, a, b in zip(("g", "g_inv", "gamma", "pi", "M"), got, ref):
             assert a.shape == b.shape, (surf.name, name)
             if np.any(b):
                 assert _rel(a, b) <= 1e-13, (surf.name, name, _rel(a, b))
             else:
                 assert np.max(np.abs(a)) <= 1e-15, (surf.name, name)
-        np.testing.assert_allclose(geo.gamma_v, np.einsum("...kij,...j->...ki", ref[2], Y),
+        np.testing.assert_allclose(geo.gamma_v(Y), np.einsum("...kij,...j->...ki", ref[2], Y),
                                    rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("domain", [[[0.5, -0.5], [-0.5, 0.5]], [[-0.5, 0.5], [0.5, -0.5]],
-                                    [[math.nan, 0.5], [-0.5, 0.5]]])
+                                    [[math.nan, 0.5], [-0.5, 0.5]], [1, 2], [[0, 1]],
+                                    [[0, 1], [0, 1, 2]], [[0, "a"], [0, 1]], [[0, math.inf], [0, 1]]])
 def test_grid_spec_rejects_bad_domain(domain):
-    # a reversed or non-finite domain is InvalidInput, not scipy's raw ValueError
+    # a reversed, non-finite or malformed domain is InvalidInput, not a raw
+    # TypeError or ValueError from unpacking it or from scipy
     samples = np.random.default_rng(3).normal(size=(17, 17)).tolist()
     with pytest.raises(InvalidInput, match="strictly increasing"):
         surface_from_spec({"type": "grid", "samples": samples, "domain": domain})
 
 
-def test_derivatives_match_separate_calls(kernel_surfaces, hemisphere):
-    # kernel_surfaces: the catalog, a mollified GridSurface, a codim-2 grid and a 3-dim cap
+def test_derivatives_contract(kernel_surfaces, hemisphere):
+    # kernel_surfaces: the catalog, a mollified GridSurface, a codim-2 grid and a 3-dim cap.
+    # derivatives(X) is (grad, hess) of shapes (..., m, c) and (..., m, m, c), the
+    # Hessian exactly symmetric; gradient and hessian are its two parts.
     rng = np.random.default_rng(29)
     for surf in kernel_surfaces:
+        m, c = surf.dim, surf.codim
         pts = random_chart_points(surf, 12, rng)
-        for X in (pts[0], pts, pts.reshape(3, 4, surf.dim)):
-            got = surf.derivatives(X)
-            assert got[0].shape == X.shape + (surf.codim,), surf.name
-            assert got[1].shape == X.shape + (surf.dim, surf.codim), surf.name
-            for a, b in zip(got, (surf.gradient(X), surf.hessian(X))):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), surf.name
+        for X in (pts[0], pts, pts.reshape(3, 4, m)):
+            grad, hess = surf.derivatives(X)
+            assert grad.shape == X.shape[:-1] + (m, c), surf.name
+            assert hess.shape == X.shape[:-1] + (m, m, c), surf.name
+            assert np.array_equal(hess, hess.swapaxes(-3, -2)), surf.name
+            for part, whole in ((surf.gradient(X), grad), (surf.hessian(X), hess)):
+                assert part.shape == whole.shape and part.tobytes() == whole.tobytes(), surf.name
     for bad in ([0.6, 0.8], [[0.0, 0.1], [1.2, 0.0]]):
         for fn in (hemisphere.derivatives, hemisphere.gradient, hemisphere.hessian):
             with pytest.raises(OutOfChart):
@@ -652,8 +655,21 @@ def test_curvature_sup_bounds_sampled_directions(surfaces):
         assert surf.bounds.curvature_sup >= sampled(surf, pts) - 1e-12, surf.name
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([-1.0, -1.0], [math.nan, 1.0]),      # NaN passes a hi <= lo test
+    ([-1.0, -1.0], [math.inf, 1.0]),
+    ([-1.0, -1.0], [1.0]),                # would broadcast over the box
+    ([-1.0], [1.0, 1.0]),
+    ([-1.0, -1.0], [1.0, -1.0]),
+    ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+])
+def test_chart_box_rejects_bad_corners(lo, hi):
+    with pytest.raises(InvalidInput, match="chart box"):
+        GraphSurface("box", 2, 1, lo, hi, None, None, regularity=Regularity("smooth"))
+
+
 def test_undeclared_bounds_raise():
-    surf = GraphSurface("bare", 2, 1, [-1.0, -1.0], [1.0, 1.0], None, None, None,
+    surf = GraphSurface("bare", 2, 1, [-1.0, -1.0], [1.0, 1.0], None, None,
                         regularity=Regularity("smooth"))
     with pytest.raises(InvalidInput):
         surf.bounds
