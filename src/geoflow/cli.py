@@ -198,7 +198,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     probes = reg.convergence_probes(seq, args.probes, np.random.default_rng(cfg.seed))
     report = reg.flow_convergence_report(seq, probes)
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
-    out.update(report.as_dict())
+    out.update(asdict(report))
     path = args.out or cfg.output.get("convergence_json", "convergence.json")
     text = serialize.write_json(path, out)
     csv_path = cfg.output.get("convergence_csv", "delta-vs-level.csv")
@@ -219,7 +219,7 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
     require_completed(traj, "geodesic")
-    rep = minimality_report(surface, traj, build_mesh_oracle(surface, args.resolution))
+    rep = minimality_report(traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)
     path = args.out or cfg.output.get("minimality_json", "minimality.json")
@@ -305,7 +305,7 @@ def _suite_minimality(tols, seed):
         worst = np.inf
         for _ in range(3):
             traj = short_geodesic(surf, rng, 0.3)
-            rep = minimality_report(surf, traj, oracle)
+            rep = minimality_report(traj, oracle)
             worst = min(worst, rep["margin"])
         checks.append(_check(f"margin_{name}", worst, tols["margin"], worst >= tols["margin"]))
     return checks

@@ -85,6 +85,17 @@ def _make_joint_rhs(surface, n_cols):
     return rhs
 
 
+def coefficient_matrix(surface, x, y) -> np.ndarray:
+    """Coefficient matrix A = [[-G, I], [M, -G]] of d/dt (J, K) = A (J, K) at
+    phase points x, y (..., m): the (J, K) part of the joint right-hand side
+    applied to the basis block, so A is the matrix the integrator integrates."""
+    m = surface.dim
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    basis = np.broadcast_to(basis_block(m).ravel(), x.shape[:-1] + (4 * m * m,))
+    du = _make_joint_rhs(surface, 2 * m)(np.concatenate([x, y, basis], axis=-1))
+    return du[..., 2 * m:].reshape(x.shape[:-1] + (2 * m, 2 * m))
+
+
 def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
     """Integrate the joint system from the (2, m, n_cols) initial block jk0
     along the geodesic of v, or, for a list v, along each of its geodesics

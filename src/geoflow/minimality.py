@@ -153,24 +153,25 @@ def shortest_path(oracle: MeshGeodesicOracle, p, q):
     return float(dist[b]), hops, sp, sq
 
 
-def mesh_error_budget(surface, oracle: MeshGeodesicOracle, hops: int) -> float:
+def mesh_error_budget(oracle: MeshGeodesicOracle, hops: int) -> float:
     """Resolution allowance: lift factor * anisotropy * mesh step * hop count,
-    with the lift sqrt(1 + grad_sup^2) from the surface's certified bounds."""
+    with the lift sqrt(1 + grad_sup^2) from the oracle surface's certified bounds."""
+    surface = oracle.surface
     if surface.dim != 2 or not (isinstance(hops, (int, np.integer)) and hops >= 0):  # sec(pi/8) is 2-D only
         raise InvalidInput(f"need a 2-dim chart and a hop count >= 0, got dim {surface.dim}, hops {hops!r}")
     lift = float(np.sqrt(1.0 + surface.bounds.grad_sup ** 2))
     return lift * KING_ANISOTROPY * oracle.mesh_step * hops
 
 
-def minimality_report(surface, traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
-    """Margin of one trajectory against the mesh oracle: mesh length + budget
-    - geodesic length, nonnegative when no mesh competitor is shorter up to
+def minimality_report(traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
+    """Margin of one trajectory on oracle.surface: mesh length + budget -
+    geodesic length, nonnegative when no mesh competitor is shorter up to
     mesh error. The geodesic length is speed * final_time, the exact g-length
     of the geodesic, which a chord sum over the samples would underestimate."""
-    pts = traj.positions(surface.dim)
+    pts = traj.positions(oracle.surface.dim)
     mesh_len, hops, sp, sq = shortest_path(oracle, pts[0], pts[-1])
     length = traj.speed * traj.final_time
-    budget = mesh_error_budget(surface, oracle, hops)
+    budget = mesh_error_budget(oracle, hops)
     margin = mesh_len + budget - length
     return {
         "geodesic_length": length,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
 from .integrate import LEFT_CHART, STEP_FAILURE
-from .jacobi import basis_block, propagate_block
+from .jacobi import basis_block, coefficient_matrix, propagate_block
 from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
 _MODULUS_BINS = 32                      # log-spaced bins of an empirical modulus
@@ -65,6 +65,8 @@ class Modulus:
 
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=float)
+        if np.any(np.isnan(delta)):
+            raise InvalidInput("a modulus is evaluated at NaN")
         idx = np.clip(np.searchsorted(self.edges, delta, side="left"), 0, len(self.values) - 1)
         out = np.where(delta <= 0.0, 0.0, self.values[idx])
         return float(out) if out.ndim == 0 else out
@@ -267,9 +269,14 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
         rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
         pts = np.stack(np.meshgrid(rows, axes[1], indexing="ij"), axis=-1)
         h[i0:i1] = _smooth_field(surface.height(pts), radius, k)
-        # Two derivative calls, not one: one raw strip array alive while smoothing.
-        grad[i0:i1] = _smooth_field(surface.gradient(pts), radius, k)
-        hess[i0:i1] = _smooth_field(surface.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :], radius, k)
+        # One derivative call per strip; each strip array is freed once smoothed
+        # or packed, so none is alive during the next strip's derivative call.
+        d_grad, d_hess = surface.derivatives(pts)
+        grad[i0:i1] = _smooth_field(d_grad, radius, k)
+        del d_grad
+        d_hess = d_hess[..., [0, 0, 1], [0, 1, 1], :]
+        hess[i0:i1] = _smooth_field(d_hess, radius, k)
+        del d_hess
 
     smoothed = GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
                            regularity=Regularity("smooth"))
@@ -348,26 +355,16 @@ def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
 
 @dataclass
 class ConvergenceReport:
+    """The smooth-converge JSON record, its fields in key order."""
+
     scales: list
     metric_c1: list
     pi_c0: list
     flow_c0: list                # successive sup |phi_l - phi_{l+1}| over probes
     dflow_c0: list               # successive sup |dphi_l - dphi_{l+1}|
     verdict: str
-    pruned_probes: list = field(default_factory=list)
-    pi_sup: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "scales": list(map(float, self.scales)),
-            "metric_c1": list(map(float, self.metric_c1)),
-            "pi_c0": list(map(float, self.pi_c0)),
-            "flow_c0": list(map(float, self.flow_c0)),
-            "dflow_c0": list(map(float, self.dflow_c0)),
-            "verdict": self.verdict,
-            "pi_sup": list(map(float, self.pi_sup)),
-            "pruned_probes": self.pruned_probes,
-        }
+    pi_sup: list
+    pruned_probes: list
 
 
 def _avg_factor(dists):
@@ -414,13 +411,13 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
         verdict = "inconclusive"
     return ConvergenceReport(
         scales=seq.scales,
-        metric_c1=list(seq.metric_c1_dist),
-        pi_c0=list(seq.pi_c0_dist),
+        metric_c1=seq.metric_c1_dist.tolist(),
+        pi_c0=seq.pi_c0_dist.tolist(),
         flow_c0=flow_d,
         dflow_c0=dflow_d,
         verdict=verdict,
+        pi_sup=seq.pi_sup.tolist(),
         pruned_probes=pruned,
-        pi_sup=list(seq.pi_sup),
     )
 
 
@@ -439,22 +436,6 @@ def convergence_probes(seq: SmoothingSequence, n_probes: int, rng):
     return probes
 
 
-def jacobi_coefficient_matrix(surface, x, y) -> np.ndarray:
-    """Coefficient matrix A of the linear (J, K) system at a phase point:
-    d/dt (J, K) = A (J, K) with A = [[-G, I], [M, -G]]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = surface.dim
-    geo = local_geometry(surface, x)
-    neg_gamma_v = -geo.gamma_v(y)
-    a = np.zeros(x.shape[:-1] + (2 * m, 2 * m))
-    a[..., :m, :m] = neg_gamma_v
-    a[..., :m, m:] = np.eye(m)
-    a[..., m:, :m] = geo.curvature(y)
-    a[..., m:, m:] = neg_gamma_v
-    return a
-
-
 def coefficient_bound_along(surface, traj_states) -> float:
     """sup of the spectral norm of the (J, K) coefficient matrix along phase
     samples (..., 2m)."""
@@ -463,7 +444,7 @@ def coefficient_bound_along(surface, traj_states) -> float:
     if states.ndim < 1 or states.shape[-1] != 2 * m or not states.size:
         raise InvalidInput(f"need at least one phase sample of shape (..., {2 * m}), "
                            f"got {states.shape}")
-    a = jacobi_coefficient_matrix(surface, states[..., :m], states[..., m:])
+    a = coefficient_matrix(surface, states[..., :m], states[..., m:])
     return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
 
 
@@ -502,8 +483,8 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     control of its own run; the quotient bound exp(c_bar * t) uses the
     coefficient bound measured along the batch samples.
     """
-    if n_pairs < 1:
-        raise InvalidInput(f"need at least one pair, got n_pairs={n_pairs}")
+    if not (isinstance(n_pairs, (int, np.integer)) and n_pairs >= 1):
+        raise InvalidInput(f"need an integer count of at least one pair, got n_pairs={n_pairs!r}")
     rng = np.random.default_rng(seed)
     m = surface.dim
     ics = []
@@ -543,8 +524,8 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
     coefficient deviations, final-state deviations, and the measured
     constants c_tilde (solution sup) and c_bar (coefficient sup).
     """
-    if n_centers < 1:
-        raise InvalidInput(f"need at least one center, got n_centers={n_centers}")
+    if not (isinstance(n_centers, (int, np.integer)) and n_centers >= 1):
+        raise InvalidInput(f"need an integer count of at least one center, got n_centers={n_centers!r}")
     rng = np.random.default_rng(seed)
     m = surface.dim
     jk0 = np.array([[0.0, 0.0], [0.8, 0.6]])[..., None]  # generic: engages every block
@@ -568,7 +549,7 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
     require_completed(res, f"batch of {len(vs)} modulus probes")
     idx = np.clip(np.searchsorted(res.times, t_grid - 1e-12), 0, len(res.times) - 1)
     states = res.states[idx]  # (T, B, 2m + 2m)
-    a = jacobi_coefficient_matrix(surface, states[..., :m], states[..., m: 2 * m])
+    a = coefficient_matrix(surface, states[..., :m], states[..., m: 2 * m])
     gaps = np.array([gap for _, _, gap in pairs])
     coeff_dev = np.array([np.max(np.linalg.norm(a[:, c] - a[:, p], ord=2, axis=(-2, -1)))
                           for c, p, _ in pairs])

@@ -391,6 +391,8 @@ class GridSurface(GraphSurface):
         if (len(x_axis), len(y_axis), grad.shape, hess.shape) \
                 != (nx, ny, (nx, ny, 2, codim), (nx, ny, 3, codim)):
             raise InvalidInput("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
+        if not all(np.all(np.isfinite(a)) for a in (h, grad, hess)):
+            raise InvalidInput("h, grad and hess samples must be finite")
         if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):  # NaN fails too
             raise InvalidInput("grid axes must be strictly increasing")
 

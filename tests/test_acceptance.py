@@ -153,7 +153,7 @@ def test_09_minimality(surfaces):
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(20):
             traj = short_geodesic(surf, rng, max_len)
-            margin = minimality_report(surf, traj, oracle)["margin"]
+            margin = minimality_report(traj, oracle)["margin"]
             if margin < worst:
                 worst, worst_name = margin, name
     report(9, "minimality-margins", worst >= 0.0,

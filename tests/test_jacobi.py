@@ -11,13 +11,14 @@ from geoflow.jacobi import (
     _make_joint_rhs,
     basis_block,
     chart_to_covariant,
+    coefficient_matrix,
     fd_flow_differential,
     flow_differential,
     mixed_partials_residual,
     propagate_jacobi,
 )
-from geoflow.regularity import jacobi_coefficient_matrix, mollify
-from geoflow.surface import g_norm_batch
+from geoflow.regularity import mollify
+from geoflow.surface import g_norm_batch, local_geometry
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER, CATALOG_NAMES, random_chart_points
 
@@ -76,20 +77,31 @@ def test_joint_rhs_phase_matches_geodesic_rhs(surfaces):
         np.testing.assert_allclose(phase_dot.as_state(), expected, rtol=1e-14, atol=1e-15)
 
 
+def hand_built_a(surface, x, y):
+    """A = [[-G, I], [M, -G]] assembled block by block from the geometry."""
+    m = surface.dim
+    geo = local_geometry(surface, x)
+    a = np.zeros(x.shape[:-1] + (2 * m, 2 * m))
+    a[..., :m, :m] = a[..., m:, m:] = -geo.gamma_v(y)
+    a[..., :m, m:] = np.eye(m)
+    a[..., m:, :m] = geo.curvature(y)
+    return a
+
+
 @pytest.mark.parametrize("n_points", [1, 64])
 def test_joint_rhs_matches_coefficient_matrix(surfaces, n_points):
-    # The joint RHS and regularity.jacobi_coefficient_matrix (which sets the
-    # Gronwall and transfer constants) both spell out A = [[-G, I], [M, -G]].
+    # coefficient_matrix (which sets the Gronwall and transfer constants) is
+    # read off the joint RHS; it must be the A written out by hand, bit for
+    # bit up to the sign of zeros, for any leading shape
     rng = np.random.default_rng(6)
     for surf in [*surfaces.values(), mollify(surfaces["c2alpha"], 0.1)]:
         m = surf.dim
-        x = random_chart_points(surf, n_points, rng)
-        y = rng.normal(size=(n_points, m))
-        jk = rng.normal(size=(n_points, 2 * m))
-        du = _make_joint_rhs(surf, 1)(np.concatenate([x, y, jk], axis=-1))
-        expected = (jacobi_coefficient_matrix(surf, x, y) @ jk[..., None])[..., 0]
-        err = np.linalg.norm(du[:, 2 * m:] - expected, axis=-1)
-        assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=-1)), surf.name
+        for lead in [(), (n_points,), (n_points, 3)]:
+            x = random_chart_points(surf, int(np.prod(lead)), rng).reshape(lead + (m,))
+            y = rng.normal(size=lead + (m,))
+            a = coefficient_matrix(surf, x, y)
+            assert a.shape == lead + (2 * m, 2 * m)
+            assert np.array_equal(a, hand_built_a(surf, x, y)), (surf.name, lead)
 
 
 # ---------------------------------------------------------------------------

@@ -263,13 +263,13 @@ def test_short_query_evaluates_only_its_window(surfaces, name):
 def test_margin_flat_segment(flat):
     oracle = build_mesh_oracle(flat, 128)
     traj = integrate_geodesic(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.5)
-    assert minimality_report(flat, traj, oracle)["margin"] >= 0.0
+    assert minimality_report(traj, oracle)["margin"] >= 0.0
 
 
 def test_margin_hemisphere_arc(hemisphere):
     oracle = build_mesh_oracle(hemisphere, 128)
     traj = integrate_geodesic(hemisphere, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.5)
-    rep = minimality_report(hemisphere, traj, oracle)
+    rep = minimality_report(traj, oracle)
     assert rep["margin"] >= 0.0
     assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-12)
 
@@ -277,7 +277,7 @@ def test_margin_hemisphere_arc(hemisphere):
 @pytest.mark.parametrize("hops", [-3, math.nan, 2.5], ids=["negative", "nan", "fractional"])
 def test_error_budget_rejects_bad_hop_count(flat, hops):
     with pytest.raises(InvalidInput):
-        mesh_error_budget(flat, build_mesh_oracle(flat, 32), hops)
+        mesh_error_budget(build_mesh_oracle(flat, 32), hops)
 
 
 def test_error_budget_needs_2dim_chart():
@@ -291,7 +291,7 @@ def test_error_budget_needs_2dim_chart():
     oracle = build_mesh_oracle(flat3, 8)
     assert shortest_path(oracle, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5])[1] > 0
     with pytest.raises(InvalidInput):
-        mesh_error_budget(flat3, oracle, 3)
+        mesh_error_budget(oracle, 3)
 
 
 def test_margin_needs_declared_bounds(flat):
@@ -301,13 +301,13 @@ def test_margin_needs_declared_bounds(flat):
                         flat.derivatives, regularity=flat.regularity)
     traj = integrate_geodesic(bare, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3)
     with pytest.raises(InvalidInput):
-        minimality_report(bare, traj, build_mesh_oracle(bare, 16))
+        minimality_report(traj, build_mesh_oracle(bare, 16))
 
 
 def test_margin_vee_crease_crossing(vee):
     oracle = build_mesh_oracle(vee, 128)
     traj = integrate_geodesic(vee, TangentVector([-0.15, 0.0], [0.9, 0.3]), 0.3)
-    assert minimality_report(vee, traj, oracle)["margin"] >= 0.0
+    assert minimality_report(traj, oracle)["margin"] >= 0.0
 
 
 def test_short_geodesics_all_catalog(surfaces):
@@ -320,7 +320,7 @@ def test_short_geodesics_all_catalog(surfaces):
         max_len = 0.5 * min(injradius_lower_bound(c, 2 * inradius), inradius)
         for _ in range(3):
             traj = short_geodesic(surf, rng, max_len)
-            assert minimality_report(surf, traj, oracle)["margin"] >= 0.0, name
+            assert minimality_report(traj, oracle)["margin"] >= 0.0, name
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,7 @@ def test_mollify_rejects_invalid_input(vee, eps, kernel_cells):
 def test_mollify_peak_memory(vee):
     # vee at eps = 0.05 samples a 513 x 513 fine grid, in strips of 128 fine
     # rows; the peak stays near the derivative arrays of one strip
+    reg.mollify(vee, 0.1)  # imports scipy.interpolate before tracing starts
     field_bytes = 8 * 513 ** 2
     tracemalloc.start()
     try:
@@ -462,6 +463,8 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.gronwall_bound(NAN, 1.0, 0.1),
     lambda: reg.gronwall_bound(1.0, INF, 0.1),
     lambda: reg.gronwall_bound(1.0, 1.0, [0.0, NAN]),
+    lambda: reg.empirical_modulus(PAIRS)(NAN),
+    lambda: reg.empirical_modulus(PAIRS)([0.1, NAN]),
 ])
 def test_formulas_reject_bad_input(call):
     # a non-finite or out-of-range argument never comes back as a NaN result
@@ -508,12 +511,13 @@ def test_lipschitz_flow_impossible_end_time_rejected(vee, t_end):
 
 
 def test_drivers_reject_empty_probe_sets(c21_cubic):
-    with pytest.raises(InvalidInput):
-        reg.lipschitz_flow_report(c21_cubic, n_pairs=0)
-    with pytest.raises(InvalidInput):
-        reg.osgood_dominance_report(c21_cubic, n_centers=0)
-    with pytest.raises(InvalidInput):
-        reg.holder_dominance_report(c21_cubic, 0.5, n_centers=0)
+    for count in (0, 2.5, NAN):
+        with pytest.raises(InvalidInput):
+            reg.lipschitz_flow_report(c21_cubic, n_pairs=count)
+        with pytest.raises(InvalidInput):
+            reg.osgood_dominance_report(c21_cubic, n_centers=count)
+        with pytest.raises(InvalidInput):
+            reg.holder_dominance_report(c21_cubic, 0.5, n_centers=count)
 
 
 def test_osgood_dominance_small(c21_cubic):

@@ -407,6 +407,28 @@ def test_grid_surface_out_of_chart():
         grid.require_inside([0.49, 0.0])  # outside the shrunk valid region
 
 
+def _nan_height_sample():
+    xa = np.linspace(-0.5, 0.5, 41)
+    h = np.zeros((41, 41))
+    h[20, 20] = np.nan
+    return GridSurface.from_samples("nan_grid", xa, xa, h)
+
+
+def _inf_hessian_sample():
+    xa = np.linspace(-0.5, 0.5, 21)
+    hess = np.zeros((21, 21, 3, 1))
+    hess[3, 4, 1, 0] = np.inf
+    return GridSurface("inf_grid", xa, xa, np.zeros((21, 21, 1)), np.zeros((21, 21, 2, 1)), hess)
+
+
+@pytest.mark.parametrize("build", [_nan_height_sample, _inf_hessian_sample],
+                         ids=["nan_height", "inf_hessian"])
+def test_grid_surface_rejects_non_finite_samples(build):
+    # a non-finite sample would come back as NaN bounds and NaN derivatives
+    with pytest.raises(InvalidInput):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # local geometry kernel against the separate per-quantity formulas
 # ---------------------------------------------------------------------------
