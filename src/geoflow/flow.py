@@ -9,8 +9,10 @@ returns the start), tolerances turns a requested tol into (rtol, atol),
 state_inside is the chart predicate, a surface's declared crease becomes the
 integrator's crease switch (the embedded error estimate is unreliable on a
 step across a curvature jump or kink, so every step ends at the crease
-instead), and require_completed turns a run with any incomplete row into an
-error.
+instead), the pair is DOP853 on closed-form surfaces and DP5 on a
+GridSurface (whose spline second derivatives have a third derivative that
+jumps at every knot, where the 8th-order pair takes more steps than DP5),
+and require_completed turns a run with any incomplete row into an error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import integrate
 from .errors import InvalidInput, OutOfDomain, StepFailure
-from .surface import g_norm_batch, local_geometry
+from .surface import GridSurface, g_norm_batch, local_geometry
 
 # Base-point draws random_tangent makes before it gives up on a box without chart points.
 _MAX_BASE_DRAWS = 1000
@@ -166,6 +168,7 @@ def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
         make_geodesic_rhs(surface) if rhs is None else rhs, u0, t_end,
         *tolerances(surface, tol), inside=state_inside(surface),
         crease=None if crease is None else lambda u: crease(u[..., :m]), checkpoints=checkpoints,
+        tableau=integrate.DP5 if isinstance(surface, GridSurface) else integrate.DOP853,
     )
 
 

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
 from .integrate import LEFT_CHART, STEP_FAILURE
-from .jacobi import basis_block, coefficient_matrix, propagate_block
+from .jacobi import basis_block, chart_to_covariant, coefficient_matrix, propagate_block
 from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
 _MODULUS_BINS = 32                      # log-spaced bins of an empirical modulus
@@ -480,8 +480,11 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     """Difference quotients of the flow map over random nearby tangent pairs.
 
     All trajectories integrate as one batch, each row under the error
-    control of its own run; the quotient bound exp(c_bar * t) uses the
-    coefficient bound measured along the batch samples.
+    control of its own run. c_bar, measured along the batch samples, bounds
+    the (J, K) system, (J, K) = C (dx, dy) with C from chart_to_covariant,
+    while the quotients are taken in chart coordinates, whose differential
+    is C(end)^-1 Phi C(start) with |Phi| <= exp(c_bar * t). So the quotient
+    bound is max |C(end)^-1| * exp(c_bar * t) * max |C(start)| over the rows.
     """
     if not (isinstance(n_pairs, (int, np.integer)) and n_pairs >= 1):
         raise InvalidInput(f"need an integer count of at least one pair, got n_pairs={n_pairs!r}")
@@ -503,7 +506,11 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
 
     stride = max(1, len(res.times) // 40)
     c_bar = coefficient_bound_along(surface, res.states[::stride])
-    bound = float(gronwall_bound(c_bar, 1.0, t_end))
+    c_start, c_end = ([chart_to_covariant(surface, s[:m], s[m:]) for s in states]
+                      for states in (ics, ends))
+    chart_factor = (max(np.linalg.norm(2.0 * np.eye(2 * m) - c, 2) for c in c_end)
+                    * max(np.linalg.norm(c, 2) for c in c_start))
+    bound = float(gronwall_bound(c_bar, chart_factor, t_end))
     return {
         "t_end": t_end,
         "quotients": quotients,

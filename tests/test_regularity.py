@@ -504,6 +504,14 @@ def test_lipschitz_flow_vee(vee):
     assert rep["c_bar"] <= 2.2
 
 
+def test_lipschitz_bound_covers_chart_coordinates(vee):
+    # c_bar bounds the (J, K) system, while the quotients are in chart
+    # coordinates: this batch's largest quotient exceeds exp(c_bar t) alone
+    rep = reg.lipschitz_flow_report(vee, t_end=0.1, n_pairs=200, seed=14)
+    assert rep["max_quotient"] > reg.gronwall_bound(rep["c_bar"], 1.0, 0.1)
+    assert rep["bounded"]
+
+
 @pytest.mark.parametrize("t_end", [math.nan, -0.3], ids=["nan", "negative"])
 def test_lipschitz_flow_impossible_end_time_rejected(vee, t_end):
     with pytest.raises(InvalidInput):
