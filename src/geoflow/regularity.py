@@ -212,14 +212,37 @@ def _bump_weights(radius: int) -> np.ndarray:
     return w
 
 
+@functools.cache
+def _window_matrix(radius: int, k: int) -> np.ndarray:
+    """Banded (_STRIP_ROWS, (_STRIP_ROWS - 1) k + 2 radius + 1) matrix whose
+    row r holds _bump_weights(radius) from column r k: the first pass over
+    _STRIP_ROWS outputs as one product; built once per (radius, k), read-only."""
+    w = _bump_weights(radius)
+    mat = np.zeros((_STRIP_ROWS, (_STRIP_ROWS - 1) * k + len(w)))
+    for r in range(_STRIP_ROWS):
+        mat[r, r * k: r * k + len(w)] = w
+    mat.flags.writeable = False
+    return mat
+
+
 def _smooth_field(field, radius, k: int) -> np.ndarray:
     """Valid part of the convolution of a fine-grid field (Nx, Ny, ...) with
     the product of 1-D bumps of radius[i] cells on axis i, at every k-th
-    point of each axis: one strided 1-D pass per axis and component."""
-    wx, wy = (_bump_weights(r) for r in radius)
-    comps = np.moveaxis(field.reshape(field.shape[:2] + (-1,)), -1, 0)
-    rows = (sliding_window_view(c, len(wx), axis=0)[::k] @ wx for c in comps)
-    out = np.stack([sliding_window_view(r, len(wy), axis=1)[:, ::k] @ wy for r in rows], axis=-1)
+    point of each axis. The first pass is one BLAS product per block of
+    _STRIP_ROWS outputs, _window_matrix times every component of the block's
+    rows; the second is one strided 1-D pass over all components. Every block
+    but the last has the same shape, so smoothing a grid whole or strip by
+    strip gives the same bits."""
+    mat, wy = _window_matrix(radius[0], k), _bump_weights(radius[1])
+    nx, ny = field.shape[:2]
+    flat = field.reshape(nx, -1)
+    n_out = (nx - 2 * radius[0] - 1) // k + 1
+    out = np.empty((n_out, (ny - 2 * radius[1] - 1) // k + 1, flat.shape[1] // ny))
+    for i0 in range(0, n_out, _STRIP_ROWS):
+        rows = min(_STRIP_ROWS, n_out - i0)
+        width = (rows - 1) * k + 2 * radius[0] + 1
+        first = (mat[:rows, :width] @ flat[i0 * k: i0 * k + width]).reshape(rows, ny, -1)
+        out[i0: i0 + rows] = sliding_window_view(first, len(wy), axis=1)[:, ::k] @ wy
     return out.reshape(out.shape[:2] + field.shape[2:])
 
 
@@ -234,7 +257,9 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     the spline grid samples only the fine rows its kernel windows cover, so
     memory follows the strip, not (1 / eps)^2. The smoothed height is
     re-normalized to match the original at the chart origin when the origin
-    is on the grid. Only box-domain charts of dim 2 are supported.
+    is on the grid. Only box-domain charts of dim 2 are supported, and an
+    eps that leaves fewer than 4 spline-grid samples on an axis is
+    DomainTooSmall.
     """
     if not (np.isfinite(eps) and eps > 0 and isinstance(kernel_cells, (int, np.integer))
             and kernel_cells >= 1):
@@ -258,6 +283,9 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     k = max(1, int(round(kernel_cells / 6)))
     xa = axes[0][radius[0]: len(axes[0]) - radius[0]: k]
     ya = axes[1][radius[1]: len(axes[1]) - radius[1]: k]
+    if min(len(xa), len(ya)) < 4:
+        raise DomainTooSmall(f"eps={eps:g} leaves a {len(xa)} x {len(ya)} spline grid; "
+                             "a bicubic fit needs 4 samples per axis")
     shape = (len(xa), len(ya))
     h = np.empty(shape + (surface.codim,))
     grad = np.empty(shape + (2, surface.codim))

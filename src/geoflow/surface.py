@@ -361,18 +361,78 @@ def curvature_from_christoffel(surface, x, V, J) -> np.ndarray:
     return -r
 
 
+def _collocation_lu(x):
+    """Knots of the not-a-knot cubic interpolant on the axis x (the knots of
+    FITPACK's s = 0 fit) and the L D U factors of its collocation matrix
+    A[i, j] = B_j(x[i]), as an (n, 7) band whose column 3 + j - i holds entry
+    (i, j): L's strict lower part in columns 0-2, 1 / D in column 3 and U's
+    strict upper part in columns 4-6, L and U unit triangular. A is totally
+    positive (de Boor, A Practical Guide to Splines), so Gaussian elimination
+    without pivoting is stable and fills in nothing outside the band."""
+    from scipy.interpolate import BSpline
+
+    n = len(x)
+    knots = np.concatenate([np.repeat(x[0], 4), x[2:-2], np.repeat(x[-1], 4)])
+    design = BSpline.design_matrix(x, knots, 3)
+    rows = np.repeat(np.arange(n), np.diff(design.indptr))
+    band = np.zeros((n, 7))
+    band[rows, 3 + design.indices - rows] = design.data
+    a = band.tolist()  # the scalar elimination runs faster on Python floats
+    for p in range(n):
+        for i in range(p + 1, min(n, p + 4)):
+            if a[i][3 + p - i]:
+                lip = a[i][3 + p - i] = a[i][3 + p - i] / a[p][3]
+                for j in range(p + 1, min(n, p + 4)):
+                    a[i][3 + j - i] -= lip * a[p][3 + j - p]
+    band = np.array(a)
+    band[:, 4:] /= band[:, 3:4]
+    band[:, 3] = 1.0 / band[:, 3]
+    return knots, band
+
+
+def _solve_collocation(band, c, axis):
+    """Overwrite the contiguous array c (nx, ny, p) with A^-1 c along axis 0
+    or 1, for the factors of A from _collocation_lu: one axpy of a grid line
+    per nonzero of L and U, on views of c."""
+    n = len(band)
+    v = c.reshape(c.shape[0] if axis else 1, n, -1)
+    a = band.tolist()
+    for i in range(n):
+        for j in range(max(0, i - 3), i):
+            if a[i][3 + j - i]:
+                v[:, i] -= a[i][3 + j - i] * v[:, j]
+    v *= band[:, 3:4]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, min(n, i + 4)):
+            if a[i][3 + j - i]:
+                v[:, i] -= a[i][3 + j - i] * v[:, j]
+
+
+def _fit(x_lu, y_lu, c):
+    """Coefficients of the bicubic spline interpolating the samples c
+    (nx, ny, p) on the grid whose axes have the factors x_lu and y_lu,
+    solved in place in c: along axis 0, then along axis 1."""
+    _solve_collocation(x_lu, c, 0)
+    _solve_collocation(y_lu, c, 1)
+    return c
+
+
 class GridSurface(GraphSurface):
     """Chart surface backed by sampled grids and bicubic splines (dim 2 only).
 
     h (Nx, Ny, c), grad (Nx, Ny, 2, c) and hess (Nx, Ny, 3, c) are samples on
     the grid x_axis x y_axis, in the layout of height and derivatives; the
-    Hessian holds the entries 11, 12 and 22. The codim c is read from h.
-    The three fields are fitted independently, not by differentiating one
-    another, so sampled data (e.g. smoothed height fields with convolved
-    derivative grids) plug in directly. The height is one tensor-product
-    spline, and the 2c gradient and 3c Hessian components are another, with
-    all their coefficients in one array stacked along a trailing axis, so
-    one derivatives call evaluates every component once. Points are clamped to
+    Hessian holds the entries 11, 12 and 22. The codim c is read from h, and
+    each axis needs at least 4 samples. The three fields are fitted
+    independently, not by differentiating one another, so sampled data (e.g.
+    smoothed height fields with convolved derivative grids) plug in directly.
+    Every component is interpolated by the not-a-knot bicubic spline, the
+    fit FITPACK makes at s = 0: each axis's collocation matrix is factored
+    once as a band (_collocation_lu) and solved in place along that axis for
+    all components together. The height is one tensor-product spline, and
+    the 2c gradient and 3c Hessian components are another, with all their
+    coefficients in one array stacked along a trailing axis, so one
+    derivatives call evaluates every component once. Points are clamped to
     the grid box first, as FITPACK evaluation does.
 
     Bounds: a B-spline lies within its largest |coefficient| on the grid box
@@ -382,7 +442,7 @@ class GridSurface(GraphSurface):
     """
 
     def __init__(self, name, x_axis, y_axis, h, grad, hess, *, regularity=Regularity("smooth")):
-        from scipy.interpolate import NdBSpline, RectBivariateSpline
+        from scipy.interpolate import NdBSpline
 
         x_axis = np.asarray(x_axis, dtype=float)
         y_axis = np.asarray(y_axis, dtype=float)
@@ -391,26 +451,23 @@ class GridSurface(GraphSurface):
         if (len(x_axis), len(y_axis), grad.shape, hess.shape) \
                 != (nx, ny, (nx, ny, 2, codim), (nx, ny, 3, codim)):
             raise InvalidInput("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
+        if min(nx, ny) < 4:
+            raise InvalidInput(f"a bicubic fit needs at least 4 samples per axis, got {nx} x {ny}")
         if not all(np.all(np.isfinite(a)) for a in (h, grad, hess)):
             raise InvalidInput("h, grad and hess samples must be finite")
         if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):  # NaN fails too
             raise InvalidInput("grid axes must be strictly increasing")
 
-        def stacked(*fields):
-            # Interpolating (s=0) fits on one grid share their knots and have
-            # one coefficient per sample, so they stack into one spline.
-            comps = [f.reshape(nx, ny, -1) for f in fields]
-            coeffs = np.empty((nx, ny, sum(c.shape[-1] for c in comps)))
-            for i, comp in enumerate(c[..., j] for c in comps for j in range(c.shape[-1])):
-                spl = RectBivariateSpline(x_axis, y_axis, comp, kx=3, ky=3, s=0)
-                coeffs[..., i] = spl.get_coeffs().reshape(nx, ny)
-            return NdBSpline(spl.get_knots(), coeffs, 3)
-
+        (tx, x_lu), (ty, y_lu) = _collocation_lu(x_axis), _collocation_lu(y_axis)
         n_grad = 2 * codim
-        h_spl, d_spl = stacked(h), stacked(grad, hess)
+        h_spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, h.copy()), 3)
+        d_spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, np.concatenate(
+            [grad.reshape(nx, ny, n_grad), hess.reshape(nx, ny, 3 * codim)], axis=-1)), 3)
         self._h_coeffs = h_spl.c  # the array h_spl evaluates, shared (see _shift_height)
-        grad_max = np.max(np.abs(d_spl.c[..., :n_grad]), axis=(0, 1))
-        hess_max = np.max(np.abs(d_spl.c[..., n_grad:]), axis=(0, 1)).reshape(3, codim)
+        # per component: reducing a strided (nx, ny) view is several times
+        # faster than one reduction of the stack over axes (0, 1)
+        d_max = np.array([max(c.max(), -c.min()) for c in np.moveaxis(d_spl.c, -1, 0)])
+        grad_max, hess_max = d_max[:n_grad], d_max[n_grad:].reshape(3, codim)
         hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])

@@ -191,6 +191,15 @@ def test_smooth_converge_domain_too_small(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_smooth_converge_coarse_scale_exit_3(tmp_path, monkeypatch, capsys):
+    # eps = 0.7 leaves a 2 x 2 spline grid on vee's chart: an error line, no traceback
+    code = run_cli(["--surface", "vee", "smooth-converge", "--scales", "0.7,0.6"],
+                   tmp_path, monkeypatch)
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "spline grid" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # minimality command
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ def test_mollify_errors(hemisphere, vee):
         reg.mollify(vee, 0.9)  # eps beyond half the chart width
     with pytest.raises(DomainTooSmall):
         reg.mollify(hemisphere, 0.05)  # membership tighter than the box
+    with pytest.raises(DomainTooSmall, match="spline grid"):
+        reg.mollify(vee, 0.4 * 1.6)  # a 3 x 3 spline grid, under the bicubic fit's 4
 
 
 @pytest.mark.parametrize("eps, kernel_cells", [
@@ -193,20 +195,21 @@ def test_strips_change_no_bits(name, monkeypatch):
 
 
 def test_mollify_fits_each_field_once(c2alpha, monkeypatch):
-    # 1 height, 2 gradient and 3 Hessian fits per level: the origin
-    # re-normalization shifts the fitted height instead of fitting it again
-    import scipy.interpolate
+    # one height fit and one fit of the stacked 2 gradient and 3 Hessian
+    # components per level: the origin re-normalization shifts the fitted
+    # height instead of fitting it again
+    from geoflow import surface
 
     fits = []
-    fit = scipy.interpolate.RectBivariateSpline
+    fit = surface._fit
 
-    def counted(*args, **kwargs):
-        fits.append(1)
-        return fit(*args, **kwargs)
+    def counted(x_lu, y_lu, c):
+        fits.append(c.shape[-1])
+        return fit(x_lu, y_lu, c)
 
-    monkeypatch.setattr(scipy.interpolate, "RectBivariateSpline", counted)
+    monkeypatch.setattr(surface, "_fit", counted)
     reg.approximation_sequence(c2alpha, [0.1, 0.05, 0.025, 0.0125])
-    assert len(fits) == 24
+    assert fits == [1, 5] * 4
 
 
 # ---------------------------------------------------------------------------

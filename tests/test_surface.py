@@ -590,6 +590,65 @@ def test_stacked_spline_matches_fitpack():
                     f[..., 4:].reshape(57, 49, 2, 2, 2))
 
 
+@pytest.mark.parametrize("nx, ny", [(4, 4), (4, 9), (23, 6), (75, 61)])
+def test_banded_fit_matches_fitpack(nx, ny):
+    # the banded collocation solve reproduces FITPACK's s = 0 knots and
+    # coefficients on non-uniform axes, down to the 4-sample minimum
+    from scipy.interpolate import RectBivariateSpline
+
+    from geoflow import surface
+
+    rng = np.random.default_rng(nx * ny)
+    xa, ya = (np.cumsum(rng.uniform(0.5, 1.5, n)) / n for n in (nx, ny))
+    # codim 2: 2 height, 2 x 2 gradient and 3 x 2 Hessian-entry grids
+    f = rng.normal(size=(nx, ny, 12))
+    (tx, x_lu), (ty, y_lu) = surface._collocation_lu(xa), surface._collocation_lu(ya)
+    assert x_lu.shape == (nx, 7) and y_lu.shape == (ny, 7)
+    got = surface._fit(x_lu, y_lu, f.copy())
+    for comp in range(12):
+        spl = RectBivariateSpline(xa, ya, f[..., comp], kx=3, ky=3, s=0)
+        np.testing.assert_array_equal(tx, spl.get_knots()[0])
+        np.testing.assert_array_equal(ty, spl.get_knots()[1])
+        ref = spl.get_coeffs().reshape(nx, ny)
+        assert np.max(np.abs(got[..., comp] - ref)) <= 1e-14 * np.max(np.abs(ref)), comp
+    grid = GridSurface("fit", xa, ya, f[..., :2], f[..., 2:6].reshape(nx, ny, 2, 2),
+                       f[..., 6:].reshape(nx, ny, 3, 2))
+    pts = rng.uniform([xa[0], ya[0]], [xa[-1], ya[-1]], size=(50, 2))
+    ref = np.stack([RectBivariateSpline(xa, ya, f[..., a], s=0).ev(pts[:, 0], pts[:, 1])
+                    for a in range(2)], axis=-1)
+    assert np.max(np.abs(grid.height(pts) - ref)) <= 1e-14 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 4), (4, 3), (1, 8)])
+def test_grid_surface_rejects_under_4_samples(nx, ny):
+    # a not-a-knot bicubic needs 4 samples per axis
+    axes = [np.linspace(0.0, 1.0, n) for n in (nx, ny)]
+    with pytest.raises(InvalidInput, match="4 samples"):
+        GridSurface("small", *axes, np.zeros((nx, ny, 1)), np.zeros((nx, ny, 2, 1)),
+                    np.zeros((nx, ny, 3, 1)))
+
+
+def test_grid_surface_build_peak_memory():
+    # a 673 x 673 fit (mollify's finest default level) holds its 6 coefficient
+    # grids and one grid line at a time: the parent's 6 per-component FITPACK
+    # fits peaked at 10.07 grids, and a dense 673 x 673 collocation matrix or
+    # a transposed copy of a stack would each add at least one more grid
+    import tracemalloc
+
+    n = 673
+    axis = np.linspace(-0.7, 0.7, n)
+    f = np.random.default_rng(0).normal(size=(n, n, 6))
+    h, grad, hess = f[..., :1], f[..., 1:3].reshape(n, n, 2, 1), f[..., 3:].reshape(n, n, 3, 1)
+    GridSurface("warm", axis[:9], axis[:9], h[:9, :9], grad[:9, :9], hess[:9, :9])  # imports
+    tracemalloc.start()
+    try:
+        GridSurface("big", axis, axis, h, grad, hess)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 8 * n * n, peak / (8 * n * n)
+
+
 # ---------------------------------------------------------------------------
 # declared bounds
 # ---------------------------------------------------------------------------
