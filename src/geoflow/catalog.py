@@ -7,6 +7,7 @@ geodesics, curvature values) that the test oracles rely on.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,8 +126,8 @@ def _c21_cubic():
 
 
 def _c2alpha(alpha=0.5):
+    regularity = Regularity("C2alpha", alpha)  # rejects alpha that is not a number in (0, 1] first
     a = float(alpha)
-    regularity = Regularity("C2alpha", a)  # rejects alpha outside (0, 1] first
     p = 2.0 + a
     return _profile_surface(
         "c2alpha",
@@ -180,9 +181,13 @@ CATALOG = {
 
 
 def make_surface(name, **params) -> GraphSurface:
+    """The catalog surface name built with params; InvalidInput for a parameter it does not take."""
     if name not in CATALOG:
         raise UnknownSurface(f"no catalog surface named {name!r}")
-    return CATALOG[name].build(**params)
+    build = CATALOG[name].build
+    if unknown := sorted(set(params) - set(inspect.signature(build).parameters)):
+        raise InvalidInput(f"surface {name!r} takes no parameter {', '.join(unknown)}")
+    return build(**params)
 
 
 def surface_from_spec(spec: dict) -> GraphSurface:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
+
+from numbers import Integral
 
 
 class GeoflowError(Exception):
@@ -43,3 +45,9 @@ class ConfigError(GeoflowError):
 
 class InvalidInput(GeoflowError, ValueError):
     """A request argument is malformed: wrong shape, non-finite or out of range."""
+
+
+def require_count(value, least: int, what: str):
+    """Raise InvalidInput unless value is an integer of at least least, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidInput(f"{what} must be an integer of at least {least}, got {value!r}")

@@ -49,23 +49,15 @@ class TangentVector:
         return TangentVector(u[:m], u[m:])
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray      # strictly increasing sample times
-    states: np.ndarray     # (K, 2m) rows (x, y)
-    status: str            # Completed | LeftChart | StepFailure
-    speed: float           # g-norm of the initial velocity
+@dataclass(kw_only=True)
+class Trajectory(integrate.IntegrationResult):
+    """A geodesic run, its states (K, 2m) rows (x, y), and its initial velocity's g-norm."""
+
+    speed: float
 
     @property
     def final(self) -> TangentVector:
         return TangentVector.from_state(self.states[-1])
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
-    def positions(self, dim) -> np.ndarray:
-        return self.states[:, :dim]
 
 
 def tolerances(surface, tol=None) -> tuple[float, float]:
@@ -136,9 +128,11 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     central part of a box (default: the chart box), scaled by shrink.
 
     Draws the base point (redrawn until it is a chart point), then a normal
-    direction, from rng in that order. Raises OutOfDomain when
-    _MAX_BASE_DRAWS base points all miss the chart.
+    direction, from rng in that order. Raises InvalidInput for a non-finite
+    shrink, and OutOfDomain when _MAX_BASE_DRAWS base points all miss the chart.
     """
+    if not np.isfinite(shrink):
+        raise InvalidInput(f"shrink must be finite, got {shrink}")
     lo, hi = (surface.domain_lo, surface.domain_hi) if box is None else np.asarray(box, dtype=float)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -178,7 +172,7 @@ def integrate_geodesic(surface, v: TangentVector, t_end: float,
     t_end = 0 gives the one-sample trajectory at v."""
     x0, y0, speed = check_request(surface, v)
     res = integrate_batch(surface, np.concatenate([x0, y0]), t_end, tol)
-    return Trajectory(res.times, res.states, res.status, speed)
+    return Trajectory(**vars(res), speed=speed)
 
 
 def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None) -> TangentVector:

@@ -38,6 +38,7 @@ COMPLETED = "Completed"
 LEFT_CHART = "LeftChart"
 STEP_FAILURE = "StepFailure"
 _SAFETY = 0.9
+_MAX_STEPS = 500_000  # steps, rejected and cut ones too, before a run ends with StepFailure
 
 
 # An embedded explicit Runge-Kutta pair whose last step stage is the next
@@ -48,13 +49,12 @@ _SAFETY = 0.9
 # is |E5|^2 / sqrt(|E5|^2 + 0.01 |E3|^2), E5 and E3 the estimates weighted by
 # e5 and e3 (DOP853's combined estimate; DP5's e3 is 0, leaving |E5|), and
 # the next step is 0.9 err^(0.75 beta - 1/q) err_old^beta times an accepted
-# one, within [0.2, 5], and 0.9 err^(-1/q) times a rejected one, within
-# [0.2, 1]. c, the nodes, are a's row sums.
-Tableau = namedtuple("Tableau", "c a b e5 e3 p q beta")
+# one, within [0.2, 5], and 0.9 err^(-1/q) times a rejected one, within [0.2, 1].
+Tableau = namedtuple("Tableau", "a b e5 e3 p q beta")
 
 
 # Dormand-Prince 5(4).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -62,9 +62,8 @@ _DP_A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    _DP_B5[:6],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_ERR = _DP_B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -79,18 +78,13 @@ _DP_P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-DP5 = Tableau(_DP_C, _DP_A, _DP_B5, _DP_ERR, np.zeros(7), _DP_P, 5, 0.04)
+DP5 = Tableau(_DP_A, _DP_B5, _DP_ERR, np.zeros(7), _DP_P, 5, 0.04)
 
 # Dormand-Prince 8(5,3), as in Hairer's code DOP853: stages 0-11, f(u_new) as
 # stage 12 and the dense output's stages 13-15. b is rounded to multiples
 # of 2^-50 and sums to exactly 1, so each of its partial sums is exact: in
 # any summation order a unit slope advances the state just as the time, and
 # a straight line at unit speed lands exactly on its end point.
-_DOP853_C = np.array([
-    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
-])
 _DOP853_B = np.array([
     0.054293734116567904, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145005, -5.801203960010585,
     0.31116436695782035, -0.15216094966251603, 0.20136540080402998, 0.04471061572777302, 0,
@@ -162,8 +156,8 @@ _DOP853_P = np.array([
     [0, -4.436036387594894, 56.68120539776666, -261.77342902691703, 520.9742236688993,
      -461.17279991013964, 149.72683625798564],
 ])
-DOP853 = Tableau(_DOP853_C, [np.array(row) for row in _DOP853_A], _DOP853_B, _DOP853_E5,
-                 _DOP853_E3, _DOP853_P, 8, 0.0)
+DOP853 = Tableau([np.array(row) for row in _DOP853_A], _DOP853_B, _DOP853_E5, _DOP853_E3,
+                 _DOP853_P, 8, 0.0)
 
 
 @dataclass
@@ -279,7 +273,7 @@ def end_times(t_end, n_rows=1) -> np.ndarray:
 
 
 def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, crease=None,
-                       checkpoints=None, max_steps=500_000, tableau=DOP853):
+                       checkpoints=None, tableau=DOP853):
     """Integrate u' = f(u) from t=0 with adaptive steps of a pair, DOP853 or DP5.
 
     u0 is one state (d,) or a batch of rows (B, d); f, inside and crease
@@ -291,7 +285,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
-    cut (n_cuts counts these; each counts towards max_steps): every
+    cut (n_cuts counts these; each counts towards _MAX_STEPS): every
     crossing row's theta is located on its dense output and the time
     theta * h * (1 + 1e-12) queued as a step target. A step that ends on a
     target is not cut again, and its rows count as past their crossings;
@@ -432,7 +426,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
             if h < h_min:
                 return result(failed=True)
 
-        if n_acc + n_rej + n_cuts > max_steps:
+        if n_acc + n_rej + n_cuts > _MAX_STEPS:
             return result(failed=True)
 
 

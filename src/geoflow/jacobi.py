@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput, OutOfDomain
 from .flow import TangentVector, check_request, integrate_batch, require_completed
+from .integrate import IntegrationResult
 from .surface import local_geometry
 
 # Tolerance of the finite-difference estimators, well below their stencil error.
@@ -56,12 +57,11 @@ class JacobiState:
 @dataclass
 class FlowDifferential:
     """2m x 2m linear map sending initial (J0, K0) to (J(t), K(t)), with the
-    flow end state phi(t, v) from the same joint run."""
+    flow end state phi(t, v) and the joint run they are read off."""
 
     matrix: np.ndarray
-    t: float
-    v: TangentVector
     end: TangentVector
+    run: IntegrationResult
 
 
 def _make_joint_rhs(surface, n_cols):
@@ -136,10 +136,9 @@ def flow_differential(surface, t: float, v: TangentVector, tol: float | None = N
     """Propagate the 2m standard basis initial conditions as one joint run;
     at t = 0 the matrix is the identity and the end state is v."""
     m = surface.dim
-    res = propagate_block(surface, v, basis_block(m), t, tol)
-    require_completed(res, "Jacobi propagation")
-    mat = res.final_state[2 * m:].reshape(2 * m, 2 * m)
-    return FlowDifferential(mat, t, v, TangentVector.from_state(res.final_state[: 2 * m]))
+    res = require_completed(propagate_block(surface, v, basis_block(m), t, tol), "Jacobi propagation")
+    end = res.final_state
+    return FlowDifferential(end[2 * m:].reshape(2 * m, 2 * m), TangentVector.from_state(end[:2 * m]), res)
 
 
 def chart_to_covariant(surface, x, y) -> np.ndarray:

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from . import integrate
-from .errors import DisconnectedMesh, InvalidInput, OutOfDomain
+from .errors import DisconnectedMesh, InvalidInput, OutOfDomain, require_count
 from .flow import (TangentVector, Trajectory, check_request, integrate_batch, integrate_geodesic,
                    make_geodesic_rhs, random_tangent, require_completed, state_inside)
 
@@ -86,8 +86,7 @@ class MeshGeodesicOracle:
 
 def build_mesh_oracle(surface, resolution: int = 64) -> MeshGeodesicOracle:
     """King-move mesh over the chart at `resolution` points per axis."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 8:
-        raise InvalidInput(f"resolution must be an integer of at least 8 per axis, got {resolution!r}")
+    require_count(resolution, 8, "resolution per axis")
     axes = np.array([np.linspace(lo, hi, resolution) for lo, hi in zip(surface.domain_lo, surface.domain_hi)])
     return MeshGeodesicOracle(surface, resolution, axes, axes[:, 1] - axes[:, 0], (resolution,) * len(axes))
 
@@ -157,8 +156,9 @@ def mesh_error_budget(oracle: MeshGeodesicOracle, hops: int) -> float:
     """Resolution allowance: lift factor * anisotropy * mesh step * hop count,
     with the lift sqrt(1 + grad_sup^2) from the oracle surface's certified bounds."""
     surface = oracle.surface
-    if surface.dim != 2 or not (isinstance(hops, (int, np.integer)) and hops >= 0):  # sec(pi/8) is 2-D only
-        raise InvalidInput(f"need a 2-dim chart and a hop count >= 0, got dim {surface.dim}, hops {hops!r}")
+    require_count(hops, 0, "hop count")
+    if surface.dim != 2:  # sec(pi/8) is 2-D only
+        raise InvalidInput(f"need a 2-dim chart, got dim {surface.dim}")
     lift = float(np.sqrt(1.0 + surface.bounds.grad_sup ** 2))
     return lift * KING_ANISOTROPY * oracle.mesh_step * hops
 
@@ -168,8 +168,8 @@ def minimality_report(traj: Trajectory, oracle: MeshGeodesicOracle) -> dict:
     geodesic length, nonnegative when no mesh competitor is shorter up to
     mesh error. The geodesic length is speed * final_time, the exact g-length
     of the geodesic, which a chord sum over the samples would underestimate."""
-    pts = traj.positions(oracle.surface.dim)
-    mesh_len, hops, sp, sq = shortest_path(oracle, pts[0], pts[-1])
+    m = oracle.surface.dim
+    mesh_len, hops, sp, sq = shortest_path(oracle, traj.states[0, :m], traj.states[-1, :m])
     length = traj.speed * traj.final_time
     budget = mesh_error_budget(oracle, hops)
     margin = mesh_len + budget - length
@@ -212,13 +212,9 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     )
 
     # v and its perturbations integrate as one batch
-    rows, gaps = [u0], []
-    for w in perturbations:
-        dv = np.linalg.norm(w.as_state() - v.as_state())
-        if dv == 0:
-            continue
-        rows.append(np.concatenate(check_request(surface, w)[:2]))
-        gaps.append(dv)
+    rows = [np.concatenate(check_request(surface, w)[:2]) for w in perturbations]
+    rows = [u0] + [row for row in rows if np.any(row != u0)]
+    gaps = [np.linalg.norm(row - u0) for row in rows[1:]]
     res = integrate_batch(surface, np.array(rows), t_end)
     ends = require_completed(res, f"batch of {len(rows)} perturbed geodesics").final_state
     quotients = [float(np.linalg.norm(end - ends[0]) / dv) for end, dv in zip(ends[1:], gaps)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure
+from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure, require_count
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
 from .integrate import LEFT_CHART, STEP_FAILURE
 from .jacobi import basis_block, chart_to_covariant, coefficient_matrix, propagate_block
@@ -261,9 +261,9 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     eps that leaves fewer than 4 spline-grid samples on an axis is
     DomainTooSmall.
     """
-    if not (np.isfinite(eps) and eps > 0 and isinstance(kernel_cells, (int, np.integer))
-            and kernel_cells >= 1):
-        raise InvalidInput(f"need finite eps > 0 and an int kernel_cells >= 1: {eps, kernel_cells}")
+    require_count(kernel_cells, 1, "kernel_cells")
+    if not (np.isfinite(eps) and eps > 0):
+        raise InvalidInput(f"need finite eps > 0, got {eps}")
     if surface.dim != 2:
         raise DomainTooSmall("smoothing is implemented for 2-dimensional charts")
     if surface._membership is not None:
@@ -457,6 +457,7 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
 def convergence_probes(seq: SmoothingSequence, n_probes: int, rng):
     """Random (t, v) probes inside the common chart of all smoothing levels,
     unit speed on the coarsest level, t uniform in _PROBE_TIMES."""
+    require_count(n_probes, 1, "n_probes")
     probes = []
     for _ in range(n_probes):
         v = random_tangent(seq.smoothed[0], rng, 0.6, box=seq.common_box)
@@ -469,8 +470,8 @@ def coefficient_bound_along(surface, traj_states) -> float:
     samples (..., 2m)."""
     m = surface.dim
     states = np.asarray(traj_states, dtype=float)
-    if states.ndim < 1 or states.shape[-1] != 2 * m or not states.size:
-        raise InvalidInput(f"need at least one phase sample of shape (..., {2 * m}), "
+    if states.ndim < 1 or states.shape[-1] != 2 * m or not (states.size and np.isfinite(states).all()):
+        raise InvalidInput(f"need at least one finite phase sample of shape (..., {2 * m}), "
                            f"got {states.shape}")
     a = coefficient_matrix(surface, states[..., :m], states[..., m:])
     return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
@@ -482,13 +483,11 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     Returns dict with the measured norms, the coefficient bound along the
     trajectory, the certified bound at each sample's time and holds.
     """
-    res = propagate_block(surface, v, j0.block(surface.dim), t_end, None)
-    require_completed(res, "Jacobi propagation")
     m = surface.dim
-    states = res.states
-    jk = states[:, 2 * m:]
+    res = require_completed(propagate_block(surface, v, j0.block(m), t_end, None), "Jacobi propagation")
+    jk = res.states[:, 2 * m:]
     norms = np.linalg.norm(jk, axis=1)
-    c_bar = coefficient_bound_along(surface, states[:, : 2 * m])
+    c_bar = coefficient_bound_along(surface, res.states[:, : 2 * m])
     bounds = gronwall_bound(c_bar, np.linalg.norm(jk[0]), res.times)
     return {
         "c_bar": c_bar,
@@ -514,8 +513,7 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     is C(end)^-1 Phi C(start) with |Phi| <= exp(c_bar * t). So the quotient
     bound is max |C(end)^-1| * exp(c_bar * t) * max |C(start)| over the rows.
     """
-    if not (isinstance(n_pairs, (int, np.integer)) and n_pairs >= 1):
-        raise InvalidInput(f"need an integer count of at least one pair, got n_pairs={n_pairs!r}")
+    require_count(n_pairs, 1, "n_pairs")
     rng = np.random.default_rng(seed)
     m = surface.dim
     ics = []
@@ -559,8 +557,7 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
     coefficient deviations, final-state deviations, and the measured
     constants c_tilde (solution sup) and c_bar (coefficient sup).
     """
-    if not (isinstance(n_centers, (int, np.integer)) and n_centers >= 1):
-        raise InvalidInput(f"need an integer count of at least one center, got n_centers={n_centers!r}")
+    require_count(n_centers, 1, "n_centers")
     rng = np.random.default_rng(seed)
     m = surface.dim
     jk0 = np.array([[0.0, 0.0], [0.8, 0.6]])[..., None]  # generic: engages every block
@@ -609,10 +606,13 @@ def osgood_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
             **dominance(zip(gaps, state_dev), gamma)}
 
 
-def holder_dominance_report(surface, alpha, t1=0.3, n_centers=8, seed=0):
-    """Hoelder-form transfer: deviations of (J, K)(t1) against C * delta^alpha
-    with C = c_tilde * t1 * exp(c_bar * t1) * (measured Hoelder constant of
-    the coefficients)."""
+def holder_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
+    """Hoelder-form transfer: deviations of (J, K)(t1) against C * delta^alpha, alpha
+    the surface's own exponent, with C = c_tilde * t1 * exp(c_bar * t1) * (measured
+    Hoelder constant of the coefficients); raises InvalidInput unless it is C2alpha."""
+    if surface.regularity.tag != "C2alpha":
+        raise InvalidInput(f"need a C2alpha surface, got {surface.name!r} of class {surface.regularity}")
+    alpha = surface.regularity.alpha
     gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
         surface, t1, n_centers, _MODULUS_GAPS, seed
     )

@@ -22,6 +22,7 @@ provided as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,8 +42,9 @@ class Regularity:
     def __post_init__(self):
         if self.tag not in ("C11", "C2", "C2alpha", "C3", "smooth"):
             raise InvalidInput(f"unknown regularity tag {self.tag!r}")
-        if self.tag == "C2alpha" and not (self.alpha and 0.0 < self.alpha <= 1.0):  # NaN fails too
-            raise InvalidInput(f"C2alpha requires alpha in (0, 1], got {self.alpha!r}")
+        if self.tag == "C2alpha" and (isinstance(self.alpha, bool) or not isinstance(self.alpha, Real)
+                                      or not 0.0 < self.alpha <= 1.0):  # NaN fails too
+            raise InvalidInput(f"C2alpha requires a number alpha in (0, 1], got {self.alpha!r}")
 
     @property
     def c3(self) -> bool:

@@ -134,7 +134,7 @@ def test_07_osgood_dominance(c21_cubic):
 
 def test_08_holder_branch(c2alpha):
     t0 = time.perf_counter()
-    rep = reg.holder_dominance_report(c2alpha, 0.5, t1=0.3, n_centers=8, seed=606)
+    rep = reg.holder_dominance_report(c2alpha, t1=0.3, n_centers=8, seed=606)
     report(8, "holder-modulus-branch", rep["holds"],
            f"c_bound={rep['c_bound']:.3f} bins={len(rep['edges'])}",
            time.perf_counter() - t0, 60.0)

@@ -365,8 +365,10 @@ GRID_13 = np.zeros((13, 13)).tolist()
     (["--surface", "c2alpha", "--alpha", "nan"], None),
     (["--surface", "c2alpha", "--alpha", "0"], None),
     (["--surface", "vee", "--alpha", "0.5"], None),
+    ([], {"type": "catalog", "name": "flat", "alpha": 0.5}),
+    ([], {"type": "catalog", "name": "c2alpha", "alpha": "x"}),
 ], ids=["12-rows", "ragged", "1d", "nan", "flat-domain", "one-pair-domain",
-        "alpha-2", "alpha-nan", "alpha-0", "alpha-on-vee"])
+        "alpha-2", "alpha-nan", "alpha-0", "alpha-on-vee", "alpha-on-flat", "alpha-str"])
 def test_malformed_surface_spec_exit_2(flags, spec, tmp_path, monkeypatch, capsys):
     if spec is not None:
         (tmp_path / "cfg.json").write_text(json.dumps({"surface": spec}))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geoflow import flow, integrate
+from geoflow import flow, integrate, jacobi
 from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain, StepFailure
 from geoflow.flow import (
     TangentVector,
@@ -216,10 +216,11 @@ def test_non_finite_stage_rejected_as_out_of_chart(bad, u0):
     np.testing.assert_array_equal(got.states, want.states)
 
 
-def test_step_failure_reported(hemisphere):
+def test_step_failure_reported(hemisphere, monkeypatch):
     # controller runs out of its step budget: partial trajectory, reason set
+    monkeypatch.setattr(integrate, "_MAX_STEPS", 8)
     res = integrate.integrate_adaptive(
-        make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0], 0.9, 1e-12, 1e-14, max_steps=8
+        make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0], 0.9, 1e-12, 1e-14
     )
     assert res.status == "StepFailure"
     assert len(res.times) >= 2  # partial trajectory is returned
@@ -270,6 +271,12 @@ def test_random_tangent_unit_speed_in_box(surfaces):
     assert np.all((v.x >= box[0]) & (v.x <= box[1]))
 
 
+@pytest.mark.parametrize("shrink", [math.nan, math.inf])
+def test_random_tangent_rejects_non_finite_shrink(hemisphere, shrink):
+    with pytest.raises(InvalidInput):
+        random_tangent(hemisphere, np.random.default_rng(0), shrink)
+
+
 def test_random_tangent_box_without_chart_point(hemisphere):
     # [0.7, 0.8]^2 lies outside the chart disk |x| <= 0.8: the redraws end
     rng, ref = np.random.default_rng(43), np.random.default_rng(43)
@@ -287,6 +294,29 @@ def test_random_tangent_box_without_chart_point(hemisphere):
     np.testing.assert_array_equal(v.x, x)
     ref.normal(size=2)
     assert rng.random() == ref.random()
+
+
+def test_records_carry_their_run(vee, monkeypatch):
+    # a trajectory is its geodesic run; a flow differential keeps its joint run
+    v = TangentVector([-0.1, 0.05], [1.0, 0.3])  # crosses the crease at x1 = 0
+    traj = integrate_geodesic(vee, v, 0.3)
+    res = integrate_batch(vee, v.as_state(), 0.3)
+    assert isinstance(traj, integrate.IntegrationResult) and traj.n_cuts >= 1
+    np.testing.assert_array_equal(traj.times, res.times)
+    np.testing.assert_array_equal(traj.states, res.states)
+    assert traj.row_status == res.row_status
+    counts = ("n_accepted", "n_rejected", "n_cuts", "n_rhs")
+    assert [getattr(traj, k) for k in counts] == [getattr(res, k) for k in counts]
+
+    joint_rhs, calls = jacobi._make_joint_rhs, []
+
+    def counting_joint_rhs(surface, n_cols):
+        rhs = joint_rhs(surface, n_cols)
+        return lambda u: calls.append(1) or rhs(u)
+
+    monkeypatch.setattr(jacobi, "_make_joint_rhs", counting_joint_rhs)
+    run = flow_differential(vee, 0.3, v).run
+    assert run.n_rhs == len(calls) > 0 and run.n_cuts >= 1
 
 
 def test_integrate_batch_matches_single_runs(hemisphere):

@@ -66,8 +66,9 @@ def test_weights_symmetric(hemi_oracle):
 
 
 def test_build_rejects_fractional_resolution(flat):
-    with pytest.raises(InvalidInput):
-        build_mesh_oracle(flat, 16.5)
+    for resolution in (16.5, 7, True):
+        with pytest.raises(InvalidInput):
+            build_mesh_oracle(flat, resolution)
 
 
 def test_build_on_c11_surface(vee):
@@ -274,7 +275,8 @@ def test_margin_hemisphere_arc(hemisphere):
     assert rep["geodesic_length"] == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("hops", [-3, math.nan, 2.5], ids=["negative", "nan", "fractional"])
+@pytest.mark.parametrize("hops", [-3, math.nan, 2.5, True],
+                         ids=["negative", "nan", "fractional", "bool"])
 def test_error_budget_rejects_bad_hop_count(flat, hops):
     with pytest.raises(InvalidInput):
         mesh_error_budget(build_mesh_oracle(flat, 32), hops)
@@ -342,6 +344,13 @@ def test_branching_flat(flat):
 def test_branching_bad_step_sizes_rejected(flat, step_sizes):
     with pytest.raises(InvalidInput):
         branching_check(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3, step_sizes, [])
+
+
+def test_branching_bad_perturbation_rejected(flat):
+    # a perturbation is checked as a request before it is compared with v
+    v = TangentVector([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(InvalidInput):
+        branching_check(flat, v, 0.3, [1e-3], [TangentVector([0.0, 0.0], [1.0, 0.0, 0.0])])
 
 
 def test_branching_hemisphere_bounded(hemisphere):

@@ -134,6 +134,7 @@ def test_mollify_errors(hemisphere, vee):
 
 @pytest.mark.parametrize("eps, kernel_cells", [
     (math.nan, 16), (math.inf, 16), (-0.1, 16), (0.0, 16), (0.1, 0), (0.1, -4), (0.1, 12.5),
+    (0.1, True),
 ])
 def test_mollify_rejects_invalid_input(vee, eps, kernel_cells):
     with pytest.raises(InvalidInput):
@@ -463,6 +464,7 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.osgood_integral_check([0.0, NAN], [0.0, 0.1], 0.1, LINEAR),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((0, 4))),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((3, 5))),
+    lambda: reg.coefficient_bound_along(make_surface("vee"), [[0.0, 0.0, NAN, 1.0]]),
     lambda: reg.gronwall_bound(NAN, 1.0, 0.1),
     lambda: reg.gronwall_bound(1.0, INF, 0.1),
     lambda: reg.gronwall_bound(1.0, 1.0, [0.0, NAN]),
@@ -522,13 +524,16 @@ def test_lipschitz_flow_impossible_end_time_rejected(vee, t_end):
 
 
 def test_drivers_reject_empty_probe_sets(c21_cubic):
-    for count in (0, 2.5, NAN):
+    seq = reg.approximation_sequence(c21_cubic, [0.2, 0.1])
+    for count in (0, 2.5, NAN, True):
+        with pytest.raises(InvalidInput):
+            reg.convergence_probes(seq, count, np.random.default_rng(0))
         with pytest.raises(InvalidInput):
             reg.lipschitz_flow_report(c21_cubic, n_pairs=count)
         with pytest.raises(InvalidInput):
             reg.osgood_dominance_report(c21_cubic, n_centers=count)
         with pytest.raises(InvalidInput):
-            reg.holder_dominance_report(c21_cubic, 0.5, n_centers=count)
+            reg.holder_dominance_report(c21_cubic, n_centers=count)
 
 
 def test_osgood_dominance_small(c21_cubic):
@@ -538,5 +543,12 @@ def test_osgood_dominance_small(c21_cubic):
 
 
 def test_holder_dominance_small(c2alpha):
-    rep = reg.holder_dominance_report(c2alpha, 0.5, t1=0.25, n_centers=4, seed=13)
+    rep = reg.holder_dominance_report(c2alpha, t1=0.25, n_centers=4, seed=13)
     assert rep["holds"]
+
+
+def test_holder_dominance_reads_alpha_from_surface(vee):
+    with pytest.raises(InvalidInput):
+        reg.holder_dominance_report(vee)  # C11: no Hoelder exponent to read
+    rep = reg.holder_dominance_report(make_surface("c2alpha", alpha=0.3), t1=0.25, n_centers=2)
+    assert rep["alpha"] == 0.3

@@ -323,7 +323,8 @@ def test_pointwise_ops_reject_malformed_vectors(hemisphere, bad):
 
 
 @pytest.mark.parametrize("tag, alpha", [("C4", None), ("C2alpha", math.nan), ("C2alpha", 0.0),
-                                        ("C2alpha", 1.5), ("C2alpha", -0.5)])
+                                        ("C2alpha", 1.5), ("C2alpha", -0.5), ("C2alpha", "x"),
+                                        ("C2alpha", True)])
 def test_regularity_rejects_bad_tag_or_alpha(tag, alpha):
     with pytest.raises(InvalidInput):
         Regularity(tag, alpha)
@@ -334,9 +335,11 @@ def test_make_surface_rejects_bad_alpha():
     from geoflow.catalog import make_surface
 
     assert "InvalidInput" in __all__ and exported is InvalidInput
-    for alpha in (math.nan, 0.0, 2.0):
+    for alpha in (math.nan, 0.0, 2.0, "x", None):
         with pytest.raises(InvalidInput):
             make_surface("c2alpha", alpha=alpha)
+    with pytest.raises(InvalidInput):
+        make_surface("flat", alpha=0.5)  # a parameter flat does not take
 
 
 @settings(max_examples=30, deadline=None)
