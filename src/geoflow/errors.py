@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the count check that raises one."""
+"""Exception types shared across the package, and the count and number checks that raise one."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class GeoflowError(Exception):
@@ -51,3 +51,10 @@ def require_count(value, least: int, what: str):
     """Raise InvalidInput unless value is an integer of at least least, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise InvalidInput(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
+def require_real(value, what: str) -> float:
+    """Return value as a float; raise InvalidInput unless it is a real number, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInput(f"{what} must be a real number, got {value!r}")
+    return float(value)

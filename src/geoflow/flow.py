@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .errors import InvalidInput, OutOfDomain, StepFailure
+from .errors import InvalidInput, OutOfDomain, StepFailure, require_real
 from .surface import GridSurface, g_norm_batch, local_geometry
 
 # Base-point draws random_tangent makes before it gives up on a box without chart points.
@@ -66,6 +66,7 @@ def tolerances(surface, tol=None) -> tuple[float, float]:
     assert. Raises InvalidInput for a tol that is not positive and finite."""
     if tol is None:
         return (1e-10, 1e-12) if surface.regularity.c3 else (1e-9, 1e-11)
+    tol = require_real(tol, "tolerance")
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
     return tol, tol * 1e-2
@@ -129,11 +130,15 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
 
     Draws the base point (redrawn until it is a chart point), then a normal
     direction, from rng in that order. Raises InvalidInput for a non-finite
-    shrink, and OutOfDomain when _MAX_BASE_DRAWS base points all miss the chart.
+    shrink or a box that is not (lo, hi) of dim entries each, and OutOfDomain
+    when _MAX_BASE_DRAWS base points all miss the chart.
     """
-    if not np.isfinite(shrink):
+    if not np.isfinite(require_real(shrink, "shrink")):
         raise InvalidInput(f"shrink must be finite, got {shrink}")
-    lo, hi = (surface.domain_lo, surface.domain_hi) if box is None else np.asarray(box, dtype=float)
+    box = (surface.domain_lo, surface.domain_hi) if box is None else np.asarray(box, dtype=float)
+    if np.shape(box) != (2, surface.dim):
+        raise InvalidInput(f"box must be (lo, hi) with {surface.dim} entries each, got {box}")
+    lo, hi = box
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     for _ in range(_MAX_BASE_DRAWS):

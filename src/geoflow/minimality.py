@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from . import integrate
-from .errors import DisconnectedMesh, InvalidInput, OutOfDomain, require_count
+from .errors import DisconnectedMesh, InvalidInput, OutOfDomain, require_count, require_real
 from .flow import (TangentVector, Trajectory, check_request, integrate_batch, integrate_geodesic,
                    make_geodesic_rhs, random_tangent, require_completed, state_inside)
 
@@ -193,7 +193,7 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     over the perturbation set.
     """
     u0 = np.concatenate(check_request(surface, v)[:2])
-    step_sizes = sorted(step_sizes, reverse=True)
+    step_sizes = sorted((require_real(s, "a step size") for s in step_sizes), reverse=True)
     if not step_sizes or not all(np.isfinite(s) and s > 0 for s in step_sizes):
         raise InvalidInput(f"need one or more finite positive step sizes, got {step_sizes}")
     reference_step = step_sizes[-1] / 4.0

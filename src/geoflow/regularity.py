@@ -27,9 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure, require_count
+from .errors import (DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure, require_count,
+                     require_real)
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
 from .integrate import LEFT_CHART, STEP_FAILURE
 from .jacobi import basis_block, chart_to_covariant, coefficient_matrix, propagate_block
@@ -79,7 +79,10 @@ def empirical_modulus(samples) -> Modulus:
     are spaced logarithmically over [1e-6, largest gap]; empty bins inherit
     the running max from the left.
     """
-    pairs = np.asarray(list(samples), dtype=float)
+    try:
+        pairs = np.asarray(list(samples), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"samples must be (gap, deviation) pairs of numbers: {exc}") from exc
     if not np.all(np.isfinite(pairs) & (pairs >= 0)):
         raise InvalidInput("gaps and deviations must be finite and nonnegative")
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
@@ -215,7 +218,7 @@ def _bump_weights(radius: int) -> np.ndarray:
 @functools.cache
 def _window_matrix(radius: int, k: int) -> np.ndarray:
     """Banded (_STRIP_ROWS, (_STRIP_ROWS - 1) k + 2 radius + 1) matrix whose
-    row r holds _bump_weights(radius) from column r k: the first pass over
+    row r holds _bump_weights(radius) from column r k: one smoothing pass over
     _STRIP_ROWS outputs as one product; built once per (radius, k), read-only."""
     w = _bump_weights(radius)
     mat = np.zeros((_STRIP_ROWS, (_STRIP_ROWS - 1) * k + len(w)))
@@ -228,41 +231,44 @@ def _window_matrix(radius: int, k: int) -> np.ndarray:
 def _smooth_field(field, radius, k: int) -> np.ndarray:
     """Valid part of the convolution of a fine-grid field (Nx, Ny, ...) with
     the product of 1-D bumps of radius[i] cells on axis i, at every k-th
-    point of each axis. The first pass is one BLAS product per block of
-    _STRIP_ROWS outputs, _window_matrix times every component of the block's
-    rows; the second is one strided 1-D pass over all components. Every block
-    but the last has the same shape, so smoothing a grid whole or strip by
-    strip gives the same bits."""
-    mat, wy = _window_matrix(radius[0], k), _bump_weights(radius[1])
+    point of each axis. Each pass is one BLAS product per block of
+    _STRIP_ROWS outputs, the axis's _window_matrix times every component of
+    the block's fine rows (axis 0) or of each first-pass row's fine columns
+    (axis 1). Every block but the last on an axis has the same shape, so
+    smoothing a grid whole or strip by strip gives the same bits."""
+    mats = [_window_matrix(r, k) for r in radius]
     nx, ny = field.shape[:2]
     flat = field.reshape(nx, -1)
-    n_out = (nx - 2 * radius[0] - 1) // k + 1
-    out = np.empty((n_out, (ny - 2 * radius[1] - 1) // k + 1, flat.shape[1] // ny))
-    for i0 in range(0, n_out, _STRIP_ROWS):
-        rows = min(_STRIP_ROWS, n_out - i0)
+    n_out = [(n - 2 * r - 1) // k + 1 for n, r in zip((nx, ny), radius)]
+    out = np.empty(n_out + [flat.shape[1] // ny])
+    for i0 in range(0, n_out[0], _STRIP_ROWS):
+        rows = min(_STRIP_ROWS, n_out[0] - i0)
         width = (rows - 1) * k + 2 * radius[0] + 1
-        first = (mat[:rows, :width] @ flat[i0 * k: i0 * k + width]).reshape(rows, ny, -1)
-        out[i0: i0 + rows] = sliding_window_view(first, len(wy), axis=1)[:, ::k] @ wy
+        first = (mats[0][:rows, :width] @ flat[i0 * k: i0 * k + width]).reshape(rows, ny, -1)
+        for j0 in range(0, n_out[1], _STRIP_ROWS):
+            cols = min(_STRIP_ROWS, n_out[1] - j0)
+            w = (cols - 1) * k + 2 * radius[1] + 1
+            out[i0: i0 + rows, j0: j0 + cols] = mats[1][:cols, :w] @ first[:, j0 * k: j0 * k + w]
     return out.reshape(out.shape[:2] + field.shape[2:])
 
 
 def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> GridSurface:
     """Smoothed copy of the surface on the chart box shrunk by eps.
 
-    The height, gradient and Hessian (entries 11, 12, 22) are sampled on a
-    fine grid of spacing eps / kernel_cells. Each component is convolved
-    with a product of 1-D bumps of support radius eps, one axis at a time,
-    each pass keeping only the outputs on the spline grid. The fine grid
-    exists one strip at a time, never whole: a strip of _STRIP_ROWS rows of
-    the spline grid samples only the fine rows its kernel windows cover, so
-    memory follows the strip, not (1 / eps)^2. The smoothed height is
-    re-normalized to match the original at the chart origin when the origin
-    is on the grid. Only box-domain charts of dim 2 are supported, and an
-    eps that leaves fewer than 4 spline-grid samples on an axis is
-    DomainTooSmall.
+    The height, gradient and Hessian are sampled on a fine grid of spacing
+    eps / kernel_cells. Each component is convolved with a product of 1-D
+    bumps of support radius eps, one axis at a time, each pass keeping only
+    the outputs on the spline grid; the smoothed Hessian keeps its entries
+    11, 12, 22. The fine grid exists one strip at a time, never whole: a
+    strip of _STRIP_ROWS rows of the spline grid samples only the fine rows
+    its kernel windows cover, so memory follows the strip, not (1 / eps)^2.
+    The smoothed height is re-normalized to match the original at the chart
+    origin when the origin is on the grid. Only box-domain charts of dim 2
+    are supported, and an eps that leaves fewer than 4 spline-grid samples
+    on an axis is DomainTooSmall.
     """
     require_count(kernel_cells, 1, "kernel_cells")
-    if not (np.isfinite(eps) and eps > 0):
+    if not (np.isfinite(require_real(eps, "eps")) and eps > 0):
         raise InvalidInput(f"need finite eps > 0, got {eps}")
     if surface.dim != 2:
         raise DomainTooSmall("smoothing is implemented for 2-dimensional charts")
@@ -295,15 +301,15 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
         # i0 * k, ..., (i1 - 1) * k: the same dot products as on the whole grid.
         i1 = min(i0 + _STRIP_ROWS, len(xa))
         rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
-        pts = np.stack(np.meshgrid(rows, axes[1], indexing="ij"), axis=-1)
+        pts = np.empty((len(rows), len(axes[1]), 2))
+        pts[..., 0], pts[..., 1] = rows[:, None], axes[1]
         h[i0:i1] = _smooth_field(surface.height(pts), radius, k)
-        # One derivative call per strip; each strip array is freed once smoothed
-        # or packed, so none is alive during the next strip's derivative call.
+        # One derivative call per strip; each array is freed once smoothed, before the
+        # next strip's call. The Hessian is smoothed as returned, so no pass copies it.
         d_grad, d_hess = surface.derivatives(pts)
         grad[i0:i1] = _smooth_field(d_grad, radius, k)
         del d_grad
-        d_hess = d_hess[..., [0, 0, 1], [0, 1, 1], :]
-        hess[i0:i1] = _smooth_field(d_hess, radius, k)
+        hess[i0:i1] = _smooth_field(d_hess, radius, k)[..., [0, 0, 1], [0, 1, 1], :]
         del d_hess
 
     smoothed = GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
@@ -347,7 +353,9 @@ def _level_fields(surf, pts):
 def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
     """Smoothed family for decreasing scales, with distances to base measured
     on a _PROBE_RES x _PROBE_RES grid of the common box."""
-    scales = [float(e) for e in scales]
+    if not np.iterable(scales):
+        raise InvalidInput(f"need a sequence of scales, got {scales!r}")
+    scales = [require_real(e, "each scale") for e in scales]
     if not (len(scales) >= 2 and all(np.isfinite(scales)) and scales[-1] > 0) \
             or any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidInput(f"need two or more positive, strictly decreasing scales, got {scales}")

@@ -271,10 +271,16 @@ def test_random_tangent_unit_speed_in_box(surfaces):
     assert np.all((v.x >= box[0]) & (v.x <= box[1]))
 
 
-@pytest.mark.parametrize("shrink", [math.nan, math.inf])
+@pytest.mark.parametrize("shrink", [math.nan, math.inf, "a"])
 def test_random_tangent_rejects_non_finite_shrink(hemisphere, shrink):
     with pytest.raises(InvalidInput):
         random_tangent(hemisphere, np.random.default_rng(0), shrink)
+
+
+@pytest.mark.parametrize("box", [[[0, 0]], [[0, 0, 0], [1, 1, 1]]], ids=["one-corner", "3-dim"])
+def test_random_tangent_rejects_malformed_box(flat, box):
+    with pytest.raises(InvalidInput):
+        random_tangent(flat, np.random.default_rng(0), 0.5, box=box)
 
 
 def test_random_tangent_box_without_chart_point(hemisphere):

@@ -331,8 +331,9 @@ def test_bad_tol_rejected_at_time_zero(flat):
     # t = 0 takes no step, but the tolerance is still a request to check
     v = TangentVector([0.0, 0.0], [1.0, 0.0])
     for fn in (geodesic_flow, flow_differential):
-        with pytest.raises(InvalidInput):
-            fn(flat, 0.0, v, tol=-1)
+        for tol in (-1, "a"):
+            with pytest.raises(InvalidInput):
+                fn(flat, 0.0, v, tol=tol)
 
 
 @pytest.mark.parametrize("eps, order", [

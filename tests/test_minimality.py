@@ -339,8 +339,8 @@ def test_branching_flat(flat):
     assert rep["max_quotient"] == pytest.approx(1.0, abs=0.2)
 
 
-@pytest.mark.parametrize("step_sizes", [[], [0.0], [math.nan], [-1e-3]],
-                         ids=["empty", "zero", "nan", "negative"])
+@pytest.mark.parametrize("step_sizes", [[], [0.0], [math.nan], [-1e-3], ["a"]],
+                         ids=["empty", "zero", "nan", "negative", "string"])
 def test_branching_bad_step_sizes_rejected(flat, step_sizes):
     with pytest.raises(InvalidInput):
         branching_check(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3, step_sizes, [])

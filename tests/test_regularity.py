@@ -65,6 +65,26 @@ def test_two_pass_smoothing_reference():
                 np.testing.assert_allclose(got[..., c, 0], want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("trailing", [(1,), (2, 1), (2, 2, 1)], ids=["c", "2c", "22c"])
+def test_smooth_field_matches_direct_dots(trailing):
+    # each kept output is the bump-weighted dot over its window, on axis 0 and
+    # then axis 1; the output counts (37 x 45 at k = 2, 73 x 89 at k = 1) leave
+    # a short last block of _STRIP_ROWS on both axes
+    field = np.random.default_rng(3).uniform(0.5, 1.5, size=(79, 93) + trailing)
+    radius = (3, 2)
+    wx, wy = (reg._bump_weights(r) for r in radius)
+    for k in (2, 1):
+        got = reg._smooth_field(field, radius, k)
+        n0, n1 = ((n - 2 * r - 1) // k + 1 for n, r in zip(field.shape, radius))
+        assert n0 % reg._STRIP_ROWS and n1 % reg._STRIP_ROWS
+        rows = np.stack([np.tensordot(wx, field[i * k: i * k + len(wx)], axes=1)
+                         for i in range(n0)])
+        want = np.stack([np.tensordot(wy, rows[:, j * k: j * k + len(wy)], axes=(0, 1))
+                         for j in range(n1)], axis=1)
+        assert got.shape == want.shape == (n0, n1) + trailing
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 def test_mollify_zero(flat):
     s = reg.mollify(flat, 0.1)
     pts = grid_points(s, 30)
@@ -134,7 +154,7 @@ def test_mollify_errors(hemisphere, vee):
 
 @pytest.mark.parametrize("eps, kernel_cells", [
     (math.nan, 16), (math.inf, 16), (-0.1, 16), (0.0, 16), (0.1, 0), (0.1, -4), (0.1, 12.5),
-    (0.1, True),
+    (0.1, True), ("a", 16), ([0.1], 16),
 ])
 def test_mollify_rejects_invalid_input(vee, eps, kernel_cells):
     with pytest.raises(InvalidInput):
@@ -190,9 +210,11 @@ def test_strips_change_no_bits(name, monkeypatch):
     # mollify's fine grid: 513 points per axis (spacing eps / 16), radius 16, stride 3
     axes = [np.linspace(lo, hi, 513) for lo, hi in zip(surf.domain_lo, surf.domain_hi)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    whole = [surf.height(pts), surf.gradient(pts), surf.hessian(pts)[..., [0, 0, 1], [0, 1, 1], :]]
-    for got, field in zip(fields, whole):
-        np.testing.assert_array_equal(got, reg._smooth_field(field, [16, 16], 3))
+    whole = [reg._smooth_field(field, [16, 16], 3)
+             for field in (surf.height(pts), surf.gradient(pts), surf.hessian(pts))]
+    whole[2] = whole[2][..., [0, 0, 1], [0, 1, 1], :]  # entries 11, 12, 22, as mollify takes them
+    for got, want in zip(fields, whole):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_mollify_fits_each_field_once(c2alpha, monkeypatch):
@@ -470,6 +492,10 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.gronwall_bound(1.0, 1.0, [0.0, NAN]),
     lambda: reg.empirical_modulus(PAIRS)(NAN),
     lambda: reg.empirical_modulus(PAIRS)([0.1, NAN]),
+    lambda: reg.empirical_modulus([(0.1,), (0.2, 0.3)]),
+    lambda: reg.approximation_sequence(make_surface("vee"), 0.1),
+    lambda: reg.approximation_sequence(make_surface("vee"), ["a", 0.1]),
+    lambda: reg.approximation_sequence(make_surface("vee"), [0.1, None]),
 ])
 def test_formulas_reject_bad_input(call):
     # a non-finite or out-of-range argument never comes back as a NaN result
