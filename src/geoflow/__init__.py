@@ -21,7 +21,6 @@ from .errors import (
     InvalidInput,
     OutOfChart,
     OutOfDomain,
-    QuadratureFailure,
     StepFailure,
     UnknownSurface,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "JacobiState",
     "OutOfChart",
     "OutOfDomain",
-    "QuadratureFailure",
     "Regularity",
     "StepFailure",
     "SurfaceBounds",

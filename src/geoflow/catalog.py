@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfChart, UnknownSurface
+from .errors import InvalidInput, OutOfChart, UnknownSurface, require_array
 from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 
@@ -182,7 +182,7 @@ CATALOG = {
 
 def make_surface(name, **params) -> GraphSurface:
     """The catalog surface name built with params; InvalidInput for a parameter it does not take."""
-    if name not in CATALOG:
+    if not isinstance(name, str) or name not in CATALOG:
         raise UnknownSurface(f"no catalog surface named {name!r}")
     build = CATALOG[name].build
     if unknown := sorted(set(params) - set(inspect.signature(build).parameters)):
@@ -196,27 +196,34 @@ def surface_from_spec(spec: dict) -> GraphSurface:
     {"type": "catalog", "name": ..., "alpha": optional}
     {"type": "grid", "samples": [[...]], "domain": [[lo,hi],[lo,hi]],
      "regularity": ..., "alpha": optional}
+
+    Raises InvalidInput for a spec that is not a dict or lacks a key its type needs.
     """
+    if not isinstance(spec, dict):
+        raise InvalidInput(f"a surface spec must be an object, got {spec!r}")
     kind = spec.get("type", "catalog")
+    if kind not in ("catalog", "grid"):
+        raise UnknownSurface(f"unknown surface spec type {kind!r}")
+    if missing := [k for k in (["name"] if kind == "catalog" else ["samples", "domain"]) if k not in spec]:
+        raise InvalidInput(f"surface spec missing key {missing[0]!r}")
     if kind == "catalog":
         params = {}
         if "alpha" in spec and spec["alpha"] is not None:
             params["alpha"] = spec["alpha"]
         return make_surface(spec["name"], **params)
-    if kind == "grid":
-        samples = np.asarray(spec["samples"], dtype=float)
-        if samples.ndim not in (2, 3) or not np.all(np.isfinite(samples)):
-            raise InvalidInput("grid samples must be a finite (Nx, Ny) or (Nx, Ny, c) array")
-        bad_domain = "grid domain must be [[x0, x1], [y0, y1]], finite and strictly increasing"
-        try:
-            domain = np.asarray(spec["domain"], dtype=float)
-            (x0, x1), (y0, y1) = domain
-        except (TypeError, ValueError) as exc:  # not two pairs, ragged, or not numbers
-            raise InvalidInput(bad_domain) from exc
-        if not np.all(np.isfinite(domain)):  # GridSurface rejects pairs that do not increase
-            raise InvalidInput(bad_domain)
-        xa = np.linspace(x0, x1, samples.shape[0])
-        ya = np.linspace(y0, y1, samples.shape[1])
-        reg = Regularity.parse(spec.get("regularity", "smooth"), spec.get("alpha"))
-        return GridSurface.from_samples(spec.get("name", "grid"), xa, ya, samples, regularity=reg)
-    raise UnknownSurface(f"unknown surface spec type {kind!r}")
+    samples = require_array(spec["samples"], "grid samples", finite=True)
+    if samples.ndim not in (2, 3):
+        raise InvalidInput("grid samples must be an (Nx, Ny) or (Nx, Ny, c) array")
+    # one message for every malformed domain; GridSurface rejects pairs that do not increase
+    bad_domain = "grid domain must be [[x0, x1], [y0, y1]], finite and strictly increasing"
+    try:
+        domain = require_array(spec["domain"], "grid domain", finite=True)
+    except InvalidInput as exc:
+        raise InvalidInput(bad_domain) from exc
+    if domain.shape != (2, 2):
+        raise InvalidInput(bad_domain)
+    (x0, x1), (y0, y1) = domain
+    xa = np.linspace(x0, x1, samples.shape[0])
+    ya = np.linspace(y0, y1, samples.shape[1])
+    reg = Regularity.parse(spec.get("regularity", "smooth"), spec.get("alpha"))
+    return GridSurface.from_samples(spec.get("name", "grid"), xa, ya, samples, regularity=reg)

@@ -26,7 +26,8 @@ import numpy as np
 from . import regularity as reg
 from . import serialize
 from .catalog import CATALOG, make_surface, surface_from_spec
-from .errors import ConfigError, GeoflowError, InvalidInput, OutOfChart, UnknownSurface
+from .errors import (ConfigError, GeoflowError, InvalidInput, OutOfChart, UnknownSurface, require_count,
+                     require_real)
 from .flow import (
     TangentVector,
     flow_property_residual,
@@ -52,8 +53,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.surface, dict):
             raise ConfigError(f"surface must be an object, got {self.surface!r}")
         if not (isinstance(self.output, dict) and all(isinstance(p, str) for p in self.output.values())):
@@ -62,12 +61,14 @@ class RunConfig:
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        for key, value in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not np.isfinite(value):
-                raise ConfigError(f"tolerance {key!r} must be a finite number, got {value!r}")
+        if unknown := [key for key in self.tolerances if key not in DEFAULT_TOLERANCES]:
+            raise ConfigError(f"unknown tolerance key {unknown[0]!r}")
+        try:  # the count and scalar rules, as configuration errors
+            require_count(self.seed, 0, "seed")
+            for key, value in self.tolerances.items():
+                require_real(value, f"tolerance {key!r}")
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,8 +101,6 @@ DEFAULT_TOLERANCES = {
 def _resolve_surface(spec: dict):
     try:
         return surface_from_spec(spec)
-    except KeyError as exc:
-        raise ConfigError(f"surface spec missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed surface spec: {exc}") from exc
 

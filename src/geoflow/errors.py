@@ -1,6 +1,13 @@
-"""Exception types shared across the package, and the count and number checks that raise one."""
+"""Exception types shared across the package, and the one rule for each kind
+of public argument: a count, a real scalar, an array of numbers and a
+sequence. Each rule raises InvalidInput; no other module tests an argument's
+type, finiteness or range by hand."""
 
+import operator
+import reprlib
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class GeoflowError(Exception):
@@ -27,10 +34,6 @@ class DomainTooSmall(GeoflowError):
     """The chart domain cannot accommodate the requested smoothing width."""
 
 
-class QuadratureFailure(GeoflowError):
-    """Adaptive quadrature did not converge."""
-
-
 class UnknownSurface(GeoflowError):
     """Requested catalog surface does not exist."""
 
@@ -53,8 +56,49 @@ def require_count(value, least: int, what: str):
         raise InvalidInput(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
-def require_real(value, what: str) -> float:
-    """Return value as a float; raise InvalidInput unless it is a real number, and not a bool."""
+def _shown(value) -> str:
+    """value's repr, shortened to one line for a message."""
+    return " ".join(reprlib.repr(value).split())
+
+
+def _require_range(x, value, what, finite, above=None, at_least=None, at_most=None):
+    """x, converted from value; raise InvalidInput unless every entry of x is
+    finite where asked and within the bounds given."""
+    bounds = [(op, name, b) for op, name, b in ((operator.gt, ">", above), (operator.ge, ">=", at_least),
+                                                (operator.le, "<=", at_most)) if b is not None]
+    if (finite and not np.all(np.isfinite(x))) or not all(np.all(op(x, b)) for op, _, b in bounds):
+        need = ", ".join(["finite"] * finite + [f"{name} {b:g}" for _, name, b in bounds])
+        raise InvalidInput(f"{what} must be {need}, got {_shown(value)}")
+    return x
+
+
+def require_real(value, what: str, *, above=None, at_least=None, at_most=None) -> float:
+    """value as a float; raise InvalidInput unless it is a real number, not a
+    bool, finite, and > above, >= at_least and <= at_most where given."""
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise InvalidInput(f"{what} must be a real number, got {value!r}")
-    return float(value)
+        raise InvalidInput(f"{what} must be a real number, got {_shown(value)}")
+    return _require_range(float(value), value, what, True, above, at_least, at_most)
+
+
+def require_array(value, what: str, *, finite=False, at_least=None) -> np.ndarray:
+    """value as a float array, not copied when it is one; raise InvalidInput
+    unless it converts from numbers other than a bool, and, where asked,
+    unless every entry is finite and >= at_least. Shapes are the caller's."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        array = None
+    if array is None or isinstance(value, (bool, np.bool_)):
+        raise InvalidInput(f"{what} must be an array of numbers, got {_shown(value)}")
+    return _require_range(array, value, what, finite, at_least=at_least)
+
+
+def require_sequence(value, what: str, least: int = 0) -> list:
+    """value's items as a list; raise InvalidInput unless it is an iterable
+    other than a string, with at least least items."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise InvalidInput(f"{what} must be a sequence, got {_shown(value)}")
+    items = list(value)
+    if len(items) < least:
+        raise InvalidInput(f"{what} must hold at least {least}, got {len(items)}")
+    return items

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from .errors import InvalidInput, OutOfDomain, StepFailure, require_real
+from .errors import InvalidInput, OutOfDomain, StepFailure, require_array, require_real
 from .surface import GridSurface, g_norm_batch, local_geometry
 
 # Base-point draws random_tangent makes before it gives up on a box without chart points.
@@ -37,8 +37,8 @@ class TangentVector:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "x", require_array(self.x, "base point"))
+        object.__setattr__(self, "y", require_array(self.y, "velocity"))
 
     def as_state(self) -> np.ndarray:
         return np.concatenate([self.x, self.y])
@@ -66,9 +66,7 @@ def tolerances(surface, tol=None) -> tuple[float, float]:
     assert. Raises InvalidInput for a tol that is not positive and finite."""
     if tol is None:
         return (1e-10, 1e-12) if surface.regularity.c3 else (1e-9, 1e-11)
-    tol = require_real(tol, "tolerance")
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tolerance must be positive and finite, got {tol}")
+    tol = require_real(tol, "tolerance", above=0)
     return tol, tol * 1e-2
 
 
@@ -101,10 +99,13 @@ def check_request(surface, v: TangentVector):
     """Validate a public tangent vector v once; return (x0, y0, speed), the
     base point and velocity as float arrays and the velocity's g-norm.
 
-    Raises OutOfChart when v.x is not a chart point and InvalidInput for a
-    velocity of the wrong shape, with non-finite entries or with a g-norm
-    that is not finite. End times are the integrators' to check.
+    Raises OutOfChart when v.x is not a chart point and InvalidInput for a v
+    that is not a TangentVector, or a velocity of the wrong shape, with
+    non-finite entries or with a g-norm that is not finite. End times are
+    the integrators' to check.
     """
+    if not isinstance(v, TangentVector):
+        raise InvalidInput(f"need a TangentVector, got {v!r}")
     x0 = surface.require_inside(v.x)
     y0 = surface.require_vector(v.y, "velocity")
     speed = float(g_norm_batch(surface, x0, y0))
@@ -133,9 +134,8 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     shrink or a box that is not (lo, hi) of dim entries each, and OutOfDomain
     when _MAX_BASE_DRAWS base points all miss the chart.
     """
-    if not np.isfinite(require_real(shrink, "shrink")):
-        raise InvalidInput(f"shrink must be finite, got {shrink}")
-    box = (surface.domain_lo, surface.domain_hi) if box is None else np.asarray(box, dtype=float)
+    shrink = require_real(shrink, "shrink")
+    box = (surface.domain_lo, surface.domain_hi) if box is None else require_array(box, "box")
     if np.shape(box) != (2, surface.dim):
         raise InvalidInput(f"box must be (lo, hi) with {surface.dim} entries each, got {box}")
     lo, hi = box
@@ -160,9 +160,12 @@ def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
     rhs defaults to the geodesic right-hand side, t_end is one time or one
     per row. Returns the IntegrationResult with per-row status (see
     integrate.integrate_adaptive); apply require_completed where every row
-    must complete.
+    must complete. Raises InvalidInput for a u0 whose rows are not phases
+    (x, y) when rhs is None.
     """
     m, crease = surface.dim, surface.crease
+    if rhs is None and require_array(u0, "initial state").shape[-1:] != (2 * m,):
+        raise InvalidInput(f"geodesic rows need {2 * m} entries (x, y), got shape {np.shape(u0)}")
     return integrate.integrate_adaptive(
         make_geodesic_rhs(surface) if rhs is None else rhs, u0, t_end,
         *tolerances(surface, tol), inside=state_inside(surface),
@@ -183,6 +186,7 @@ def integrate_geodesic(surface, v: TangentVector, t_end: float,
 def geodesic_flow(surface, t: float, v: TangentVector, tol: float | None = None) -> TangentVector:
     """State of the geodesic with initial tangent v after time t: v itself
     at t = 0, and for t < 0 the reflection of the forward run of -t."""
+    t = require_real(t, "flow time")
     if t < 0.0:
         # Run the reflected geodesic forward: phi(-t, (x, y)) = N(phi(t, N v)).
         out = geodesic_flow(surface, -t, TangentVector(v.x, -v.y), tol)
@@ -197,6 +201,7 @@ def exp_map(surface, v: TangentVector, tol: float | None = None) -> np.ndarray:
 
 def flow_property_residual(surface, s: float, t: float, v: TangentVector, tol: float | None = None) -> float:
     """Chart distance between phi(s + t, v) and phi(s, phi(t, v))."""
+    s, t = require_real(s, "s"), require_real(t, "t")
     a = geodesic_flow(surface, s + t, v, tol)
     mid = geodesic_flow(surface, t, v, tol)
     b = geodesic_flow(surface, s, mid, tol)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfChart
+from .errors import InvalidInput, OutOfChart, require_array, require_real
 
 COMPLETED = "Completed"
 LEFT_CHART = "LeftChart"
@@ -264,12 +264,12 @@ def _on_first_row(fn):
 
 
 def end_times(t_end, n_rows=1) -> np.ndarray:
-    """t_end as one end time per row; raises InvalidInput unless each is
-    finite and >= 0."""
-    ends = np.broadcast_to(np.asarray(t_end, dtype=float), (n_rows,))
-    if not np.all(np.isfinite(ends) & (ends >= 0)):
-        raise InvalidInput(f"end times must be finite and >= 0, got {t_end}")
-    return ends
+    """t_end as one end time per row; raises InvalidInput unless it is one
+    time or one per row, each finite and >= 0."""
+    ends = require_array(t_end, "end times", finite=True, at_least=0)
+    if ends.ndim > 1 or ends.size not in (1, n_rows):
+        raise InvalidInput(f"need one end time or {n_rows}, got {t_end!r}")
+    return np.broadcast_to(ends, (n_rows,))
 
 
 def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, crease=None,
@@ -297,13 +297,17 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     the stepper must land on exactly (sample times end up in the returned
     arrays).
     """
-    single = np.ndim(u0) == 1
+    u0 = require_array(u0, "initial state")
+    rtol, atol = require_real(rtol, "rtol", above=0), require_real(atol, "atol", above=0)
+    single = u0.ndim == 1
     if single:  # the batch of one row, with f, inside and crease still seeing (d,) states
         f = _on_first_row(f)
         inside = None if inside is None else _on_first_row(inside)
         crease = None if crease is None else _on_first_row(crease)
     f, tab, n_step = _Counted(f), tableau, len(tableau.b)
-    u = current = np.array(u0, dtype=float, ndmin=2)  # current: every row's latest state
+    u = current = np.array(u0, ndmin=2)  # current: every row's latest state
+    if u.ndim != 2:
+        raise InvalidInput(f"need one state or a batch of rows, got shape {u.shape}")
     n_rows, dim = u.shape
     ends = end_times(t_end, n_rows)
     due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
@@ -312,7 +316,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = n_cuts = 0
     h_min = 1e-14 * max(1.0, np.max(ends))
-    cps = np.asarray([] if checkpoints is None else checkpoints, dtype=float)
+    cps = require_array([] if checkpoints is None else checkpoints, "checkpoints")
     cps = np.unique(cps[(cps > 1e-15) & (cps < np.max(ends) - 1e-15)])
     cp_idx = 0
     crossings = []  # (time, row) of located crease crossings still ahead, ascending
@@ -423,7 +427,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         else:
             n_rej += 1
             h = h_step * min(1.0, max(0.2, _SAFETY * err ** (-1 / tab.q)))
-            if h < h_min:
+            if not h >= h_min:  # a NaN step length too, as from a non-finite start
                 return result(failed=True)
 
         if n_acc + n_rej + n_cuts > _MAX_STEPS:
@@ -435,9 +439,9 @@ def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
     at most step; t_end = 0 returns the start as the only sample. A step
     that fails or lands outside ends the run with status LeftChart at the
     last step inside."""
-    t_end = float(end_times(t_end)[0])
+    t_end, step = float(end_times(t_end)[0]), require_real(step, "step", above=0)
     f = _Counted(f)
-    u = np.asarray(u0, dtype=float).copy()
+    u = require_array(u0, "initial state").copy()
     n = int(np.ceil(t_end / step))
     h = t_end / max(n, 1)
     t, times, states, status = 0.0, [0.0], [u.copy()], COMPLETED

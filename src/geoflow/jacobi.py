@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfDomain
+from .errors import InvalidInput, OutOfDomain, require_array, require_count, require_real, require_sequence
 from .flow import TangentVector, check_request, integrate_batch, require_completed
 from .integrate import IntegrationResult
 from .surface import local_geometry
@@ -39,8 +39,8 @@ class JacobiState:
     K: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "J", np.asarray(self.J, dtype=float))
-        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
+        object.__setattr__(self, "J", require_array(self.J, "Jacobi field J"))
+        object.__setattr__(self, "K", require_array(self.K, "covariant derivative K"))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.J, self.K])
@@ -97,9 +97,10 @@ def coefficient_matrix(surface, x, y) -> np.ndarray:
 
 
 def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
-    """Integrate the joint system from the (2, m, n_cols) initial block jk0
-    along the geodesic of v, or, for a list v, along each of its geodesics
-    as the rows of one batch; t_end is one time or one per row.
+    """Integrate the joint system from the (2, m, n_cols) initial block jk0,
+    or from a JacobiState as its (2, m, 1) block, along the geodesic of v,
+    or, for a list v, along each of its geodesics as the rows of one batch;
+    t_end is one time or one per row.
 
     Validates every v with check_request and the block; the integrator
     checks t_end. Returns the IntegrationResult, whose states hold
@@ -107,12 +108,12 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
     complete.
     """
     m = surface.dim
-    jk0 = np.asarray(jk0, dtype=float)
-    if jk0.ndim != 3 or jk0.shape[:2] != (2, m) or not np.all(np.isfinite(jk0)):
-        raise InvalidInput(f"Jacobi initial block must be a finite (2, {m}, n) array, "
-                           f"got shape {jk0.shape}")
+    jk0 = require_array(jk0.block(m) if isinstance(jk0, JacobiState) else jk0, "Jacobi initial block",
+                        finite=True)
+    if jk0.ndim != 3 or jk0.shape[:2] != (2, m):
+        raise InvalidInput(f"Jacobi initial block must be a (2, {m}, n) array, got shape {jk0.shape}")
     single = isinstance(v, TangentVector)
-    vs = [v] if single else v
+    vs = [v] if single else require_sequence(v, "tangent vectors", 1)
     u0 = np.array([np.concatenate([*check_request(surface, w)[:2], jk0.ravel()]) for w in vs])
     return integrate_batch(surface, u0[0] if single else u0, t_end, tol, checkpoints,
                            rhs=_make_joint_rhs(surface, jk0.shape[-1]))
@@ -121,7 +122,7 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
 def propagate_jacobi(surface, v: TangentVector, j0: JacobiState, t_end: float,
                      tol: float | None = None) -> JacobiState:
     """Solve the Jacobi system along the geodesic of v; linear in j0."""
-    res = propagate_block(surface, v, j0.block(surface.dim), t_end, tol)
+    res = propagate_block(surface, v, j0, t_end, tol)
     m = surface.dim
     jk = require_completed(res, "Jacobi propagation").final_state[2 * m:].reshape(2, m)
     return JacobiState(jk[0], jk[1])
@@ -129,6 +130,7 @@ def propagate_jacobi(surface, v: TangentVector, j0: JacobiState, t_end: float,
 
 def basis_block(m):
     """The 2m standard basis initial values (J0, K0) as a (2, m, 2m) block."""
+    require_count(m, 1, "dim")
     return np.eye(2 * m).reshape(2, m, 2 * m)
 
 
@@ -162,10 +164,12 @@ def fd_flow_differential(surface, t: float, v: TangentVector, eps: float = 1e-5,
     Uses only the geodesic right-hand side, never the Jacobi system.
     """
     m = surface.dim
+    eps = require_real(eps, "eps", above=0)
     if order is None:
         order = 4 if surface.regularity.c3 else 2
-    if order not in (2, 4) or not (np.isfinite(eps) and eps > 0):
-        raise InvalidInput(f"need order 2 or 4 and a positive finite eps, got {order}, {eps}")
+    require_count(order, 2, "order")
+    if order not in (2, 4):
+        raise InvalidInput(f"need order 2 or 4, got {order!r}")
     x0, y0, _ = check_request(surface, v)
     base = np.concatenate([x0, y0])
 

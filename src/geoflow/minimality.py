@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from . import integrate
-from .errors import DisconnectedMesh, InvalidInput, OutOfDomain, require_count, require_real
+from .errors import DisconnectedMesh, InvalidInput, OutOfDomain, require_count, require_real, require_sequence
 from .flow import (TangentVector, Trajectory, check_request, integrate_batch, integrate_geodesic,
                    make_geodesic_rhs, random_tangent, require_completed, state_inside)
 
@@ -78,7 +78,7 @@ class MeshGeodesicOracle:
         p = self.surface.require_inside(p)
         lo = np.clip(np.floor((p - self.axes[:, 0]) / self.steps), 0, self.resolution - 2).astype(np.int64)
         cells, local = self.box(lo, lo + 2)
-        cells = cells if np.all(local >= 0) else np.argwhere(self.index >= 0)
+        cells = cells if np.all(local >= 0) else self.box((0,) * len(self.shape), self.shape)[0]
         d = np.linalg.norm(self.points(cells) - p, axis=1)
         i = int(np.argmin(d))
         return int(np.ravel_multi_index(cells[i], self.shape)), float(d[i])
@@ -193,9 +193,8 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     over the perturbation set.
     """
     u0 = np.concatenate(check_request(surface, v)[:2])
-    step_sizes = sorted((require_real(s, "a step size") for s in step_sizes), reverse=True)
-    if not step_sizes or not all(np.isfinite(s) and s > 0 for s in step_sizes):
-        raise InvalidInput(f"need one or more finite positive step sizes, got {step_sizes}")
+    step_sizes = sorted((require_real(s, "a step size", above=0)
+                         for s in require_sequence(step_sizes, "step sizes", 1)), reverse=True)
     reference_step = step_sizes[-1] / 4.0
     runs = {}
     for s in list(step_sizes) + [reference_step]:
@@ -212,7 +211,8 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     )
 
     # v and its perturbations integrate as one batch
-    rows = [np.concatenate(check_request(surface, w)[:2]) for w in perturbations]
+    rows = [np.concatenate(check_request(surface, w)[:2])
+            for w in require_sequence(perturbations, "perturbations")]
     rows = [u0] + [row for row in rows if np.any(row != u0)]
     gaps = [np.linalg.norm(row - u0) for row in rows[1:]]
     res = integrate_batch(surface, np.array(rows), t_end)
@@ -230,6 +230,7 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
 def short_geodesic(surface, rng, max_length: float) -> Trajectory:
     """Random unit-speed geodesic from the central chart region, of g-length
     at most max_length (used by the minimality test drivers)."""
+    max_length = require_real(max_length, "max_length", above=0)
     for _ in range(100):
         v = random_tangent(surface, rng, 0.8)
         t_end = max_length * (0.4 + 0.6 * rng.random())

@@ -15,28 +15,24 @@ The module also provides the quantitative bounds used to certify the flow
 behaviour: the exponential a-priori bound on Jacobi states, the explicit
 modulus transfer Gamma(delta) = Ct * t1 * exp(Cb * t1) * mu(delta) for the
 dependence of solutions of a linear system on a parameter entering its
-coefficients, the integral-inequality form of that argument, and empirical
-modulus estimation over binned sample pairs. scipy is imported where it is
-used: scipy.integrate in osgood_integral_check only.
+coefficients, and empirical modulus estimation over binned sample pairs.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainTooSmall, InvalidInput, OutOfDomain, QuadratureFailure, require_count,
-                     require_real)
+from .errors import (DomainTooSmall, InvalidInput, OutOfDomain, require_array, require_count,
+                     require_real, require_sequence)
 from .flow import TangentVector, integrate_batch, random_tangent, require_completed
 from .integrate import LEFT_CHART, STEP_FAILURE
 from .jacobi import basis_block, chart_to_covariant, coefficient_matrix, propagate_block
 from .surface import GraphSurface, GridSurface, Regularity, g_norm_batch, local_geometry
 
 _MODULUS_BINS = 32                      # log-spaced bins of an empirical modulus
-_OSGOOD_FLOOR = 1e-12                   # |L| that counts as zero in osgood_integral_check
 _PROBE_RES = 41                         # per-axis grid measuring distances to the base
 _PROBE_TIMES = (0.15, 0.3)              # flow-time range of the convergence probes
 _CONVERGE_FACTOR = 1.5                  # mean shrink per level that counts as converging
@@ -64,9 +60,7 @@ class Modulus:
     populated: np.ndarray
 
     def __call__(self, delta):
-        delta = np.asarray(delta, dtype=float)
-        if np.any(np.isnan(delta)):
-            raise InvalidInput("a modulus is evaluated at NaN")
+        delta = require_array(delta, "delta", at_least=-np.inf)  # any number but NaN
         idx = np.clip(np.searchsorted(self.edges, delta, side="left"), 0, len(self.values) - 1)
         out = np.where(delta <= 0.0, 0.0, self.values[idx])
         return float(out) if out.ndim == 0 else out
@@ -79,12 +73,8 @@ def empirical_modulus(samples) -> Modulus:
     are spaced logarithmically over [1e-6, largest gap]; empty bins inherit
     the running max from the left.
     """
-    try:
-        pairs = np.asarray(list(samples), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"samples must be (gap, deviation) pairs of numbers: {exc}") from exc
-    if not np.all(np.isfinite(pairs) & (pairs >= 0)):
-        raise InvalidInput("gaps and deviations must be finite and nonnegative")
+    pairs = require_array(require_sequence(samples, "samples"), "gaps and deviations", finite=True,
+                          at_least=0)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 2:
         raise InvalidInput("need at least 2 (gap, deviation) samples")
     gaps, devs = pairs[:, 0], pairs[:, 1]
@@ -112,79 +102,23 @@ def dominance(samples, limit) -> dict:
 def gronwall_bound(c_bar: float, x0_norm: float, t):
     """A-priori bound x0 * exp(c_bar * t) for the joint Jacobi state, at one
     time t or an array of times."""
-    if not (np.isfinite([c_bar, x0_norm]).all() and c_bar >= 0 and x0_norm >= 0
-            and np.all(np.isfinite(t) & (np.asarray(t) >= 0))):
-        raise InvalidInput(f"need finite c_bar, x0_norm and t >= 0, got {c_bar, x0_norm, t}")
-    return x0_norm * np.exp(c_bar * t)
+    c_bar = require_real(c_bar, "c_bar", at_least=0)
+    x0_norm = require_real(x0_norm, "x0_norm", at_least=0)
+    return x0_norm * np.exp(c_bar * require_array(t, "t", finite=True, at_least=0))
 
 
 def osgood_gamma(mu_r, c_tilde: float, c_bar: float, t1: float):
     """Modulus transfer Gamma(delta) = c_tilde * t1 * exp(c_bar * t1) * mu_r(delta)."""
-    if not (np.isfinite([c_tilde, c_bar, t1]).all() and c_tilde >= 0 and c_bar >= 0 and t1 > 0):
-        raise InvalidInput(f"need finite c_tilde, c_bar >= 0 and t1 > 0, got {c_tilde, c_bar, t1}")
+    c_tilde = require_real(c_tilde, "c_tilde", at_least=0)
+    c_bar = require_real(c_bar, "c_bar", at_least=0)
+    t1 = require_real(t1, "t1", above=0)
     scale = c_tilde * t1 * np.exp(c_bar * t1)
     return lambda delta: scale * mu_r(delta)
 
 
-def osgood_integral_check(times, l_values, a: float, mu):
-    """Check the integral inequality int_a^{L(t)} ds/mu(s) <= t - t0 for a
-    modulus mu, any callable of delta.
-
-    Returns (holds, margin): margin is the minimum over samples of
-    t - t0 - integral. For a = 0 with a divergent integral the check
-    asserts L == 0 within _OSGOOD_FLOOR.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-    times = np.asarray(times, dtype=float)
-    l_values = np.asarray(l_values, dtype=float)
-    if not (times.ndim == 1 and len(times) and times.shape == l_values.shape and np.isfinite(a)
-            and np.isfinite(times).all() and np.isfinite(l_values).all()):
-        raise InvalidInput("need equal-length, non-empty finite times and L values, and finite a")
-    t0 = times[0]
-
-    def inverse(s):
-        return 1.0 / max(mu(s), 1e-300)
-
-    if a == 0.0:
-        # Divergence probe: 1/mu is non-integrable at zero iff the partial
-        # integrals over [a0, 1] keep growing as a0 shrinks. mu is
-        # nondecreasing, so mu(1e-9) = 0 means mu = 0 near 0: divergent
-        # without any quadrature.
-        divergent = mu(1e-9) <= 0.0
-        if not divergent:
-            try:
-                with warnings.catch_warnings():  # a divergent integral is a result here
-                    warnings.simplefilter("ignore", IntegrationWarning)
-                    i6, _ = quad(inverse, 1e-6, 1.0, limit=200)
-                    i9, _ = quad(inverse, 1e-9, 1.0, limit=200)
-            except Exception as exc:  # pragma: no cover - defensive
-                raise QuadratureFailure(str(exc)) from exc
-            divergent = i9 > 1.2 * i6 + 1e-9 or not np.isfinite(i9)
-        if divergent:
-            holds = bool(np.all(np.abs(l_values) <= _OSGOOD_FLOOR))
-            margin = float(_OSGOOD_FLOOR - np.max(np.abs(l_values)))
-            return holds, margin
-        a = _OSGOOD_FLOOR  # integrable modulus: fall through with a tiny positive a
-    margin = np.inf
-    for t, lv in zip(times, l_values):
-        if lv <= a:
-            continue  # inequality trivially satisfied
-        try:
-            integral, _ = quad(inverse, a, lv, limit=200)
-        except Exception as exc:
-            raise QuadratureFailure(str(exc)) from exc
-        if not np.isfinite(integral):
-            raise QuadratureFailure("integral did not converge")
-        margin = min(margin, (t - t0) - integral)
-    if margin is np.inf:
-        margin = float(times[-1] - t0)
-    return bool(margin >= -1e-9), float(margin)
-
-
 def injradius_lower_bound(c: float, l: float) -> float:
     """min(pi / c, l / 2) for curvature bound c and shortest-loop length l."""
-    if not (np.isfinite([c, l]).all() and c > 0 and l > 0):
-        raise InvalidInput(f"c and l must be positive and finite, got {c}, {l}")
+    c, l = require_real(c, "c", above=0), require_real(l, "l", above=0)
     return float(min(np.pi / c, l / 2.0))
 
 
@@ -193,8 +127,8 @@ def holder_modulus_check(samples, alpha: float, c_bound: float):
 
     Returns (holds, report) with per-bin margins (see dominance).
     """
-    if not (0.0 < alpha <= 1.0 and np.isfinite(c_bound) and c_bound >= 0):
-        raise InvalidInput(f"need alpha in (0, 1] and finite c_bound >= 0, got {alpha, c_bound}")
+    alpha = require_real(alpha, "alpha", above=0, at_most=1)
+    c_bound = require_real(c_bound, "c_bound", at_least=0)
     rep = dominance(samples, lambda d: c_bound * d ** alpha)
     return rep["holds"], rep
 
@@ -268,8 +202,7 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     on an axis is DomainTooSmall.
     """
     require_count(kernel_cells, 1, "kernel_cells")
-    if not (np.isfinite(require_real(eps, "eps")) and eps > 0):
-        raise InvalidInput(f"need finite eps > 0, got {eps}")
+    eps = require_real(eps, "eps", above=0)
     if surface.dim != 2:
         raise DomainTooSmall("smoothing is implemented for 2-dimensional charts")
     if surface._membership is not None:
@@ -353,12 +286,9 @@ def _level_fields(surf, pts):
 def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
     """Smoothed family for decreasing scales, with distances to base measured
     on a _PROBE_RES x _PROBE_RES grid of the common box."""
-    if not np.iterable(scales):
-        raise InvalidInput(f"need a sequence of scales, got {scales!r}")
-    scales = [require_real(e, "each scale") for e in scales]
-    if not (len(scales) >= 2 and all(np.isfinite(scales)) and scales[-1] > 0) \
-            or any(b >= a for a, b in zip(scales, scales[1:])):
-        raise InvalidInput(f"need two or more positive, strictly decreasing scales, got {scales}")
+    scales = [require_real(e, "each scale", above=0) for e in require_sequence(scales, "scales", 2)]
+    if any(b >= a for a, b in zip(scales, scales[1:])):
+        raise InvalidInput(f"need strictly decreasing scales, got {scales}")
     smoothed = [mollify(surface, e) for e in scales]
 
     lo = np.max([s.domain_lo for s in smoothed], axis=0)
@@ -419,8 +349,7 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
     level's chart are pruned and reported. A distance sequence counts as
     converging when it shrinks by _CONVERGE_FACTOR per level on average.
     """
-    if not probes:
-        raise InvalidInput("need at least one probe")
+    probes = require_sequence(probes, "probes", 1)
     m = seq.base.dim
     finals, left = [], np.zeros(len(probes), dtype=bool)
     for s in seq.smoothed:  # all probes as one joint batch per level
@@ -477,10 +406,9 @@ def coefficient_bound_along(surface, traj_states) -> float:
     """sup of the spectral norm of the (J, K) coefficient matrix along phase
     samples (..., 2m)."""
     m = surface.dim
-    states = np.asarray(traj_states, dtype=float)
-    if states.ndim < 1 or states.shape[-1] != 2 * m or not (states.size and np.isfinite(states).all()):
-        raise InvalidInput(f"need at least one finite phase sample of shape (..., {2 * m}), "
-                           f"got {states.shape}")
+    states = require_array(traj_states, "phase samples", finite=True)
+    if states.ndim < 1 or states.shape[-1] != 2 * m or not states.size:
+        raise InvalidInput(f"need at least one phase sample of shape (..., {2 * m}), got {states.shape}")
     a = coefficient_matrix(surface, states[..., :m], states[..., m:])
     return float(np.max(np.linalg.norm(a, ord=2, axis=(-2, -1))))
 
@@ -492,7 +420,7 @@ def measure_gronwall_margin(surface, v: TangentVector, j0, t_end):
     trajectory, the certified bound at each sample's time and holds.
     """
     m = surface.dim
-    res = require_completed(propagate_block(surface, v, j0.block(m), t_end, None), "Jacobi propagation")
+    res = require_completed(propagate_block(surface, v, j0, t_end, None), "Jacobi propagation")
     jk = res.states[:, 2 * m:]
     norms = np.linalg.norm(jk, axis=1)
     c_bar = coefficient_bound_along(surface, res.states[:, : 2 * m])
@@ -522,6 +450,7 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     bound is max |C(end)^-1| * exp(c_bar * t) * max |C(start)| over the rows.
     """
     require_count(n_pairs, 1, "n_pairs")
+    require_count(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     m = surface.dim
     ics = []
@@ -566,6 +495,8 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
     constants c_tilde (solution sup) and c_bar (coefficient sup).
     """
     require_count(n_centers, 1, "n_centers")
+    require_count(seed, 0, "seed")
+    t1 = require_real(t1, "t1", above=0)
     rng = np.random.default_rng(seed)
     m = surface.dim
     jk0 = np.array([[0.0, 0.0], [0.8, 0.6]])[..., None]  # generic: engages every block

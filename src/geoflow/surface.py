@@ -22,11 +22,10 @@ provided as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import DegeneratePlane, InvalidInput, OutOfChart
+from .errors import DegeneratePlane, InvalidInput, OutOfChart, require_array, require_count, require_real
 
 # Step of the finite differences in christoffel_fd and curvature_from_christoffel.
 _FD_STEP = 1e-3
@@ -42,9 +41,8 @@ class Regularity:
     def __post_init__(self):
         if self.tag not in ("C11", "C2", "C2alpha", "C3", "smooth"):
             raise InvalidInput(f"unknown regularity tag {self.tag!r}")
-        if self.tag == "C2alpha" and (isinstance(self.alpha, bool) or not isinstance(self.alpha, Real)
-                                      or not 0.0 < self.alpha <= 1.0):  # NaN fails too
-            raise InvalidInput(f"C2alpha requires a number alpha in (0, 1], got {self.alpha!r}")
+        if self.tag == "C2alpha":
+            require_real(self.alpha, "C2alpha's alpha", above=0, at_most=1)
 
     @property
     def c3(self) -> bool:
@@ -58,7 +56,7 @@ class Regularity:
 
     @staticmethod
     def parse(text: str, alpha: float | None = None) -> "Regularity":
-        text = {"Smooth": "smooth"}.get(text, text)
+        text = "smooth" if text == "Smooth" else text
         if text == "C2alpha":
             return Regularity("C2alpha", alpha if alpha is not None else 0.5)
         return Regularity(text)
@@ -115,16 +113,17 @@ class GraphSurface:
         bounds: SurfaceBounds | None = None,
     ):
         self.name = name
+        require_count(dim, 1, "dim")
+        require_count(codim, 1, "codim")
         self.dim = int(dim)
         self.codim = int(codim)
         self.ambient_dim = self.dim + self.codim
-        self.domain_lo = np.asarray(domain_lo, dtype=float)
-        self.domain_hi = np.asarray(domain_hi, dtype=float)
-        # NaN would pass a hi <= lo test, and a (1,) corner would broadcast
-        if any(c.shape != (self.dim,) or not np.all(np.isfinite(c))
-               for c in (self.domain_lo, self.domain_hi)) \
+        # finite, as NaN would pass a hi <= lo test, and m-vectors, as a (1,) corner would broadcast
+        self.domain_lo, self.domain_hi = (require_array(c, "chart box corner", finite=True)
+                                          for c in (domain_lo, domain_hi))
+        if any(c.shape != (self.dim,) for c in (self.domain_lo, self.domain_hi)) \
                 or not np.all(self.domain_lo < self.domain_hi):
-            raise InvalidInput(f"chart box corners must be finite {self.dim}-vectors with lo < hi")
+            raise InvalidInput(f"chart box corners must be {self.dim}-vectors with lo < hi")
         self.height = height
         self.derivatives = derivatives
         self.regularity = regularity
@@ -145,7 +144,7 @@ class GraphSurface:
         return bool(self.contains_batch(np.asarray(x, dtype=float)))
 
     def require_inside(self, x):
-        x = np.asarray(x, dtype=float)
+        x = require_array(x, "chart point")
         if x.shape != (self.dim,):
             raise OutOfChart(f"point has wrong dimension {x.shape}")
         if not self.contains(x):
@@ -154,9 +153,9 @@ class GraphSurface:
 
     def require_vector(self, v, what="vector"):
         """v as a float array; raises InvalidInput unless it is a finite m-vector."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,) or not np.all(np.isfinite(v)):
-            raise InvalidInput(f"{what} must be a finite {self.dim}-vector, got {v}")
+        v = require_array(v, what, finite=True)
+        if v.shape != (self.dim,):
+            raise InvalidInput(f"{what} must be a {self.dim}-vector, got {v}")
         return v
 
     # -- geometry ------------------------------------------------------
@@ -446,18 +445,16 @@ class GridSurface(GraphSurface):
     def __init__(self, name, x_axis, y_axis, h, grad, hess, *, regularity=Regularity("smooth")):
         from scipy.interpolate import NdBSpline
 
-        x_axis = np.asarray(x_axis, dtype=float)
-        y_axis = np.asarray(y_axis, dtype=float)
-        h, grad, hess = (np.asarray(a, dtype=float) for a in (h, grad, hess))
-        nx, ny, codim = h.shape
-        if (len(x_axis), len(y_axis), grad.shape, hess.shape) \
-                != (nx, ny, (nx, ny, 2, codim), (nx, ny, 3, codim)):
+        x_axis, y_axis = (require_array(ax, "grid axis", finite=True) for ax in (x_axis, y_axis))
+        h, grad, hess = (require_array(a, "h, grad and hess samples", finite=True)
+                         for a in (h, grad, hess))
+        nx, ny, codim = h.shape if h.ndim == 3 else (0, 0, 0)
+        if (h.ndim, x_axis.shape, y_axis.shape, grad.shape, hess.shape) \
+                != (3, (nx,), (ny,), (nx, ny, 2, codim), (nx, ny, 3, codim)):
             raise InvalidInput("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
         if min(nx, ny) < 4:
             raise InvalidInput(f"a bicubic fit needs at least 4 samples per axis, got {nx} x {ny}")
-        if not all(np.all(np.isfinite(a)) for a in (h, grad, hess)):
-            raise InvalidInput("h, grad and hess samples must be finite")
-        if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):  # NaN fails too
+        if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):
             raise InvalidInput("grid axes must be strictly increasing")
 
         (tx, x_lu), (ty, y_lu) = _collocation_lu(x_axis), _collocation_lu(y_axis)
@@ -502,12 +499,11 @@ class GridSurface(GraphSurface):
         """Build from height samples alone; derivatives by 4th-order central
         differences, usable domain shrunk by the stencil width (2 cells per
         differentiation pass, 4 total for the mixed second derivative)."""
-        x_axis = np.asarray(x_axis, dtype=float)
-        y_axis = np.asarray(y_axis, dtype=float)
-        h = np.asarray(h_samples, dtype=float)
+        x_axis, y_axis = (require_array(ax, "grid axis", finite=True) for ax in (x_axis, y_axis))
+        h = require_array(h_samples, "height samples", finite=True)
         if h.ndim == 2:
             h = h[..., None]
-        if len(x_axis) < 13 or len(y_axis) < 13:
+        if x_axis.size < 13 or y_axis.size < 13:
             raise InvalidInput("need at least 13 samples per axis")
         dx = x_axis[1] - x_axis[0]
         dy = y_axis[1] - y_axis[0]

@@ -413,8 +413,10 @@ def run_fresh(code, **kwargs):
 
 def test_cli_loads_scipy_only_where_used(tmp_path):
     # scipy is imported where it is used: importing the CLI and running the
-    # numpy-only commands loads no scipy module, and minimality, which needs
-    # scipy.sparse.csgraph, still runs from a cold start
+    # numpy-only commands loads no scipy module; minimality, smooth-converge
+    # and report with every suite, which need scipy.sparse.csgraph and
+    # scipy.interpolate, still run from a cold start; and no command loads
+    # scipy.integrate
     numpy_only = [
         ["surface", "list"],
         ["--surface", "vee", "geodesic", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t-end", "0.3"],
@@ -433,10 +435,21 @@ def test_cli_loads_scipy_only_where_used(tmp_path):
         "    no_scipy()\n"
     )
     run_fresh(code, cwd=tmp_path, timeout=120, stdout=subprocess.DEVNULL)
-    argv = ["--surface", "vee", "minimality", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t-end", "0.3",
-            "--resolution", "32"]
-    run_fresh(f"import sys\nfrom geoflow.cli import main\nsys.exit(main({argv!r}))\n",
-              cwd=tmp_path, timeout=120, stdout=subprocess.DEVNULL)
+    scipy_users = [
+        ["--surface", "vee", "minimality", "--x0", "-0.1,0.05", "--y0", "1,0.3", "--t-end", "0.3",
+         "--resolution", "32"],
+        ["--surface", "vee", "smooth-converge", "--scales", "0.2,0.1", "--probes", "2"],
+        ["--seed", "0", "report", "--suites", "surface,flow,jacobi,minimality,regularity"],
+    ]
+    code = (
+        "import sys\n"
+        "from geoflow.cli import main\n"
+        f"for argv in {scipy_users!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.integrate'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    run_fresh(code, cwd=tmp_path, timeout=120, stdout=subprocess.DEVNULL)
 
 
 def test_smooth_converge_peak_rss(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -351,76 +350,9 @@ def test_osgood_gamma_power_form():
         assert gamma(d) == pytest.approx(2.0 * math.sqrt(d), rel=1e-14)
 
 
-def test_osgood_integral_zero_l():
-    holds, margin = reg.osgood_integral_check(
-        np.linspace(0, 1, 5), np.zeros(5), 0.0, lambda d: d
-    )
-    assert holds
-
-
-def test_osgood_integral_equality_case():
-    # L(t) = a e^{C (t - t0)}, mu(s) = C s makes the inequality an identity
-    c, a = 2.0, 0.1
-    times = np.linspace(0.0, 1.0, 9)
-    l_values = a * np.exp(c * times)
-    holds, margin = reg.osgood_integral_check(
-        times, l_values, a, lambda d: c * d
-    )
-    assert holds
-    assert abs(margin) <= 1e-6
-
-
-def test_osgood_integral_measured_chain(c21_cubic):
-    # deviations of the joint state between two nearby base points stay
-    # below the exponential envelope certified by the integral inequality
-    gaps, coeff_dev, state_dev, c_tilde, c_bar = reg._modulus_probes(
-        c21_cubic, 0.3, 4, [1e-3, 1e-2], seed=3
-    )
-    a_vals = c_tilde * 0.3 * coeff_dev
-    for a, dev in zip(a_vals, state_dev):
-        holds, margin = reg.osgood_integral_check(
-            [0.0, 0.3], [0.0, dev], float(a), lambda d: c_bar * d
-        )
-        assert holds, (a, dev, margin)
-
-
 def test_empirical_modulus_constant_map():
     mu = reg.empirical_modulus([(d, 0.0) for d in np.linspace(1e-4, 1, 20)])
     assert mu(0.5) == 0.0
-
-
-def test_osgood_integral_with_empirical_modulus():
-    gaps = np.logspace(-4, 0, 150)
-    mu = reg.empirical_modulus(zip(gaps, 2.0 * gaps))
-    times = np.linspace(0.0, 0.5, 4)
-    l_values = 0.05 * np.exp(0.5 * times)  # well below the mu-envelope
-    holds, margin = reg.osgood_integral_check(times, l_values, 0.05, mu)
-    assert holds and margin >= 0.0
-
-
-def test_osgood_divergence_probe_is_quiet():
-    # an empirical modulus is 0 left of its first sample, so 1/mu is not
-    # integrable at 0: the outcome the a = 0 probe looks for, so no warning
-    # may escape
-    gaps = np.logspace(-5, -1, 50)
-    mu = reg.empirical_modulus(zip(gaps, 2.0 * np.abs(np.sin(3.0 * gaps))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert reg.osgood_integral_check([0.0, 0.5], [0.0, 0.0], 0.0, mu) == (True, 1e-12)
-        holds, margin = reg.osgood_integral_check([0.0, 0.5], [0.0, 1e-3], 0.0, mu)
-    assert not holds and margin < 0.0
-
-
-@pytest.mark.parametrize("mu", [
-    reg.empirical_modulus(zip(np.logspace(-3, -1, 20), np.logspace(-3, -1, 20))),
-    lambda d: max(d - 1e-4, 0.0),
-], ids=["empirical", "callable"])
-def test_osgood_modulus_vanishing_near_zero_diverges(mu):
-    # mu = 0 on [0, 1e-4] or further: divergent at a = 0, so only L == 0
-    # holds, and the margin is the floor minus |L|, not a 1/1e-300 artefact
-    assert reg.osgood_integral_check([0.0, 0.5], [0.0, 0.0], 0.0, mu) == (True, 1e-12)
-    holds, margin = reg.osgood_integral_check([0.0, 0.5], [0.0, 1e-3], 0.0, mu)
-    assert not holds and margin == pytest.approx(1e-12 - 1e-3, rel=1e-12)
 
 
 def test_empirical_modulus_identity_map():
@@ -481,9 +413,9 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.holder_modulus_check(PAIRS, NAN, 1.0),
     lambda: reg.holder_modulus_check(PAIRS, 0.5, NAN),
     lambda: reg.holder_modulus_check(PAIRS, 0.5, -1.0),
-    lambda: reg.osgood_integral_check([], [], 0.0, LINEAR),
-    lambda: reg.osgood_integral_check([0.0, 0.5], [0.0], 0.1, LINEAR),
-    lambda: reg.osgood_integral_check([0.0, NAN], [0.0, 0.1], 0.1, LINEAR),
+    lambda: reg.osgood_gamma(LINEAR, 1.0, 1.0, 0.0),
+    lambda: reg.holder_modulus_check(PAIRS, 1.5, 1.0),
+    lambda: reg.gronwall_bound(1.0, 1.0, [0.1, -0.1]),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((0, 4))),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((3, 5))),
     lambda: reg.coefficient_bound_along(make_surface("vee"), [[0.0, 0.0, NAN, 1.0]]),
