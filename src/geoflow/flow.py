@@ -154,14 +154,15 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     return TangentVector(x, y)
 
 
-def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
+def integrate_batch(surface, u0, t_end, tol=None, rhs=None):
     """Integrate one state (d,) or a batch of rows (B, d), whose first 2m
     entries are the phase (x, y), under the surface's integration policy;
     rhs defaults to the geodesic right-hand side, t_end is one time or one
-    per row. Returns the IntegrationResult with per-row status (see
-    integrate.integrate_adaptive); apply require_completed where every row
-    must complete. Raises InvalidInput for a u0 whose rows are not phases
-    (x, y) when rhs is None.
+    per row, and a row's final_state is its state at its end time (the one
+    way to read a run at chosen times). Returns the IntegrationResult with
+    per-row status (see integrate.integrate_adaptive); apply
+    require_completed where every row must complete. Raises InvalidInput
+    for a u0 whose rows are not phases (x, y) when rhs is None.
     """
     m, crease = surface.dim, surface.crease
     if rhs is None and require_array(u0, "initial state").shape[-1:] != (2 * m,):
@@ -169,7 +170,7 @@ def integrate_batch(surface, u0, t_end, tol=None, checkpoints=None, rhs=None):
     return integrate.integrate_adaptive(
         make_geodesic_rhs(surface) if rhs is None else rhs, u0, t_end,
         *tolerances(surface, tol), inside=state_inside(surface),
-        crease=None if crease is None else lambda u: crease(u[..., :m]), checkpoints=checkpoints,
+        crease=None if crease is None else lambda u: crease(u[..., :m]),
         tableau=integrate.DP5 if isinstance(surface, GridSurface) else integrate.DOP853,
     )
 

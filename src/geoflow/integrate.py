@@ -273,7 +273,7 @@ def end_times(t_end, n_rows=1) -> np.ndarray:
 
 
 def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, crease=None,
-                       checkpoints=None, tableau=DOP853):
+                       tableau=DOP853):
     """Integrate u' = f(u) from t=0 with adaptive steps of a pair, DOP853 or DP5.
 
     u0 is one state (d,) or a batch of rows (B, d); f, inside and crease
@@ -282,6 +282,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     is the largest per-row RMS error. t_end is one end time or one per row,
     checked by end_times; a row whose end time is 0 is retired before f is
     first evaluated, so t_end = 0 returns the start as the only sample.
+    Step targets are the rows' end times and located crease crossings, and
+    nothing else: to read a run at chosen times, give each time its own row.
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
     An accepted step that changes the sign of any row's crease switch is
@@ -293,9 +295,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     before the cut. A step where f raises OutOfChart or returns a
     non-finite stage, a dense-output one too, is rejected and retried at
     a fifth of its length; a non-finite f at the start fails the run.
-    n_rhs counts every call of f. checkpoints: optional increasing times
-    the stepper must land on exactly (sample times end up in the returned
-    arrays).
+    n_rhs counts every call of f.
     """
     u0 = require_array(u0, "initial state")
     rtol, atol = require_real(rtol, "rtol", above=0), require_real(atol, "atol", above=0)
@@ -316,9 +316,6 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = n_cuts = 0
     h_min = 1e-14 * max(1.0, np.max(ends))
-    cps = require_array([] if checkpoints is None else checkpoints, "checkpoints")
-    cps = np.unique(cps[(cps > 1e-15) & (cps < np.max(ends) - 1e-15)])
-    cp_idx = 0
     crossings = []  # (time, row) of located crease crossings still ahead, ascending
 
     def result(failed=False):
@@ -350,8 +347,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
             if not len(rows):
                 return result()
             next_due, next_end = np.min(due[rows]), np.min(ends[rows])
-        target = next_end if cp_idx == len(cps) else min(next_end, cps[cp_idx])
-        h = max(min(h, target - t), h_min)
+        h = max(min(h, next_end - t), h_min)
         # A step that the locator set ends at its crossing and is not cut again.
         located = bool(crossings) and crossings[0][0] <= t + h
         h_step = max(crossings[0][0] - t, h_min) if located else h
@@ -415,8 +411,6 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 current = u
             times.append(t)
             states.append(current)
-            if cp_idx < len(cps) and t >= cps[cp_idx] - 1e-13:
-                cp_idx += 1
             if located:
                 crossings = [(c, r) for c, r in crossings if c > max(reached, t)]
             else:

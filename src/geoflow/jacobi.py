@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfDomain, require_array, require_count, require_real, require_sequence
+from .errors import InvalidInput, require_array, require_count, require_real, require_sequence
 from .flow import TangentVector, check_request, integrate_batch, require_completed
 from .integrate import IntegrationResult
 from .surface import local_geometry
@@ -96,11 +96,11 @@ def coefficient_matrix(surface, x, y) -> np.ndarray:
     return du[..., 2 * m:].reshape(x.shape[:-1] + (2 * m, 2 * m))
 
 
-def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
+def propagate_block(surface, v, jk0, t_end, tol):
     """Integrate the joint system from the (2, m, n_cols) initial block jk0,
     or from a JacobiState as its (2, m, 1) block, along the geodesic of v,
     or, for a list v, along each of its geodesics as the rows of one batch;
-    t_end is one time or one per row.
+    t_end is one time or one per row, each row's final_state its state there.
 
     Validates every v with check_request and the block; the integrator
     checks t_end. Returns the IntegrationResult, whose states hold
@@ -115,7 +115,7 @@ def propagate_block(surface, v, jk0, t_end, tol, checkpoints=None):
     single = isinstance(v, TangentVector)
     vs = [v] if single else require_sequence(v, "tangent vectors", 1)
     u0 = np.array([np.concatenate([*check_request(surface, w)[:2], jk0.ravel()]) for w in vs])
-    return integrate_batch(surface, u0[0] if single else u0, t_end, tol, checkpoints,
+    return integrate_batch(surface, u0[0] if single else u0, t_end, tol,
                            rhs=_make_joint_rhs(surface, jk0.shape[-1]))
 
 
@@ -201,11 +201,11 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     * d/ds of the ambient velocity, where the t-derivative comes directly
       from the integrated state (no t-differencing);
     * d/dt of the ambient s-difference quotient, differenced across nearby
-      sample times.
+      stencil times.
 
-    Both use the same pair of trajectories s = +-eps, integrated as one
-    batch to t_end. Returns the max norm difference over the n_samples
-    sample times.
+    Both use the same pair of trajectories s = +-eps, each run as one row
+    per sample and stencil time that ends there, all rows one batch.
+    Returns the max norm difference over the n_samples sample times.
     """
     eps, t_end, n_samples, dt = 1e-4, 0.4, 5, 0.01
     m = surface.dim
@@ -216,22 +216,12 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
     t_samples = np.linspace(t_max / n_samples, t_max, n_samples)
     stencil = np.array([-2.0, -1.0, 1.0, 2.0]) * dt
     t_weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dt)
-    checkpoints = np.unique(
-        np.concatenate([t_samples, (t_samples[:, None] + stencil).ravel()])
-    )
-    checkpoints = checkpoints[(checkpoints > 0) & (checkpoints < t_end - 1e-12)]
-
-    ics = np.array(
-        [np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])]
-    )
-    res = require_completed(integrate_batch(surface, ics, t_end, _FD_TOL, checkpoints),
-                            "mixed-partials pair")
-
-    def states_at(t_req):
-        idx = np.searchsorted(res.times, t_req - 1e-12)
-        if idx >= len(res.times) or abs(res.times[idx] - t_req) > 1e-9:
-            raise OutOfDomain(f"sample time {t_req} not on the trajectory")
-        return res.states[idx]
+    # row (side, k, 0) ends at t_samples[k], row (side, k, 1 + j) at t_samples[k] + stencil[j]
+    times = np.column_stack([t_samples, t_samples[:, None] + stencil]).ravel()
+    pair = np.array([np.concatenate([x0, y0 + eps * w]), np.concatenate([x0, y0 - eps * w])])
+    res = require_completed(integrate_batch(surface, np.repeat(pair, len(times), axis=0),
+                                            np.tile(times, 2), _FD_TOL), "mixed-partials pair")
+    ends = res.final_state.reshape(2, n_samples, 1 + len(stencil), 2 * m)
 
     def ambient_velocity(state_row):
         x, y = state_row[:m], state_row[m:]
@@ -242,13 +232,10 @@ def mixed_partials_residual(surface, v: TangentVector, w: np.ndarray) -> float:
         return surface.embed_batch(state_row[:m])
 
     worst = 0.0
-    for t_k in t_samples:
-        pair = states_at(t_k)
-        est_a = (ambient_velocity(pair[0]) - ambient_velocity(pair[1])) / (2 * eps)
-        j_amb = []
-        for o in stencil:
-            p = states_at(t_k + o)
-            j_amb.append((ambient_pos(p[0]) - ambient_pos(p[1])) / (2 * eps))
+    for k in range(n_samples):
+        plus, minus = ends[0, k], ends[1, k]
+        est_a = (ambient_velocity(plus[0]) - ambient_velocity(minus[0])) / (2 * eps)
+        j_amb = [(ambient_pos(p) - ambient_pos(q)) / (2 * eps) for p, q in zip(plus[1:], minus[1:])]
         est_b = t_weights @ np.array(j_amb)
         worst = max(worst, float(np.max(np.abs(est_a - est_b))))
     return worst

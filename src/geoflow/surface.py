@@ -503,8 +503,9 @@ class GridSurface(GraphSurface):
         h = require_array(h_samples, "height samples", finite=True)
         if h.ndim == 2:
             h = h[..., None]
-        if x_axis.size < 13 or y_axis.size < 13:
-            raise InvalidInput("need at least 13 samples per axis")
+        if x_axis.ndim != 1 or y_axis.ndim != 1 or x_axis.size < 13 or y_axis.size < 13:
+            raise InvalidInput(f"need 1-d axes of at least 13 samples, got shapes "
+                               f"{x_axis.shape} and {y_axis.shape}")
         dx = x_axis[1] - x_axis[0]
         dy = y_axis[1] - y_axis[0]
 

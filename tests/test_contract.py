@@ -216,8 +216,6 @@ ROWS = {
         Case("string v", lambda: jacobi.propagate_block(FLAT, "a", jacobi.basis_block(2), 0.3, None)),
         Case("end times per row",
              lambda: jacobi.propagate_block(FLAT, [V, V], jacobi.basis_block(2), [0.1, 0.2, 0.3], None)),
-        Case("string checkpoints",
-             lambda: jacobi.propagate_block(FLAT, V, jacobi.basis_block(2), 0.3, None, "a")),
         Case("outside", lambda: jacobi.propagate_block(FLAT, [V, OUTSIDE], jacobi.basis_block(2), 0.3, None)),
     ],
     "jacobi.propagate_jacobi": [
@@ -287,6 +285,7 @@ ROWS = {
         Case("string", lambda: regularity.dominance("ab", LINEAR)),
         Case("nan", lambda: regularity.dominance([(0.1, NAN), (0.5, 0.3)], LINEAR)),
         Case("empty", lambda: regularity.dominance([], LINEAR)),
+        Case("nan limit", lambda: regularity.dominance(PAIRS, lambda d: NAN * d)),
     ],
     "regularity.gronwall_bound": [
         Case("string c_bar", lambda: regularity.gronwall_bound("a", 1, 0.1), was="TypeError"),
@@ -357,6 +356,10 @@ ROWS = {
         Case("string t", lambda: regularity.flow_convergence_report(SEQ, [("a", V)])),
         Case("nan t", lambda: regularity.flow_convergence_report(SEQ, [(NAN, V)])),
         Case("string v", lambda: regularity.flow_convergence_report(SEQ, [(0.1, "ab")])),
+        Case("probe not a pair", lambda: regularity.flow_convergence_report(SEQ, [(0.1,)]),
+             was="ValueError"),
+        Case("probe of three", lambda: regularity.flow_convergence_report(SEQ, [(0.1, V, 0.2)]),
+             was="ValueError"),
         Case("outside", lambda: regularity.flow_convergence_report(SEQ, [(0.1, OUTSIDE)])),
     ],
     "regularity.convergence_probes": [
@@ -540,6 +543,8 @@ ROWS = {
             "g", np.linspace(0, 1, 12), np.linspace(0, 1, 12), np.zeros((12, 12)))),
         Case("from samples: nan", lambda: surface.GridSurface.from_samples(
             "g", np.linspace(0, 1, 13), np.linspace(0, 1, 13), np.full((13, 13), NAN))),
+        Case("from samples: 2-d axis", lambda: surface.GridSurface.from_samples(
+            "g", np.zeros((13, 2)), np.linspace(0, 1, 13), np.zeros((13, 13))), was="ValueError"),
     ],
     # -- catalog -------------------------------------------------------------
     "catalog.make_surface": [
@@ -584,8 +589,6 @@ ROWS = {
         Case("nan t", lambda: integrate.integrate_adaptive(np.negative, [1.0], NAN)),
         Case("string rtol", lambda: integrate.integrate_adaptive(np.negative, [1.0], 1.0, "a")),
         Case("negative atol", lambda: integrate.integrate_adaptive(np.negative, [1.0], 1.0, 1e-8, -1e-10)),
-        Case("string checkpoints", lambda: integrate.integrate_adaptive(
-            np.negative, [1.0], 1.0, checkpoints=["a"])),
         Case("nan state: fails its run", lambda: integrate.integrate_adaptive(np.negative, [NAN], 1.0),
              expect=lambda r: r.status == integrate.STEP_FAILURE),
     ],
@@ -630,7 +633,7 @@ def test_every_public_name_has_a_row():
 
 
 def test_formerly_raw_calls_keep_their_rows():
-    # the 17 calls that raised a raw Python or numpy error are all still in the table
+    # the 20 calls that raised a raw Python or numpy error are all still in the table
     was = [case.was for _, case in CASES if case.was]
-    assert len(was) == 17
+    assert len(was) == 20
     assert set(was) == {"TypeError", "ValueError", "DTypePromotionError"}

@@ -11,6 +11,7 @@ derivative defeats the step-size control unless the step ends at the crossing.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +121,18 @@ def test_flow_differential_cocycle(surfaces, name, v, s, t):
     second = flow_differential(surf, s, first.end, tol=1e-11)
     whole = flow_differential(surf, s + t, v, tol=1e-11)
     np.testing.assert_allclose(whole.matrix, second.matrix @ first.matrix, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["hemisphere", "trough", "c2alpha", "vee"])
+@PROPERTY
+@given(tangents(), st.lists(st.floats(0.05, 0.3), min_size=2, max_size=6))
+def test_row_end_times_sample_the_run(surfaces, name, v, ends):
+    # one start repeated once per end time: each row's end state is the longest
+    # row's sample at that time, bit for bit, across crease cuts on c2alpha and vee
+    ends = sorted(ends)
+    res = integrate_batch(surfaces[name], np.tile(v.as_state(), (len(ends), 1)), ends)
+    assert res.row_status == ["Completed"] * len(ends)
+    for end, t in zip(res.final_state, ends):
+        k = np.searchsorted(res.times, t * (1 - 1e-14))
+        assert abs(res.times[k] - t) <= 1e-14 * t
+        assert np.array_equal(end, res.states[k, -1])
