@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one rule for each kind
 of public argument: a count, a real scalar, an array of numbers and a
-sequence. Each rule raises InvalidInput; no other module tests an argument's
-type, finiteness or range by hand."""
+sequence. Each rule raises InvalidInput; no other module tests such an
+argument's type, finiteness or range by hand."""
 
 import operator
 import reprlib

@@ -130,10 +130,13 @@ def random_tangent(surface, rng, shrink, box=None) -> TangentVector:
     central part of a box (default: the chart box), scaled by shrink.
 
     Draws the base point (redrawn until it is a chart point), then a normal
-    direction, from rng in that order. Raises InvalidInput for a non-finite
-    shrink or a box that is not (lo, hi) of dim entries each, and OutOfDomain
-    when _MAX_BASE_DRAWS base points all miss the chart.
+    direction, from rng in that order. Raises InvalidInput for an rng that
+    is not a numpy Generator, a non-finite shrink or a box that is not
+    (lo, hi) of dim entries each, and OutOfDomain when _MAX_BASE_DRAWS base
+    points all miss the chart.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInput(f"rng must be a numpy.random.Generator, got {rng!r}")
     shrink = require_real(shrink, "shrink")
     box = (surface.domain_lo, surface.domain_hi) if box is None else require_array(box, "box")
     if np.shape(box) != (2, surface.dim):

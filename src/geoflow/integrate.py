@@ -22,7 +22,7 @@ such a point (Gear & Osterby, ACM TOMS 10, 1984), so an accepted step that
 changes the sign of any row's switch is cut and retaken to end just past
 the first located crossing, with the later ones queued as step targets.
 A step that would have to shrink below the smallest step ends the run with
-``StepFailure``. The fixed-step driver stops at its last step inside.
+``StepFailure``. The fixed-step RK4 driver shares the stage routine and statuses.
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ _DOP853_P = np.array([
 ])
 DOP853 = Tableau([np.array(row) for row in _DOP853_A], _DOP853_B, _DOP853_E5, _DOP853_E3,
                  _DOP853_P, 8, 0.0)
+
+_RK4_A = [np.array([]), np.array([0.5]), np.array([0.0, 0.5]), np.array([0.0, 0.0, 1.0])]
 
 
 @dataclass
@@ -429,30 +431,27 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
-    """Fixed-step RK4 from t=0 to t_end, checked by end_times, in steps of
-    at most step; t_end = 0 returns the start as the only sample. A step
-    that fails or lands outside ends the run with status LeftChart at the
-    last step inside."""
-    t_end, step = float(end_times(t_end)[0]), require_real(step, "step", above=0)
-    f = _Counted(f)
-    u = require_array(u0, "initial state").copy()
+    """Classical RK4 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1) from
+    t=0 to t_end, checked by end_times, in equal steps of at most step, which
+    must be >= t_end / _MAX_STEPS; t_end = 0 returns the start. As in the
+    adaptive loop, a run ends at its last step inside: StepFailure where a
+    step's stages fail or its state is not finite, LeftChart where it lands outside."""
+    t_end = float(end_times(t_end)[0])
+    step = require_real(step, "step", above=0, at_least=t_end / _MAX_STEPS)
+    f, u = _Counted(f), require_array(u0, "initial state")
     n = int(np.ceil(t_end / step))
     h = t_end / max(n, 1)
-    t, times, states, status = 0.0, [0.0], [u.copy()], COMPLETED
+    times, states, status = [0.0], [u], COMPLETED
+    k1, k2, k3, k4 = stages = np.empty((4,) + u.shape)  # filled in place by each step
     for _ in range(n):
-        try:
-            k1 = f(u)
-            k2 = f(u + 0.5 * h * k1)
-            k3 = f(u + 0.5 * h * k2)
-            k4 = f(u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (OutOfChart, FloatingPointError):
-            u = None
-        if u is None or not np.all(np.isfinite(u)) or (inside is not None and not inside(u)):
-            status = LEFT_CHART
+        with np.errstate(all="ignore"):
+            ok = _fill_stages(f, _RK4_A, states[-1], h, stages, 0, 4)
+            u = states[-1] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        status = STEP_FAILURE if not ok or not np.isfinite(u).all() else \
+            LEFT_CHART if inside is not None and not inside(u) else COMPLETED
+        if status != COMPLETED:
             break
-        t += h
-        times.append(t)
+        times.append(times[-1] + h)
         states.append(u)
     return IntegrationResult(np.array(times), np.array(states), [status], len(times) - 1, 0,
                              n_rhs=f.calls)

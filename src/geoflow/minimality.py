@@ -58,14 +58,9 @@ class MeshGeodesicOracle:
         return cells[inside], np.where(inside, np.cumsum(inside).reshape(inside.shape) - 1, -1)
 
     @cached_property
-    def index(self) -> np.ndarray:
-        """Whole grid of positions in `vertices`, -1 outside the chart."""
-        return self.box((0,) * len(self.shape), self.shape)[1]
-
-    @cached_property
     def vertices(self) -> np.ndarray:
         """(V, m) chart points of the vertices, in id order."""
-        return self.points(np.argwhere(self.index >= 0))
+        return self.points(self.box((0,) * len(self.shape), self.shape)[0])
 
     @cached_property
     def graph(self):

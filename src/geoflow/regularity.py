@@ -94,6 +94,8 @@ def dominance(samples, limit) -> dict:
     mu = empirical_modulus(samples)
     edges, values = mu.edges[mu.populated], mu.values[mu.populated]
     limits = require_array(limit(edges), "modulus limit", finite=True)
+    if limits.ndim > 1 or limits.size not in (1, len(edges)):
+        raise InvalidInput(f"modulus limit must give one value per edge, got shape {limits.shape}")
     margins = limits - values
     return {"edges": edges, "values": values, "limits": limits, "margins": margins,
             "holds": bool(np.all(margins >= -1e-12))}
@@ -486,17 +488,17 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     }
 
 
-def _modulus_probes(surface, t1, n_centers, deltas, seed):
+def _modulus_probes(surface, t1, n_centers, seed):
     """Trajectories of the joint system from paired base points.
 
-    Each center is a random unit tangent (x0, y); for each gap delta the
-    partner starts at x0 + delta * (random unit vector) with y rescaled to
-    unit speed there, both with the same Jacobi initial value. All centers
-    and partners integrate as one batch, and every sup is taken over the
-    run's own samples in t, as in measure_gronwall_margin. Returns per-pair
-    gaps, coefficient deviations (sup over the samples), final-state
-    deviations, and the measured constants c_tilde (solution sup) and c_bar
-    (coefficient sup).
+    Each center is a random unit tangent (x0, y); for each gap delta of
+    _MODULUS_GAPS the partner starts at x0 + delta * (random unit vector)
+    with y rescaled to unit speed there, both with the same Jacobi initial
+    value. All centers and partners integrate as one batch, and every sup is
+    taken over the run's own samples in t, as in measure_gronwall_margin.
+    Returns per-pair gaps, coefficient deviations (sup over the samples),
+    final-state deviations, and the measured constants c_tilde (solution
+    sup) and c_bar (coefficient sup).
     """
     require_count(n_centers, 1, "n_centers")
     require_count(seed, 0, "seed")
@@ -510,7 +512,7 @@ def _modulus_probes(surface, t1, n_centers, deltas, seed):
         v = random_tangent(surface, rng, 0.5)
         center = len(vs)
         vs.append(v)
-        for delta in deltas:
+        for delta in _MODULUS_GAPS:
             d = rng.normal(size=m)
             d *= delta / np.linalg.norm(d)
             x1 = v.x + d
@@ -538,9 +540,7 @@ def osgood_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
     Gamma is built from the same probe set: inner modulus = binned coefficient
     deviations, constants measured along the probe trajectories.
     """
-    gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
-        surface, t1, n_centers, _MODULUS_GAPS, seed
-    )
+    gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(surface, t1, n_centers, seed)
     gamma = osgood_gamma(empirical_modulus(zip(gaps, coeff_dev)), c_tilde, c_bar, t1)
     return {"t1": t1, "c_tilde": c_tilde, "c_bar": c_bar, "gamma": gamma,
             **dominance(zip(gaps, state_dev), gamma)}
@@ -553,9 +553,7 @@ def holder_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
     if surface.regularity.tag != "C2alpha":
         raise InvalidInput(f"need a C2alpha surface, got {surface.name!r} of class {surface.regularity}")
     alpha = surface.regularity.alpha
-    gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(
-        surface, t1, n_centers, _MODULUS_GAPS, seed
-    )
+    gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(surface, t1, n_centers, seed)
     c_r = float(np.max(coeff_dev / gaps ** alpha))
     c_bound = c_tilde * t1 * np.exp(c_bar * t1) * c_r
     holds, rep = holder_modulus_check(zip(gaps, state_dev), alpha, c_bound)

@@ -124,6 +124,9 @@ class GraphSurface:
         if any(c.shape != (self.dim,) for c in (self.domain_lo, self.domain_hi)) \
                 or not np.all(self.domain_lo < self.domain_hi):
             raise InvalidInput(f"chart box corners must be {self.dim}-vectors with lo < hi")
+        if not isinstance(regularity, Regularity) or not isinstance(bounds, (SurfaceBounds, type(None))):
+            raise InvalidInput(f"regularity must be a Regularity and bounds a SurfaceBounds or None, "
+                               f"got {regularity!r} and {bounds!r}")
         self.height = height
         self.derivatives = derivatives
         self.regularity = regularity

@@ -9,8 +9,10 @@ arguments come only from checked ones, are listed in UNCHECKED instead, each
 with the checked function that feeds it.
 
 The table varies the numeric and array arguments, the tangent vectors and
-the sequences. Surfaces, oracles, trajectories, smoothing sequences,
-generators and callables are always the library's own well-formed ones.
+the sequences; its rng rows pass a generator, and two GraphSurface rows a
+regularity or bounds, of the wrong type. Otherwise surfaces, oracles,
+trajectories, smoothing sequences, generators and callables are always the
+library's own well-formed ones.
 Geometry kernels (the right-hand-side building blocks) do not check their
 arguments; their rows document that NaN in gives non-finite out, never a
 finite number.
@@ -145,6 +147,8 @@ ROWS = {
         Case("shape box", lambda: flow.random_tangent(FLAT, rng(), 0.5, box=[0.0, 1.0])),
         Case("empty box", lambda: flow.random_tangent(FLAT, rng(), 0.5, box=[])),
         Case("box outside", lambda: flow.random_tangent(FLAT, rng(), 0.5, box=[[5.0, 5.0], [6.0, 6.0]])),
+        Case("None rng", lambda: flow.random_tangent(FLAT, None, 0.5), was="AttributeError"),
+        Case("legacy RandomState rng", lambda: flow.random_tangent(FLAT, np.random.RandomState(0), 0.5)),
     ],
     "flow.integrate_batch": [
         Case("string state", lambda: flow.integrate_batch(FLAT, "a", 0.3)),
@@ -286,6 +290,11 @@ ROWS = {
         Case("nan", lambda: regularity.dominance([(0.1, NAN), (0.5, 0.3)], LINEAR)),
         Case("empty", lambda: regularity.dominance([], LINEAR)),
         Case("nan limit", lambda: regularity.dominance(PAIRS, lambda d: NAN * d)),
+        Case("limit of three values", lambda: regularity.dominance(PAIRS, lambda d: np.array([1.0, 2.0, 3.0])),
+             was="ValueError"),
+        Case("limit of shape (2, 1)", lambda: regularity.dominance(PAIRS, lambda d: d[:, None])),
+        Case("constant limit: one value for every edge", lambda: regularity.dominance(PAIRS, lambda d: 1.0),
+             expect=lambda r: r["holds"] and np.array_equal(r["margins"], 1.0 - r["values"])),
     ],
     "regularity.gronwall_bound": [
         Case("string c_bar", lambda: regularity.gronwall_bound("a", 1, 0.1), was="TypeError"),
@@ -368,6 +377,7 @@ ROWS = {
         Case("non-integer", lambda: regularity.convergence_probes(SEQ, 2.5, rng())),
         Case("bool", lambda: regularity.convergence_probes(SEQ, True, rng())),
         Case("string", lambda: regularity.convergence_probes(SEQ, "a", rng())),
+        Case("None rng", lambda: regularity.convergence_probes(SEQ, 2, None), was="AttributeError"),
     ],
     "regularity.coefficient_bound_along": [
         Case("string", lambda: regularity.coefficient_bound_along(FLAT, [["a", 0, 0, 0]]), was="ValueError"),
@@ -454,6 +464,7 @@ ROWS = {
         Case("string", lambda: minimality.short_geodesic(FLAT, rng(), "a")),
         Case("nan", lambda: minimality.short_geodesic(FLAT, rng(), NAN)),
         Case("negative", lambda: minimality.short_geodesic(FLAT, rng(), -0.5)),
+        Case("string rng", lambda: minimality.short_geodesic(FLAT, "a", 0.3), was="AttributeError"),
     ],
     # -- surface -------------------------------------------------------------
     "surface.Regularity": [
@@ -477,6 +488,11 @@ ROWS = {
             "b", 2.5, 1, [-1, -1], [1, 1], None, None, regularity=surface.Regularity("smooth"))),
         Case("zero codim", lambda: surface.GraphSurface(
             "b", 2, 0, [-1, -1], [1, 1], None, None, regularity=surface.Regularity("smooth"))),
+        Case("string regularity", lambda: surface.GraphSurface(
+            "b", 2, 1, [-1, -1], [1, 1], None, None, regularity="smooth")),
+        Case("tuple bounds", lambda: surface.GraphSurface(
+            "b", 2, 1, [-1, -1], [1, 1], None, None, regularity=surface.Regularity("smooth"),
+            bounds=(1, 2, 3))),
         Case("string point", lambda: FLAT.require_inside("a")),
         Case("outside point", lambda: HEMI.require_inside([0.75, 0.75])),
         Case("nan vector", lambda: FLAT.require_vector([NAN, 0.0])),
@@ -598,8 +614,11 @@ ROWS = {
         Case("zero step", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], 1.0, 0.0)),
         Case("nan step", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], 1.0, NAN)),
         Case("negative t", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], -1.0, 0.1)),
+        Case("step below t_end / _MAX_STEPS", lambda: integrate.integrate_fixed_rk4(
+            np.negative, [1.0], 0.1, 1e-300)),
         Case("nan state: stops at the start", lambda: integrate.integrate_fixed_rk4(
-            np.negative, [NAN], 1.0, 0.1), expect=lambda r: r.status == integrate.LEFT_CHART),
+            np.negative, [NAN], 1.0, 0.1), expect=lambda r: r.status == integrate.STEP_FAILURE
+            and list(r.times) == [0.0]),
     ],
 }
 
@@ -633,7 +652,7 @@ def test_every_public_name_has_a_row():
 
 
 def test_formerly_raw_calls_keep_their_rows():
-    # the 20 calls that raised a raw Python or numpy error are all still in the table
+    # the 24 calls that raised a raw Python or numpy error are all still in the table
     was = [case.was for _, case in CASES if case.was]
-    assert len(was) == 20
-    assert set(was) == {"TypeError", "ValueError", "DTypePromotionError"}
+    assert len(was) == 24
+    assert set(was) == {"TypeError", "ValueError", "DTypePromotionError", "AttributeError"}

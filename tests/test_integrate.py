@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 
 import geoflow
 from geoflow import integrate
+from geoflow.errors import InvalidInput, OutOfChart
 from geoflow.flow import TangentVector, integrate_batch, make_geodesic_rhs, state_inside
 from geoflow.jacobi import fd_flow_differential, flow_differential
 
 from conftest import CATALOG_NAMES
+from exact_flow import exact_flow
 
 TABLEAUS = [(integrate.DP5, 5), (integrate.DOP853, 8)]
 
@@ -148,6 +151,63 @@ def test_rk4_n_rhs(hemisphere):
     res = integrate.integrate_fixed_rk4(make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0],
                                         0.5, 0.1, inside=state_inside(hemisphere))
     assert res.n_rhs == 4 * 5
+
+
+def _rhs_leaving_the_disk(u):
+    # f raises OutOfChart outside |u| < 1, as the hemisphere's derivatives do
+    if abs(u[0]) >= 1.0:
+        raise OutOfChart("outside")
+    return np.ones(1)
+
+
+@pytest.mark.parametrize("run, last_time", [
+    ((np.square, [1.0], 2.0, 0.01), 1.02),  # u' = u^2 from 1: the RK4 state overflows after t = 1.02
+    ((np.negative, [np.nan], 1.0, 0.1), 0.0),  # a NaN start
+    ((_rhs_leaving_the_disk, [0.0], 2.0, 0.25), 0.75),  # a stage outside f's domain
+], ids=["blow-up", "nan start", "stage raises OutOfChart"])
+def test_rk4_failed_step_ends_with_step_failure(run, last_time):
+    # as in the adaptive loop, a step whose stages fail or whose state is not
+    # finite ends the run at its last step, with no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate.integrate_fixed_rk4(*run)
+        assert integrate.integrate_adaptive(*run[:3]).status == integrate.STEP_FAILURE
+    assert res.status == integrate.STEP_FAILURE
+    assert res.final_time == pytest.approx(last_time, abs=1e-12)
+    assert np.isfinite(res.final_state).all() == (last_time > 0)
+
+
+def test_rk4_chart_exit_stops_at_the_last_step_inside(hemisphere):
+    # the great circle x = sin(t) (1, 0) leaves |x| <= 0.8 at t = 0.927
+    res = integrate.integrate_fixed_rk4(make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0],
+                                        3.0, 0.1, inside=state_inside(hemisphere))
+    assert res.status == integrate.LEFT_CHART
+    assert res.n_accepted == 9 and res.final_time == pytest.approx(0.9, abs=1e-12)
+    np.testing.assert_allclose(res.final_state[:2], [np.sin(0.9), 0.0], atol=1e-5)
+
+
+def test_rk4_step_below_the_step_bound_is_rejected():
+    calls = []
+
+    def counting(u):
+        calls.append(1)
+        return -u
+
+    with pytest.raises(InvalidInput):
+        integrate.integrate_fixed_rk4(counting, [1.0], 0.1, 1e-300)
+    with pytest.raises(InvalidInput):
+        integrate.integrate_fixed_rk4(counting, [1.0], 1.0, 0.99 / integrate._MAX_STEPS)
+    assert calls == []
+
+
+def test_rk4_is_fourth_order_on_the_exact_trough_flow(trough):
+    # each halving of the step divides the end-state error by about 2^4 = 16
+    v = TangentVector([0.1, -0.2], [0.8, 0.6])
+    exact = exact_flow("trough", 0.4, v).as_state()
+    rhs, inside = make_geodesic_rhs(trough), state_inside(trough)
+    errors = [np.max(np.abs(integrate.integrate_fixed_rk4(rhs, v.as_state(), 0.4, h, inside=inside).final_state
+                            - exact)) for h in (0.04, 0.02, 0.01, 0.005)]
+    assert all(12.0 <= a / b <= 20.0 for a, b in zip(errors, errors[1:])), errors
 
 
 # Summed RHS evaluations of the joint Jacobi runs and the finite-difference

@@ -1,5 +1,6 @@
 import copy
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -18,7 +19,7 @@ from geoflow.minimality import (
     short_geodesic,
 )
 from geoflow.regularity import injradius_lower_bound
-from geoflow.surface import GraphSurface, SurfaceBounds
+from geoflow.surface import GraphSurface, Regularity, SurfaceBounds
 
 from conftest import CATALOG_NAMES, random_chart_points
 
@@ -116,7 +117,7 @@ def test_cell_snap_matches_full_argmin(surfaces, name, resolution):
     if name == "hemisphere":  # within 0.02 of the rim |x| = 0.8
         a = rng.uniform(0.0, 2.0 * np.pi, 40)
         pts += list(((0.8 - rng.uniform(0.0, 0.02, 40)) * np.array([np.cos(a), np.sin(a)])).T)
-    ids = np.flatnonzero(full.index >= 0)
+    ids = np.ravel_multi_index(full.box((0, 0), full.shape)[0].T, full.shape)
     for p in pts:
         d = np.linalg.norm(full.vertices - p, axis=1)
         k = int(np.argmin(d))
@@ -202,9 +203,10 @@ def test_refinement_never_lengthens_much(hemisphere):
 
 def _full_search(oracle, p, q):
     """Length and hop count of the shortest path over the whole oracle.graph,
-    whose nodes are the vertex positions that oracle.index maps vertex ids to."""
+    whose nodes are the inside cells of the whole grid's box, in id order."""
     from scipy.sparse.csgraph import dijkstra
-    i, j = oracle.index.flat[oracle.snap(p)[0]], oracle.index.flat[oracle.snap(q)[0]]
+    index = oracle.box((0, 0), oracle.shape)[1]
+    i, j = index.flat[oracle.snap(p)[0]], index.flat[oracle.snap(q)[0]]
     dist, pred = dijkstra(oracle.graph, directed=False, indices=i, return_predecessors=True)
     hops, k = 0, j
     while k != i:
@@ -243,7 +245,7 @@ def test_short_query_searches_small_window(surfaces, name):
     oracle = build_mesh_oracle(surfaces[name], 256)
     i, j = oracle.snap([0.0, 0.0])[0], oracle.snap([0.2, 0.1])[0]
     lo, hi = search_box(oracle, i, j)
-    searched = int(np.sum(oracle.index[tuple(slice(a, b) for a, b in zip(lo, hi))] >= 0))
+    searched = len(oracle.box(lo, hi)[0])
     assert searched <= 0.1 * len(oracle.vertices)
 
 
@@ -289,7 +291,7 @@ def test_error_budget_needs_2dim_chart():
         return np.zeros(np.shape(X)[:-1] + (1,))
 
     flat3 = GraphSurface("flat3", 3, 1, [-1.0] * 3, [1.0] * 3, h, None,
-                         regularity=None, bounds=SurfaceBounds(0.0, 0.0, 0.0))
+                         regularity=Regularity("smooth"), bounds=SurfaceBounds(0.0, 0.0, 0.0))
     oracle = build_mesh_oracle(flat3, 8)
     assert shortest_path(oracle, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5])[1] > 0
     with pytest.raises(InvalidInput):
@@ -344,6 +346,14 @@ def test_branching_flat(flat):
 def test_branching_bad_step_sizes_rejected(flat, step_sizes):
     with pytest.raises(InvalidInput):
         branching_check(flat, TangentVector([0.0, 0.0], [1.0, 0.0]), 0.3, step_sizes, [])
+
+
+def test_branching_step_below_the_step_bound_rejected(vee):
+    # 0.3 / 1e-9 steps is over the integrator's step bound: rejected before a run starts
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInput):
+        branching_check(vee, TangentVector([-0.12, 0.0], [0.95, 0.31]), 0.3, [1e-9], [])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_branching_bad_perturbation_rejected(flat):

@@ -6,6 +6,8 @@ perfbench/workloads.py, such geodesics stay in every catalog chart even for
 the composed time s + t <= 0.4. Time reversal and speed conservation also
 draw c2alpha runs that cross its ridge x1 = 0, where the 0.5-Hoelder second
 derivative defeats the step-size control unless the step ends at the crossing.
+On the profile surfaces the flow and its differential are also checked
+against the exact ones of exact_flow, for times in [0.1, 0.4].
 """
 
 import math
@@ -26,6 +28,7 @@ from geoflow.flow import (
 from geoflow.jacobi import JacobiState, flow_differential, propagate_jacobi
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER
+from exact_flow import PROFILES, exact_differential, exact_flow
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 times = st.floats(0.05, 0.2)
@@ -136,3 +139,19 @@ def test_row_end_times_sample_the_run(surfaces, name, v, ends):
         k = np.searchsorted(res.times, t * (1 - 1e-14))
         assert abs(res.times[k] - t) <= 1e-14 * t
         assert np.array_equal(end, res.states[k, -1])
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+@PROPERTY
+@given(tangents(), st.floats(0.1, 0.4))
+def test_flow_matches_exact_profile_flow(surfaces, name, v, t):
+    exact = exact_flow(name, t, v).as_state()
+    assert np.max(np.abs(geodesic_flow(surfaces[name], t, v).as_state() - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+@PROPERTY
+@given(tangents(), st.floats(0.1, 0.4))
+def test_flow_differential_matches_exact_profile_flow(surfaces, name, v, t):
+    diff = flow_differential(surfaces[name], t, v).matrix - exact_differential(surfaces[name], t, v)
+    assert np.max(np.abs(diff)) <= 1e-8
