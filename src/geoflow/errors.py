@@ -23,7 +23,7 @@ class OutOfDomain(GeoflowError):
 
 
 class StepFailure(GeoflowError):
-    """The adaptive step controller could not meet the requested tolerance."""
+    """The adaptive step controller gave up, or a fixed RK4 step was not finite."""
 
 
 class DegeneratePlane(GeoflowError):

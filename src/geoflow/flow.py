@@ -72,9 +72,9 @@ def tolerances(surface, tol=None) -> tuple[float, float]:
 
 def require_completed(res, what):
     """Return res if every row reached its end time; raise StepFailure if
-    the step controller gave up and OutOfDomain if a row left the chart."""
+    a step failed and OutOfDomain if a row left the chart."""
     if res.status == integrate.STEP_FAILURE:
-        raise StepFailure(f"step controller failed during {what} at t={res.final_time:.6g}")
+        raise StepFailure(f"a step failed during {what} at t={res.final_time:.6g}")
     if res.status == integrate.LEFT_CHART:
         raise OutOfDomain(f"{what} left the chart at t={res.final_time:.6g}")
     return res

@@ -169,7 +169,7 @@ class IntegrationResult:
     states[k] holds every row's state at times[k], or its end state once
     the row has stopped. row_status gives each row's outcome; status sums
     them up: Completed when every row reached its end time, else
-    StepFailure if the step controller gave up, else LeftChart.
+    StepFailure if a step failed, else LeftChart.
     """
 
     times: np.ndarray          # (K,)
@@ -206,17 +206,17 @@ class _Counted:
 
 def _fill_stages(f, a, u, h, stages, first, stop):
     """Evaluate stages[first:stop] of a step of size h from the rows u in
-    place; False if f raises OutOfChart or one is non-finite. The stages
-    (s, n, d) are combined as one (s, n * d) matrix: for one row this is the
-    product of a single run, bit for bit. The floating-point warnings of
-    stages computed from a non-finite one are silenced."""
+    place, stage 0 as f(u); True if all are finite, None if f raises
+    OutOfChart, else False. The stages (s, n, d) are combined as one (s, n * d)
+    matrix: for one row this is the product of a single run, bit for bit. The
+    floating-point warnings of stages computed from a non-finite one are silenced."""
     flat = stages.reshape(len(stages), -1)
     try:
         with np.errstate(all="ignore"):
             for i in range(first, stop):
-                stages[i] = f(u + h * (a[i] @ flat[:i]).reshape(u.shape))
+                stages[i] = f(u + h * (a[i] @ flat[:i]).reshape(u.shape) if i else u)
     except OutOfChart:
-        return False
+        return None
     return bool(np.isfinite(flat[first:stop]).all())
 
 
@@ -431,11 +431,10 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
-    """Classical RK4 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1) from
-    t=0 to t_end, checked by end_times, in equal steps of at most step, which
-    must be >= t_end / _MAX_STEPS; t_end = 0 returns the start. As in the
-    adaptive loop, a run ends at its last step inside: StepFailure where a
-    step's stages fail or its state is not finite, LeftChart where it lands outside."""
+    """Classical RK4 from t=0 to t_end, checked by end_times, in equal steps of at
+    most step >= t_end / _MAX_STEPS; t_end = 0 returns the start. A run ends at
+    its last step inside: StepFailure where a stage or the state is not finite,
+    LeftChart where it lands outside or, given inside, f raises OutOfChart."""
     t_end = float(end_times(t_end)[0])
     step = require_real(step, "step", above=0, at_least=t_end / _MAX_STEPS)
     f, u = _Counted(f), require_array(u0, "initial state")
@@ -444,10 +443,11 @@ def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
     times, states, status = [0.0], [u], COMPLETED
     k1, k2, k3, k4 = stages = np.empty((4,) + u.shape)  # filled in place by each step
     for _ in range(n):
-        with np.errstate(all="ignore"):
-            ok = _fill_stages(f, _RK4_A, states[-1], h, stages, 0, 4)
+        ok = _fill_stages(f, _RK4_A, states[-1], h, stages, 0, 4)
+        with np.errstate(all="ignore"):  # an overflow shows as a state that is not finite
             u = states[-1] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        status = STEP_FAILURE if not ok or not np.isfinite(u).all() else \
+        status = (STEP_FAILURE if inside is None else LEFT_CHART) if ok is None else \
+            STEP_FAILURE if not ok or not np.isfinite(u).all() else \
             LEFT_CHART if inside is not None and not inside(u) else COMPLETED
         if status != COMPLETED:
             break

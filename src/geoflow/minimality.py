@@ -188,7 +188,9 @@ def branching_check(surface, v: TangentVector, t_end: float, step_sizes, perturb
     over the perturbation set.
     """
     u0 = np.concatenate(check_request(surface, v)[:2])
-    step_sizes = sorted((require_real(s, "a step size", above=0)
+    # the reference run at a quarter of the smallest step keeps to the integrator's step bound
+    least = 4.0 * float(integrate.end_times(t_end)[0]) / integrate._MAX_STEPS
+    step_sizes = sorted((require_real(s, "a step size", above=0, at_least=least)
                          for s in require_sequence(step_sizes, "step sizes", 1)), reverse=True)
     reference_step = step_sizes[-1] / 4.0
     runs = {}

@@ -455,6 +455,8 @@ ROWS = {
         Case("bool step size", lambda: minimality.branching_check(FLAT, V, 0.3, [True], [])),
         Case("nan step size", lambda: minimality.branching_check(FLAT, V, 0.3, [NAN], [])),
         Case("zero step size", lambda: minimality.branching_check(FLAT, V, 0.3, [0.0], [])),
+        Case("step size whose reference run is below the step bound",
+             lambda: minimality.branching_check(FLAT, V, 0.3, [1e-6], [])),
         Case("string perturbation", lambda: minimality.branching_check(FLAT, V, 0.3, [0.1], ["a"])),
         Case("string t_end", lambda: minimality.branching_check(FLAT, V, "a", [0.1], [])),
         Case("inf t_end", lambda: minimality.branching_check(FLAT, V, INF, [0.1], [])),

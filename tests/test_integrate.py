@@ -177,13 +177,34 @@ def test_rk4_failed_step_ends_with_step_failure(run, last_time):
     assert np.isfinite(res.final_state).all() == (last_time > 0)
 
 
-def test_rk4_chart_exit_stops_at_the_last_step_inside(hemisphere):
-    # the great circle x = sin(t) (1, 0) leaves |x| <= 0.8 at t = 0.927
-    res = integrate.integrate_fixed_rk4(make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0],
-                                        3.0, 0.1, inside=state_inside(hemisphere))
-    assert res.status == integrate.LEFT_CHART
-    assert res.n_accepted == 9 and res.final_time == pytest.approx(0.9, abs=1e-12)
-    np.testing.assert_allclose(res.final_state[:2], [np.sin(0.9), 0.0], atol=1e-5)
+@pytest.mark.parametrize("y0, t_end, step, n_steps, n_raised, atol", [
+    (1.0, 3.0, 0.1, 9, 0, 1e-5),      # the step to t = 1.0 lands outside
+    (3.0, 2.0, 0.3, 1, 1, 2e-3),      # the second step's last stage lies past the rim
+], ids=["step lands outside", "stage raises OutOfChart"])
+def test_rk4_chart_exit_stops_at_the_last_step_inside(hemisphere, y0, t_end, step, n_steps, n_raised,
+                                                      atol):
+    # the great circle x = sin(y0 t) (1, 0) leaves |x| <= 0.8 at y0 t = 0.927;
+    # given inside, a step with a stage where f raises OutOfChart has left the
+    # chart, as the adaptive loop finds by shrinking it; without inside it fails
+    rhs, raised = make_geodesic_rhs(hemisphere), []
+
+    def recording(u):
+        try:
+            return rhs(u)
+        except OutOfChart:
+            raised.append(u)
+            raise
+
+    run = (recording, [0.0, 0.0, y0, 0.0], t_end, step)
+    res = integrate.integrate_fixed_rk4(*run, inside=state_inside(hemisphere))
+    assert res.status == integrate.LEFT_CHART and len(raised) == n_raised
+    h = t_end / np.ceil(t_end / step)
+    assert res.n_accepted == n_steps and res.final_time == pytest.approx(n_steps * h, abs=1e-12)
+    np.testing.assert_allclose(res.final_state[:2], [np.sin(y0 * n_steps * h), 0.0], atol=atol)
+    assert integrate.integrate_adaptive(*run[:3], inside=state_inside(hemisphere)).status == \
+        integrate.LEFT_CHART
+    if n_raised:
+        assert integrate.integrate_fixed_rk4(*run).status == integrate.STEP_FAILURE
 
 
 def test_rk4_step_below_the_step_bound_is_rejected():

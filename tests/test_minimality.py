@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from geoflow.errors import InvalidInput, OutOfChart
+from geoflow.errors import InvalidInput, OutOfChart, OutOfDomain
 from geoflow.flow import TangentVector, integrate_geodesic
 from geoflow.minimality import (
     KING_ANISOTROPY,
@@ -354,6 +354,17 @@ def test_branching_step_below_the_step_bound_rejected(vee):
     with pytest.raises(InvalidInput):
         branching_check(vee, TangentVector([-0.12, 0.0], [0.95, 0.31]), 0.3, [1e-9], [])
     assert time.perf_counter() - t0 < 1.0
+    # 1e-6 is a legal integrator step at t = 0.3, its reference run's 2.5e-7 is not:
+    # the message names the caller's step
+    with pytest.raises(InvalidInput, match=r"step size .*>= 2\.4e-06, got 1e-06"):
+        branching_check(vee, TangentVector([-0.12, 0.0], [0.95, 0.31]), 0.3, [1e-6], [])
+
+
+def test_branching_coarse_step_leaving_the_chart(hemisphere):
+    # at step 2/7 the second step's last stage lies past the hemisphere's rim,
+    # where its derivatives raise OutOfChart: the run has left the chart
+    with pytest.raises(OutOfDomain, match="left the chart"):
+        branching_check(hemisphere, TangentVector([0.0, 0.0], [3.0, 0.0]), 2.0, [0.3], [])
 
 
 def test_branching_bad_perturbation_rejected(flat):
