@@ -77,7 +77,7 @@ def _hemisphere():
 
 
 def _ridge(X):
-    """Crease switch of a profile whose f'' is not smooth at x1 = 0."""
+    """Crease switch of a profile whose Gamma^1_11 = f'f''/(1 + f'^2) is not smooth at x1 = 0."""
     return np.asarray(X, dtype=float)[..., 0]
 
 
@@ -116,16 +116,20 @@ def _trough():
 
 
 def _c21_cubic():
+    # No crease: f'f'' = 18u^3, so Gamma^1_11 = 18u^3/(1 + 9u^4) is analytic
+    # across x1 = 0 (M = 0 on every profile), though f'' = 6|u| is not.
     return _profile_surface(
         "c21_cubic",
         lambda u: np.abs(u) ** 3,
         lambda u: 3.0 * u * np.abs(u),
         lambda u: 6.0 * np.abs(u),
-        Regularity("C2alpha", 1.0), 45.0 ** -0.25, crease=_ridge,  # u^4 = 1/45
+        Regularity("C2alpha", 1.0), 45.0 ** -0.25,  # u^4 = 1/45
     )
 
 
 def _c2alpha(alpha=0.5):
+    # Crease at x1 = 0: f'f'' = p^2 (p - 1) sign(u) |u|^(1 + 2 alpha), u|u| times
+    # 9.375 at alpha = 1/2, so Gamma^1_11 is only C^{1,1} there.
     regularity = Regularity("C2alpha", alpha)  # rejects alpha that is not a number in (0, 1] first
     a = float(alpha)
     p = 2.0 + a
@@ -140,14 +144,16 @@ def _c2alpha(alpha=0.5):
 
 
 def _vee():
-    # The curvature 2/(1 + 4u^2)^(3/2) has sup 2, its limit at the crease,
+    # The curvature 2/(1 + 4u^2)^(3/2) has sup 2, its limit at x1 = 0,
     # where d2f(0) = 0; at the smallest positive double it evaluates to 2.
+    # No crease: f'f'' = 4u, so Gamma^1_11 = 4u/(1 + 4u^2) is analytic across
+    # x1 = 0 (M = 0 on every profile), though f'' = 2 sign(u) jumps there.
     return _profile_surface(
         "vee",
         lambda u: u * np.abs(u),
         lambda u: 2.0 * np.abs(u),
         lambda u: 2.0 * np.sign(u),
-        Regularity("C11"), np.nextafter(0.0, 1.0), crease=_ridge,
+        Regularity("C11"), np.nextafter(0.0, 1.0),
     )
 
 

@@ -6,9 +6,10 @@ dense output) and report why they ended. The integration policy lives here
 once, in integrate_batch, the entry point for single runs and batches of
 rows alike: the integrator checks every end time (finite and >= 0; t = 0
 returns the start), tolerances turns a requested tol into (rtol, atol),
-state_inside is the chart predicate, a surface's declared crease becomes the
+state_inside is the chart predicate, a surface's declared crease, where its
+Christoffel symbols or curvature matrix are not smooth, becomes the
 integrator's crease switch (the embedded error estimate is unreliable on a
-step across a curvature jump or kink, so every step ends at the crease
+step across a kink of the right-hand side, so every step ends at the crease
 instead), the pair is DOP853 on closed-form surfaces and DP5 on a
 GridSurface (whose spline second derivatives have a third derivative that
 jumps at every knot, where the 8th-order pair takes more steps than DP5),

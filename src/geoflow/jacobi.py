@@ -71,11 +71,10 @@ def _make_joint_rhs(surface, n_cols):
 
     def rhs(u):
         y = u[..., m: 2 * m]
-        geo = local_geometry(surface, u[..., :m])
-        g_mat = geo.gamma_v(y)
+        g_mat, m_mat = local_geometry(surface, u[..., :m]).jacobi_matrices(y)
         jk = u[..., 2 * m:].reshape(u.shape[:-1] + (2, m, n_cols))
         j_dot = jk[..., 1, :, :] - g_mat @ jk[..., 0, :, :]
-        k_dot = geo.curvature(y) @ jk[..., 0, :, :] - g_mat @ jk[..., 1, :, :]
+        k_dot = m_mat @ jk[..., 0, :, :] - g_mat @ jk[..., 1, :, :]
         flat = u.shape[:-1] + (-1,)
         return np.concatenate(
             [y, -(g_mat @ y[..., None])[..., 0], j_dot.reshape(flat), k_dot.reshape(flat)],

@@ -138,7 +138,9 @@ def shortest_path(oracle: MeshGeodesicOracle, p, q):
     (i, sp), (j, sq) = oracle.snap(p), oracle.snap(q)
     graph, ids = box_graph(oracle, *search_box(oracle, i, j))
     a, b = np.searchsorted(ids, [i, j])
-    dist, pred = dijkstra(graph, directed=False, indices=a, return_predecessors=True)
+    # box_graph lists each edge both ways with bitwise equal weights (the two
+    # embedding differences are negatives), so the directed search needs no transpose
+    dist, pred = dijkstra(graph, directed=True, indices=a, return_predecessors=True)
     if not np.isfinite(dist[b]):
         raise DisconnectedMesh(f"no mesh path between {p} and {q}")
     hops, k = 0, b

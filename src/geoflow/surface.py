@@ -89,10 +89,12 @@ class GraphSurface:
     its two parts. `membership` optionally tightens the box domain
     (e.g. to a disk). The callables are also invoked slightly outside the
     domain, where integrator stages overshoot before a chart exit is
-    located. `crease` optionally declares where the second derivatives are
-    not smooth: a vectorized switching function mapping points (..., m) to
-    values (...) whose sign changes across the crease (e.g. x1 for a ridge
-    at x1 = 0); the integrator ends a step at every crossing of it.
+    located. `crease` optionally declares where the right-hand side is not
+    smooth, that is where the Christoffel symbols or the curvature matrix are
+    not (where h is merely not C^3, e.g. x1|x1| at x1 = 0, they may well be):
+    a vectorized switching function mapping points (..., m) to values (...)
+    whose sign changes across the crease (e.g. x1 for a ridge at x1 = 0);
+    the integrator ends a step at every crossing of it.
     `bounds` declares the certified SurfaceBounds; a surface that declares
     none raises InvalidInput wherever a certified bound is needed.
     """
@@ -196,7 +198,8 @@ class GraphSurface:
 class LocalGeometry:
     """Geometry at chart points X (..., m) from one derivatives evaluation,
     held as a_inv and w; every other quantity is derived from them on each
-    read, with no solve against g. gamma_v and curvature take the velocity Y."""
+    read, with no solve against g. gamma_v, jacobi_matrices and curvature take
+    the velocity Y."""
 
     grad: np.ndarray                 # (..., m, c)
     hess: np.ndarray                 # (..., m, m, c)
@@ -224,16 +227,30 @@ class LocalGeometry:
         return s.reshape(s.shape[:-2] + (m, m, m, m))
 
     def gamma_v(self, Y) -> np.ndarray:
-        """G[k, i] = gamma[k, i, j] Y^j = w[k] . (hess Y)[i], shape (..., m, m)."""
-        return self.w @ np.einsum("...ija,...j->...ai", self.hess, Y)
+        """G[k, i] = gamma[k, i, j] Y^j = w[k] . hy[:, i], shape (..., m, m)."""
+        return self.w @ _hess_y(self.hess, Y)
+
+    def jacobi_matrices(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """(G, M): G = Gamma(Y, .) as in gamma_v and the curvature matrix M = g^-1 b =
+        b - w (grad^T b), both from one contraction hy = Hess(., Y). With
+        Q[j,i,l] = <a_inv hy_j, hess_il>, b[l,j] = <Pi(e_j,Y), Pi(Y,e_l)> - <Pi(Y,Y), Pi(e_j,e_l)>
+        = sum_i Y^i (Q[j,i,l] - Q[i,j,l]); both terms of each difference are entries of one
+        Q, so b is exactly 0 where hess has a single nonzero entry."""
+        m = self.grad.shape[-2]
+        hy = _hess_y(self.hess, Y)                                   # (..., c, m)
+        h = self.hess.reshape(self.hess.shape[:-3] + (m * m, -1))    # (..., m*m, c)
+        q = (h @ (self.a_inv @ hy)).reshape(hy.shape[:-2] + (m, m, m))  # q[i,l,j] = Q[j,i,l]
+        b = np.einsum("...i,...ilj->...lj", Y, q - q.swapaxes(-3, -1))
+        return self.w @ hy, b - self.w @ (self.grad.swapaxes(-1, -2) @ b)
 
     def curvature(self, Y) -> np.ndarray:
-        """M = g^-1 b = b - w (grad^T b); both terms of b (see curvature_matrix_batch) are
-        contracted from one S, so b is exactly 0 where S has a single nonzero entry."""
-        s = self.pi
-        b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
-        b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
-        return b - self.w @ (self.grad.swapaxes(-1, -2) @ b)
+        """M, the second matrix of jacobi_matrices."""
+        return self.jacobi_matrices(Y)[1]
+
+
+def _hess_y(hess, Y) -> np.ndarray:
+    """hy[a, i] = Hess(e_i, Y)^a, shape (..., c, m)."""
+    return np.einsum("...ija,...j->...ai", hess, Y)
 
 
 def local_geometry(surface, X) -> LocalGeometry:

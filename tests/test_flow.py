@@ -136,10 +136,10 @@ def test_zero_end_time_rows_retire_before_the_first_rhs():
     np.testing.assert_array_equal(res.states[:, 0], np.tile([1.0, 0.0], (len(res.times), 1)))
 
 
-def test_crease_crossing_cuts_the_step(vee):
+def test_crease_crossing_cuts_the_step(c2alpha):
     # the geodesic crosses the ridge x1 = 0 once: the accepted step across it
     # is cut and retaken to end at the crease, just past it or a hair short
-    res = integrate_batch(vee, [-0.1, 0.05, 1.0, 0.3], 0.3)
+    res = integrate_batch(c2alpha, [-0.1, 0.05, 1.0, 0.3], 0.3)
     assert res.status == "Completed"
     assert res.n_cuts >= 1
     x1 = res.states[:, 0]
@@ -147,16 +147,26 @@ def test_crease_crossing_cuts_the_step(vee):
     assert np.min(np.abs(x1)) <= 1e-9
 
 
-def test_no_cut_away_from_the_crease(vee):
-    res = integrate_batch(vee, [0.2, 0.0, 1.0, 0.2], 0.4)
+def test_no_cut_away_from_the_crease(c2alpha):
+    res = integrate_batch(c2alpha, [0.2, 0.0, 1.0, 0.2], 0.4)
     assert res.status == "Completed"
     assert np.all(res.states[:, 0] > 0)
     assert res.n_cuts == 0
 
 
-def test_step_counts_repeat(vee):
+@pytest.mark.parametrize("name", ["vee", "c21_cubic"])
+def test_no_cut_where_gamma_is_smooth(surfaces, name):
+    # h is not C^3 at x1 = 0 on these two, but Gamma and M are analytic there,
+    # so they declare no crease and a crossing run makes no cut
+    res = integrate_batch(surfaces[name], [-0.1, 0.05, 1.0, 0.3], 0.3)
+    assert res.status == "Completed"
+    assert res.states[0, 0] < 0 < res.states[-1, 0]
+    assert surfaces[name].crease is None and res.n_cuts == 0
+
+
+def test_step_counts_repeat(c2alpha):
     rows = np.array([[-0.1, 0.05, 1.0, 0.3], [-0.2, 0.0, 0.9, -0.4], [0.2, 0.0, 1.0, 0.2]])
-    a, b = (integrate_batch(vee, rows, [0.3, 0.4, 0.4]) for _ in range(2))
+    a, b = (integrate_batch(c2alpha, rows, [0.3, 0.4, 0.4]) for _ in range(2))
     assert (a.n_accepted, a.n_rejected, a.n_cuts) == (b.n_accepted, b.n_rejected, b.n_cuts)
     assert a.n_cuts >= 1
     np.testing.assert_array_equal(a.times, b.times)
@@ -302,11 +312,11 @@ def test_random_tangent_box_without_chart_point(hemisphere):
     assert rng.random() == ref.random()
 
 
-def test_records_carry_their_run(vee, monkeypatch):
+def test_records_carry_their_run(c2alpha, monkeypatch):
     # a trajectory is its geodesic run; a flow differential keeps its joint run
     v = TangentVector([-0.1, 0.05], [1.0, 0.3])  # crosses the crease at x1 = 0
-    traj = integrate_geodesic(vee, v, 0.3)
-    res = integrate_batch(vee, v.as_state(), 0.3)
+    traj = integrate_geodesic(c2alpha, v, 0.3)
+    res = integrate_batch(c2alpha, v.as_state(), 0.3)
     assert isinstance(traj, integrate.IntegrationResult) and traj.n_cuts >= 1
     np.testing.assert_array_equal(traj.times, res.times)
     np.testing.assert_array_equal(traj.states, res.states)
@@ -321,7 +331,7 @@ def test_records_carry_their_run(vee, monkeypatch):
         return lambda u: calls.append(1) or rhs(u)
 
     monkeypatch.setattr(jacobi, "_make_joint_rhs", counting_joint_rhs)
-    run = flow_differential(vee, 0.3, v).run
+    run = flow_differential(c2alpha, 0.3, v).run
     assert run.n_rhs == len(calls) > 0 and run.n_cuts >= 1
 
 

@@ -131,7 +131,7 @@ def test_n_rhs_counts_every_call(surfaces, run):
     name, u0, t_end = {
         "batch": ("hemisphere", [[0.0, 0.0, 1.0, 0.0], [0.1, -0.2, 0.7, 0.4]], 0.5),
         "chart_exit": ("hemisphere", [0.0, 0.0, 1.0, 0.0], 3.0),
-        "crease_cut": ("vee", [-0.1, 0.05, 1.0, 0.3], 0.3),
+        "crease_cut": ("c2alpha", [-0.1, 0.05, 1.0, 0.3], 0.3),
     }[run]
     surf = surfaces[name]
     rhs = make_geodesic_rhs(surf)

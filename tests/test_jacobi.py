@@ -394,8 +394,8 @@ def test_rhs_one_derivative_evaluation_each(surfaces):
 
 
 def test_vee_flow_differential_rhs_budget(vee):
-    # steps end at the crease x1 = 0 instead of stepping across it, so a
-    # flow differential across the crease stays cheap
+    # Gamma and M are analytic across vee's kink x1 = 0 (no crease declared),
+    # so a flow differential across it stays cheap
     rhs = _make_joint_rhs(vee, 4)
     rng = np.random.default_rng(17)
     for _ in range(10):

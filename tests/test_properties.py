@@ -131,7 +131,7 @@ def test_flow_differential_cocycle(surfaces, name, v, s, t):
 @given(tangents(), st.lists(st.floats(0.05, 0.3), min_size=2, max_size=6))
 def test_row_end_times_sample_the_run(surfaces, name, v, ends):
     # one start repeated once per end time: each row's end state is the longest
-    # row's sample at that time, bit for bit, across crease cuts on c2alpha and vee
+    # row's sample at that time, bit for bit, across crease cuts on c2alpha
     ends = sorted(ends)
     res = integrate_batch(surfaces[name], np.tile(v.as_state(), (len(ends), 1)), ends)
     assert res.row_status == ["Completed"] * len(ends)

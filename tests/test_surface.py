@@ -139,6 +139,28 @@ def test_christoffel_matches_metric_formula(hemisphere, trough):
             np.testing.assert_allclose(direct, fd, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_crease_declared_where_rhs_is_not_smooth(surfaces, name):
+    # A crease marks where Gamma or M is not smooth, not where h is: across
+    # x1 = 0 the one-sided second differences of Gamma and M agree to O(d^3)
+    # where they are smooth (halving d divides the gap by 8), and only to
+    # O(d^2) on c2alpha, whose Gamma^1_11 ~ 9.375 u|u| (halving d divides it by 4).
+    surf = surfaces[name]
+    x2 = np.array([-0.3, 0.0, 0.25])
+    y = np.broadcast_to(np.random.default_rng(29).normal(size=(3, 2)), (5, 3, 2))
+
+    def gap(d):
+        x = np.stack(np.broadcast_arrays((np.arange(-2, 3) * d)[:, None], x2), axis=-1)
+        geo = local_geometry(surf, x)
+        f = np.concatenate([geo.gamma.reshape(5, 3, -1), geo.curvature(y).reshape(5, 3, -1)], axis=-1)
+        return np.max(np.abs((f[4] - 2 * f[3] + f[2]) - (f[2] - 2 * f[1] + f[0])))
+
+    coarse, fine = gap(1e-2), gap(5e-3)
+    assert (fine <= coarse / 7) == (surf.crease is None), (coarse, fine)
+    if surf.crease is not None:
+        assert fine >= coarse / 4.5
+
+
 def test_derivative_arrays_match_finite_differences(surfaces):
     # analytic grad/hess agree with central differences of h to O(step^2)
     step = 1e-5
