@@ -9,11 +9,12 @@ returns the start), tolerances turns a requested tol into (rtol, atol),
 state_inside is the chart predicate, a surface's declared crease, where its
 Christoffel symbols or curvature matrix are not smooth, becomes the
 integrator's crease switch (the embedded error estimate is unreliable on a
-step across a kink of the right-hand side, so every step ends at the crease
-instead), the pair is DOP853 on closed-form surfaces and DP5 on a
-GridSurface (whose spline second derivatives have a third derivative that
-jumps at every knot, where the 8th-order pair takes more steps than DP5),
-and require_completed turns a run with any incomplete row into an error.
+step across a kink of the right-hand side, so a step across one, passing the
+error test or not, is cut to end at the crease instead), the pair is DOP853
+on closed-form surfaces and DP5 on a GridSurface (whose spline second
+derivatives have a third derivative that jumps at every knot, where the
+8th-order pair takes more steps than DP5), and require_completed turns a
+run with any incomplete row into an error.
 """
 
 from __future__ import annotations

@@ -10,17 +10,19 @@ error norm is the largest per-row RMS error, so a row keeps the error
 control of its own run, and a single state is the batch of one row. Each
 row may have its own end time. The first step is Hairer's starting step.
 
-One event locator bisects crossings on an accepted step's dense output
-(Shampine & Thompson, "Event location for ordinary differential
-equations", Comput. Math. Appl. 39, 2000), for two kinds of event; DOP853's
-needs 3 more stages, run only on a step that locates a crossing. A
-membership predicate may be supplied; when an accepted step lands a row
-outside, that row stops at its located crossing with status ``LeftChart``.
-A crease switch may be supplied, a function whose sign changes where f is
-not smooth; the embedded error estimate is unreliable on a step across
-such a point (Gear & Osterby, ACM TOMS 10, 1984), so an accepted step that
-changes the sign of any row's switch is cut and retaken to end just past
-the first located crossing, with the later ones queued as step targets.
+One event locator bisects crossings on a step's dense output (Shampine &
+Thompson, "Event location for ordinary differential equations", Comput.
+Math. Appl. 39, 2000), for two kinds of event; DOP853's needs 3 more
+stages, run only on a step that locates a crossing. A membership predicate
+may be supplied; when an accepted step lands a row outside, that row stops
+at its located crossing with status ``LeftChart``. A crease switch may be
+supplied, a function whose sign changes where f is not smooth; the
+embedded error estimate is unreliable on a step across such a point (Gear
+& Osterby, ACM TOMS 10, 1984), so a step that changes the sign of any
+row's switch, whether or not it passes the error test, is cut and retaken
+to end just past the first located crossing, with the later ones queued as
+step targets. A crossing located on a failed step is an estimate: a row
+counts as past it only once its switch has changed sign.
 A step that would have to shrink below the smallest step ends the run with
 ``StepFailure``. The fixed-step RK4 driver shares the stage routine and statuses.
 """
@@ -177,7 +179,7 @@ class IntegrationResult:
     row_status: list           # per row: Completed | LeftChart | StepFailure
     n_accepted: int = 0
     n_rejected: int = 0
-    n_cuts: int = 0            # accepted steps retaken to end at a crease crossing
+    n_cuts: int = 0            # steps, failed ones too, retaken to end at a crease crossing
     n_rhs: int = 0             # calls of f
 
     @property
@@ -288,13 +290,17 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     nothing else: to read a run at chosen times, give each time its own row.
     A row stops at its end time, or, when an accepted step ends outside, at
     the crossing located on the step's dense output; the others go on.
-    An accepted step that changes the sign of any row's crease switch is
-    cut (n_cuts counts these; each counts towards _MAX_STEPS): every
-    crossing row's theta is located on its dense output and the time
-    theta * h * (1 + 1e-12) queued as a step target. A step that ends on a
-    target is not cut again, and its rows count as past their crossings;
-    after the last target, stepping resumes with the step length from
-    before the cut. A step where f raises OutOfChart or returns a
+    A step that changes the sign of any row's crease switch is cut, not
+    accepted or rejected (n_cuts counts these; each counts towards
+    _MAX_STEPS): every crossing row's theta is located on its dense output
+    and the time theta * h * (1 + 1e-12) queued as a step target, exact if
+    the step passed the error test and an estimate if it failed. A step
+    that ends on a target is not cut again. Its rows count as past exact
+    crossings, and past estimated ones only where their switch changed
+    sign, so a row an estimate left short is cut again by a later step; a
+    failed step that ends past an estimated crossing drops it, to be
+    located anew. After the last target, stepping resumes with the step
+    length from before the cut. A step where f raises OutOfChart or returns a
     non-finite stage, a dense-output one too, is rejected and retried at
     a fifth of its length; a non-finite f at the start fails the run.
     n_rhs counts every call of f.
@@ -318,7 +324,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = n_cuts = 0
     h_min = 1e-14 * max(1.0, np.max(ends))
-    crossings = []  # (time, row) of located crease crossings still ahead, ascending
+    crossings = []  # (time, row, exact) of located crease crossings still ahead, ascending
 
     def result(failed=False):
         for r in rows if failed else ():
@@ -350,9 +356,12 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 return result()
             next_due, next_end = np.min(due[rows]), np.min(ends[rows])
         h = max(min(h, next_end - t), h_min)
-        # A step that the locator set ends at its crossing and is not cut again.
+        # A step that the locator set ends on the first queued crossing, and
+        # (row, exact) for each row whose crossing it reaches.
         located = bool(crossings) and crossings[0][0] <= t + h
-        h_step = max(crossings[0][0] - t, h_min) if located else h
+        target = crossings[0][0] if located else None
+        h_step = max(target - t, h_min) if located else h
+        reached = [(r, exact) for c, r, exact in crossings if c <= target] if located else []
 
         stages = np.empty((len(tab.p),) + u.shape)  # the step's stages, then the dense output's
         stages[0] = f_cur
@@ -365,7 +374,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                       for e in (tab.e5, tab.e3))
             n5 = n5 * np.divide(n5, n5 + 0.01 * n3, out=np.zeros_like(n5), where=n5 > 0)
             err = float(np.sqrt(n5 / dim).max())
-            side_new = None if side is None or not err <= 1.0 else crease(u_new)
+            side_new = None if side is None else crease(u_new)
             crossed = None if side_new is None or located else side * side_new < 0
             cut = crossed is not None and crossed.any()
             # Rows located on the dense output: a cut step's crease crossings,
@@ -376,18 +385,18 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 err, cut = np.inf, False
 
         if cut:
-            # Cut: queue every row's crossing as a step target; h is kept for after them.
+            # Cut: queue every row's crossing as a step target, exact if the
+            # step passed the error test; h is kept for after them.
             n_cuts += 1
             s0, cut_rows = side[crossed], rows[crossed]
             _, theta, _ = _locate(u[crossed], h_step, stages[:, crossed],
                                   lambda x: s0 * crease(x) > 0, tab.p)
             ahead = t + np.minimum(theta * (1 + 1e-12), 1.0) * h_step
-            crossings = sorted([(c, r) for c, r in crossings if r not in cut_rows]
-                               + list(zip(ahead, cut_rows)))
+            crossings = sorted([c for c in crossings if c[1] not in cut_rows]
+                               + [(c, r, err <= 1.0) for c, r in zip(ahead, cut_rows)])
         elif err <= 1.0:
-            if located:  # its rows count as past their crossings, even a hair short of one
-                reached = crossings[0][0]
-                side_new = np.where(np.isin(rows, [r for c, r in crossings if c <= reached]),
+            if reached:  # rows on exact crossings count as past them, even a hair short
+                side_new = np.where(np.isin(rows, [r for r, exact in reached if exact]),
                                     -side, side_new)
             n_acc += 1
             left = event
@@ -414,7 +423,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
             times.append(t)
             states.append(current)
             if located:
-                crossings = [(c, r) for c, r in crossings if c > max(reached, t)]
+                crossings = [c for c in crossings if c[0] > max(target, t)]
             else:
                 fac = (_SAFETY * err ** (0.75 * tab.beta - 1 / tab.q) * err_old ** tab.beta
                        if err > 0 else 5.0)
@@ -422,6 +431,9 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 err_old = max(err, 1e-10)
         else:
             n_rej += 1
+            if reached and err < np.inf:  # an estimated crossing it ends past is dropped
+                over = set(rows[side * side_new < 0]) & {r for r, exact in reached if not exact}
+                crossings = [c for c in crossings if c[1] not in over]
             h = h_step * min(1.0, max(0.2, _SAFETY * err ** (-1 / tab.q)))
             if not h >= h_min:  # a NaN step length too, as from a non-finite start
                 return result(failed=True)

@@ -147,6 +147,19 @@ def test_crease_crossing_cuts_the_step(c2alpha):
     assert np.min(np.abs(x1)) <= 1e-9
 
 
+def test_failed_step_across_the_crease_is_cut(c2alpha):
+    # the step across x1 = 0 fails the error test and is cut at the crossing
+    # located on its dense output, not rejected until a step fits (185 RHS
+    # calls when it was). That crossing is only an estimate: the step that
+    # ends on it falls short of x1 = 0, so the row does not count as past it,
+    # and the next step is cut again at the exact crossing.
+    res = integrate_batch(c2alpha, [-0.1, 0.05, 1.0, 0.3], 0.3)
+    assert res.status == "Completed"
+    assert res.n_rejected == 0 and res.n_rhs <= 185 / 2
+    assert res.n_cuts == 2  # one crossing, located twice
+    assert np.min(np.abs(res.states[:, 0])) <= 1e-9
+
+
 def test_no_cut_away_from_the_crease(c2alpha):
     res = integrate_batch(c2alpha, [0.2, 0.0, 1.0, 0.2], 0.4)
     assert res.status == "Completed"

@@ -147,6 +147,33 @@ def test_n_rhs_counts_every_call(surfaces, run):
     assert res.n_cuts >= (run == "crease_cut")
 
 
+def _kinked_rhs(u):
+    """x' = 1 + y, y' = |x|: f is continuous with a kink where x changes sign.
+    From (x0 < 0, 0), x = sin t + x0 cos t up to t* = atan(-x0), where
+    x' = sqrt(1 + x0^2), and x = sqrt(1 + x0^2) sinh(t - t*) after it."""
+    return np.stack([1.0 + u[..., 1], np.abs(u[..., 0])], axis=-1)
+
+
+@pytest.mark.parametrize("x0, tableau", [
+    (-0.1, integrate.DP5), (-0.05, integrate.DOP853), (-0.1, integrate.DOP853),
+    (-0.2, integrate.DOP853), (-0.3, integrate.DOP853),
+], ids=["DP5-0.1", "DOP853-0.05", "DOP853-0.1", "DOP853-0.2", "DOP853-0.3"])
+def test_failed_step_across_a_kink_is_cut(x0, tableau):
+    # Without a crease switch the steps across the kink are rejected until
+    # one fits. With it, a step across that fails the error test is cut at
+    # the crossing its dense output estimates; a step that ends past an
+    # estimate and fails again drops it, and the crossing is located anew.
+    plain = integrate.integrate_adaptive(_kinked_rhs, [x0, 0.0], 1.0, tableau=tableau)
+    res = integrate.integrate_adaptive(_kinked_rhs, [x0, 0.0], 1.0, crease=lambda u: u[0],
+                                       tableau=tableau)
+    assert res.status == plain.status == "Completed"
+    assert res.n_rhs < plain.n_rhs and res.n_rejected < plain.n_rejected
+    assert np.min(np.abs(res.states[:, 0])) <= 1e-9
+    speed, t_past = np.sqrt(1.0 + x0 * x0), 1.0 - np.arctan(-x0)
+    exact = [speed * np.sinh(t_past), speed * np.cosh(t_past) - 1.0]
+    assert np.max(np.abs(res.final_state - exact)) <= 1e-10
+
+
 def test_rk4_n_rhs(hemisphere):
     res = integrate.integrate_fixed_rk4(make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0],
                                         0.5, 0.1, inside=state_inside(hemisphere))

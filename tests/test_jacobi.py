@@ -414,3 +414,14 @@ def test_vee_flow_differential_rhs_budget(vee):
         assert res.status == "Completed"
         assert res.final_state[0] > 0  # crossed the crease
         assert len(calls) <= 200
+
+
+def test_joint_run_across_the_crease_rejects_no_step(c2alpha):
+    # the joint run of a flow differential whose geodesic crosses x1 = 0: its
+    # steps that fail the error test there are cut at the crossing, where 14
+    # were rejected (293 RHS calls) when only accepted steps were cut
+    v = TangentVector([-0.23797977604112561, 0.055267749406969997],
+                      [0.99747114427240258, 0.071072613177678393])
+    run = flow_differential(c2alpha, 0.28936451275113773, v).run
+    assert run.status == "Completed" and run.n_rejected == 0 and run.n_cuts >= 1
+    assert np.min(np.abs(run.states[:, 0])) <= 1e-9

@@ -6,8 +6,9 @@ perfbench/workloads.py, such geodesics stay in every catalog chart even for
 the composed time s + t <= 0.4. Time reversal and speed conservation also
 draw c2alpha runs that cross its ridge x1 = 0, where the 0.5-Hoelder second
 derivative defeats the step-size control unless the step ends at the crossing.
-On the profile surfaces the flow and its differential are also checked
-against the exact ones of exact_flow, for times in [0.1, 0.4].
+On the profile surfaces the flow and its differential, by the joint run and
+by finite differences, are also checked against the exact ones of
+exact_flow, for times in [0.1, 0.4] and on c2alpha's ridge crossings.
 """
 
 import math
@@ -25,7 +26,7 @@ from geoflow.flow import (
     integrate_geodesic,
     speed_profile,
 )
-from geoflow.jacobi import JacobiState, flow_differential, propagate_jacobi
+from geoflow.jacobi import JacobiState, fd_flow_differential, flow_differential, propagate_jacobi
 
 from conftest import C2_AND_BETTER, C3_AND_BETTER
 from exact_flow import PROFILES, exact_differential, exact_flow
@@ -154,4 +155,21 @@ def test_flow_matches_exact_profile_flow(surfaces, name, v, t):
 @given(tangents(), st.floats(0.1, 0.4))
 def test_flow_differential_matches_exact_profile_flow(surfaces, name, v, t):
     diff = flow_differential(surfaces[name], t, v).matrix - exact_differential(surfaces[name], t, v)
+    assert np.max(np.abs(diff)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+@PROPERTY
+@given(tangents(), st.floats(0.1, 0.4))
+def test_fd_flow_differential_matches_exact_profile_flow(surfaces, name, v, t):
+    diff = fd_flow_differential(surfaces[name], t, v) - exact_differential(surfaces[name], t, v)
+    assert np.max(np.abs(diff)) <= 1e-8
+
+
+@PROPERTY
+@given(ridge_crossings())
+def test_fd_flow_differential_matches_exact_flow_across_the_ridge(surfaces, run):
+    # each stencil row's crossing of x1 = 0 is its own step target
+    name, v, t = run
+    diff = fd_flow_differential(surfaces[name], t, v) - exact_differential(surfaces[name], t, v)
     assert np.max(np.abs(diff)) <= 1e-8
