@@ -7,22 +7,24 @@ II.4-II.6); a classical fixed-step RK4 is kept for reproducible convergence
 studies. Both integrate autonomous systems u' = f(u). The adaptive loop
 takes one state (d,) or a batch of rows (B, d) that share every step; its
 error norm is the largest per-row RMS error, so a row keeps the error
-control of its own run, and a single state is the batch of one row. Each
-row may have its own end time. The first step is Hairer's starting step.
+control of its own run, and a single state is the batch of one row. The
+first step is Hairer's starting step.
 
-One event locator bisects crossings on a step's dense output (Shampine &
-Thompson, "Event location for ordinary differential equations", Comput.
-Math. Appl. 39, 2000), for two kinds of event; DOP853's needs 3 more
-stages, run only on a step that locates a crossing. A membership predicate
-may be supplied; when an accepted step lands a row outside, that row stops
-at its located crossing with status ``LeftChart``. A crease switch may be
-supplied, a function whose sign changes where f is not smooth; the
-embedded error estimate is unreliable on a step across such a point (Gear
-& Osterby, ACM TOMS 10, 1984), so a step that changes the sign of any
-row's switch, whether or not it passes the error test, is cut and retaken
-to end just past the first located crossing, with the later ones queued as
-step targets. A crossing located on a failed step is an estimate: a row
-counts as past it only once its switch has changed sign.
+A step is shortened only to end on a target, a row's end time or its one
+queued crease crossing: it ends at the earliest one within reach and
+leaves the step length for after it unchanged. One event locator bisects
+crossings on a step's dense output (Shampine & Thompson, "Event location
+for ordinary differential equations", Comput. Math. Appl. 39, 2000), for
+two kinds of event; DOP853's needs 3 more stages, run only on a step that
+locates a crossing. A membership predicate may be supplied; when an
+accepted step lands a row outside, that row stops at its located crossing
+with status ``LeftChart``. A crease switch may be supplied, a function
+whose sign changes where f is not smooth; the embedded error estimate is
+unreliable on a step across such a point (Gear & Osterby, ACM TOMS 10,
+1984), so a step that changes the sign of any row's switch, whether or not
+it passes the error test, is cut: each crossing row's located crossing
+becomes its queued target. A crossing located on a failed step is an
+estimate: a row counts as past it only once its switch has changed sign.
 A step that would have to shrink below the smallest step ends the run with
 ``StepFailure``. The fixed-step RK4 driver shares the stage routine and statuses.
 """
@@ -242,11 +244,11 @@ def _locate(u, h, stages, same_side, p):
     return lo, hi, u_lo
 
 
-def _initial_step(f, u0, f0, rtol, atol, ends, q):
+def _initial_step(f, u0, f0, rtol, atol, q):
     """Hairer's starting step for error order q - 1 (Solving ODEs I, sec.
-    II.4), the smallest of the rows' and at most their end times. f is
-    evaluated once, an Euler step of the first guess h0 away; a row where
-    that fails keeps h0."""
+    II.4), the smallest of the rows' and not capped by their end times: the
+    step loop shortens a step to reach one. f is evaluated once, an Euler
+    step of the first guess h0 away; a row where that fails keeps h0."""
     scale = atol + rtol * np.abs(u0)
     d0, d1 = (np.sqrt(np.mean((v / scale) ** 2, axis=-1)) for v in (u0, f0))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
@@ -259,7 +261,7 @@ def _initial_step(f, u0, f0, rtol, atol, ends, q):
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, 1e-3 * h0), (0.01 / d12) ** (1 / q))
         # h1 is NaN or 0 where f1 is not finite
         h = np.where(h1 > 0, np.minimum(100 * h0, h1), h0)
-    return float(np.min(np.minimum(h, ends)))
+    return float(np.min(h))
 
 
 def _on_first_row(fn):
@@ -286,23 +288,25 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     is the largest per-row RMS error. t_end is one end time or one per row,
     checked by end_times; a row whose end time is 0 is retired before f is
     first evaluated, so t_end = 0 returns the start as the only sample.
-    Step targets are the rows' end times and located crease crossings, and
-    nothing else: to read a run at chosen times, give each time its own row.
-    A row stops at its end time, or, when an accepted step ends outside, at
-    the crossing located on the step's dense output; the others go on.
-    A step that changes the sign of any row's crease switch is cut, not
-    accepted or rejected (n_cuts counts these; each counts towards
-    _MAX_STEPS): every crossing row's theta is located on its dense output
-    and the time theta * h * (1 + 1e-12) queued as a step target, exact if
-    the step passed the error test and an estimate if it failed. A step
-    that ends on a target is not cut again. Its rows count as past exact
-    crossings, and past estimated ones only where their switch changed
-    sign, so a row an estimate left short is cut again by a later step; a
-    failed step that ends past an estimated crossing drops it, to be
-    located anew. After the last target, stepping resumes with the step
-    length from before the cut. A step where f raises OutOfChart or returns a
-    non-finite stage, a dense-output one too, is rejected and retried at
-    a fifth of its length; a non-finite f at the start fails the run.
+    Each row has two kinds of step target, its end time and at most one
+    queued crease crossing, and nothing else ends a step early: to read a
+    run at chosen times, give each time its own row. A step ends at the
+    earliest target within reach, and one that a target shortened leaves
+    the step length for after it unchanged. A row stops at its end time,
+    or, when an accepted step ends outside, at the crossing located on the
+    step's dense output; the others go on, and a row that stops takes its
+    queued crossing with it. A step that changes the sign of any row's
+    crease switch is cut, not accepted or rejected (n_cuts counts these;
+    each counts towards _MAX_STEPS): each crossing row's theta is located
+    on its dense output and the time theta * h * (1 + 1e-12) queued as its
+    crossing, exact if the step passed the error test and an estimate if it
+    failed. A step that reaches a queued crossing is not cut again. Its
+    rows count as past exact crossings, and past estimated ones only where
+    their switch changed sign, so a row an estimate left short is cut again
+    by a later step; a failed step that ends past an estimated crossing
+    drops it, to be located anew. A step where f raises OutOfChart or
+    returns a non-finite stage, a dense-output one too, is rejected and
+    retried at a fifth of its length; a non-finite f at the start fails the run.
     n_rhs counts every call of f.
     """
     u0 = require_array(u0, "initial state")
@@ -324,7 +328,6 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     t, times, states = 0.0, [0.0], [current]    # samples are never written to
     n_acc = n_rej = n_cuts = 0
     h_min = 1e-14 * max(1.0, np.max(ends))
-    crossings = []  # (time, row, exact) of located crease crossings still ahead, ascending
 
     def result(failed=False):
         for r in rows if failed else ():
@@ -335,33 +338,37 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
 
     if not len(rows):  # rows done at the start are retired before f is evaluated
         return result()
-    u = u[rows]
+    u, ends, due = u[rows], ends[rows], due[rows]  # from here on, one entry per running row
     try:
         f_cur = f(u)
     except OutOfChart:
         return result(failed=True)
     if not np.isfinite(f_cur).all():
         return result(failed=True)
-    side = None if crease is None else crease(u)  # each running row's crease switch
-    h = _initial_step(f, u, f_cur, rtol, atol, ends[rows], tab.q)
+    # Each row's crease switch and its queued crossing: the time (inf for
+    # none) and whether the step that located it passed the error test.
+    side = cross = exact = None
+    if crease is not None:
+        side, cross, exact = crease(u), np.full(len(rows), np.inf), np.zeros(len(rows), bool)
+    h = _initial_step(f, u, f_cur, rtol, atol, tab.q)
     err_old = 1e-4
     next_due = -np.inf
 
     while True:
-        if t >= next_due:  # retire the rows that are done
-            keep = t < due[rows]
-            rows, u, f_cur = rows[keep], u[keep], f_cur[keep]
-            side = None if side is None else side[keep]
+        if t >= next_due:  # rows leave here: those done and those that left the chart
+            keep = t < due
+            rows, u, f_cur, ends, due = rows[keep], u[keep], f_cur[keep], ends[keep], due[keep]
+            if side is not None:
+                side, cross, exact = side[keep], cross[keep], exact[keep]
             if not len(rows):
                 return result()
-            next_due, next_end = np.min(due[rows]), np.min(ends[rows])
-        h = max(min(h, next_end - t), h_min)
-        # A step that the locator set ends on the first queued crossing, and
-        # (row, exact) for each row whose crossing it reaches.
-        located = bool(crossings) and crossings[0][0] <= t + h
-        target = crossings[0][0] if located else None
-        h_step = max(target - t, h_min) if located else h
-        reached = [(r, exact) for c, r, exact in crossings if c <= target] if located else []
+            next_due, next_end = np.min(due), np.min(ends)
+        # A step ends at the earliest target within reach, a row's end time or
+        # queued crossing, and one that a target shortened leaves h for after it.
+        target = next_end if cross is None else min(next_end, np.min(cross))
+        aimed = target <= t + h
+        h_step = max(target - t if aimed else h, h_min)
+        reached = None if cross is None else cross <= max(target, t + h_step)
 
         stages = np.empty((len(tab.p),) + u.shape)  # the step's stages, then the dense output's
         stages[0] = f_cur
@@ -375,7 +382,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
             n5 = n5 * np.divide(n5, n5 + 0.01 * n3, out=np.zeros_like(n5), where=n5 > 0)
             err = float(np.sqrt(n5 / dim).max())
             side_new = None if side is None else crease(u_new)
-            crossed = None if side_new is None or located else side * side_new < 0
+            crossed = None if side_new is None or reached.any() else side * side_new < 0
             cut = crossed is not None and crossed.any()
             # Rows located on the dense output: a cut step's crease crossings,
             # else an accepted step's chart exits.
@@ -385,36 +392,28 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 err, cut = np.inf, False
 
         if cut:
-            # Cut: queue every row's crossing as a step target, exact if the
-            # step passed the error test; h is kept for after them.
+            # Cut: queue every crossing row's crossing, exact if the step
+            # passed the error test; h is kept for after them.
             n_cuts += 1
-            s0, cut_rows = side[crossed], rows[crossed]
+            s0 = side[crossed]
             _, theta, _ = _locate(u[crossed], h_step, stages[:, crossed],
                                   lambda x: s0 * crease(x) > 0, tab.p)
-            ahead = t + np.minimum(theta * (1 + 1e-12), 1.0) * h_step
-            crossings = sorted([c for c in crossings if c[1] not in cut_rows]
-                               + [(c, r, err <= 1.0) for c, r in zip(ahead, cut_rows)])
+            cross[crossed] = t + np.minimum(theta * (1 + 1e-12), 1.0) * h_step
+            exact[crossed] = err <= 1.0
         elif err <= 1.0:
-            if reached:  # rows on exact crossings count as past them, even a hair short
-                side_new = np.where(np.isin(rows, [r for r, exact in reached if exact]),
-                                    -side, side_new)
+            if reached is not None:  # rows on exact crossings are past them, even a hair short
+                side_new = np.where(reached & exact, -side, side_new)
+                cross[reached] = np.inf
             n_acc += 1
             left = event
-            if left.any():
-                theta, _, current_left = _locate(u[left], h_step, stages[:, left], inside, tab.p)
-                current = current.copy()
-                current[rows[left]] = current_left
+            if left.any():  # rows that land outside stop at their exits, and leave at the top
+                theta, _, u_new[left] = _locate(u[left], h_step, stages[:, left], inside, tab.p)
+                due[left] = next_due = -np.inf
                 for r in rows[left]:
                     row_status[r] = LEFT_CHART
-                if left.all():  # the run ends at the last exit
-                    times.append(t + np.max(theta) * h_step)
-                    states.append(current)
-                    return result()
-                rows, u_new, stages = rows[~left], u_new[~left], stages[:, ~left]
-                side_new = None if side is None else side_new[~left]
-                next_due = -np.inf
-            t, u, side = t + h_step, u_new, side_new
-            f_cur = stages[n_step - 1]  # first same as last: f at the new point
+            # the step ends at t + h_step, or at the last exit once every row has left
+            t += np.max(theta) * h_step if left.all() else h_step
+            u, side, f_cur = u_new, side_new, stages[n_step - 1]  # first same as last: f at u
             if len(rows) < n_rows:
                 current = current.copy()
                 current[rows] = u
@@ -422,18 +421,15 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 current = u
             times.append(t)
             states.append(current)
-            if located:
-                crossings = [c for c in crossings if c[0] > max(target, t)]
-            else:
+            if not aimed:
                 fac = (_SAFETY * err ** (0.75 * tab.beta - 1 / tab.q) * err_old ** tab.beta
                        if err > 0 else 5.0)
                 h *= min(5.0, max(0.2, fac))
                 err_old = max(err, 1e-10)
         else:
             n_rej += 1
-            if reached and err < np.inf:  # an estimated crossing it ends past is dropped
-                over = set(rows[side * side_new < 0]) & {r for r, exact in reached if not exact}
-                crossings = [c for c in crossings if c[1] not in over]
+            if reached is not None and err < np.inf:  # an estimated crossing it ends past is dropped
+                cross[reached & ~exact & (side * side_new < 0)] = np.inf
             h = h_step * min(1.0, max(0.2, _SAFETY * err ** (-1 / tab.q)))
             if not h >= h_min:  # a NaN step length too, as from a non-finite start
                 return result(failed=True)

@@ -1,9 +1,10 @@
 """The benchmark's per-layer tracer (perfbench/layertrace.py) still runs on
-the library: one traced request each of the flow_probes and mesh_minimality
-workloads (perfbench/workloads.py) must exit 0, pass the workload's own
-output check and yield the per-layer metrics. The tracer wraps library
-functions by name and reads library attributes (christoffel_batch,
-curvature_matrix_batch, mollify's kernel_cells, the mesh oracle's vertices
+the library: one traced request each of the flow_probes, mesh_minimality
+and smoothing_study workloads (perfbench/workloads.py) must exit 0, pass
+the workload's own output check and yield the per-layer metrics. The
+tracer wraps library functions by name and reads library attributes
+(christoffel_batch, curvature_matrix_batch, mollify's kernel_cells
+default, a convergence report's pruned_probes, the mesh oracle's vertices
 and graph), so a change that removes one fails here rather than in a
 `perfbench/run.py --trace 1` run.
 """
@@ -22,7 +23,8 @@ def test_traced_requests_run(tmp_path, monkeypatch, capsys):
     from workloads import WORKLOADS
 
     tracer = Tracer()
-    for i, workload in enumerate(["flow_probes", "mesh_minimality"]):
+    workloads = ["flow_probes", "mesh_minimality", "smoothing_study"]
+    for i, workload in enumerate(workloads):
         argv, check = WORKLOADS[workload][0](1, 0)
         capsys.readouterr()
         tracer.install()
@@ -32,6 +34,7 @@ def test_traced_requests_run(tmp_path, monkeypatch, capsys):
             tracer.uninstall()
         assert rc == 0, workload
         assert check(rc, capsys.readouterr().out) is None, workload
-    metrics = tracer.metrics(2)
+    metrics = tracer.metrics(len(workloads))
     assert set(metrics) == set(UNITS) - {"trace.request_ms", "trace_overhead_frac"}
     assert metrics["integrate.calls"] > 0 and metrics["minimality.vertices"] > 0
+    assert metrics["regularity.mollify_grid_points"] > 0

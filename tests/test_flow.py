@@ -25,6 +25,7 @@ from geoflow.serialize import write_trajectory_csv
 from geoflow.surface import GraphSurface, Regularity, g_norm_batch
 
 from conftest import C2_AND_BETTER, random_chart_points
+from exact_flow import exact_flow
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,22 @@ def test_failed_step_across_the_crease_is_cut(c2alpha):
     assert res.n_rejected == 0 and res.n_rhs <= 185 / 2
     assert res.n_cuts == 2  # one crossing, located twice
     assert np.min(np.abs(res.states[:, 0])) <= 1e-9
+
+
+def test_exited_row_takes_its_queued_crossing_along(c2alpha):
+    # rows 0, 1 and 3 leave the chart; row 1 leaves with a crossing still
+    # queued. Once it has left, no step may be aimed at that crossing, so
+    # row 2's own crossing of x1 = 0 is still cut (a step aimed at row 1's
+    # crossing once carried row 2 across uncut, 1.09e-6 from the crease).
+    rows = np.array([[-0.01425957, 0.60638126, 0.41200757, 0.91118042],
+                     [-0.08243444, 0.764004, 0.65958841, 0.75162699],
+                     [-0.07002881, 0.68031057, 0.99901073, 0.04446977],
+                     [-0.08757167, 0.72741864, 0.52625762, 0.85032519]])
+    res = integrate_batch(c2alpha, rows, 0.3)
+    assert res.row_status == ["LeftChart", "LeftChart", "Completed", "LeftChart"]
+    assert np.min(np.abs(res.states[:, 2, 0])) <= 1e-9
+    exact = exact_flow("c2alpha", 0.3, TangentVector(rows[2, :2], rows[2, 2:])).as_state()
+    np.testing.assert_allclose(res.final_state[2], exact, rtol=0, atol=1e-8)
 
 
 def test_no_cut_away_from_the_crease(c2alpha):

@@ -174,6 +174,20 @@ def test_failed_step_across_a_kink_is_cut(x0, tableau):
     assert np.max(np.abs(res.final_state - exact)) <= 1e-10
 
 
+def test_end_time_keeps_the_step_length_after_it():
+    # a row that ends just after the first step shortens the one step that
+    # reaches its end time, not the steps after it: the other row takes the
+    # steps of its own run, shifted by that short step
+    def oscillator(u):
+        return np.stack([u[..., 1], -u[..., 0]], axis=-1)
+
+    alone = integrate.integrate_adaptive(oscillator, [1.0, 0.0], 1.0)
+    res = integrate.integrate_adaptive(oscillator, [[1.0, 0.0]] * 2, [alone.times[1] + 1e-6, 1.0])
+    assert res.row_status == ["Completed"] * 2
+    assert res.n_accepted <= alone.n_accepted + 1
+    np.testing.assert_allclose(res.final_state[1], alone.final_state, rtol=0, atol=1e-12)
+
+
 def test_rk4_n_rhs(hemisphere):
     res = integrate.integrate_fixed_rk4(make_geodesic_rhs(hemisphere), [0.0, 0.0, 1.0, 0.0],
                                         0.5, 0.1, inside=state_inside(hemisphere))
