@@ -3,7 +3,7 @@
 Core entry points:
 
 * catalog.make_surface / catalog.CATALOG — built-in surfaces of varying class
-* surface — metric, Christoffel symbols, second fundamental form, curvature
+* surface — metric, Christoffel symbols, the curvature operator
 * flow — geodesic integration, the flow map phi(t, v), the exponential map
 * jacobi — variation fields, the flow differential and its FD oracle
 * regularity — smoothing families, convergence reports, exponential and
@@ -14,7 +14,6 @@ Core entry points:
 from .catalog import CATALOG, make_surface, surface_from_spec
 from .errors import (
     ConfigError,
-    DegeneratePlane,
     DisconnectedMesh,
     DomainTooSmall,
     GeoflowError,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOG",
     "ConfigError",
-    "DegeneratePlane",
     "DisconnectedMesh",
     "DomainTooSmall",
     "FlowDifferential",

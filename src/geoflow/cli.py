@@ -459,7 +459,7 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         return handler(args, cfg)
-    except (ConfigError, UnknownSurface, OutOfChart, InvalidInput, FileNotFoundError,
+    except (ConfigError, UnknownSurface, OutOfChart, InvalidInput, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,12 +26,8 @@ class StepFailure(GeoflowError):
     """The adaptive step controller gave up, or a fixed RK4 step was not finite."""
 
 
-class DegeneratePlane(GeoflowError):
-    """The two vectors spanning a curvature plane are (numerically) dependent."""
-
-
 class DomainTooSmall(GeoflowError):
-    """The chart domain cannot accommodate the requested smoothing width."""
+    """The chart domain cannot accommodate the requested smoothing width or probe set."""
 
 
 class UnknownSurface(GeoflowError):

@@ -494,8 +494,10 @@ def _modulus_probes(surface, t1, n_centers, seed):
     Each center is a random unit tangent (x0, y); for each gap delta of
     _MODULUS_GAPS the partner starts at x0 + delta * (random unit vector)
     with y rescaled to unit speed there, both with the same Jacobi initial
-    value. All centers and partners integrate as one batch, and every sup is
-    taken over the run's own samples in t, as in measure_gronwall_margin.
+    value; a partner off the chart is dropped, and fewer than 2 partners left
+    is DomainTooSmall. All centers and partners integrate as one batch, and
+    every sup is taken over the run's own samples in t, as in
+    measure_gronwall_margin.
     Returns per-pair gaps, coefficient deviations (sup over the samples),
     final-state deviations, and the measured constants c_tilde (solution
     sup) and c_bar (coefficient sup).
@@ -520,6 +522,9 @@ def _modulus_probes(surface, t1, n_centers, seed):
                 continue
             pairs.append((center, len(vs), float(np.linalg.norm(d))))
             vs.append(TangentVector(x1, v.y / float(g_norm_batch(surface, x1, v.y))))
+    if len(pairs) < 2:
+        raise DomainTooSmall(f"{len(pairs)} of {n_centers * len(_MODULUS_GAPS)} modulus probe "
+                             f"partners fit in the chart of {surface.name!r}; need at least 2")
 
     states = require_completed(propagate_block(surface, vs, jk0, t1, None),
                                f"batch of {len(vs)} modulus probes").states  # (K, B, 2m + 2m)

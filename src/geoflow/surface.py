@@ -2,15 +2,15 @@
 
 A surface is described locally as the graph of a height function
 h: U -> R^{n-m} over an axis-aligned chart box U in R^m, embedded as
-F(x) = (x, h(x)). The induced metric, Christoffel symbols and second
-fundamental form all come from h and its first two derivative arrays;
-local_geometry derives them from one surface.derivatives call per batch of
-points, and every batch kernel below is built on it.
+F(x) = (x, h(x)). The induced metric, Christoffel symbols and the
+curvature matrix of the Jacobi equation all come from h and its first two
+derivative arrays; local_geometry derives them from one surface.derivatives
+call per batch of points, and every batch kernel below is built on it.
 
 No kernel solves against g = I + grad grad^T: by the push-through identity,
 all follows from the c x c normal metric a_inv = (I_c + grad^T grad)^-1 (a
 division for codim 1) and w = g^-1 grad = grad a_inv, as gamma = w . hess,
-g^-1 = I - w grad^T, <Pi_ab, Pi_cd> = hess_ab^T a_inv hess_cd, g^-1 b = b - w grad^T b.
+<Pi_ab, Pi_cd> = hess_ab^T a_inv hess_cd and g^-1 b = b - w grad^T b.
 
 The curvature operator entering the Jacobi equation is assembled purely
 from products of second-fundamental-form values, so it needs second
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, InvalidInput, OutOfChart, require_array, require_count, require_real
+from .errors import InvalidInput, OutOfChart, require_array, require_count, require_real
 
-# Step of the finite differences in christoffel_fd and curvature_from_christoffel.
+# Step of the finite differences in curvature_from_christoffel.
 _FD_STEP = 1e-3
 
 
@@ -211,20 +211,8 @@ class LocalGeometry:
         return _metric(self.grad)
 
     @property
-    def g_inv(self) -> np.ndarray:
-        return np.eye(self.grad.shape[-2]) - self.w @ self.grad.swapaxes(-1, -2)
-
-    @property
     def gamma(self) -> np.ndarray:
         return np.einsum("...ka,...ija->...kij", self.w, self.hess)
-
-    @property
-    def pi(self) -> np.ndarray:
-        """S[a,b,c,d] = <Pi(e_a,e_b), Pi(e_c,e_d)> = hess_ab^T a_inv hess_cd."""
-        m = self.grad.shape[-2]
-        h = self.hess.reshape(self.hess.shape[:-3] + (m * m, -1))
-        s = h @ (self.a_inv @ h.swapaxes(-1, -2))
-        return s.reshape(s.shape[:-2] + (m, m, m, m))
 
     def gamma_v(self, Y) -> np.ndarray:
         """G[k, i] = gamma[k, i, j] Y^j = w[k] . hy[:, i], shape (..., m, m)."""
@@ -292,30 +280,6 @@ def g_norm_batch(surface, X, Y):
 # pointwise operations (checked)
 # ---------------------------------------------------------------------------
 
-def tangent_frame(surface, x) -> np.ndarray:
-    """n x m matrix whose columns are the embedded coordinate tangents (e_i, d_i h)."""
-    x = surface.require_inside(x)
-    return np.concatenate([np.eye(surface.dim), surface.gradient(x).T], axis=0)
-
-
-def normal_projector(surface, x) -> np.ndarray:
-    """Orthogonal projector of R^n onto the normal space, I - T (T^T T)^{-1} T^T."""
-    t = tangent_frame(surface, x)
-    gram_inv = np.linalg.inv(t.T @ t)
-    return np.eye(surface.ambient_dim) - t @ gram_inv @ t.T
-
-
-def second_fundamental_form(surface, x, u, v) -> np.ndarray:
-    """Pi(u, v): the normal component of the ambient second derivative
-    (0, u^T Hess h v), as an ambient n-vector."""
-    x = surface.require_inside(x)
-    u, v = surface.require_vector(u), surface.require_vector(v)
-    hess = surface.hessian(x)                        # (m, m, c)
-    w = np.einsum("i,j,ija->a", u, v, hess)
-    ambient = np.concatenate([np.zeros(surface.dim), w])
-    return normal_projector(surface, x) @ ambient
-
-
 def curvature_operator(surface, x, V) -> np.ndarray:
     """m x m matrix sending a Jacobi value J to its second covariant derivative.
 
@@ -323,18 +287,6 @@ def curvature_operator(surface, x, V) -> np.ndarray:
     derivatives of h are the highest ones touched.
     """
     return curvature_matrix_batch(surface, surface.require_inside(x), surface.require_vector(V))
-
-
-def sectional_curvature(surface, x, u, v) -> float:
-    x = surface.require_inside(x)
-    u, v = surface.require_vector(u), surface.require_vector(v)
-    geo = local_geometry(surface, x)
-    s, g = geo.pi, geo.g
-    num = np.einsum("i,j,k,l,ijkl->", u, u, v, v, s) - np.einsum("i,j,k,l,ijkl->", u, v, u, v, s)
-    den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-    if den < 1e-12:
-        raise DegeneratePlane(f"plane spanned by {u}, {v} is degenerate (denominator {den:.3e})")
-    return float(num / den)
 
 
 def _central_diff(f, x) -> np.ndarray:
@@ -346,18 +298,6 @@ def _central_diff(f, x) -> np.ndarray:
         fp1, fm1, fp2, fm2 = f(x + e), f(x - e), f(x + 2 * e), f(x - 2 * e)
         out.append((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * _FD_STEP))
     return np.array(out)
-
-
-def christoffel_fd(surface, x) -> np.ndarray:
-    """Christoffels from the general metric formula, with the metric
-    derivatives taken by 4th-order central differences of the metric.
-    Cross-check only; valid on smooth catalog surfaces away from kinks.
-    """
-    x = surface.require_inside(x)
-    dg = _central_diff(lambda p: _metric(surface.gradient(p)), x)  # dg[k, i, j] = d_k g_ij
-    # half[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    half = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", local_geometry(surface, x).g_inv, half)
 
 
 def curvature_from_christoffel(surface, x, V, J) -> np.ndarray:
@@ -518,7 +458,10 @@ class GridSurface(GraphSurface):
     def from_samples(cls, name, x_axis, y_axis, h_samples, *, regularity=Regularity("smooth")):
         """Build from height samples alone; derivatives by 4th-order central
         differences, usable domain shrunk by the stencil width (2 cells per
-        differentiation pass, 4 total for the mixed second derivative)."""
+        differentiation pass, 4 total for the mixed second derivative). The
+        stencils take one step per axis, so each axis must be evenly spaced:
+        every sample within 1e-9 steps of the even grid between its ends
+        (which a linspace axis is exactly)."""
         x_axis, y_axis = (require_array(ax, "grid axis", finite=True) for ax in (x_axis, y_axis))
         h = require_array(h_samples, "height samples", finite=True)
         if h.ndim == 2:
@@ -528,6 +471,9 @@ class GridSurface(GraphSurface):
                                f"{x_axis.shape} and {y_axis.shape}")
         dx = x_axis[1] - x_axis[0]
         dy = y_axis[1] - y_axis[0]
+        for ax, step in ((x_axis, dx), (y_axis, dy)):
+            if np.any(np.abs(ax - np.linspace(ax[0], ax[-1], ax.size)) > 1e-9 * abs(step)):
+                raise InvalidInput("from_samples needs evenly spaced axes")
 
         def d4(a, axis, step):
             # central 4th order: (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / 12h;

@@ -150,6 +150,9 @@ def test_start_outside_chart_is_bad_input(command, rest, tmp_path, monkeypatch):
     ["--seed", "-1", "report", "--suites", "flow"],
     ["--surface", "vee", "geodesic", "--x0", "0,0", "--y0", "1e300,0", "--t-end", "0.3"],
     ["--surface", "vee", "geodesic", "--x0", "0,0", "--y0", "1e160,0", "--t-end", "0.3"],
+    # an --out that is a directory (the working directory) cannot be written
+    ["--surface", "flat", "geodesic", "--x0", "0,0", "--y0", "1,0", "--t-end", "0.1", "--out", "."],
+    ["--surface", "flat", "jacobian", "--x0", "0,0", "--y0", "1,0", "--t", "0.1", "--out", "."],
 ])
 def test_bad_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert run_cli(argv, tmp_path, monkeypatch) == 2
@@ -349,6 +352,17 @@ def test_config_bad_file(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run_cli(["--config", str(path), "surface", "list"], tmp_path, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff\xfe{\x00")],
+                         ids=["directory", "binary"])
+def test_config_unreadable_file_exit_2(make, tmp_path, monkeypatch, capsys):
+    # an OSError or a decode error is bad configuration, not a failed verdict with a traceback
+    path = tmp_path / "cfg.json"
+    make(path)
+    assert run_cli(["--config", str(path), "report", "--suites", "flow"], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 GRID_13 = np.zeros((13, 13)).tolist()

@@ -6,24 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoflow.catalog import surface_from_spec
-from geoflow.errors import DegeneratePlane, InvalidInput, OutOfChart
-from geoflow.regularity import mollify
+from geoflow.errors import InvalidInput, OutOfChart
+from geoflow.regularity import _level_fields, mollify
 from geoflow.surface import (
     GraphSurface,
     GridSurface,
     Regularity,
     christoffel_batch,
-    christoffel_fd,
     curvature_from_christoffel,
     curvature_operator,
     local_geometry,
-    normal_projector,
+)
+
+from conftest import C3_AND_BETTER, CATALOG_NAMES, grid_points, random_chart_points
+from geometry_oracles import (
+    christoffel_fd,
+    reference_geometry,
     second_fundamental_form,
     sectional_curvature,
     tangent_frame,
 )
-
-from conftest import C3_AND_BETTER, CATALOG_NAMES, grid_points, random_chart_points
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +85,10 @@ def test_metric_inverse_consistency(surfaces):
     rng = np.random.default_rng(7)
     for surf in surfaces.values():
         for x in random_chart_points(surf, 20, rng):
+            # push-through: g^-1 = I - w grad^T with w = grad a_inv
             geo = local_geometry(surf, x)
-            g, g_inv = geo.g, geo.g_inv
-            np.testing.assert_allclose(g_inv @ g, np.eye(2), atol=1e-12)
+            g_inv = np.eye(2) - geo.w @ geo.grad.T
+            np.testing.assert_allclose(g_inv @ geo.g, np.eye(2), atol=1e-12)
 
 
 def test_metric_eigenvalue_bounds(surfaces):
@@ -197,17 +200,23 @@ def test_c11_hessian_bounded(vee):
 
 
 # ---------------------------------------------------------------------------
-# second fundamental form
+# second fundamental form: the library's one route, regularity._level_fields,
+# whose Pi(e_i, e_j) smooth-converge reports as pi_c0 and pi_sup
 # ---------------------------------------------------------------------------
 
 
+def _pi(surf, x, u, v):
+    """Pi(u, v) at x as an ambient vector, from _level_fields' Pi(e_i, e_j)."""
+    return np.einsum("i,j,ijn->n", u, v, _level_fields(surf, x)[3])
+
+
 def test_pi_flat_zero(flat):
-    out = second_fundamental_form(flat, [0.1, 0.2], [1.0, 0.0], [0.0, 1.0])
+    out = _pi(flat, np.array([0.1, 0.2]), [1.0, 0.0], [0.0, 1.0])
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
 def test_pi_hemisphere_pole(hemisphere):
-    out = second_fundamental_form(hemisphere, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+    out = _pi(hemisphere, np.zeros(2), [1.0, 0.0], [1.0, 0.0])
     np.testing.assert_allclose(out, [0.0, 0.0, -1.0], atol=1e-14)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
 
@@ -219,34 +228,27 @@ def test_pi_symmetry_and_tangency(surfaces):
         for x in pts[:20]:
             u = rng.normal(size=2)
             v = rng.normal(size=2)
-            a = second_fundamental_form(surf, x, u, v)
-            b = second_fundamental_form(surf, x, v, u)
+            a = _pi(surf, x, u, v)
+            b = _pi(surf, x, v, u)
             np.testing.assert_allclose(a, b, atol=1e-12)
         # orthogonality to the tangent frame at 100 points
         for x in pts:
             u = rng.normal(size=2)
-            val = second_fundamental_form(surf, x, u, u)
+            val = _pi(surf, x, u, u)
             frame = tangent_frame(surf, x)
             np.testing.assert_allclose(frame.T @ val, 0.0, atol=1e-10)
 
 
 def test_pi_bilinear(hemisphere):
+    # the normal-projector route at a u + b w equals the combination of the
+    # library's values at u and at w
     rng = np.random.default_rng(37)
     x = np.array([0.2, -0.3])
     u, v, w = rng.normal(size=(3, 2))
     a, b = 0.7, -1.3
     lhs = second_fundamental_form(hemisphere, x, a * u + b * w, v)
-    rhs = (
-        a * second_fundamental_form(hemisphere, x, u, v)
-        + b * second_fundamental_form(hemisphere, x, w, v)
-    )
+    rhs = a * _pi(hemisphere, x, u, v) + b * _pi(hemisphere, x, w, v)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
-
-
-def test_normal_projector_idempotent(hemisphere):
-    p = normal_projector(hemisphere, np.array([0.3, 0.2]))
-    np.testing.assert_allclose(p @ p, p, atol=1e-13)
-    np.testing.assert_allclose(p, p.T, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +289,9 @@ def test_gauss_consistency(hemisphere, trough):
             assert rel <= 1e-5
 
 
+# K from the library's curvature operator: K(u, v) = -g(M(u) v, v) / |u ^ v|_g^2
+
+
 def test_sectional_flat(flat):
     assert sectional_curvature(flat, [0.1, 0.1], [1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-14)
 
@@ -322,19 +327,10 @@ def test_sectional_symmetric_under_swap(hemisphere):
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_sectional_degenerate_plane(hemisphere):
-    with pytest.raises(DegeneratePlane):
-        sectional_curvature(hemisphere, [0.1, 0.1], [1.0, 0.5], [2.0, 1.0])
-
-
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [1.0, 0.0, 0.0], [1.0], 1.0])
 def test_pointwise_ops_reject_malformed_vectors(hemisphere, bad):
     x, e = [0.1, 0.1], [0.0, 1.0]
     calls = [
-        lambda: sectional_curvature(hemisphere, x, bad, e),
-        lambda: sectional_curvature(hemisphere, x, e, bad),
-        lambda: second_fundamental_form(hemisphere, x, bad, e),
-        lambda: second_fundamental_form(hemisphere, x, e, bad),
         lambda: curvature_operator(hemisphere, x, bad),
         lambda: curvature_from_christoffel(hemisphere, x, bad, e),
         lambda: curvature_from_christoffel(hemisphere, x, e, bad),
@@ -459,22 +455,6 @@ def test_grid_surface_rejects_non_finite_samples(build):
 # ---------------------------------------------------------------------------
 
 
-def reference_geometry(surface, X, Y):
-    """Gamma, S and M computed separately, each from its own formula."""
-    grad = surface.gradient(X)
-    hess = surface.hessian(X)
-    m = surface.dim
-    g = np.einsum("...ia,...ja->...ij", grad, grad) + np.eye(m)
-    gamma = np.einsum("...la,...ija->...lij", np.linalg.solve(g, grad), hess)
-    q = np.einsum("...le,...abe->...lab", grad, hess)
-    w = np.linalg.solve(g, q.reshape(q.shape[:-2] + (m * m,))).reshape(q.shape)
-    s = np.einsum("...abe,...cde->...abcd", hess, hess)
-    s -= np.einsum("...lab,...lcd->...abcd", q, w)
-    b = np.einsum("...i,...k,...jikl->...lj", Y, Y, s)
-    b -= np.einsum("...i,...k,...ikjl->...lj", Y, Y, s)
-    return g, np.linalg.inv(g), gamma, s, np.einsum("...kl,...lj->...kj", np.linalg.inv(g), b)
-
-
 def _sphere_cap3():
     """Cap of the unit 3-sphere in R^4: h = sqrt(1 - |x|^2) over the ball |x| <= 0.8 in R^3."""
     def root(X):
@@ -514,16 +494,32 @@ def test_local_geometry_matches_reference(kernel_surfaces, n_points):
         if n_points == 1:
             X, Y = X[0], Y[0]
         geo = local_geometry(surf, X)
-        ref = reference_geometry(surf, X, Y)
-        got = (geo.g, geo.g_inv, geo.gamma, geo.pi, geo.curvature(Y))
-        for name, a, b in zip(("g", "g_inv", "gamma", "pi", "M"), got, ref):
+        g, gamma, _, m = reference_geometry(surf, X, Y)
+        for name, a, b in (("g", geo.g, g), ("gamma", geo.gamma, gamma), ("M", geo.curvature(Y), m)):
             assert a.shape == b.shape, (surf.name, name)
             if np.any(b):
                 assert _rel(a, b) <= 1e-13, (surf.name, name, _rel(a, b))
             else:
                 assert np.max(np.abs(a)) <= 1e-15, (surf.name, name)
-        np.testing.assert_allclose(geo.gamma_v(Y), np.einsum("...kij,...j->...ki", ref[2], Y),
+        np.testing.assert_allclose(geo.gamma_v(Y), np.einsum("...kij,...j->...ki", gamma, Y),
                                    rtol=1e-13, atol=1e-15)
+
+
+def test_level_fields_pi_matches_normal_projector(kernel_surfaces):
+    # _level_fields' Pi(e_i, e_j), behind smooth-converge's pi_c0 and pi_sup,
+    # against the normal projection of (0, Hess h(e_i, e_j))
+    rng = np.random.default_rng(19)
+    for surf in kernel_surfaces:
+        X = random_chart_points(surf, 64, rng)
+        eye = np.eye(surf.dim)
+        ref = np.stack([np.stack([second_fundamental_form(surf, X, a, b) for b in eye], axis=-2)
+                        for a in eye], axis=-3)
+        got = _level_fields(surf, X)[3]
+        assert got.shape == ref.shape, surf.name
+        if np.any(ref):
+            assert _rel(got, ref) <= 1e-13, (surf.name, _rel(got, ref))
+        else:
+            assert np.max(np.abs(got)) <= 1e-15, surf.name
 
 
 @pytest.mark.parametrize("domain", [[[0.5, -0.5], [-0.5, 0.5]], [[-0.5, 0.5], [0.5, -0.5]],
@@ -751,9 +747,9 @@ def test_curvature_sup_bounds_sampled_directions(surfaces):
     dirs = rng.normal(size=(64, 2))
 
     def sampled(surf, pts):
-        geo = local_geometry(surf, pts)
-        gn2 = np.einsum("di,pij,dj->pd", dirs, geo.g, dirs)
-        val2 = np.einsum("di,dj,dk,dl,pijkl->pd", dirs, dirs, dirs, dirs, geo.pi) / gn2 ** 2
+        g, _, s, _ = reference_geometry(surf, pts, np.zeros_like(pts))
+        gn2 = np.einsum("di,pij,dj->pd", dirs, g, dirs)
+        val2 = np.einsum("di,dj,dk,dl,pijkl->pd", dirs, dirs, dirs, dirs, s) / gn2 ** 2
         return float(np.sqrt(np.max(val2)))
 
     for surf in [surfaces[name] for name in CATALOG_NAMES] + [_codim2_grid()]:
