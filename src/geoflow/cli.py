@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
@@ -105,6 +106,14 @@ def _resolve_surface(spec: dict):
         raise ConfigError(f"malformed surface spec: {exc}") from exc
 
 
+def _out_path(given, cfg, key, default):
+    """given, else cfg.output[key], else default; checked before any work."""
+    path = given or cfg.output.get(key, default)
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        open(path, "w")  # fails, creating nothing, as the write would
+    return path
+
+
 def _parse_vec(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")], dtype=float)
@@ -140,10 +149,11 @@ def cmd_surface(args, cfg: RunConfig) -> int:
 
 def cmd_geodesic(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg.surface)
+    csv_path = _out_path(args.out, cfg, "trajectory_csv", "geodesic.csv")
+    json_path = _out_path(None, cfg, "summary_json", "geodesic.json")
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end, args.tol)
-    csv_path = args.out or cfg.output.get("trajectory_csv", "geodesic.csv")
     speeds = serialize.write_trajectory_csv(csv_path, surface, traj)
     drift = float(np.max(np.abs(speeds - traj.speed))) / max(traj.speed, 1e-300)
     summary = {
@@ -158,13 +168,13 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
         "speed": traj.speed,
         "speed_drift": drift,
     }
-    json_path = cfg.output.get("summary_json", "geodesic.json")
     print(serialize.write_json(json_path, summary))
     return 0
 
 
 def cmd_jacobian(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg.surface)
+    path = _out_path(args.out, cfg, "jacobian_json", "jacobian.json")
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     v = TangentVector(x0, y0)
@@ -179,13 +189,14 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
         num = fd_flow_differential(surface, args.t, v)
         out["fd_matrix"] = num
         out["max_abs_diff"] = float(np.max(np.abs(num - fd.matrix)))
-    path = args.out or cfg.output.get("jacobian_json", "jacobian.json")
     print(serialize.write_json(path, out))
     return 0
 
 
 def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg.surface)
+    path = _out_path(args.out, cfg, "convergence_json", "convergence.json")
+    csv_path = _out_path(None, cfg, "convergence_csv", "delta-vs-level.csv")
     if surface.regularity.c3:
         print(
             f"warning: {surface.name!r} is {surface.regularity}; the smoothing "
@@ -198,9 +209,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     report = reg.flow_convergence_report(seq, probes)
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
     out.update(asdict(report))
-    path = args.out or cfg.output.get("convergence_json", "convergence.json")
     text = serialize.write_json(path, out)
-    csv_path = cfg.output.get("convergence_csv", "delta-vs-level.csv")
     rows = [
         [i, scales[i], seq.metric_c1_dist[i], seq.pi_c0_dist[i],
          report.flow_c0[i] if i < len(report.flow_c0) else np.nan,
@@ -214,6 +223,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
 
 def cmd_minimality(args, cfg: RunConfig) -> int:
     surface = _resolve_surface(cfg.surface)
+    path = _out_path(args.out, cfg, "minimality_json", "minimality.json")
     x0 = _parse_vec(args.x0)
     y0 = _parse_vec(args.y0)
     traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
@@ -221,7 +231,6 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     rep = minimality_report(traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
     out.update(rep)
-    path = args.out or cfg.output.get("minimality_json", "minimality.json")
     print(serialize.write_json(path, out))
     return 0
 
@@ -347,6 +356,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
     if unknown:
         print(f"error: unknown suites {unknown}", file=sys.stderr)
         return 2
+    path = _out_path(args.out, cfg, "report_json", "report.json")
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(cfg.tolerances)
     results = {}
@@ -364,7 +374,6 @@ def cmd_report(args, cfg: RunConfig) -> int:
         "suites": results,
         "all_passed": all_passed,
     }
-    path = args.out or cfg.output.get("report_json", "report.json")
     print(serialize.write_json(path, out))
     return 0 if all_passed else 1
 

@@ -53,8 +53,8 @@ def require_count(value, least: int, what: str):
 
 
 def _shown(value) -> str:
-    """value's repr, shortened to one line for a message."""
-    return " ".join(reprlib.repr(value).split())
+    """value's repr on one line for a message, a numpy scalar's as its number."""
+    return " ".join(reprlib.repr(value.item() if isinstance(value, np.generic) else value).split())
 
 
 def _require_range(x, value, what, finite, above=None, at_least=None, at_most=None):

@@ -1,15 +1,14 @@
 """Smoothing of low-regularity graphs and quantitative flow-convergence checks.
 
 Height fields are smoothed by convolution with a compactly supported product
-of 1-D bump kernels, sampled on a fine grid and applied one axis at a time.
-The fine grid is never held whole: it is sampled and smoothed one strip of
-rows at a time.
-Derivative grids are produced by convolving the surface's own derivative
-arrays with the same kernel (the convolution commutes with differentiation
-for the classes handled here); the discrete weights are nonnegative,
-symmetric and normalized to unit mass, so affine height fields are preserved
-exactly and sup bounds of the derivatives can never be inflated by the
-smoothing.
+of 1-D bump kernels, sampled on a fine grid one strip of rows at a time and
+applied one axis at a time. Derivative grids are produced by convolving the
+surface's own derivative arrays with the same kernel (the convolution
+commutes with differentiation for the classes handled here), at once, and
+the height only at its first read: the flows see a level through its
+derivatives alone. The discrete weights are nonnegative, symmetric and
+normalized to unit mass, so affine height fields are preserved exactly and
+sup bounds of the derivatives can never be inflated by the smoothing.
 
 The module also provides the quantitative bounds used to certify the flow
 behaviour: the exponential a-priori bound on Jacobi states, the explicit
@@ -188,20 +187,39 @@ def _smooth_field(field, radius, k: int) -> np.ndarray:
     return out.reshape(out.shape[:2] + field.shape[2:])
 
 
+def _smooth_strips(sample, outs, axes, radius, k):
+    """Fill outs (spline grid rows first) with the smoothing of the fields
+    sample(pts) returns, one strip of _STRIP_ROWS rows at a time, at the fine
+    points pts (..., 2) its kernel windows cover. A Hessian (..., 2, 2, c) is
+    smoothed as returned, so no pass copies it, and keeps entries 11, 12, 22."""
+    n = len(outs[0])
+    for i0 in range(0, n, _STRIP_ROWS):
+        # Spline rows i0:i1 are the kernel windows starting at fine rows
+        # i0 * k, ..., (i1 - 1) * k: the same dot products as on the whole grid.
+        i1 = min(i0 + _STRIP_ROWS, n)
+        rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
+        pts = np.empty((len(rows), len(axes[1]), 2))
+        pts[..., 0], pts[..., 1] = rows[:, None], axes[1]
+        fields = list(sample(pts))
+        for out in outs:  # each field is freed once smoothed, before the next strip's call
+            field = _smooth_field(fields.pop(0), radius, k)
+            out[i0:i1] = field if field.ndim == out.ndim else field[..., [0, 0, 1], [0, 1, 1], :]
+
+
 def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> GridSurface:
     """Smoothed copy of the surface on the chart box shrunk by eps.
 
-    The height, gradient and Hessian are sampled on a fine grid of spacing
-    eps / kernel_cells. Each component is convolved with a product of 1-D
-    bumps of support radius eps, one axis at a time, each pass keeping only
-    the outputs on the spline grid; the smoothed Hessian keeps its entries
-    11, 12, 22. The fine grid exists one strip at a time, never whole: a
-    strip of _STRIP_ROWS rows of the spline grid samples only the fine rows
-    its kernel windows cover, so memory follows the strip, not (1 / eps)^2.
-    The smoothed height is re-normalized to match the original at the chart
-    origin when the origin is on the grid. Only box-domain charts of dim 2
-    are supported, and an eps that leaves fewer than 4 spline-grid samples
-    on an axis is DomainTooSmall.
+    The gradient and Hessian are sampled on a fine grid of spacing
+    eps / kernel_cells, with one surface.derivatives call per strip of
+    _smooth_strips. Each component is convolved with a product of 1-D bumps
+    of support radius eps, one axis at a time, each pass keeping only the
+    outputs on the spline grid, and the two fields are fitted here. The
+    height is deferred: the returned GridSurface samples, smooths and fits
+    it in the same strips on its first height read, re-normalized to match
+    the original at the chart origin when the origin is on the grid, and
+    keeps it; the flows and their differentials never read it. Only
+    box-domain charts of dim 2 are supported, and an eps that leaves fewer
+    than 4 spline-grid samples on an axis is DomainTooSmall.
     """
     require_count(kernel_cells, 1, "kernel_cells")
     eps = require_real(eps, "eps", above=0)
@@ -222,37 +240,21 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     # Subsample to the spline grid: spacing about eps/6 resolves every
     # eps-scale feature while keeping the spline fits cheap.
     k = max(1, int(round(kernel_cells / 6)))
-    xa = axes[0][radius[0]: len(axes[0]) - radius[0]: k]
-    ya = axes[1][radius[1]: len(axes[1]) - radius[1]: k]
+    xa, ya = (ax[r: len(ax) - r: k] for ax, r in zip(axes, radius))
     if min(len(xa), len(ya)) < 4:
         raise DomainTooSmall(f"eps={eps:g} leaves a {len(xa)} x {len(ya)} spline grid; "
                              "a bicubic fit needs 4 samples per axis")
     shape = (len(xa), len(ya))
-    h = np.empty(shape + (surface.codim,))
-    grad = np.empty(shape + (2, surface.codim))
-    hess = np.empty(shape + (3, surface.codim))
-    for i0 in range(0, len(xa), _STRIP_ROWS):
-        # Spline rows i0:i1 are the kernel windows starting at fine rows
-        # i0 * k, ..., (i1 - 1) * k: the same dot products as on the whole grid.
-        i1 = min(i0 + _STRIP_ROWS, len(xa))
-        rows = axes[0][i0 * k: (i1 - 1) * k + 2 * radius[0] + 1]
-        pts = np.empty((len(rows), len(axes[1]), 2))
-        pts[..., 0], pts[..., 1] = rows[:, None], axes[1]
-        h[i0:i1] = _smooth_field(surface.height(pts), radius, k)
-        # One derivative call per strip; each array is freed once smoothed, before the
-        # next strip's call. The Hessian is smoothed as returned, so no pass copies it.
-        d_grad, d_hess = surface.derivatives(pts)
-        grad[i0:i1] = _smooth_field(d_grad, radius, k)
-        del d_grad
-        hess[i0:i1] = _smooth_field(d_hess, radius, k)[..., [0, 0, 1], [0, 1, 1], :]
-        del d_hess
+    grad, hess = (np.empty(shape + (n, surface.codim)) for n in (2, 3))
+    _smooth_strips(surface.derivatives, [grad, hess], axes, radius, k)
 
-    smoothed = GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, h, grad, hess,
-                           regularity=Regularity("smooth"))
-    if (xa[0] <= 0 <= xa[-1]) and (ya[0] <= 0 <= ya[-1]):
-        origin = np.zeros(2)
-        smoothed._shift_height(surface.height(origin) - smoothed.height(origin))
-    return smoothed
+    def height():
+        h = np.empty(shape + (surface.codim,))
+        _smooth_strips(lambda pts: [surface.height(pts)], [h], axes, radius, k)
+        return h, surface.height(np.zeros(2)) if xa[0] <= 0 <= xa[-1] and ya[0] <= 0 <= ya[-1] else None
+
+    return GridSurface(f"{surface.name}_eps{eps:g}", xa, ya, height, grad, hess,
+                       regularity=Regularity("smooth"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,6 @@ class SmoothingSequence:
     base: GraphSurface
     scales: list
     smoothed: list
-    h_c1_dist: np.ndarray        # per level: sup|h_l - h| + sup|grad_l - grad|
     metric_c1_dist: np.ndarray   # per level: sup|g_l - g| + sup|Dg_l - Dg|
     pi_c0_dist: np.ndarray       # per level: sup |Pi_l - Pi| on basis pairs
     pi_sup: np.ndarray           # per level: sup |Pi_l| (uniform-bound check)
@@ -273,7 +274,7 @@ class SmoothingSequence:
 
 
 def _level_fields(surf, pts):
-    """grad, g, dg[k,i,j] = partial_k g_ij and Pi(e_i, e_j) as ambient
+    """g, dg[k,i,j] = partial_k g_ij and Pi(e_i, e_j) as ambient
     vectors (P, m, m, n), from one derivative evaluation."""
     geo = local_geometry(surf, pts)
     gamma = geo.gamma
@@ -282,7 +283,7 @@ def _level_fields(surf, pts):
     # ambient = (0, hess_ab) - sum_k T_k gamma[k,a,b];  T_k = (e_k, grad[k])
     p_top = -np.moveaxis(gamma, -3, -1)                       # (P, a, b, m)
     p_bot = geo.hess - np.einsum("...kab,...ke->...abe", gamma, geo.grad)
-    return geo.grad, geo.g, dg, np.concatenate([p_top, p_bot], axis=-1)
+    return geo.g, dg, np.concatenate([p_top, p_bot], axis=-1)
 
 
 def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
@@ -296,28 +297,19 @@ def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
     lo = np.max([s.domain_lo for s in smoothed], axis=0)
     hi = np.min([s.domain_hi for s in smoothed], axis=0)
     axes = [np.linspace(a + 1e-9, b - 1e-9, _PROBE_RES) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
-    h_base = surface.height(pts)
-    grad_base, g_base, dg_base, pi_base = _level_fields(surface, pts)
+    g_base, dg_base, pi_base = _level_fields(surface, pts)
 
-    h_d, m_d, p_d, p_sup = [], [], [], []
+    m_d, p_d, p_sup = [], [], []
     for s in smoothed:
-        grad_s, g_s, dg_s, pi_s = _level_fields(s, pts)
-        h_d.append(
-            float(np.max(np.abs(s.height(pts) - h_base)))
-            + float(np.max(np.abs(grad_s - grad_base)))
-        )
-        m_d.append(
-            float(np.max(np.abs(g_s - g_base))) + float(np.max(np.abs(dg_s - dg_base)))
-        )
+        g_s, dg_s, pi_s = _level_fields(s, pts)
+        m_d.append(float(np.max(np.abs(g_s - g_base))) + float(np.max(np.abs(dg_s - dg_base))))
         p_d.append(float(np.max(np.linalg.norm(pi_s - pi_base, axis=-1))))
         p_sup.append(float(np.max(np.linalg.norm(pi_s, axis=-1))))
 
     return SmoothingSequence(
-        surface, scales, smoothed,
-        np.array(h_d), np.array(m_d), np.array(p_d), np.array(p_sup), (lo, hi),
+        surface, scales, smoothed, np.array(m_d), np.array(p_d), np.array(p_sup), (lo, hi),
     )
 
 
@@ -336,11 +328,13 @@ class ConvergenceReport:
 
 
 def _avg_factor(dists):
+    """Geometric mean of the shrinks between successive positive distances;
+    with fewer than two, inf if the last distance is 0, else 0 (no shrink)."""
     d = np.asarray(dists, dtype=float)
-    d = d[d > 0]
-    if len(d) < 2:
-        return np.inf
-    ratios = d[:-1] / d[1:]
+    pos = d[d > 0]
+    if len(pos) < 2:
+        return np.inf if d[-1] == 0 else 0.0
+    ratios = pos[:-1] / pos[1:]
     return float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-12)))))
 
 
@@ -349,7 +343,9 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
 
     probes: list of (t, TangentVector). Probes whose geodesic leaves any
     level's chart are pruned and reported. A distance sequence counts as
-    converging when it shrinks by _CONVERGE_FACTOR per level on average.
+    converging when it shrinks by _CONVERGE_FACTOR per level on average
+    (_avg_factor): a single positive distance, all that two scales give,
+    never does, and an all-zero sequence (a flat surface) always does.
     """
     probes = [require_sequence(p, "each probe (t, v)", 2) for p in require_sequence(probes, "probes", 1)]
     if any(len(p) > 2 for p in probes):
@@ -370,8 +366,7 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
     steps = finals[:, 1:] - finals[:, :-1]
     flow_d = [float(d) for d in np.max(np.linalg.norm(steps[..., : 2 * m], axis=-1), axis=0)]
     dflow_d = [float(d) for d in np.max(np.abs(steps[..., 2 * m:]), axis=(0, 2))]
-    flow_fac = _avg_factor(flow_d)
-    dflow_fac = _avg_factor(dflow_d)
+    flow_fac, dflow_fac = _avg_factor(flow_d), _avg_factor(dflow_d)
     if flow_fac >= _CONVERGE_FACTOR and dflow_fac >= _CONVERGE_FACTOR:
         verdict = "converging"
     elif flow_fac >= _CONVERGE_FACTOR:
@@ -379,15 +374,9 @@ def flow_convergence_report(seq: SmoothingSequence, probes) -> ConvergenceReport
     else:
         verdict = "inconclusive"
     return ConvergenceReport(
-        scales=seq.scales,
-        metric_c1=seq.metric_c1_dist.tolist(),
-        pi_c0=seq.pi_c0_dist.tolist(),
-        flow_c0=flow_d,
-        dflow_c0=dflow_d,
-        verdict=verdict,
-        pi_sup=seq.pi_sup.tolist(),
-        pruned_probes=pruned,
-    )
+        scales=seq.scales, metric_c1=seq.metric_c1_dist.tolist(), pi_c0=seq.pi_c0_dist.tolist(),
+        flow_c0=flow_d, dflow_c0=dflow_d, verdict=verdict, pi_sup=seq.pi_sup.tolist(),
+        pruned_probes=pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ provided as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,12 +382,16 @@ def _fit(x_lu, y_lu, c):
 class GridSurface(GraphSurface):
     """Chart surface backed by sampled grids and bicubic splines (dim 2 only).
 
-    h (Nx, Ny, c), grad (Nx, Ny, 2, c) and hess (Nx, Ny, 3, c) are samples on
-    the grid x_axis x y_axis, in the layout of height and derivatives; the
-    Hessian holds the entries 11, 12 and 22. The codim c is read from h, and
-    each axis needs at least 4 samples. The three fields are fitted
-    independently, not by differentiating one another, so sampled data (e.g.
-    smoothed height fields with convolved derivative grids) plug in directly.
+    grad (Nx, Ny, 2, c) and hess (Nx, Ny, 3, c; entries 11, 12, 22) are samples
+    on the grid x_axis x y_axis; c is read from grad, and each axis needs at
+    least 4 samples. h is the height samples (Nx, Ny, c), or a deferred height:
+    a function of no arguments, called at the first height read, returning the
+    samples and the height at the chart origin (or None). Its fit is kept, and
+    shifted to that height by adding the difference to every coefficient (the
+    B-splines sum to one), not fitted again. Samples that are not finite or
+    not (Nx, Ny, c) are InvalidInput, a deferred height's at that read. The
+    fields are fitted independently, so sampled data (e.g. smoothed height
+    fields with convolved derivative grids) plug in directly.
     Every component is interpolated by the not-a-knot bicubic spline, the
     fit FITPACK makes at s = 0: each axis's collocation matrix is factored
     once as a band (_collocation_lu) and solved in place along that axis for
@@ -406,12 +411,11 @@ class GridSurface(GraphSurface):
         from scipy.interpolate import NdBSpline
 
         x_axis, y_axis = (require_array(ax, "grid axis", finite=True) for ax in (x_axis, y_axis))
-        h, grad, hess = (require_array(a, "h, grad and hess samples", finite=True)
-                         for a in (h, grad, hess))
-        nx, ny, codim = h.shape if h.ndim == 3 else (0, 0, 0)
-        if (h.ndim, x_axis.shape, y_axis.shape, grad.shape, hess.shape) \
-                != (3, (nx,), (ny,), (nx, ny, 2, codim), (nx, ny, 3, codim)):
-            raise InvalidInput("h, grad, hess must be (Nx, Ny, c), (Nx, Ny, 2, c), (Nx, Ny, 3, c)")
+        grad, hess = (require_array(a, "grad and hess samples", finite=True) for a in (grad, hess))
+        nx, ny, _, codim = grad.shape if grad.ndim == 4 else (0, 0, 0, 0)
+        if (x_axis.shape, y_axis.shape, grad.shape, hess.shape) \
+                != ((nx,), (ny,), (nx, ny, 2, codim), (nx, ny, 3, codim)):
+            raise InvalidInput("grad and hess must be (Nx, Ny, 2, c) and (Nx, Ny, 3, c) on the axes")
         if min(nx, ny) < 4:
             raise InvalidInput(f"a bicubic fit needs at least 4 samples per axis, got {nx} x {ny}")
         if not all(np.all(np.diff(ax) > 0) for ax in (x_axis, y_axis)):
@@ -419,10 +423,8 @@ class GridSurface(GraphSurface):
 
         (tx, x_lu), (ty, y_lu) = _collocation_lu(x_axis), _collocation_lu(y_axis)
         n_grad = 2 * codim
-        h_spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, h.copy()), 3)
         d_spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, np.concatenate(
             [grad.reshape(nx, ny, n_grad), hess.reshape(nx, ny, 3 * codim)], axis=-1)), 3)
-        self._h_coeffs = h_spl.c  # the array h_spl evaluates, shared (see _shift_height)
         # per component: reducing a strided (nx, ny) view is several times
         # faster than one reduction of the stack over axes (0, 1)
         d_max = np.array([max(c.max(), -c.min()) for c in np.moveaxis(d_spl.c, -1, 0)])
@@ -437,6 +439,22 @@ class GridSurface(GraphSurface):
         def clamped(X):
             return np.minimum(np.maximum(np.asarray(X, dtype=float), lo), hi)
 
+        @functools.cache
+        def h_spl():
+            samples, h0 = h() if callable(h) else (h, None)
+            samples = require_array(samples, "height samples", finite=True)
+            h0 = None if h0 is None else require_array(h0, "height at the origin", finite=True)
+            if samples.shape != (nx, ny, codim) or h0 is not None and h0.shape != (codim,):
+                raise InvalidInput(f"height samples and origin height must be {(nx, ny, codim)} and "
+                                   f"{(codim,)}, got {samples.shape} and {np.shape(h0)}")
+            spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, samples.copy()), 3)
+            if h0 is not None:
+                spl.c[...] += h0 - spl(np.zeros(2))
+            return spl
+
+        if not callable(h):
+            h_spl()  # fitted, and checked, now
+
         def derivatives(X):
             out = d_spl(clamped(X))
             lead = out.shape[:-1]
@@ -444,15 +462,9 @@ class GridSurface(GraphSurface):
                     out[..., n_grad:].reshape(lead + (3, codim))[..., [[0, 1], [1, 2]], :])
 
         super().__init__(
-            name, 2, codim, lo, hi, lambda X: h_spl(clamped(X)), derivatives, regularity=regularity,
+            name, 2, codim, lo, hi, lambda X: h_spl()(clamped(X)), derivatives, regularity=regularity,
             bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
-
-    def _shift_height(self, delta):
-        """Add the constant delta (codim,) to the height without a refit: the
-        B-splines sum to one on the grid box, so adding delta to every
-        coefficient adds it to the spline (up to rounding)."""
-        self._h_coeffs += delta
 
     @classmethod
     def from_samples(cls, name, x_axis, y_axis, h_samples, *, regularity=Regularity("smooth")):

@@ -203,6 +203,64 @@ def test_smooth_converge_coarse_scale_exit_3(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "spline grid" in err[0]
 
 
+@pytest.mark.parametrize("surface, verdict", [("vee", "inconclusive"), ("flat", "converging")])
+def test_smooth_converge_two_scales_verdict(surface, verdict, tmp_path, monkeypatch, capsys):
+    # two scales give one successive distance, which shows no shrink: vee's
+    # positive distance is inconclusive; flat's levels agree exactly, and an
+    # all-zero sequence counts as converging
+    argv = ["--seed", "1", "--surface", surface, "smooth-converge", "--scales", "0.2,0.1", "--probes", "4"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["flow_c0"]) == 1 and (out["flow_c0"][0] > 0) == (surface == "vee")
+    assert out["verdict"] == verdict
+
+
+def test_numpy_scalar_shown_as_number(tmp_path, monkeypatch, capsys):
+    # the CLI parses scales into numpy floats; the message shows the number
+    argv = ["--surface", "vee", "smooth-converge", "--scales", "0.2,-0.1"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: each scale must be finite, > 0, got -0.1"
+
+
+FLAT_START = ["--x0", "0,0", "--y0", "1,0"]
+
+
+@pytest.mark.parametrize("argv, output, work", [
+    (["smooth-converge", "--out", "missing/c.json"], {}, "approximation_sequence"),
+    (["smooth-converge"], {"convergence_csv": "missing/d.csv"}, "approximation_sequence"),
+    (["geodesic", *FLAT_START, "--t-end", "0.1", "--out", "missing/g.csv"], {}, "integrate_geodesic"),
+    (["geodesic", *FLAT_START, "--t-end", "0.1"], {"summary_json": "missing/g.json"}, "integrate_geodesic"),
+    (["jacobian", *FLAT_START, "--t", "0.1", "--out", "missing/j.json"], {}, "flow_differential"),
+    (["minimality", *FLAT_START, "--t-end", "0.1", "--out", "missing/m.json"], {}, "integrate_geodesic"),
+    (["report", "--suites", "flow", "--out", "missing/r.json"], {}, "SUITES"),
+], ids=["smooth-json", "smooth-csv", "geodesic-csv", "geodesic-json", "jacobian", "minimality",
+        "report"])
+def test_missing_output_directory_fails_before_work(argv, output, work, tmp_path, monkeypatch,
+                                                    capsys):
+    # every JSON and CSV path is checked up front: exit 2 with the OSError
+    # writing would raise, and no study, integration or suite is run
+    from geoflow import cli
+
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(work)
+        raise AssertionError(f"{work} ran")
+
+    if work == "SUITES":
+        monkeypatch.setitem(cli.SUITES, "flow", fail)
+    else:
+        monkeypatch.setattr(cli.reg if work == "approximation_sequence" else cli, work, fail)
+    (tmp_path / "cfg.json").write_text(json.dumps({"surface": {"type": "catalog", "name": "vee"},
+                                                   "output": output}))
+    assert run_cli(["--config", "cfg.json", *argv], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert calls == []
+    assert len(err) == 1 and err[0].startswith("error: [Errno 2] No such file or directory: 'missing/")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # minimality command
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ J0 = JacobiState([0.0, 0.0], [0.0, 1.0])
 PAIRS = [(0.1, 0.2), (0.5, 0.3)]
 LINEAR = lambda d: d
 ORACLE = minimality.build_mesh_oracle(FLAT, 16)
-SEQ = regularity.SmoothingSequence(FLAT, [0.2, 0.1], [FLAT, FLAT], *[np.zeros(2)] * 4,
+SEQ = regularity.SmoothingSequence(FLAT, [0.2, 0.1], [FLAT, FLAT], *[np.zeros(2)] * 3,
                                    (FLAT.domain_lo, FLAT.domain_hi))
 RUN = integrate.IntegrationResult(np.zeros(1), np.zeros((1, 4)), [integrate.COMPLETED])
 
@@ -540,6 +540,10 @@ ROWS = {
         Case("string samples", lambda: grid(h=np.full((6, 6, 1), "a"))),
         Case("nan samples", lambda: grid(h=np.full((6, 6, 1), NAN))),
         Case("shape", lambda: grid(h=np.zeros((6, 6)))),
+        Case("deferred nan samples", lambda: grid(h=lambda: (np.full((6, 6, 1), NAN), None)).height(V.x)),
+        Case("deferred shape", lambda: grid(h=lambda: (np.zeros((6, 5, 1)), None)).height(V.x)),
+        Case("deferred nan origin height", lambda: grid(h=lambda: (np.zeros((6, 6, 1)), [NAN])).height(V.x)),
+        Case("deferred origin height shape", lambda: grid(h=lambda: (np.zeros((6, 6, 1)), [0, 0])).height(V.x)),
         Case("under 4 samples", lambda: grid(nx=3)),
         Case("reversed axis", lambda: grid(axes=(np.linspace(1, 0, 6), np.linspace(0, 1, 6)))),
         Case("inf axis", lambda: grid(axes=(np.linspace(0, 1, 6), [0, 0.2, 0.4, 0.6, 0.8, INF]))),

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,18 +195,25 @@ def test_mollify_memory_follows_strip(vee):
 @pytest.mark.parametrize("name", ["vee", "c2alpha"])
 def test_strips_change_no_bits(name, monkeypatch):
     # at eps = 0.05 the spline grid has 161 rows, so the last strip holds one
-    # row, and vee's crease x1 = 0 (row 80) lies inside a strip; every field
-    # must equal the smoothing of the whole fine grid bit for bit
+    # row, and vee's crease x1 = 0 (row 80) lies inside a strip; every field,
+    # the height as captured at its first read, must equal the smoothing of
+    # the whole fine grid bit for bit
     surf = make_surface(name)
     fields = []
     grid_surface = reg.GridSurface
 
     def capture(label, xa, ya, h, grad, hess, **kwargs):
-        fields.extend([h, grad, hess])
-        return grid_surface(label, xa, ya, h, grad, hess, **kwargs)
+        def height():
+            samples, h0 = h()
+            fields.insert(0, samples)
+            return samples, h0
+
+        fields.extend([grad, hess])
+        return grid_surface(label, xa, ya, height, grad, hess, **kwargs)
 
     monkeypatch.setattr(reg, "GridSurface", capture)
-    reg.mollify(surf, 0.05)
+    reg.mollify(surf, 0.05).height(np.zeros(2))
+    assert len(fields) == 3
     assert len(fields[0]) == 161 and 161 % reg._STRIP_ROWS != 0
     # mollify's fine grid: 513 points per axis (spacing eps / 16), radius 16, stride 3
     axes = [np.linspace(lo, hi, 513) for lo, hi in zip(surf.domain_lo, surf.domain_hi)]
@@ -217,9 +226,10 @@ def test_strips_change_no_bits(name, monkeypatch):
 
 
 def test_mollify_fits_each_field_once(c2alpha, monkeypatch):
-    # one height fit and one fit of the stacked 2 gradient and 3 Hessian
-    # components per level: the origin re-normalization shifts the fitted
-    # height instead of fitting it again
+    # one fit of the stacked 2 gradient and 3 Hessian components per level,
+    # and none of the height, which no flow reads; a height read fits it once,
+    # the origin re-normalization shifting the fit instead of fitting again,
+    # and a second read fits nothing
     from geoflow import surface
 
     fits = []
@@ -230,8 +240,39 @@ def test_mollify_fits_each_field_once(c2alpha, monkeypatch):
         return fit(x_lu, y_lu, c)
 
     monkeypatch.setattr(surface, "_fit", counted)
-    reg.approximation_sequence(c2alpha, [0.1, 0.05, 0.025, 0.0125])
-    assert fits == [1, 5] * 4
+    seq = reg.approximation_sequence(c2alpha, [0.1, 0.05, 0.025, 0.0125])
+    assert fits == [5] * 4
+    for _ in range(2):
+        for s in seq.smoothed:
+            s.height(np.zeros(2))
+        assert fits == [5] * 4 + [1] * 4
+
+
+def test_deferred_height_matches_eager_bits():
+    # each level's height, origin re-normalization included, equals the bits
+    # the eager fit gave in tests/data/mollified_heights.json, recorded with
+    # mollify(make_surface(name), eps).height(points) when mollify fitted the
+    # height at once; the points lie inside and outside the grid box
+    data = json.loads((Path(__file__).parent / "data" / "mollified_heights.json").read_text())
+    pts = np.array(data["points"])
+    for name, want in data["heights"].items():
+        s = reg.mollify(make_surface(name), data["eps"])
+        inside = s.contains_batch(pts)
+        assert inside.any() and not inside.all()
+        assert [v.hex() for v in s.height(pts)[:, 0]] == want, name
+
+
+def test_flow_study_reads_no_height(c2alpha, monkeypatch):
+    # the flows and their differentials see a level only through its
+    # gradient and Hessian, so the study never samples the base height
+    reads = []
+    height = c2alpha.height
+    monkeypatch.setattr(c2alpha, "height", lambda X: reads.append(np.shape(X)) or height(X))
+    seq = reg.approximation_sequence(c2alpha, [0.1, 0.05])
+    reg.flow_convergence_report(seq, reg.convergence_probes(seq, 3, np.random.default_rng(2)))
+    assert reads == []
+    seq.smoothed[0].height(np.zeros(2))  # the first read samples it, strip by strip
+    assert reads and reads[-1] == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +289,10 @@ def c2alpha_sequence():
 def test_sequence_monotone_convergence(c2alpha_sequence):
     seq = c2alpha_sequence
     assert all(s.regularity.tag == "smooth" for s in seq.smoothed)
-    assert np.all(np.diff(seq.h_c1_dist) < 0)
+    pts = grid_points(seq.smoothed[0], 41)  # the coarsest level's box is the common one
+    h_c1 = [np.max(np.abs(s.height(pts) - seq.base.height(pts)))
+            + np.max(np.abs(s.gradient(pts) - seq.base.gradient(pts))) for s in seq.smoothed]
+    assert np.all(np.diff(h_c1) < 0)
     assert np.all(np.diff(seq.metric_c1_dist) < 0)
     assert np.all(np.diff(seq.pi_c0_dist) < 0)
 
@@ -263,6 +307,16 @@ def test_sequence_matches_base_at_origin(c2alpha_sequence):
 def test_sequence_rejects_nondecreasing_scales(vee):
     with pytest.raises(ValueError):
         reg.approximation_sequence(vee, [0.05, 0.05])
+
+
+@pytest.mark.parametrize("dists, factor", [
+    ([4.0, 2.0, 1.0], 2.0), ([3e-3], 0.0), ([0.0, 2e-3], 0.0), ([0.0], math.inf),
+    ([0.0, 0.0, 0.0], math.inf), ([2e-3, 0.0], math.inf),
+])
+def test_avg_factor(dists, factor):
+    # a single positive distance shows no shrink; a sequence ending at 0
+    # (all zero on a flat surface) shrank without bound
+    assert reg._avg_factor(dists) == pytest.approx(factor)
 
 
 def test_flow_convergence_flat(flat):

@@ -23,7 +23,7 @@ DATA = Path(__file__).parent / "data"
 EXACT = ("schema", "surface", "seed", "verdict", "pruned_probes")
 
 
-@pytest.mark.parametrize("surface", ["c21_cubic", "vee"])
+@pytest.mark.parametrize("surface", ["c21_cubic", "c2alpha", "vee"])
 def test_smooth_converge_matches_golden(surface, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["--seed", "12345", "--surface", surface, "smooth-converge",

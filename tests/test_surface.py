@@ -207,7 +207,7 @@ def test_c11_hessian_bounded(vee):
 
 def _pi(surf, x, u, v):
     """Pi(u, v) at x as an ambient vector, from _level_fields' Pi(e_i, e_j)."""
-    return np.einsum("i,j,ijn->n", u, v, _level_fields(surf, x)[3])
+    return np.einsum("i,j,ijn->n", u, v, _level_fields(surf, x)[2])
 
 
 def test_pi_flat_zero(flat):
@@ -514,7 +514,7 @@ def test_level_fields_pi_matches_normal_projector(kernel_surfaces):
         eye = np.eye(surf.dim)
         ref = np.stack([np.stack([second_fundamental_form(surf, X, a, b) for b in eye], axis=-2)
                         for a in eye], axis=-3)
-        got = _level_fields(surf, X)[3]
+        got = _level_fields(surf, X)[2]
         assert got.shape == ref.shape, surf.name
         if np.any(ref):
             assert _rel(got, ref) <= 1e-13, (surf.name, _rel(got, ref))
@@ -647,6 +647,36 @@ def test_grid_surface_rejects_under_4_samples(nx, ny):
     with pytest.raises(InvalidInput, match="4 samples"):
         GridSurface("small", *axes, np.zeros((nx, ny, 1)), np.zeros((nx, ny, 2, 1)),
                     np.zeros((nx, ny, 3, 1)))
+
+
+def test_deferred_height_is_checked_at_first_read():
+    # a deferred height is not called by the constructor; its samples are
+    # checked, and InvalidInput raised, when something first reads the height
+    axis = np.linspace(-0.5, 0.5, 6)
+    calls = []
+
+    def bad():
+        calls.append(1)
+        return np.full((6, 6, 1), np.nan), None
+
+    grid = GridSurface("deferred", axis, axis, bad, np.zeros((6, 6, 2, 1)), np.zeros((6, 6, 3, 1)))
+    assert calls == [] and grid.gradient(np.zeros(2)).shape == (2, 1)
+    with pytest.raises(InvalidInput, match="height samples"):
+        grid.height(np.zeros(2))
+    assert calls == [1]
+
+
+def test_deferred_height_takes_origin_value():
+    # the fit of deferred samples is shifted to the height given at the origin
+    axis = np.linspace(-0.5, 0.5, 9)
+    f = np.random.default_rng(4).normal(size=(9, 9, 1))
+    eager = GridSurface("eager", axis, axis, f, np.zeros((9, 9, 2, 1)), np.zeros((9, 9, 3, 1)))
+    shift = 0.25 - eager.height(np.zeros(2))
+    deferred = GridSurface("deferred", axis, axis, lambda: (f, [0.25]), np.zeros((9, 9, 2, 1)),
+                           np.zeros((9, 9, 3, 1)))
+    pts = np.random.default_rng(5).uniform(-0.7, 0.7, size=(50, 2))
+    np.testing.assert_allclose(deferred.height(pts), eager.height(pts) + shift, rtol=0, atol=1e-14)
+    assert abs(float(deferred.height(np.zeros(2))[0]) - 0.25) <= 1e-15
 
 
 def test_grid_surface_build_peak_memory():
