@@ -109,11 +109,12 @@ def gronwall_bound(c_bar: float, x0_norm: float, t):
 
 
 def osgood_gamma(mu_r, c_tilde: float, c_bar: float, t1: float):
-    """Modulus transfer Gamma(delta) = c_tilde * t1 * exp(c_bar * t1) * mu_r(delta)."""
+    """Modulus transfer Gamma(delta) = c_tilde * t1 * exp(c_bar * t1) * mu_r(delta)
+    for any inner modulus mu_r (a power law c_r * delta^alpha is the Hoelder
+    branch), its exponential prefactor read from gronwall_bound."""
     c_tilde = require_real(c_tilde, "c_tilde", at_least=0)
-    c_bar = require_real(c_bar, "c_bar", at_least=0)
     t1 = require_real(t1, "t1", above=0)
-    scale = c_tilde * t1 * np.exp(c_bar * t1)
+    scale = c_tilde * t1 * gronwall_bound(c_bar, 1.0, t1)
     return lambda delta: scale * mu_r(delta)
 
 
@@ -121,17 +122,6 @@ def injradius_lower_bound(c: float, l: float) -> float:
     """min(pi / c, l / 2) for curvature bound c and shortest-loop length l."""
     c, l = require_real(c, "c", above=0), require_real(l, "l", above=0)
     return float(min(np.pi / c, l / 2.0))
-
-
-def holder_modulus_check(samples, alpha: float, c_bound: float):
-    """Assert the empirical modulus lies below c_bound * delta^alpha per bin.
-
-    Returns (holds, report) with per-bin margins (see dominance).
-    """
-    alpha = require_real(alpha, "alpha", above=0, at_most=1)
-    c_bound = require_real(c_bound, "c_bound", at_least=0)
-    rep = dominance(samples, lambda d: c_bound * d ** alpha)
-    return rep["holds"], rep
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +426,12 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     """Difference quotients of the flow map over random nearby tangent pairs.
 
     All trajectories integrate as one batch, each row under the error
-    control of its own run. c_bar, measured along the batch samples, bounds
-    the (J, K) system, (J, K) = C (dx, dy) with C from chart_to_covariant,
-    while the quotients are taken in chart coordinates, whose differential
-    is C(end)^-1 Phi C(start) with |Phi| <= exp(c_bar * t). So the quotient
-    bound is max |C(end)^-1| * exp(c_bar * t) * max |C(start)| over the rows.
+    control of its own run. c_bar, the sup over all its samples, bounds the
+    (J, K) system, (J, K) = C (dx, dy) with C from chart_to_covariant, while
+    the quotients are taken in chart coordinates, whose differential is
+    C(end)^-1 Phi C(start) with |Phi| <= exp(c_bar * t). As C^-1 = 2I - C =
+    D C D with D = diag(I, -I) orthogonal, |C^-1| = |C|, so the quotient bound
+    is max |C(end)| * exp(c_bar * t) * max |C(start)| over the rows.
     """
     require_count(n_pairs, 1, "n_pairs")
     require_count(seed, 0, "seed")
@@ -460,13 +451,10 @@ def lipschitz_flow_report(surface, t_end=0.3, n_pairs=200, seed=0):
     quotients = (np.linalg.norm(ends[1::2] - ends[0::2], axis=1)
                  / np.linalg.norm(ics[1::2] - ics[0::2], axis=1))
 
-    stride = max(1, len(res.times) // 40)
-    c_bar = coefficient_bound_along(surface, res.states[::stride])
-    c_start, c_end = ([chart_to_covariant(surface, s[:m], s[m:]) for s in states]
-                      for states in (ics, ends))
-    chart_factor = (max(np.linalg.norm(2.0 * np.eye(2 * m) - c, 2) for c in c_end)
-                    * max(np.linalg.norm(c, 2) for c in c_start))
-    bound = float(gronwall_bound(c_bar, chart_factor, t_end))
+    c_bar = coefficient_bound_along(surface, res.states)
+    c_end, c_start = (max(np.linalg.norm(chart_to_covariant(surface, s[:m], s[m:]), 2)
+                          for s in states) for states in (ends, ics))
+    bound = float(gronwall_bound(c_bar, c_end * c_start, t_end))
     return {
         "t_end": t_end,
         "quotients": quotients,
@@ -541,17 +529,16 @@ def osgood_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
 
 
 def holder_dominance_report(surface, t1=0.3, n_centers=8, seed=0):
-    """Hoelder-form transfer: deviations of (J, K)(t1) against C * delta^alpha, alpha
-    the surface's own exponent, with C = c_tilde * t1 * exp(c_bar * t1) * (measured
-    Hoelder constant of the coefficients); raises InvalidInput unless it is C2alpha."""
+    """The Osgood transfer with the power-law inner modulus c_r * delta^alpha:
+    alpha the surface's own exponent, c_r the measured Hoelder constant of the
+    coefficients. Returns osgood_dominance_report's keys plus alpha, c_r and
+    c_bound = Gamma(1); raises InvalidInput unless the surface is C2alpha."""
     if surface.regularity.tag != "C2alpha":
         raise InvalidInput(f"need a C2alpha surface, got {surface.name!r} of class {surface.regularity}")
     alpha = surface.regularity.alpha
     gaps, coeff_dev, state_dev, c_tilde, c_bar = _modulus_probes(surface, t1, n_centers, seed)
     c_r = float(np.max(coeff_dev / gaps ** alpha))
-    c_bound = c_tilde * t1 * np.exp(c_bar * t1) * c_r
-    holds, rep = holder_modulus_check(zip(gaps, state_dev), alpha, c_bound)
-    rep.update(
-        {"alpha": alpha, "c_r": c_r, "c_bound": c_bound, "c_tilde": c_tilde, "c_bar": c_bar}
-    )
-    return rep
+    gamma = osgood_gamma(lambda d: c_r * d ** alpha, c_tilde, c_bar, t1)
+    return {"t1": t1, "c_tilde": c_tilde, "c_bar": c_bar, "gamma": gamma,
+            **dominance(zip(gaps, state_dev), gamma),
+            "alpha": alpha, "c_r": c_r, "c_bound": float(gamma(1.0))}

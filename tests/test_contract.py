@@ -329,16 +329,6 @@ ROWS = {
         Case("zero c", lambda: regularity.injradius_lower_bound(0.0, 1.0)),
         Case("negative l", lambda: regularity.injradius_lower_bound(1.0, -1.0)),
     ],
-    "regularity.holder_modulus_check": [
-        Case("string alpha", lambda: regularity.holder_modulus_check(PAIRS, "a", 1), was="TypeError"),
-        Case("bool alpha", lambda: regularity.holder_modulus_check(PAIRS, True, 1.0)),
-        Case("nan alpha", lambda: regularity.holder_modulus_check(PAIRS, NAN, 1.0)),
-        Case("zero alpha", lambda: regularity.holder_modulus_check(PAIRS, 0.0, 1.0)),
-        Case("alpha above 1", lambda: regularity.holder_modulus_check(PAIRS, 1.5, 1.0)),
-        Case("inf c_bound", lambda: regularity.holder_modulus_check(PAIRS, 0.5, INF)),
-        Case("negative c_bound", lambda: regularity.holder_modulus_check(PAIRS, 0.5, -1.0)),
-        Case("nan samples", lambda: regularity.holder_modulus_check([(0.1, NAN), (0.5, 0.3)], 0.5, 1.0)),
-    ],
     "regularity.mollify": [
         Case("string eps", lambda: regularity.mollify(VEE, "a")),
         Case("bool eps", lambda: regularity.mollify(VEE, True)),
@@ -646,7 +636,8 @@ def test_every_public_name_has_a_row():
 
 
 def test_formerly_raw_calls_keep_their_rows():
-    # the 25 calls that raised a raw Python or numpy error are all still in the table
+    # the 24 calls that raised a raw Python or numpy error, on names that still
+    # exist, are all still in the table
     was = [case.was for _, case in CASES if case.was]
-    assert len(was) == 25
+    assert len(was) == 24
     assert set(was) == {"TypeError", "ValueError", "DTypePromotionError", "AttributeError"}

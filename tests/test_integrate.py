@@ -161,8 +161,11 @@ def _kinked_rhs(u):
 def test_failed_step_across_a_kink_is_cut(x0, tableau):
     # Without a crease switch the steps across the kink are rejected until
     # one fits. With it, a step across that fails the error test is cut at
-    # the crossing its dense output estimates; a step that ends past an
-    # estimate and fails again drops it, and the crossing is located anew.
+    # the crossing its dense output estimates, and the next step is aimed at
+    # that estimate. A step too short to reach the estimate still counts as
+    # reaching it (reached compares with its target, not its end), so the
+    # first such step accepted drops the estimate, and a later step across
+    # the crease is cut again and locates the crossing anew.
     plain = integrate.integrate_adaptive(_kinked_rhs, [x0, 0.0], 1.0, tableau=tableau)
     res = integrate.integrate_adaptive(_kinked_rhs, [x0, 0.0], 1.0, crease=lambda u: u[0],
                                        tableau=tableau)
@@ -172,6 +175,22 @@ def test_failed_step_across_a_kink_is_cut(x0, tableau):
     speed, t_past = np.sqrt(1.0 + x0 * x0), 1.0 - np.arctan(-x0)
     exact = [speed * np.sinh(t_past), speed * np.cosh(t_past) - 1.0]
     assert np.max(np.abs(res.final_state - exact)) <= 1e-10
+
+
+def test_step_onto_an_exact_crossing_is_past_it():
+    # A step that passes the error test across the kink is cut at its
+    # crossing, queued as exact, and the next step ends on it. That step
+    # flips the row's side, though its end may lie a hair short of the
+    # crease; read from the end state instead, the side stays, and the next
+    # step is cut a second time (104 RHS calls and 2 cuts).
+    x0 = -0.01
+    res = integrate.integrate_adaptive(_kinked_rhs, [x0, 0.0], 1.0, 1e-6, 1e-8,
+                                       crease=lambda u: u[0], tableau=integrate.DOP853)
+    assert res.status == "Completed"
+    assert res.n_cuts == 1 and res.n_rhs <= 77
+    speed, t_past = np.sqrt(1.0 + x0 * x0), 1.0 - np.arctan(-x0)
+    exact = [speed * np.sinh(t_past), speed * np.cosh(t_past) - 1.0]
+    assert np.max(np.abs(res.final_state - exact)) <= 1e-8
 
 
 def test_end_time_keeps_the_step_length_after_it():

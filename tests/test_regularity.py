@@ -12,11 +12,11 @@ from geoflow import integrate
 from geoflow import regularity as reg
 from geoflow.catalog import make_surface
 from geoflow.errors import DomainTooSmall, InvalidInput
-from geoflow.flow import TangentVector
-from geoflow.jacobi import JacobiState
+from geoflow.flow import TangentVector, integrate_batch, random_tangent
+from geoflow.jacobi import JacobiState, chart_to_covariant
 from geoflow.surface import GraphSurface, Regularity, g_norm_batch
 
-from conftest import grid_points, random_chart_points
+from conftest import CATALOG_NAMES, grid_points, random_chart_points
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,28 @@ def test_flow_study_reads_no_height(c2alpha, monkeypatch):
     assert reads and reads[-1] == (2,)
 
 
+@pytest.mark.parametrize("name, bound", [("vee", 2e-5), ("c2alpha", 3e-6)])
+def test_smoothed_levels_conserve_speed_across_the_crease(name, bound):
+    # 12 unit-speed geodesics from x1 in [-0.2, -0.05], heading within 0.6 rad
+    # of +x1, cross the smoothed crease by t = 0.45 at tol 1e-12. Their
+    # largest relative g-speed drift measured 7.2e-6 and 1.7e-6 on vee at
+    # eps = 0.05 and 0.025, 1.1e-6 and 1.4e-7 on c2alpha: the bound is about
+    # 2.7 times the coarse level's drift, and the finer level must at least
+    # halve it (it shrinks by 4.3 and 7.9).
+    rng = np.random.default_rng(0)
+    x = np.column_stack([rng.uniform(-0.2, -0.05, 12), rng.uniform(-0.2, 0.2, 12)])
+    heading = rng.uniform(-0.6, 0.6, 12)
+    d = np.column_stack([np.cos(heading), np.sin(heading)])
+    drifts = []
+    for eps in (0.05, 0.025):
+        level = reg.mollify(make_surface(name), eps)
+        res = integrate_batch(level, np.hstack([x, d / g_norm_batch(level, x, d)[:, None]]), 0.45, 1e-12)
+        assert res.row_status == ["Completed"] * 12 and np.all(res.final_state[:, 0] > 0)
+        speed = g_norm_batch(level, res.states[..., :2], res.states[..., 2:])
+        drifts.append(float(np.max(np.abs(speed / speed[0] - 1.0))))
+    assert drifts[0] <= bound and drifts[1] <= drifts[0] / 2
+
+
 # ---------------------------------------------------------------------------
 # approximation sequences
 # ---------------------------------------------------------------------------
@@ -404,6 +426,17 @@ def test_osgood_gamma_power_form():
         assert gamma(d) == pytest.approx(2.0 * math.sqrt(d), rel=1e-14)
 
 
+@pytest.mark.parametrize("args, name", [
+    (("a", 1.0, 1.0), "c_tilde"), ((-1.0, 1.0, 1.0), "c_tilde"),
+    ((1.0, math.nan, 1.0), "c_bar"), ((1.0, -1.0, 1.0), "c_bar"),
+    ((1.0, 1.0, math.inf), "t1"), ((1.0, 1.0, 0.0), "t1"),
+])
+def test_osgood_gamma_names_the_bad_argument(args, name):
+    # c_bar is checked by gronwall_bound, which owns the exponential factor
+    with pytest.raises(InvalidInput, match=f"^{name} "):
+        reg.osgood_gamma(lambda d: d, *args)
+
+
 def test_empirical_modulus_constant_map():
     mu = reg.empirical_modulus([(d, 0.0) for d in np.linspace(1e-4, 1, 20)])
     assert mu(0.5) == 0.0
@@ -464,11 +497,11 @@ PAIRS = [(0.1, 0.2), (0.5, 0.3)]
     lambda: reg.empirical_modulus([(0.1, NAN), (0.5, 0.3)]),
     lambda: reg.empirical_modulus([(INF, 0.2), (0.5, 0.3)]),
     lambda: reg.empirical_modulus([(0.1, 0.2)]),
-    lambda: reg.holder_modulus_check(PAIRS, NAN, 1.0),
-    lambda: reg.holder_modulus_check(PAIRS, 0.5, NAN),
-    lambda: reg.holder_modulus_check(PAIRS, 0.5, -1.0),
+    lambda: reg.osgood_gamma(LINEAR, 1.0, NAN, 1.0),
+    lambda: reg.dominance(PAIRS, lambda d: NAN * d),
+    lambda: reg.osgood_gamma(LINEAR, 1.0, -1.0, 1.0),
     lambda: reg.osgood_gamma(LINEAR, 1.0, 1.0, 0.0),
-    lambda: reg.holder_modulus_check(PAIRS, 1.5, 1.0),
+    lambda: reg.holder_dominance_report(make_surface("vee")),
     lambda: reg.gronwall_bound(1.0, 1.0, [0.1, -0.1]),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((0, 4))),
     lambda: reg.coefficient_bound_along(make_surface("vee"), np.zeros((3, 5))),
@@ -498,16 +531,13 @@ def test_empirical_modulus_names_the_non_finite_sample():
 def test_holder_check_linear_map():
     gaps = np.logspace(-4, 0, 100)
     samples = list(zip(gaps, 3.0 * gaps))
-    holds, _ = reg.holder_modulus_check(samples, 1.0, 3.5)
-    assert holds
-    holds, _ = reg.holder_modulus_check(samples, 1.0, 2.0)
-    assert not holds
+    assert reg.dominance(samples, lambda d: 3.5 * d ** 1.0)["holds"]
+    assert not reg.dominance(samples, lambda d: 2.0 * d ** 1.0)["holds"]
 
 
 def test_holder_check_constant_map():
     samples = [(d, 0.0) for d in np.logspace(-3, 0, 30)]
-    holds, _ = reg.holder_modulus_check(samples, 0.5, 0.0)
-    assert holds
+    assert reg.dominance(samples, lambda d: 0.0 * d ** 0.5)["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +557,37 @@ def test_lipschitz_bound_covers_chart_coordinates(vee):
     rep = reg.lipschitz_flow_report(vee, t_end=0.1, n_pairs=200, seed=14)
     assert rep["max_quotient"] > reg.gronwall_bound(rep["c_bar"], 1.0, 0.1)
     assert rep["bounded"]
+
+
+def test_lipschitz_c_bar_is_the_sup_over_every_sample(c2alpha, monkeypatch):
+    # this batch has 80 sample times, and every 2nd of them misses the sup
+    runs = []
+
+    def recording_batch(*args, **kwargs):
+        runs.append(integrate_batch(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(reg, "integrate_batch", recording_batch)
+    rep = reg.lipschitz_flow_report(c2alpha, t_end=0.3, n_pairs=80, seed=6)
+    (res,) = runs
+    full = reg.coefficient_bound_along(c2alpha, res.states)
+    assert reg.coefficient_bound_along(c2alpha, res.states[::2]) < full
+    assert rep["c_bar"] == full
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_chart_frame_inverse_has_the_same_norm(name):
+    # C = [[I, 0], [B, I]] has C^-1 = 2I - C = D C D with D = diag(I, -I)
+    # orthogonal, so |C^-1|_2 = |C|_2: the Lipschitz bound's chart factor
+    surf = make_surface(name)
+    rng = np.random.default_rng(17)
+    eye = np.eye(2 * surf.dim)
+    for speed in (0.1, 1.0, 10.0):
+        for _ in range(10):
+            v = random_tangent(surf, rng, 0.9)
+            c = chart_to_covariant(surf, v.x, speed * v.y)
+            np.testing.assert_allclose((2 * eye - c) @ c, eye, rtol=0, atol=1e-12)
+            assert np.linalg.norm(2 * eye - c, 2) == pytest.approx(np.linalg.norm(c, 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("t_end", [math.nan, -0.3], ids=["nan", "negative"])
