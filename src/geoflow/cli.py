@@ -99,13 +99,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _resolve_surface(spec: dict):
-    try:
-        return surface_from_spec(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed surface spec: {exc}") from exc
-
-
 def _out_path(given, cfg, key, default):
     """given, else cfg.output[key], else default; checked before any work."""
     path = given or cfg.output.get(key, default)
@@ -121,6 +114,10 @@ def _parse_vec(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
 
+def _tangent(args) -> TangentVector:
+    return TangentVector(_parse_vec(args.x0), _parse_vec(args.y0))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def cmd_surface(args, cfg: RunConfig) -> int:
             print(f"{name:12s} {str(make_surface(name).regularity):12s} {entry.description}")
         return 0
     name = args.name
-    surf = _resolve_surface({"type": "catalog", "name": name, "alpha": args.alpha})
+    surf = surface_from_spec({"type": "catalog", "name": name, "alpha": args.alpha})
     entry = CATALOG[name]
     info = {
         "schema": SCHEMA,
@@ -148,12 +145,10 @@ def cmd_surface(args, cfg: RunConfig) -> int:
 
 
 def cmd_geodesic(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg.surface)
+    surface = surface_from_spec(cfg.surface)
     csv_path = _out_path(args.out, cfg, "trajectory_csv", "geodesic.csv")
     json_path = _out_path(None, cfg, "summary_json", "geodesic.json")
-    x0 = _parse_vec(args.x0)
-    y0 = _parse_vec(args.y0)
-    traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end, args.tol)
+    traj = integrate_geodesic(surface, _tangent(args), args.t_end, args.tol)
     speeds = serialize.write_trajectory_csv(csv_path, surface, traj)
     drift = float(np.max(np.abs(speeds - traj.speed))) / max(traj.speed, 1e-300)
     summary = {
@@ -173,16 +168,14 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
 
 
 def cmd_jacobian(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg.surface)
+    surface = surface_from_spec(cfg.surface)
     path = _out_path(args.out, cfg, "jacobian_json", "jacobian.json")
-    x0 = _parse_vec(args.x0)
-    y0 = _parse_vec(args.y0)
-    v = TangentVector(x0, y0)
+    v = _tangent(args)
     fd = flow_differential(surface, args.t, v, args.tol)
     out = {
         "schema": SCHEMA,
         "t": float(args.t),
-        "v": {"x": x0, "y": y0},
+        "v": {"x": v.x, "y": v.y},
         "matrix": fd.matrix,
     }
     if args.fd_check:
@@ -194,7 +187,7 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
 
 
 def cmd_smooth_converge(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg.surface)
+    surface = surface_from_spec(cfg.surface)
     path = _out_path(args.out, cfg, "convergence_json", "convergence.json")
     csv_path = _out_path(None, cfg, "convergence_csv", "delta-vs-level.csv")
     if surface.regularity.c3:
@@ -203,30 +196,24 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
             "study targets surfaces of class C2 and below",
             file=sys.stderr,
         )
-    scales = _parse_vec(args.scales)
-    seq = reg.approximation_sequence(surface, scales)
+    seq = reg.approximation_sequence(surface, _parse_vec(args.scales))
     probes = reg.convergence_probes(seq, args.probes, np.random.default_rng(cfg.seed))
     report = reg.flow_convergence_report(seq, probes)
     out = {"schema": SCHEMA, "surface": surface.name, "seed": cfg.seed}
     out.update(asdict(report))
     text = serialize.write_json(path, out)
-    rows = [
-        [i, scales[i], seq.metric_c1_dist[i], seq.pi_c0_dist[i],
-         report.flow_c0[i] if i < len(report.flow_c0) else np.nan,
-         report.dflow_c0[i] if i < len(report.dflow_c0) else np.nan]
-        for i in range(len(scales))
-    ]
-    serialize.write_csv(csv_path, ["level", "scale", "metric_c1", "pi_c0", "flow_c0", "dflow_c0"], rows)
+    columns = [range(len(report.scales)), report.scales, report.metric_c1, report.pi_c0,
+               report.flow_c0 + [np.nan], report.dflow_c0 + [np.nan]]  # no step past the last level
+    serialize.write_csv(csv_path, ["level", "scale", "metric_c1", "pi_c0", "flow_c0", "dflow_c0"],
+                        np.column_stack(columns))
     print(text)
     return 0
 
 
 def cmd_minimality(args, cfg: RunConfig) -> int:
-    surface = _resolve_surface(cfg.surface)
+    surface = surface_from_spec(cfg.surface)
     path = _out_path(args.out, cfg, "minimality_json", "minimality.json")
-    x0 = _parse_vec(args.x0)
-    y0 = _parse_vec(args.y0)
-    traj = integrate_geodesic(surface, TangentVector(x0, y0), args.t_end)
+    traj = integrate_geodesic(surface, _tangent(args), args.t_end)
     require_completed(traj, "geodesic")
     rep = minimality_report(traj, build_mesh_oracle(surface, args.resolution))
     out = {"schema": SCHEMA, "surface": surface.name, "resolution": args.resolution}
@@ -350,12 +337,9 @@ def cmd_report(args, cfg: RunConfig) -> int:
     names = args.suites.split(",") if args.suites else list(cfg.suites)
     names = [n for n in names if n]
     if not names:
-        print("error: empty suite selection", file=sys.stderr)
-        return 2
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        print(f"error: unknown suites {unknown}", file=sys.stderr)
-        return 2
+        raise ConfigError("empty suite selection")
+    if unknown := [n for n in names if n not in SUITES]:
+        raise ConfigError(f"unknown suites {unknown}")
     path = _out_path(args.out, cfg, "report_json", "report.json")
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(cfg.tolerances)
@@ -391,39 +375,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", default=None, help="catalog surface name")
     p.add_argument("--alpha", type=float, default=None, help="exponent for c2alpha")
     sub = p.add_subparsers(dest="command", required=True)
+    tangent = argparse.ArgumentParser(add_help=False)  # the start (x0, y0) of one geodesic
+    tangent.add_argument("--x0", required=True)
+    tangent.add_argument("--y0", required=True)
 
     ps = sub.add_parser("surface", help="catalog listing and details")
+    ps.set_defaults(run=cmd_surface)
     ps.add_argument("action", choices=["list", "info"])
     ps.add_argument("name", nargs="?", default=None)
 
-    pg = sub.add_parser("geodesic", help="integrate one geodesic")
-    pg.add_argument("--x0", required=True)
-    pg.add_argument("--y0", required=True)
+    pg = sub.add_parser("geodesic", parents=[tangent], help="integrate one geodesic")
+    pg.set_defaults(run=cmd_geodesic)
     pg.add_argument("--t-end", type=float, required=True, dest="t_end")
     pg.add_argument("--tol", type=float, default=None)
     pg.add_argument("--out", default=None, help="trajectory CSV path")
 
-    pj = sub.add_parser("jacobian", help="flow differential at (t, v)")
-    pj.add_argument("--x0", required=True)
-    pj.add_argument("--y0", required=True)
+    pj = sub.add_parser("jacobian", parents=[tangent], help="flow differential at (t, v)")
+    pj.set_defaults(run=cmd_jacobian)
     pj.add_argument("--t", type=float, required=True)
     pj.add_argument("--tol", type=float, default=None)
     pj.add_argument("--fd-check", action="store_true", dest="fd_check")
     pj.add_argument("--out", default=None)
 
     pc = sub.add_parser("smooth-converge", help="smoothing-family convergence study")
+    pc.set_defaults(run=cmd_smooth_converge)
     pc.add_argument("--scales", default="0.1,0.05,0.025,0.0125")
     pc.add_argument("--probes", type=int, default=20)
     pc.add_argument("--out", default=None)
 
-    pm = sub.add_parser("minimality", help="shortest-path margin for one geodesic")
-    pm.add_argument("--x0", required=True)
-    pm.add_argument("--y0", required=True)
+    pm = sub.add_parser("minimality", parents=[tangent], help="shortest-path margin for one geodesic")
+    pm.set_defaults(run=cmd_minimality)
     pm.add_argument("--t-end", type=float, required=True, dest="t_end")
     pm.add_argument("--resolution", type=int, default=128)
     pm.add_argument("--out", default=None)
 
     pr = sub.add_parser("report", help="run verification suites")
+    pr.set_defaults(run=cmd_report)
     pr.add_argument("--suites", default=None, help="comma list: " + ",".join(SUITES))
     pr.add_argument("--out", default=None)
     return p
@@ -457,17 +444,9 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.surface is not None:
             cfg.surface = {"type": "catalog", "name": args.surface}
-            if args.alpha is not None:
-                cfg.surface["alpha"] = args.alpha
-        handler = {
-            "surface": cmd_surface,
-            "geodesic": cmd_geodesic,
-            "jacobian": cmd_jacobian,
-            "smooth-converge": cmd_smooth_converge,
-            "minimality": cmd_minimality,
-            "report": cmd_report,
-        }[args.command]
-        return handler(args, cfg)
+        if args.alpha is not None:
+            cfg.surface = {**cfg.surface, "alpha": args.alpha}
+        return args.run(args, cfg)
     except (ConfigError, UnknownSurface, OutOfChart, InvalidInput, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -225,8 +225,8 @@ def _fill_stages(f, a, u, h, stages, first, stop):
 
 
 def _locate(u, h, stages, same_side, p):
-    """Locate, on the dense output p of an accepted step of size h from the
-    rows u (n, d), where each row first leaves the side it starts on.
+    """Locate, on the dense output p of a step of size h from the rows u
+    (n, d), where each row first leaves the side it starts on.
 
     same_side maps states (n, d) to one bool per row; it holds at u and
     fails at the step's end. Bisects theta to within 2^-52 per row, with no
@@ -303,8 +303,7 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
     failed. A step that reaches a queued crossing is not cut again. Its
     rows count as past exact crossings, and past estimated ones only where
     their switch changed sign, so a row an estimate left short is cut again
-    by a later step; a failed step that ends past an estimated crossing
-    drops it, to be located anew. A step where f raises OutOfChart or
+    by a later step. A step where f raises OutOfChart or
     returns a non-finite stage, a dense-output one too, is rejected and
     retried at a fifth of its length; a non-finite f at the start fails the run.
     n_rhs counts every call of f.
@@ -428,8 +427,6 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                 err_old = max(err, 1e-10)
         else:
             n_rej += 1
-            if reached is not None and err < np.inf:  # an estimated crossing it ends past is dropped
-                cross[reached & ~exact & (side * side_new < 0)] = np.inf
             h = h_step * min(1.0, max(0.2, _SAFETY * err ** (-1 / tab.q)))
             if not h >= h_min:  # a NaN step length too, as from a non-finite start
                 return result(failed=True)

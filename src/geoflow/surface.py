@@ -44,6 +44,8 @@ class Regularity:
             raise InvalidInput(f"unknown regularity tag {self.tag!r}")
         if self.tag == "C2alpha":
             require_real(self.alpha, "C2alpha's alpha", above=0, at_most=1)
+        elif self.alpha is not None:
+            raise InvalidInput(f"regularity {self.tag} takes no alpha, got {self.alpha!r}")
 
     @property
     def c3(self) -> bool:
@@ -58,9 +60,7 @@ class Regularity:
     @staticmethod
     def parse(text: str, alpha: float | None = None) -> "Regularity":
         text = "smooth" if text == "Smooth" else text
-        if text == "C2alpha":
-            return Regularity("C2alpha", alpha if alpha is not None else 0.5)
-        return Regularity(text)
+        return Regularity(text, 0.5 if text == "C2alpha" and alpha is None else alpha)
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,23 @@ def test_smooth_converge_smoke(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "delta-vs-level.csv").exists()
 
 
+def test_smooth_converge_csv_matches_json(tmp_path, monkeypatch, capsys):
+    # the CSV holds the report's per-level columns; flow_c0 and dflow_c0 are
+    # distances between successive levels, so the last level's are NaN
+    code = run_cli(["--surface", "c21_cubic", "smooth-converge", "--scales", "0.1,0.07,0.05",
+                    "--probes", "4"], tmp_path, monkeypatch)
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    header, *rows = (tmp_path / "delta-vs-level.csv").read_text().splitlines()
+    columns = dict(zip(header.split(","), np.array([[float(v) for v in r.split(",")] for r in rows]).T))
+    assert columns["level"].tolist() == [0, 1, 2]
+    assert columns["scale"].tolist() == out["scales"]
+    for key in ("metric_c1", "pi_c0"):
+        assert columns[key].tolist() == out[key]
+    for key in ("flow_c0", "dflow_c0"):
+        assert columns[key][:-1].tolist() == out[key] and np.isnan(columns[key][-1])
+
+
 def test_smooth_converge_domain_too_small(tmp_path, monkeypatch):
     code = run_cli(
         ["--surface", "hemisphere", "smooth-converge", "--scales", "0.1,0.05",
@@ -319,12 +336,16 @@ def test_report_impossible_tolerance(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_report_empty_suites(tmp_path, monkeypatch):
+def test_report_empty_suites(tmp_path, monkeypatch, capsys):
     assert run_cli(["report", "--suites", ""], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
-def test_report_unknown_suite(tmp_path, monkeypatch):
+def test_report_unknown_suite(tmp_path, monkeypatch, capsys):
     assert run_cli(["report", "--suites", "bogus"], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_report_deterministic(tmp_path, monkeypatch):
@@ -439,8 +460,12 @@ GRID_13 = np.zeros((13, 13)).tolist()
     (["--surface", "vee", "--alpha", "0.5"], None),
     ([], {"type": "catalog", "name": "flat", "alpha": 0.5}),
     ([], {"type": "catalog", "name": "c2alpha", "alpha": "x"}),
+    (["--alpha", "0.3"], None),
+    ([], {"type": "grid", "samples": GRID_13, "domain": [[0, 1], [0, 1]], "regularity": "C2",
+          "alpha": 0.5}),
 ], ids=["12-rows", "ragged", "1d", "nan", "flat-domain", "one-pair-domain",
-        "alpha-2", "alpha-nan", "alpha-0", "alpha-on-vee", "alpha-on-flat", "alpha-str"])
+        "alpha-2", "alpha-nan", "alpha-0", "alpha-on-vee", "alpha-on-flat", "alpha-str",
+        "alpha-flag-on-default-flat", "alpha-on-grid-c2"])
 def test_malformed_surface_spec_exit_2(flags, spec, tmp_path, monkeypatch, capsys):
     if spec is not None:
         (tmp_path / "cfg.json").write_text(json.dumps({"surface": spec}))
@@ -449,6 +474,19 @@ def test_malformed_surface_spec_exit_2(flags, spec, tmp_path, monkeypatch, capsy
     assert run_cli(argv, tmp_path, monkeypatch) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_alpha_flag_reaches_config_surface(tmp_path, monkeypatch, capsys):
+    # flags override the file: --alpha sets the exponent of a config file's
+    # surface as it does for one named by --surface
+    (tmp_path / "c.json").write_text(json.dumps({"surface": {"type": "catalog", "name": "c2alpha"}}))
+    matrices = []
+    for flags in (["--config", "c.json", "--alpha", "0.9"], ["--surface", "c2alpha", "--alpha", "0.9"],
+                  ["--config", "c.json"]):
+        argv = flags + ["jacobian", "--x0", "0.1,0", "--y0", "1,0", "--t", "0.2"]
+        assert run_cli(argv, tmp_path, monkeypatch) == 0
+        matrices.append(json.loads(capsys.readouterr().out)["matrix"])
+    assert matrices[0] == matrices[1] != matrices[2]
 
 
 def test_grid_surface_spec(tmp_path, monkeypatch, capsys):

@@ -476,8 +476,10 @@ ROWS = {
         Case("nan alpha", lambda: surface.Regularity("C2alpha", NAN)),
         Case("zero alpha", lambda: surface.Regularity("C2alpha", 0.0)),
         Case("alpha above 1", lambda: surface.Regularity("C2alpha", 1.5)),
+        Case("alpha on C2", lambda: surface.Regularity("C2", 0.5)),
         Case("parse string alpha", lambda: surface.Regularity.parse("C2alpha", "a")),
         Case("parse unhashable tag", lambda: surface.Regularity.parse(["C2"])),
+        Case("parse alpha on smooth", lambda: surface.Regularity.parse("smooth", 0.3)),
     ],
     "surface.GraphSurface": [
         Case("nan corner", lambda: surface.GraphSurface(
