@@ -199,24 +199,24 @@ def make_surface(name, **params) -> GraphSurface:
 def surface_from_spec(spec: dict) -> GraphSurface:
     """Construct a surface from the JSON definition format.
 
-    {"type": "catalog", "name": ..., "alpha": optional}
+    {"type": "catalog", "name": ..., **params}: params go to make_surface
     {"type": "grid", "samples": [[...]], "domain": [[lo,hi],[lo,hi]],
-     "regularity": ..., "alpha": optional}
+     "name": optional, "regularity": optional, "alpha": optional}
 
-    Raises InvalidInput for a spec that is not a dict or lacks a key its type needs.
+    Raises InvalidInput for a spec that is not a dict, lacks a key its type
+    needs or has a key its type does not take.
     """
-    if not isinstance(spec, dict):
-        raise InvalidInput(f"a surface spec must be an object, got {spec!r}")
+    if not (isinstance(spec, dict) and all(isinstance(key, str) for key in spec)):
+        raise InvalidInput(f"a surface spec must be an object with string keys, got {spec!r}")
     kind = spec.get("type", "catalog")
     if kind not in ("catalog", "grid"):
         raise UnknownSurface(f"unknown surface spec type {kind!r}")
     if missing := [k for k in (["name"] if kind == "catalog" else ["samples", "domain"]) if k not in spec]:
         raise InvalidInput(f"surface spec missing key {missing[0]!r}")
     if kind == "catalog":
-        params = {}
-        if "alpha" in spec and spec["alpha"] is not None:
-            params["alpha"] = spec["alpha"]
-        return make_surface(spec["name"], **params)
+        return make_surface(spec["name"], **{k: v for k, v in spec.items() if k not in ("type", "name")})
+    if unknown := sorted(set(spec) - {"type", "name", "samples", "domain", "regularity", "alpha"}):
+        raise InvalidInput(f"a grid surface spec takes no key {', '.join(unknown)}")
     samples = require_array(spec["samples"], "grid samples", finite=True)
     if samples.ndim not in (2, 3):
         raise InvalidInput("grid samples must be an (Nx, Ny) or (Nx, Ny, c) array")

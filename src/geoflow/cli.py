@@ -2,7 +2,7 @@
 
 Commands
 --------
-surface list | surface info <name>
+surface list | surface info NAME
 geodesic        integrate one geodesic, write trajectory CSV + summary JSON
 jacobian        flow differential at (t, v), optionally with the FD oracle
 smooth-converge mollified-family convergence report
@@ -62,17 +62,16 @@ class RunConfig:
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        if unknown := [key for key in self.tolerances if key not in DEFAULT_TOLERANCES]:
-            raise ConfigError(f"unknown tolerance key {unknown[0]!r}")
+        for what, given, known in (("tolerance", self.tolerances, DEFAULT_TOLERANCES),
+                                   ("output", self.output, OUTPUTS)):
+            if unknown := [key for key in given if key not in known]:
+                raise ConfigError(f"unknown {what} key {unknown[0]!r}")
         try:  # the count and scalar rules, as configuration errors
             require_count(self.seed, 0, "seed")
             for key, value in self.tolerances.items():
                 require_real(value, f"tolerance {key!r}")
         except InvalidInput as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -98,10 +97,22 @@ DEFAULT_TOLERANCES = {
     "margin": 0.0,
 }
 
+# each output key of a config file and the path written when neither the
+# file nor --out gives one
+OUTPUTS = {
+    "trajectory_csv": "geodesic.csv",
+    "summary_json": "geodesic.json",
+    "jacobian_json": "jacobian.json",
+    "convergence_json": "convergence.json",
+    "convergence_csv": "delta-vs-level.csv",
+    "minimality_json": "minimality.json",
+    "report_json": "report.json",
+}
 
-def _out_path(given, cfg, key, default):
-    """given, else cfg.output[key], else default; checked before any work."""
-    path = given or cfg.output.get(key, default)
+
+def _out_path(given, cfg, key):
+    """given, else cfg.output[key], else its default in OUTPUTS; checked before any work."""
+    path = given or cfg.output.get(key, OUTPUTS[key])
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         open(path, "w")  # fails, creating nothing, as the write would
     return path
@@ -118,18 +129,27 @@ def _tangent(args) -> TangentVector:
     return TangentVector(_parse_vec(args.x0), _parse_vec(args.y0))
 
 
+def _with_flags(spec: dict, args) -> dict:
+    """spec, or the catalog surface --surface names, with --alpha set."""
+    if args.surface is not None:
+        spec = {"type": "catalog", "name": args.surface}
+    return spec if args.alpha is None else {**spec, "alpha": args.alpha}
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_surface(args, cfg: RunConfig) -> int:
-    if args.action == "list":
-        for name, entry in CATALOG.items():
-            print(f"{name:12s} {str(make_surface(name).regularity):12s} {entry.description}")
-        return 0
+def cmd_surface_list(args, cfg: RunConfig) -> int:
+    for name, entry in CATALOG.items():
+        print(f"{name:12s} {str(make_surface(name).regularity):12s} {entry.description}")
+    return 0
+
+
+def cmd_surface_info(args, cfg: RunConfig) -> int:
     name = args.name
-    surf = surface_from_spec({"type": "catalog", "name": name, "alpha": args.alpha})
+    surf = surface_from_spec(_with_flags({"type": "catalog", "name": name}, args))
     entry = CATALOG[name]
     info = {
         "schema": SCHEMA,
@@ -146,8 +166,8 @@ def cmd_surface(args, cfg: RunConfig) -> int:
 
 def cmd_geodesic(args, cfg: RunConfig) -> int:
     surface = surface_from_spec(cfg.surface)
-    csv_path = _out_path(args.out, cfg, "trajectory_csv", "geodesic.csv")
-    json_path = _out_path(None, cfg, "summary_json", "geodesic.json")
+    csv_path = _out_path(args.out, cfg, "trajectory_csv")
+    json_path = _out_path(None, cfg, "summary_json")
     traj = integrate_geodesic(surface, _tangent(args), args.t_end, args.tol)
     speeds = serialize.write_trajectory_csv(csv_path, surface, traj)
     drift = float(np.max(np.abs(speeds - traj.speed))) / max(traj.speed, 1e-300)
@@ -169,7 +189,7 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
 
 def cmd_jacobian(args, cfg: RunConfig) -> int:
     surface = surface_from_spec(cfg.surface)
-    path = _out_path(args.out, cfg, "jacobian_json", "jacobian.json")
+    path = _out_path(args.out, cfg, "jacobian_json")
     v = _tangent(args)
     fd = flow_differential(surface, args.t, v, args.tol)
     out = {
@@ -188,8 +208,8 @@ def cmd_jacobian(args, cfg: RunConfig) -> int:
 
 def cmd_smooth_converge(args, cfg: RunConfig) -> int:
     surface = surface_from_spec(cfg.surface)
-    path = _out_path(args.out, cfg, "convergence_json", "convergence.json")
-    csv_path = _out_path(None, cfg, "convergence_csv", "delta-vs-level.csv")
+    path = _out_path(args.out, cfg, "convergence_json")
+    csv_path = _out_path(None, cfg, "convergence_csv")
     if surface.regularity.c3:
         print(
             f"warning: {surface.name!r} is {surface.regularity}; the smoothing "
@@ -212,7 +232,7 @@ def cmd_smooth_converge(args, cfg: RunConfig) -> int:
 
 def cmd_minimality(args, cfg: RunConfig) -> int:
     surface = surface_from_spec(cfg.surface)
-    path = _out_path(args.out, cfg, "minimality_json", "minimality.json")
+    path = _out_path(args.out, cfg, "minimality_json")
     traj = integrate_geodesic(surface, _tangent(args), args.t_end)
     require_completed(traj, "geodesic")
     rep = minimality_report(traj, build_mesh_oracle(surface, args.resolution))
@@ -340,7 +360,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         raise ConfigError("empty suite selection")
     if unknown := [n for n in names if n not in SUITES]:
         raise ConfigError(f"unknown suites {unknown}")
-    path = _out_path(args.out, cfg, "report_json", "report.json")
+    path = _out_path(args.out, cfg, "report_json")
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(cfg.tolerances)
     results = {}
@@ -379,38 +399,41 @@ def build_parser() -> argparse.ArgumentParser:
     tangent.add_argument("--x0", required=True)
     tangent.add_argument("--y0", required=True)
 
+    # each set_defaults names, in reads, the global flags its command reads
     ps = sub.add_parser("surface", help="catalog listing and details")
-    ps.set_defaults(run=cmd_surface)
-    ps.add_argument("action", choices=["list", "info"])
-    ps.add_argument("name", nargs="?", default=None)
+    surface_sub = ps.add_subparsers(dest="action", required=True)
+    surface_sub.add_parser("list").set_defaults(run=cmd_surface_list, reads=())
+    psi = surface_sub.add_parser("info")
+    psi.set_defaults(run=cmd_surface_info, reads=("alpha",))
+    psi.add_argument("name")
 
     pg = sub.add_parser("geodesic", parents=[tangent], help="integrate one geodesic")
-    pg.set_defaults(run=cmd_geodesic)
+    pg.set_defaults(run=cmd_geodesic, reads=("seed", "surface", "alpha"))
     pg.add_argument("--t-end", type=float, required=True, dest="t_end")
     pg.add_argument("--tol", type=float, default=None)
     pg.add_argument("--out", default=None, help="trajectory CSV path")
 
     pj = sub.add_parser("jacobian", parents=[tangent], help="flow differential at (t, v)")
-    pj.set_defaults(run=cmd_jacobian)
+    pj.set_defaults(run=cmd_jacobian, reads=("surface", "alpha"))
     pj.add_argument("--t", type=float, required=True)
     pj.add_argument("--tol", type=float, default=None)
     pj.add_argument("--fd-check", action="store_true", dest="fd_check")
     pj.add_argument("--out", default=None)
 
     pc = sub.add_parser("smooth-converge", help="smoothing-family convergence study")
-    pc.set_defaults(run=cmd_smooth_converge)
+    pc.set_defaults(run=cmd_smooth_converge, reads=("seed", "surface", "alpha"))
     pc.add_argument("--scales", default="0.1,0.05,0.025,0.0125")
     pc.add_argument("--probes", type=int, default=20)
     pc.add_argument("--out", default=None)
 
     pm = sub.add_parser("minimality", parents=[tangent], help="shortest-path margin for one geodesic")
-    pm.set_defaults(run=cmd_minimality)
+    pm.set_defaults(run=cmd_minimality, reads=("surface", "alpha"))
     pm.add_argument("--t-end", type=float, required=True, dest="t_end")
     pm.add_argument("--resolution", type=int, default=128)
     pm.add_argument("--out", default=None)
 
     pr = sub.add_parser("report", help="run verification suites")
-    pr.set_defaults(run=cmd_report)
+    pr.set_defaults(run=cmd_report, reads=("seed",))
     pr.add_argument("--suites", default=None, help="comma list: " + ",".join(SUITES))
     pr.add_argument("--out", default=None)
     return p
@@ -439,13 +462,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_value_flags(list(argv)))
     try:
+        if unread := [flag for flag in ("seed", "surface", "alpha")
+                      if getattr(args, flag) is not None and flag not in args.reads]:
+            raise ConfigError(f"--{unread[0]} is not read by this command")
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.surface is not None:
-            cfg.surface = {"type": "catalog", "name": args.surface}
-        if args.alpha is not None:
-            cfg.surface = {**cfg.surface, "alpha": args.alpha}
+        cfg.surface = _with_flags(cfg.surface, args)
         return args.run(args, cfg)
     except (ConfigError, UnknownSurface, OutOfChart, InvalidInput, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:

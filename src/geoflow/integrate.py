@@ -282,12 +282,13 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
                        tableau=DOP853):
     """Integrate u' = f(u) from t=0 with adaptive steps of a pair, DOP853 or DP5.
 
-    u0 is one state (d,) or a batch of rows (B, d); f, inside and crease
-    take states of the same shape, inside returning one bool and crease one
-    switching value per row. The rows share every step, and the error norm
-    is the largest per-row RMS error. t_end is one end time or one per row,
-    checked by end_times; a row whose end time is 0 is retired before f is
-    first evaluated, so t_end = 0 returns the start as the only sample.
+    u0 is one state (d,) or a batch of rows (B, d), B and d >= 1; f, inside
+    and crease take states of the same shape, inside returning one bool and
+    crease one switching value per row. The rows share every step, and the
+    error norm is the largest per-row RMS error. t_end is one end time or
+    one per row, checked by end_times; a row whose end time is 0 is retired
+    before f is first evaluated, so t_end = 0 returns the start as the only
+    sample.
     Each row has two kinds of step target, its end time and at most one
     queued crease crossing, and nothing else ends a step early: to read a
     run at chosen times, give each time its own row. A step ends at the
@@ -317,8 +318,8 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
         crease = None if crease is None else _on_first_row(crease)
     f, tab, n_step = _Counted(f), tableau, len(tableau.b)
     u = current = np.array(u0, ndmin=2)  # current: every row's latest state
-    if u.ndim != 2:
-        raise InvalidInput(f"need one state or a batch of rows, got shape {u.shape}")
+    if u.ndim != 2 or 0 in u.shape:
+        raise InvalidInput(f"need one state or a batch of rows, none empty, got shape {u0.shape}")
     n_rows, dim = u.shape
     ends = end_times(t_end, n_rows)
     due = ends - 1e-14 * np.maximum(1.0, ends)  # a row is done once t reaches this
@@ -436,13 +437,16 @@ def integrate_adaptive(f, u0, t_end, rtol=1e-10, atol=1e-12, *, inside=None, cre
 
 
 def integrate_fixed_rk4(f, u0, t_end, step, *, inside=None):
-    """Classical RK4 from t=0 to t_end, checked by end_times, in equal steps of at
-    most step >= t_end / _MAX_STEPS; t_end = 0 returns the start. A run ends at
-    its last step inside: StepFailure where a stage or the state is not finite,
-    LeftChart where it lands outside or, given inside, f raises OutOfChart."""
+    """Classical RK4 of one state u0 (d,), d >= 1, from t=0 to t_end, checked
+    by end_times, in equal steps of at most step >= t_end / _MAX_STEPS;
+    t_end = 0 returns the start. A run ends at its last step inside:
+    StepFailure where a stage or the state is not finite, LeftChart where it
+    lands outside or, given inside, f raises OutOfChart."""
     t_end = float(end_times(t_end)[0])
     step = require_real(step, "step", above=0, at_least=t_end / _MAX_STEPS)
     f, u = _Counted(f), require_array(u0, "initial state")
+    if u.ndim != 1 or u.size == 0:
+        raise InvalidInput(f"need one state (d,) with d >= 1, got shape {u.shape}")
     n = int(np.ceil(t_end / step))
     h = t_end / max(n, 1)
     times, states, status = [0.0], [u], COMPLETED

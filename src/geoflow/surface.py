@@ -59,7 +59,6 @@ class Regularity:
 
     @staticmethod
     def parse(text: str, alpha: float | None = None) -> "Regularity":
-        text = "smooth" if text == "Smooth" else text
         return Regularity(text, 0.5 if text == "C2alpha" and alpha is None else alpha)
 
 

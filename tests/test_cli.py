@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import math
 import os
@@ -48,7 +49,7 @@ def test_surface_info_vee(capsys):
 
 
 def test_surface_info_alpha(capsys):
-    assert main(["--surface", "c2alpha", "--alpha", "0.3", "surface", "info", "c2alpha"]) == 0
+    assert main(["--alpha", "0.3", "surface", "info", "c2alpha"]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["regularity"] == "C2alpha(0.3)"
     assert info["curvature_sup"] == pytest.approx(1.6425986, abs=1e-7)
@@ -57,6 +58,17 @@ def test_surface_info_alpha(capsys):
 
 def test_surface_info_unknown():
     assert main(["surface", "info", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["surface", "list", "vee"], ["surface", "info"]],
+                         ids=["list-with-name", "info-without-name"])
+def test_surface_action_arguments_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # `surface list` takes no NAME and `surface info` needs one
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(argv, tmp_path, monkeypatch)
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +380,7 @@ def test_config_roundtrip():
         suites=["flow"],
         seed=42,
     )
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -487,6 +499,71 @@ def test_alpha_flag_reaches_config_surface(tmp_path, monkeypatch, capsys):
         assert run_cli(argv, tmp_path, monkeypatch) == 0
         matrices.append(json.loads(capsys.readouterr().out)["matrix"])
     assert matrices[0] == matrices[1] != matrices[2]
+
+
+JACOBIAN_RUN = ["jacobian", "--x0", "0.1,0", "--y0", "1,0", "--t", "0.1"]
+MINIMALITY_RUN = ["minimality", "--x0", "0.1,0", "--y0", "1,0", "--t-end", "0.1", "--resolution", "16"]
+REPORT_RUN = ["report", "--suites", "regularity"]
+
+
+@pytest.mark.parametrize("flags, command", [
+    (["--seed", "1"], ["surface", "list"]),
+    (["--surface", "vee"], ["surface", "list"]),
+    (["--alpha", "0.3"], ["surface", "list"]),
+    (["--seed", "1"], ["surface", "info", "c2alpha"]),
+    (["--surface", "vee"], ["surface", "info", "c2alpha"]),
+    (["--seed", "1"], JACOBIAN_RUN),
+    (["--seed", "1"], MINIMALITY_RUN),
+    (["--surface", "vee"], REPORT_RUN),
+    (["--alpha", "0.3"], REPORT_RUN),
+], ids=["seed-list", "surface-list", "alpha-list", "seed-info", "surface-info", "seed-jacobian",
+        "seed-minimality", "surface-report", "alpha-report"])
+def test_global_flag_a_command_does_not_read_exit_2(flags, command, tmp_path, monkeypatch, capsys):
+    # refused before the config is read: the missing config file is not the error
+    argv = ["--config", "missing.json", *flags, *command]
+    assert run_cli(argv, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flags[0]} is not read by this command")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [
+    {"surface": {"type": "catalog", "name": "c2alpha", "alpah": 0.3}},
+    {"surface": {"type": "catalog", "name": "c2alpha", "regularity": "C2alpha"}},
+    {"surface": {"type": "grid", "samples": GRID_13, "domain": [[-1, 1], [-1, 1]], "regularty": "C2"}},
+    {"surface": {"type": "grid", "samples": GRID_13, "domain": [[-1, 1], [-1, 1]], "regularity": "Smooth"}},
+    {"surface": {"type": "catalog", "name": "c2alpha", "alpha": None}},
+    {"surface": {"type": "catalog", "name": "c2alpha"}, "output": {"jacobian_jsn": "j.json"}},
+], ids=["misspelt-parameter", "grid-key-in-catalog-spec", "misspelt-grid-key", "Smooth",
+        "null-alpha", "misspelt-output-key"])
+def test_config_key_nothing_reads_exit_2(config, tmp_path, monkeypatch, capsys):
+    # a key is a parameter of the builder, or a known output, or exit 2 before any output is opened
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(["--config", "cfg.json", *JACOBIAN_RUN], tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert opened == ["cfg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_catalog_spec_keys_reach_the_builder(tmp_path, monkeypatch):
+    # a catalog entry's builder parameters are spec keys with no code naming them
+    from geoflow.catalog import CATALOG, SurfaceCatalogEntry, make_surface
+
+    tilts = []
+
+    def build(tilt=0.0):
+        tilts.append(tilt)
+        return make_surface("flat")
+
+    monkeypatch.setitem(CATALOG, "tilted", SurfaceCatalogEntry("flat, with a tilt", build))
+    (tmp_path / "cfg.json").write_text(json.dumps({"surface": {"type": "catalog", "name": "tilted",
+                                                               "tilt": 0.25}}))
+    assert run_cli(["--config", "cfg.json", *JACOBIAN_RUN], tmp_path, monkeypatch) == 0
+    assert tilts == [0.25]
 
 
 def test_grid_surface_spec(tmp_path, monkeypatch, capsys):

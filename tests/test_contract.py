@@ -160,6 +160,7 @@ ROWS = {
         Case("string state", lambda: flow.integrate_batch(FLAT, "a", 0.3)),
         Case("shape", lambda: flow.integrate_batch(FLAT, [0.1, 0.0, 1.0], 0.3)),
         Case("empty", lambda: flow.integrate_batch(FLAT, [], 0.3)),
+        Case("zero rows", lambda: flow.integrate_batch(FLAT, np.zeros((0, 4)), 1.0)),
         Case("string t", lambda: flow.integrate_batch(FLAT, V.as_state(), "a")),
         Case("end times per row", lambda: flow.integrate_batch(FLAT, [V.as_state()] * 2, [0.1, 0.2, 0.3])),
         Case("nan tol", lambda: flow.integrate_batch(FLAT, V.as_state(), 0.3, NAN)),
@@ -480,6 +481,7 @@ ROWS = {
         Case("parse string alpha", lambda: surface.Regularity.parse("C2alpha", "a")),
         Case("parse unhashable tag", lambda: surface.Regularity.parse(["C2"])),
         Case("parse alpha on smooth", lambda: surface.Regularity.parse("smooth", 0.3)),
+        Case("parse capitalised tag", lambda: surface.Regularity.parse("Smooth")),
     ],
     "surface.GraphSurface": [
         Case("nan corner", lambda: surface.GraphSurface(
@@ -561,6 +563,7 @@ ROWS = {
     "catalog.surface_from_spec": [
         Case("string", lambda: catalog.surface_from_spec("a")),
         Case("empty", lambda: catalog.surface_from_spec({})),
+        Case("non-string key", lambda: catalog.surface_from_spec({"type": "catalog", "name": "c2alpha", 1: 0.3})),
         Case("grid without samples", lambda: catalog.surface_from_spec({"type": "grid", "domain": [[0, 1]] * 2})),
         Case("unknown type", lambda: catalog.surface_from_spec({"type": "mesh"})),
         Case("string samples", lambda: catalog.surface_from_spec(
@@ -571,6 +574,13 @@ ROWS = {
             {"type": "grid", "samples": [[0.0] * 13] * 13, "domain": [0, 1]})),
         Case("inf domain", lambda: catalog.surface_from_spec(
             {"type": "grid", "samples": [[0.0] * 13] * 13, "domain": [[0, INF], [0, 1]]})),
+        Case("unknown grid key", lambda: catalog.surface_from_spec(
+            {"type": "grid", "samples": [[0.0] * 13] * 13, "domain": [[0, 1], [0, 1]], "regularty": "C2"})),
+        Case("parameter the builder does not take", lambda: catalog.surface_from_spec(
+            {"type": "catalog", "name": "c2alpha", "alpah": 0.3})),
+        Case("null alpha", lambda: catalog.surface_from_spec({"type": "catalog", "name": "c2alpha", "alpha": None})),
+        Case("parameters reach the builder", lambda: catalog.surface_from_spec(
+            {"type": "catalog", "name": "c2alpha", "alpha": 0.3}), expect=lambda s: s.regularity.alpha == 0.3),
     ],
     # -- integrate -----------------------------------------------------------
     "integrate.end_times": [
@@ -588,6 +598,9 @@ ROWS = {
         Case("string state", lambda: integrate.integrate_adaptive(np.negative, "a", 1.0)),
         Case("ragged state", lambda: integrate.integrate_adaptive(np.negative, [[1.0], [1.0, 2.0]], 1.0)),
         Case("shape", lambda: integrate.integrate_adaptive(np.negative, np.ones((2, 2, 2)), 1.0)),
+        Case("zero rows", lambda: integrate.integrate_adaptive(np.negative, np.zeros((0, 4)), 1.0)),
+        Case("empty state", lambda: integrate.integrate_adaptive(np.negative, [], 1.0)),
+        Case("zero-width rows", lambda: integrate.integrate_adaptive(np.negative, np.zeros((2, 0)), 1.0)),
         Case("nan t", lambda: integrate.integrate_adaptive(np.negative, [1.0], NAN)),
         Case("string rtol", lambda: integrate.integrate_adaptive(np.negative, [1.0], 1.0, "a")),
         Case("negative atol", lambda: integrate.integrate_adaptive(np.negative, [1.0], 1.0, 1e-8, -1e-10)),
@@ -596,6 +609,10 @@ ROWS = {
     ],
     "integrate.integrate_fixed_rk4": [
         Case("string state", lambda: integrate.integrate_fixed_rk4(np.negative, "a", 1.0, 0.1)),
+        Case("empty state", lambda: integrate.integrate_fixed_rk4(np.negative, [], 1.0, 0.1)),
+        Case("scalar state", lambda: integrate.integrate_fixed_rk4(np.negative, 1.0, 1.0, 0.1)),
+        Case("batch of rows", lambda: integrate.integrate_fixed_rk4(
+            np.negative, np.ones((2, 2)), 1.0, 0.1, inside=lambda u: u[..., 0] < 2.0)),
         Case("string step", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], 1.0, "a")),
         Case("zero step", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], 1.0, 0.0)),
         Case("nan step", lambda: integrate.integrate_fixed_rk4(np.negative, [1.0], 1.0, NAN)),
