@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfChart, UnknownSurface, require_array
+from .errors import InvalidInput, OutOfChart, UnknownSurface, require_array, require_real
 from .surface import GraphSurface, GridSurface, Regularity, SurfaceBounds
 
 
@@ -231,5 +231,7 @@ def surface_from_spec(spec: dict) -> GraphSurface:
     (x0, x1), (y0, y1) = domain
     xa = np.linspace(x0, x1, samples.shape[0])
     ya = np.linspace(y0, y1, samples.shape[1])
-    reg = Regularity.parse(spec.get("regularity", "smooth"), spec.get("alpha"))
+    # a given alpha is a number: Regularity.parse reads None as no alpha given
+    alpha = require_real(spec["alpha"], "a grid spec's alpha") if "alpha" in spec else None
+    reg = Regularity.parse(spec.get("regularity", "smooth"), alpha)
     return GridSurface.from_samples(spec.get("name", "grid"), xa, ya, samples, regularity=reg)

@@ -7,7 +7,7 @@ geodesic        integrate one geodesic, write trajectory CSV + summary JSON
 jacobian        flow differential at (t, v), optionally with the FD oracle
 smooth-converge mollified-family convergence report
 minimality      shortest-path margin report for one geodesic
-report          run verification suites, aggregate JSON, exit 0 iff all pass
+report          run the acceptance criteria (geoflow.criteria), JSON, exit 0 iff all pass
 
 Exit codes: 0 success, 1 failed verdict, 2 bad configuration or input, 3 out of domain.
 All randomness derives from the seed recorded in the output.
@@ -27,20 +27,11 @@ import numpy as np
 from . import regularity as reg
 from . import serialize
 from .catalog import CATALOG, make_surface, surface_from_spec
-from .errors import (ConfigError, GeoflowError, InvalidInput, OutOfChart, UnknownSurface, require_count,
-                     require_real)
-from .flow import (
-    TangentVector,
-    flow_property_residual,
-    geodesic_flow,
-    integrate_geodesic,
-    random_tangent,
-    require_completed,
-    speed_profile,
-)
-from .jacobi import JacobiState, fd_flow_differential, flow_differential, propagate_jacobi
-from .minimality import build_mesh_oracle, minimality_report, short_geodesic
-from .surface import curvature_from_christoffel, curvature_operator, g_norm_batch
+from .criteria import CRITERIA, SUITES
+from .errors import ConfigError, GeoflowError, InvalidInput, OutOfChart, UnknownSurface, require_count
+from .flow import TangentVector, integrate_geodesic, require_completed
+from .jacobi import fd_flow_differential, flow_differential
+from .minimality import build_mesh_oracle, minimality_report
 
 SCHEMA = 1
 
@@ -48,7 +39,6 @@ SCHEMA = 1
 @dataclass
 class RunConfig:
     surface: dict = field(default_factory=lambda: {"type": "catalog", "name": "flat"})
-    tolerances: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     suites: list = field(default_factory=list)
     seed: int = 0
@@ -60,16 +50,10 @@ class RunConfig:
             raise ConfigError(f"output must be an object of path strings, got {self.output!r}")
         if not (isinstance(self.suites, list) and all(isinstance(n, str) for n in self.suites)):
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        for what, given, known in (("tolerance", self.tolerances, DEFAULT_TOLERANCES),
-                                   ("output", self.output, OUTPUTS)):
-            if unknown := [key for key in given if key not in known]:
-                raise ConfigError(f"unknown {what} key {unknown[0]!r}")
-        try:  # the count and scalar rules, as configuration errors
+        if unknown := [key for key in self.output if key not in OUTPUTS]:
+            raise ConfigError(f"unknown output key {unknown[0]!r}")
+        try:  # the count rule, as a configuration error
             require_count(self.seed, 0, "seed")
-            for key, value in self.tolerances.items():
-                require_real(value, f"tolerance {key!r}")
         except InvalidInput as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -87,15 +71,6 @@ class RunConfig:
         with open(path) as fh:
             return RunConfig.from_dict(json.load(fh))
 
-
-DEFAULT_TOLERANCES = {
-    "conservation": 1e-8,
-    "composition": 1e-7,
-    "fd_match": 1e-5,
-    "gauss_rel": 1e-5,
-    "sphere_jacobi": 1e-7,
-    "margin": 0.0,
-}
 
 # each output key of a config file and the path written when neither the
 # file nor --out gives one
@@ -174,7 +149,6 @@ def cmd_geodesic(args, cfg: RunConfig) -> int:
     summary = {
         "schema": SCHEMA,
         "surface": surface.name,
-        "seed": cfg.seed,
         "t_requested": float(args.t_end),
         "t_reached": traj.final_time,
         "exit_reason": traj.status,
@@ -242,142 +216,17 @@ def cmd_minimality(args, cfg: RunConfig) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites for `report`
-# ---------------------------------------------------------------------------
-
-
-def _check(name, value, limit, passed=None):
-    """One report check; passed defaults to value <= limit."""
-    if passed is None:
-        passed = value <= limit
-    return {"name": name, "value": float(value), "limit": limit, "passed": bool(passed)}
-
-
-def _suite_surface(tols, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for name in ("hemisphere", "trough"):
-        surf = make_surface(name)
-        worst = 0.0
-        scale = max(surf.bounds.hess_sup ** 2, 1e-8)
-        for _ in range(20):
-            v = random_tangent(surf, rng, 0.5)
-            j = rng.normal(size=2)
-            a = curvature_operator(surf, v.x, v.y) @ j
-            b = curvature_from_christoffel(surf, v.x, v.y, j)
-            rel = np.max(np.abs(a - b)) / max(np.max(np.abs(b)), scale)
-            worst = max(worst, float(rel))
-        checks.append(_check(f"gauss_consistency_{name}", worst, tols["gauss_rel"]))
-    return checks
-
-
-def _suite_flow(tols, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for name in ("flat", "hemisphere", "trough", "c21_cubic", "c2alpha"):
-        surf = make_surface(name)
-        v = random_tangent(surf, rng, 0.5)
-        traj = integrate_geodesic(surf, v, 0.4)
-        drift = float(
-            np.max(np.abs(speed_profile(surf, traj) - traj.speed)) / traj.speed
-        )
-        checks.append(_check(f"speed_conservation_{name}", drift, tols["conservation"]))
-        res = flow_property_residual(surf, 0.15, 0.2, v)
-        checks.append(_check(f"composition_{name}", res, tols["composition"]))
-    return checks
-
-
-def _suite_jacobi(tols, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for name in ("flat", "hemisphere", "trough"):
-        surf = make_surface(name)
-        worst = 0.0
-        for _ in range(5):
-            v = random_tangent(surf, rng, 0.5)
-            t = rng.uniform(0.2, 0.4)
-            a = flow_differential(surf, t, v, tol=1e-11).matrix
-            b = fd_flow_differential(surf, t, v)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        checks.append(_check(f"fd_oracle_{name}", worst, tols["fd_match"]))
-    hemi = make_surface("hemisphere")
-    v = TangentVector([0.0, 0.0], [1.0, 0.0])
-    worst = 0.0
-    for t in (0.1, 0.3, 0.5):
-        js = propagate_jacobi(hemi, v, JacobiState([0, 0], [0, 1.0]), t, tol=1e-11)
-        worst = max(worst, abs(float(g_norm_batch(hemi, geodesic_flow(hemi, t, v).x, js.J)) - np.sin(t)))
-    checks.append(_check("sphere_jacobi_sin", worst, tols["sphere_jacobi"]))
-    return checks
-
-
-def _suite_minimality(tols, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for name in ("flat", "hemisphere", "vee"):
-        surf = make_surface(name)
-        oracle = build_mesh_oracle(surf, 64)
-        worst = np.inf
-        for _ in range(3):
-            traj = short_geodesic(surf, rng, 0.3)
-            rep = minimality_report(traj, oracle)
-            worst = min(worst, rep["margin"])
-        checks.append(_check(f"margin_{name}", worst, tols["margin"], worst >= tols["margin"]))
-    return checks
-
-
-def _suite_regularity(tols, seed):
-    rng = np.random.default_rng(seed)
-    checks = []
-    hemi = make_surface("hemisphere")
-    ok = True
-    for _ in range(10):
-        v = random_tangent(hemi, rng, 0.5)
-        j0 = JacobiState(rng.normal(size=2), rng.normal(size=2))
-        rep = reg.measure_gronwall_margin(hemi, v, j0, 0.4)
-        ok = ok and rep["holds"]
-    checks.append(_check("gronwall_dominance_hemisphere", ok, 1.0, ok))
-    gamma = reg.osgood_gamma(lambda d: d, 1.0, 1.0, 1.0)
-    checks.append(_check("gamma_formula", abs(gamma(0.1) - 0.1 * np.e), 1e-12))
-    err = abs(reg.injradius_lower_bound(1.0, 2 * np.pi) - np.pi)
-    checks.append(_check("injradius_formula", err, 1e-12))
-    return checks
-
-
-SUITES = {
-    "surface": _suite_surface,
-    "flow": _suite_flow,
-    "jacobi": _suite_jacobi,
-    "minimality": _suite_minimality,
-    "regularity": _suite_regularity,
-}
-
-
 def cmd_report(args, cfg: RunConfig) -> int:
-    names = args.suites.split(",") if args.suites else list(cfg.suites)
-    names = [n for n in names if n]
-    if not names:
+    if args.suites is None:
+        names = cfg.suites or SUITES
+    elif not (names := [n for n in args.suites.split(",") if n]):
         raise ConfigError("empty suite selection")
     if unknown := [n for n in names if n not in SUITES]:
         raise ConfigError(f"unknown suites {unknown}")
     path = _out_path(args.out, cfg, "report_json")
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(cfg.tolerances)
-    results = {}
-    for name in names:
-        checks = SUITES[name](tols, cfg.seed)
-        results[name] = {
-            "passed": bool(all(c["passed"] for c in checks)),
-            "checks": checks,
-        }
-    all_passed = all(r["passed"] for r in results.values())
-    out = {
-        "schema": SCHEMA,
-        "seed": cfg.seed,
-        "tolerances": tols,
-        "suites": results,
-        "all_passed": all_passed,
-    }
+    checks = [row.run(cfg.seed) for row in CRITERIA if row.suite in names]
+    all_passed = all(c["passed"] for c in checks)
+    out = {"schema": SCHEMA, "seed": cfg.seed, "checks": checks, "all_passed": all_passed}
     print(serialize.write_json(path, out))
     return 0 if all_passed else 1
 
@@ -408,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     psi.add_argument("name")
 
     pg = sub.add_parser("geodesic", parents=[tangent], help="integrate one geodesic")
-    pg.set_defaults(run=cmd_geodesic, reads=("seed", "surface", "alpha"))
+    pg.set_defaults(run=cmd_geodesic, reads=("surface", "alpha"))
     pg.add_argument("--t-end", type=float, required=True, dest="t_end")
     pg.add_argument("--tol", type=float, default=None)
     pg.add_argument("--out", default=None, help="trajectory CSV path")
@@ -432,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--resolution", type=int, default=128)
     pm.add_argument("--out", default=None)
 
-    pr = sub.add_parser("report", help="run verification suites")
+    pr = sub.add_parser("report", help="run the acceptance criteria")
     pr.set_defaults(run=cmd_report, reads=("seed",))
-    pr.add_argument("--suites", default=None, help="comma list: " + ",".join(SUITES))
+    pr.add_argument("--suites", default=None, help="comma list of " + ",".join(SUITES) + " (default: all)")
     pr.add_argument("--out", default=None)
     return p
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import geoflow
-from geoflow.cli import DEFAULT_TOLERANCES, RunConfig, _suite_flow, main
+from geoflow.cli import RunConfig, main
+from geoflow.criteria import CRITERIA, Criterion
 from geoflow.errors import ConfigError
 
 
@@ -262,7 +263,7 @@ FLAT_START = ["--x0", "0,0", "--y0", "1,0"]
     (["geodesic", *FLAT_START, "--t-end", "0.1"], {"summary_json": "missing/g.json"}, "integrate_geodesic"),
     (["jacobian", *FLAT_START, "--t", "0.1", "--out", "missing/j.json"], {}, "flow_differential"),
     (["minimality", *FLAT_START, "--t-end", "0.1", "--out", "missing/m.json"], {}, "integrate_geodesic"),
-    (["report", "--suites", "flow", "--out", "missing/r.json"], {}, "SUITES"),
+    (["report", "--suites", "flow", "--out", "missing/r.json"], {}, "Criterion.run"),
 ], ids=["smooth-json", "smooth-csv", "geodesic-csv", "geodesic-json", "jacobian", "minimality",
         "report"])
 def test_missing_output_directory_fails_before_work(argv, output, work, tmp_path, monkeypatch,
@@ -277,8 +278,8 @@ def test_missing_output_directory_fails_before_work(argv, output, work, tmp_path
         calls.append(work)
         raise AssertionError(f"{work} ran")
 
-    if work == "SUITES":
-        monkeypatch.setitem(cli.SUITES, "flow", fail)
+    if work == "Criterion.run":
+        monkeypatch.setattr(Criterion, "run", fail)
     else:
         monkeypatch.setattr(cli.reg if work == "approximation_sequence" else cli, work, fail)
     (tmp_path / "cfg.json").write_text(json.dumps({"surface": {"type": "catalog", "name": "vee"},
@@ -324,28 +325,30 @@ def test_minimality_flat(tmp_path, monkeypatch, capsys):
 
 
 def test_report_passes(tmp_path, monkeypatch, capsys):
-    code = run_cli(["report", "--suites", "flow,regularity"], tmp_path, monkeypatch)
+    code = run_cli(["report", "--suites", "surface"], tmp_path, monkeypatch)
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_passed"] is True
+    assert [c["name"] for c in out["checks"]] == [r.name for r in CRITERIA if r.suite == "surface"]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_flow_suite_passes(seed):
-    # speed conservation and composition on every C2-and-better surface,
-    # c2alpha's ridge included, at the default tolerances
-    failed = [c["name"] for c in _suite_flow(DEFAULT_TOLERANCES, seed) if not c["passed"]]
+    # the flow rows at seeds 0-9: speed conservation on every C2-and-better
+    # surface, c2alpha's ridge included (seeds 3 and 7 failed before the
+    # integrator stopped its steps at creases)
+    failed = [row.name for row in CRITERIA if row.suite == "flow" and not row.run(seed)["passed"]]
     assert failed == []
 
 
-def test_report_impossible_tolerance(tmp_path, monkeypatch):
-    cfg = {"tolerances": {"conservation": 1e-30}, "seed": 0}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code = run_cli(
-        ["--config", str(path), "report", "--suites", "flow"], tmp_path, monkeypatch
-    )
-    assert code == 1
+def test_report_failing_row_exit_1(tmp_path, monkeypatch, capsys):
+    from geoflow import cli
+
+    failing = Criterion("always_fails", "surface", 0, lambda seed, limit: (False, {"value": 1.0}), 0.0, 1.0)
+    monkeypatch.setattr(cli, "CRITERIA", (*CRITERIA, failing))
+    assert run_cli(["report", "--suites", "surface"], tmp_path, monkeypatch) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["passed"] for c in out["checks"]] == [True, False] and out["all_passed"] is False
 
 
 def test_report_empty_suites(tmp_path, monkeypatch, capsys):
@@ -362,8 +365,8 @@ def test_report_unknown_suite(tmp_path, monkeypatch, capsys):
 
 def test_report_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["--seed", "3", "report", "--suites", "regularity", "--out", "a.json"]) == 0
-    assert main(["--seed", "3", "report", "--suites", "regularity", "--out", "b.json"]) == 0
+    assert main(["--seed", "3", "report", "--suites", "surface", "--out", "a.json"]) == 0
+    assert main(["--seed", "3", "report", "--suites", "surface", "--out", "b.json"]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
@@ -375,7 +378,6 @@ def test_report_deterministic(tmp_path, monkeypatch):
 def test_config_roundtrip():
     cfg = RunConfig(
         surface={"type": "catalog", "name": "vee"},
-        tolerances={"conservation": 1e-9},
         output={"report_json": "r.json"},
         suites=["flow"],
         seed=42,
@@ -393,13 +395,15 @@ def test_config_rejects_unknown_keys():
     {"composition": "tight"},
     {"composition": float("inf")},
     {"margin": True},
+    {"conservation": 1e-8},
 ])
 def test_config_rejects_bad_tolerances(tolerances, tmp_path, monkeypatch, capsys):
+    # a config file sets no limit: each is its criterion's constant
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"tolerances": tolerances})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"tolerances": tolerances}))
-    assert run_cli(["--config", str(path), "report", "--suites", "regularity"],
+    assert run_cli(["--config", str(path), "report", "--suites", "surface"],
                    tmp_path, monkeypatch) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -503,7 +507,8 @@ def test_alpha_flag_reaches_config_surface(tmp_path, monkeypatch, capsys):
 
 JACOBIAN_RUN = ["jacobian", "--x0", "0.1,0", "--y0", "1,0", "--t", "0.1"]
 MINIMALITY_RUN = ["minimality", "--x0", "0.1,0", "--y0", "1,0", "--t-end", "0.1", "--resolution", "16"]
-REPORT_RUN = ["report", "--suites", "regularity"]
+REPORT_RUN = ["report", "--suites", "surface"]
+GEODESIC_RUN = ["geodesic", "--x0", "0.1,0", "--y0", "1,0", "--t-end", "0.1"]
 
 
 @pytest.mark.parametrize("flags, command", [
@@ -516,8 +521,9 @@ REPORT_RUN = ["report", "--suites", "regularity"]
     (["--seed", "1"], MINIMALITY_RUN),
     (["--surface", "vee"], REPORT_RUN),
     (["--alpha", "0.3"], REPORT_RUN),
+    (["--seed", "1"], GEODESIC_RUN),
 ], ids=["seed-list", "surface-list", "alpha-list", "seed-info", "surface-info", "seed-jacobian",
-        "seed-minimality", "surface-report", "alpha-report"])
+        "seed-minimality", "surface-report", "alpha-report", "seed-geodesic"])
 def test_global_flag_a_command_does_not_read_exit_2(flags, command, tmp_path, monkeypatch, capsys):
     # refused before the config is read: the missing config file is not the error
     argv = ["--config", "missing.json", *flags, *command]
@@ -533,9 +539,11 @@ def test_global_flag_a_command_does_not_read_exit_2(flags, command, tmp_path, mo
     {"surface": {"type": "grid", "samples": GRID_13, "domain": [[-1, 1], [-1, 1]], "regularty": "C2"}},
     {"surface": {"type": "grid", "samples": GRID_13, "domain": [[-1, 1], [-1, 1]], "regularity": "Smooth"}},
     {"surface": {"type": "catalog", "name": "c2alpha", "alpha": None}},
+    {"surface": {"type": "grid", "samples": GRID_13, "domain": [[-1, 1], [-1, 1]], "regularity": "C2alpha",
+                 "alpha": None}},
     {"surface": {"type": "catalog", "name": "c2alpha"}, "output": {"jacobian_jsn": "j.json"}},
 ], ids=["misspelt-parameter", "grid-key-in-catalog-spec", "misspelt-grid-key", "Smooth",
-        "null-alpha", "misspelt-output-key"])
+        "null-alpha", "grid-null-alpha", "misspelt-output-key"])
 def test_config_key_nothing_reads_exit_2(config, tmp_path, monkeypatch, capsys):
     # a key is a parameter of the builder, or a known output, or exit 2 before any output is opened
     opened = []

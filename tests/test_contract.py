@@ -579,6 +579,9 @@ ROWS = {
         Case("parameter the builder does not take", lambda: catalog.surface_from_spec(
             {"type": "catalog", "name": "c2alpha", "alpah": 0.3})),
         Case("null alpha", lambda: catalog.surface_from_spec({"type": "catalog", "name": "c2alpha", "alpha": None})),
+        Case("grid null alpha", lambda: catalog.surface_from_spec(
+            {"type": "grid", "samples": [[0.0] * 13] * 13, "domain": [[0, 1], [0, 1]], "regularity": "C2alpha",
+             "alpha": None})),
         Case("parameters reach the builder", lambda: catalog.surface_from_spec(
             {"type": "catalog", "name": "c2alpha", "alpha": 0.3}), expect=lambda s: s.regularity.alpha == 0.3),
     ],
