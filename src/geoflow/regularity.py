@@ -6,9 +6,13 @@ applied one axis at a time. Derivative grids are produced by convolving the
 surface's own derivative arrays with the same kernel (the convolution
 commutes with differentiation for the classes handled here), at once, and
 the height only at its first read: the flows see a level through its
-derivatives alone. The discrete weights are nonnegative, symmetric and
-normalized to unit mass, so affine height fields are preserved exactly and
-sup bounds of the derivatives can never be inflated by the smoothing.
+derivatives alone. A level can also be smoothed over only the part of the
+chart its readers need (mollify's box): approximation_sequence smooths every
+level finer than the coarsest over the box they all share, where its
+distances, probes and pruning stay. The discrete weights are nonnegative,
+symmetric and normalized to unit mass, so affine height fields are preserved
+exactly and sup bounds of the derivatives can never be inflated by the
+smoothing.
 
 The module also provides the quantitative bounds used to certify the flow
 behaviour: the exponential a-priori bound on Jacobi states, the explicit
@@ -38,6 +42,7 @@ _CONVERGE_FACTOR = 1.5                  # mean shrink per level that counts as c
 _LIPSCHITZ_GAPS = (1e-4, 1e-2)          # log-uniform range of initial-state gaps
 _MODULUS_GAPS = np.logspace(-3, -1, 7)  # base-point gaps of the modulus probes
 _STRIP_ROWS = 32                        # spline-grid rows that mollify smooths at a time
+_KERNEL_CELLS = 16                      # fine cells per eps of mollify's lattice, by default
 
 # ---------------------------------------------------------------------------
 # moduli of continuity
@@ -196,23 +201,10 @@ def _smooth_strips(sample, outs, axes, radius, k):
             out[i0:i1] = field if field.ndim == out.ndim else field[..., [0, 0, 1], [0, 1, 1], :]
 
 
-def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> GridSurface:
-    """Smoothed copy of the surface on the chart box shrunk by eps.
-
-    The gradient and Hessian are sampled on a fine grid of spacing
-    eps / kernel_cells, with one surface.derivatives call per strip of
-    _smooth_strips. Each component is convolved with a product of 1-D bumps
-    of support radius eps, one axis at a time, each pass keeping only the
-    outputs on the spline grid, and the two fields are fitted here. The
-    height is deferred: the returned GridSurface samples, smooths and fits
-    it in the same strips on its first height read, re-normalized to match
-    the original at the chart origin when the origin is on the grid, and
-    keeps it; the flows and their differentials never read it. Only
-    box-domain charts of dim 2 are supported, and an eps that leaves fewer
-    than 4 spline-grid samples on an axis is DomainTooSmall.
-    """
-    require_count(kernel_cells, 1, "kernel_cells")
-    eps = require_real(eps, "eps", above=0)
+def _lattice(surface: GraphSurface, eps: float, kernel_cells: int):
+    """mollify's full-chart lattice: per axis the fine linspace of spacing at
+    most eps / kernel_cells and the kernel radius r in its cells (r cells span
+    at most eps), and the stride k of the spline grid ax[r: len(ax) - r: k]."""
     if surface.dim != 2:
         raise DomainTooSmall("smoothing is implemented for 2-dimensional charts")
     if surface._membership is not None:
@@ -220,7 +212,6 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
     widths = surface.domain_hi - surface.domain_lo
     if 2 * eps >= np.min(widths):
         raise DomainTooSmall(f"eps={eps:g} too large for chart widths {widths}")
-
     step = eps / kernel_cells
     n_pts = np.ceil(widths / step).astype(int) + 1
     axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(surface.domain_lo, surface.domain_hi, n_pts)]
@@ -229,7 +220,63 @@ def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = 16) -> Gri
         raise DomainTooSmall("kernel support under-resolved; increase kernel_cells")
     # Subsample to the spline grid: spacing about eps/6 resolves every
     # eps-scale feature while keeping the spline fits cheap.
-    k = max(1, int(round(kernel_cells / 6)))
+    return axes, radius, max(1, int(round(kernel_cells / 6)))
+
+
+def _box_axes(axes, radius, k: int, box, eps: float):
+    """The fine axes cut to what mollify reads for box: on each axis the
+    shortest run of the spline grid ax[r: len(ax) - r: k] that covers the
+    box, and the r fine points its kernel windows reach past either end."""
+    box = require_array(box, "box", finite=True)
+    if box.shape != (2, 2):
+        raise InvalidInput(f"box must be (lo, hi), two 2-vectors, got shape {box.shape}")
+    if not np.all(box[0] < box[1]):
+        raise InvalidInput(f"box needs lo < hi on each axis, got {box.tolist()}")
+    cut = []
+    for axis, (ax, r, lo, hi) in enumerate(zip(axes, radius, *box)):
+        grid = ax[r: len(ax) - r: k]
+        i, j = np.searchsorted(grid, lo, side="right") - 1, np.searchsorted(grid, hi)
+        if i < 0 or j == len(grid):
+            raise InvalidInput(f"box [{lo:g}, {hi:g}] on axis {axis} leaves the chart shrunk by "
+                               f"eps={eps:g}, [{grid[0]:g}, {grid[-1]:g}]")
+        cut.append(ax[i * k: j * k + 2 * r + 1])
+    return cut
+
+
+def mollify(surface: GraphSurface, eps: float, *, kernel_cells: int = _KERNEL_CELLS, box=None) -> GridSurface:
+    """Smoothed copy of the surface on the chart box shrunk by eps.
+
+    The gradient and Hessian are sampled on a fine lattice, per axis the
+    linspace of the chart's width in cells of at most eps / kernel_cells,
+    with one surface.derivatives call per strip of _smooth_strips. Each
+    component is convolved with a product of 1-D bumps of support radius r
+    cells (r cells span at most eps, within one cell), one axis at a time,
+    each pass keeping only the outputs on the spline grid, and the two fields
+    are fitted here. The spline grid is every k-th fine point from r cells
+    inside lo to r cells inside hi (k = round(kernel_cells / 6)), so it can
+    stop up to k - 1 fine cells short of hi - eps: at eps = 0.1 the catalog
+    charts' [-0.8, 0.8] give [-0.7, 0.6875]. The height is deferred: the
+    returned GridSurface samples, smooths and fits it in the same strips on
+    its first height read, re-normalized to match the original at the chart
+    origin when the origin is on the grid, and keeps it; the flows and their
+    differentials never read it. Only box-domain charts of dim 2 are
+    supported, and an eps that leaves fewer than 4 spline-grid samples on an
+    axis is DomainTooSmall.
+
+    box = (lo, hi), two 2-vectors, restricts the level to what a reader
+    inside the box needs: the spline grid is the shortest contiguous run of
+    the full-chart one that covers the box, and only the fine rows and
+    columns its kernel windows reach are sampled and smoothed. The fine
+    lattice stays the full-chart one, so every sampled point has the same
+    bits; the fit differs near the run's ends. A box that is misshapen, not
+    finite, has lo >= hi or does not lie inside the full-chart spline grid
+    is InvalidInput. Without box the level is the full-chart one.
+    """
+    require_count(kernel_cells, 1, "kernel_cells")
+    eps = require_real(eps, "eps", above=0)
+    axes, radius, k = _lattice(surface, eps, kernel_cells)
+    if box is not None:
+        axes = _box_axes(axes, radius, k, box, eps)
     xa, ya = (ax[r: len(ax) - r: k] for ax, r in zip(axes, radius))
     if min(len(xa), len(ya)) < 4:
         raise DomainTooSmall(f"eps={eps:g} leaves a {len(xa)} x {len(ya)} spline grid; "
@@ -260,7 +307,7 @@ class SmoothingSequence:
     metric_c1_dist: np.ndarray   # per level: sup|g_l - g| + sup|Dg_l - Dg|
     pi_c0_dist: np.ndarray       # per level: sup |Pi_l - Pi| on basis pairs
     pi_sup: np.ndarray           # per level: sup |Pi_l| (uniform-bound check)
-    common_box: tuple            # (lo, hi): the chart box every level shares
+    common_box: tuple            # (lo, hi): the box every level covers and every reader stays in
 
 
 def _level_fields(surf, pts):
@@ -278,14 +325,23 @@ def _level_fields(surf, pts):
 
 def approximation_sequence(surface: GraphSurface, scales) -> SmoothingSequence:
     """Smoothed family for decreasing scales, with distances to base measured
-    on a _PROBE_RES x _PROBE_RES grid of the common box."""
+    on a _PROBE_RES x _PROBE_RES grid of the common box.
+
+    The common box is the part of the chart that every full-chart level's
+    spline grid covers: the coarsest level's domain, unless a finer eps is
+    within a few fine cells of it. The coarsest level is the full-chart one;
+    every finer level is smoothed only over the common box (mollify's box),
+    as nothing reads a level outside it."""
     scales = [require_real(e, "each scale", above=0) for e in require_sequence(scales, "scales", 2)]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidInput(f"need strictly decreasing scales, got {scales}")
-    smoothed = [mollify(surface, e) for e in scales]
+    ends = []  # per scale, the ends of each axis's full-chart spline grid
+    for e in scales:
+        axes, radius, k = _lattice(surface, e, _KERNEL_CELLS)
+        ends.append([ax[r: len(ax) - r: k][[0, -1]] for ax, r in zip(axes, radius)])
+    lo, hi = np.max(ends, axis=0)[:, 0], np.min(ends, axis=0)[:, 1]
+    smoothed = [mollify(surface, scales[0])] + [mollify(surface, e, box=(lo, hi)) for e in scales[1:]]
 
-    lo = np.max([s.domain_lo for s in smoothed], axis=0)
-    hi = np.min([s.domain_hi for s in smoothed], axis=0)
     axes = [np.linspace(a + 1e-9, b - 1e-9, _PROBE_RES) for a, b in zip(lo, hi)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 

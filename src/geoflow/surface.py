@@ -404,6 +404,8 @@ class GridSurface(GraphSurface):
     (convex hull; de Boor, A Practical Guide to Splines), so grad_sup and
     hess_sup are Frobenius norms of per-entry coefficient maxima (12 counted
     twice), and curvature_sup = hess_sup as |Pi(u,u)| <= |Hess h(u,u)|, |u| <= |u|_g.
+    They are computed at the first bounds read, not at construction: the
+    smoothing study never reads a level's bounds.
     """
 
     def __init__(self, name, x_axis, y_axis, h, grad, hess, *, regularity=Regularity("smooth")):
@@ -424,11 +426,6 @@ class GridSurface(GraphSurface):
         n_grad = 2 * codim
         d_spl = NdBSpline((tx, ty), _fit(x_lu, y_lu, np.concatenate(
             [grad.reshape(nx, ny, n_grad), hess.reshape(nx, ny, 3 * codim)], axis=-1)), 3)
-        # per component: reducing a strided (nx, ny) view is several times
-        # faster than one reduction of the stack over axes (0, 1)
-        d_max = np.array([max(c.max(), -c.min()) for c in np.moveaxis(d_spl.c, -1, 0)])
-        grad_max, hess_max = d_max[:n_grad], d_max[n_grad:].reshape(3, codim)
-        hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
         lo = np.array([x_axis[0], y_axis[0]])
         hi = np.array([x_axis[-1], y_axis[-1]])
 
@@ -460,10 +457,24 @@ class GridSurface(GraphSurface):
             return (out[..., :n_grad].reshape(lead + (2, codim)),
                     out[..., n_grad:].reshape(lead + (3, codim))[..., [[0, 1], [1, 2]], :])
 
+        @functools.cache
+        def bounds():
+            # per component: reducing a strided (nx, ny) view is several times
+            # faster than one reduction of the stack over axes (0, 1)
+            d_max = np.array([max(c.max(), -c.min()) for c in np.moveaxis(d_spl.c, -1, 0)])
+            grad_max, hess_max = d_max[:n_grad], d_max[n_grad:].reshape(3, codim)
+            hess_sup = float(np.sqrt(np.sum(np.array([[1.0], [2.0], [1.0]]) * hess_max ** 2)))
+            return SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup)
+
         super().__init__(
             name, 2, codim, lo, hi, lambda X: h_spl()(clamped(X)), derivatives, regularity=regularity,
-            bounds=SurfaceBounds(float(np.linalg.norm(grad_max)), hess_sup, hess_sup),
         )
+        self._coefficient_bounds = bounds
+
+    @property
+    def bounds(self) -> SurfaceBounds:
+        """The coefficient-maxima bounds, computed at the first read and kept."""
+        return self._coefficient_bounds()
 
     @classmethod
     def from_samples(cls, name, x_axis, y_axis, h_samples, *, regularity=Regularity("smooth")):

@@ -342,6 +342,17 @@ ROWS = {
         Case("negative kernel_cells", lambda: regularity.mollify(VEE, 0.1, kernel_cells=-1)),
         Case("bool kernel_cells", lambda: regularity.mollify(VEE, 0.1, kernel_cells=True)),
         Case("restricted chart", lambda: regularity.mollify(HEMI, 0.1)),
+        Case("string box", lambda: regularity.mollify(VEE, 0.1, box="a")),
+        Case("shape box", lambda: regularity.mollify(VEE, 0.1, box=[-0.5, 0.5])),
+        Case("3-vector box", lambda: regularity.mollify(VEE, 0.1, box=([-0.5] * 3, [0.5] * 3))),
+        Case("nan box", lambda: regularity.mollify(VEE, 0.1, box=([NAN, -0.5], [0.5, 0.5]))),
+        Case("inf box", lambda: regularity.mollify(VEE, 0.1, box=([-0.5, -0.5], [INF, 0.5]))),
+        Case("box lo = hi", lambda: regularity.mollify(VEE, 0.1, box=([0.2, -0.5], [0.2, 0.5]))),
+        Case("box lo > hi", lambda: regularity.mollify(VEE, 0.1, box=([-0.5, 0.5], [0.5, -0.5]))),
+        Case("box past the shrunk chart", lambda: regularity.mollify(VEE, 0.1, box=([-0.75, -0.5], [0.5, 0.5]))),
+        Case("box off the chart", lambda: regularity.mollify(VEE, 0.1, box=([1.0, 1.0], [2.0, 2.0]))),
+        Case("box: a level that covers it", lambda: regularity.mollify(VEE, 0.05, box=([-0.5, 0.0], [0.5, 0.3])),
+             expect=lambda s: np.all(s.domain_lo <= [-0.5, 0.0]) and np.all(s.domain_hi >= [0.5, 0.3])),
     ],
     "regularity.approximation_sequence": [
         Case("not a sequence", lambda: regularity.approximation_sequence(VEE, 0.1)),

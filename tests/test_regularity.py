@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -262,6 +263,72 @@ def test_deferred_height_matches_eager_bits():
         assert [v.hex() for v in s.height(pts)[:, 0]] == want, name
 
 
+def test_grid_bounds_deferred_to_first_read(monkeypatch):
+    # building a level computes no coefficient maxima (the smoothing study
+    # never reads a level's bounds); the first bounds read computes them once,
+    # with the bits GridSurface gave when it computed them at construction
+    from geoflow import surface
+
+    eager = {("vee", 0.1): ["0x1.6666666666669p+0", "0x1.025881e365f38p+1"],
+             ("c2alpha", 0.05): ["0x1.9fcd3f69bdefbp+0", "0x1.9fa7d974a3e72p+1"],
+             ("c21_cubic", 0.05): ["0x1.b04db763d94b6p+0", "0x1.2000000000004p+2"]}
+    bases = {name: make_surface(name) for name, _ in eager}
+    made = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Counted(surface.SurfaceBounds):
+        def __post_init__(self):
+            made.append(self)
+
+    monkeypatch.setattr(surface, "SurfaceBounds", Counted)
+    for (name, eps), (grad_sup, hess_sup) in eager.items():
+        level = reg.mollify(bases[name], eps)
+        assert made == []
+        got = [level.bounds for _ in range(2)]
+        assert len(made) == 1 and got[0] is got[1]
+        assert [got[0].grad_sup.hex(), got[0].hess_sup.hex(), got[0].curvature_sup.hex()] \
+            == [grad_sup, hess_sup, hess_sup]
+        made.clear()
+
+
+_BOX = (np.array([-0.7, -0.7]), np.array([0.6875, 0.6875]))  # mollify's domain at eps = 0.1 on the catalog charts
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("c21_cubic", 0.05), ("c21_cubic", 0.025), ("c2alpha", 0.05), ("c2alpha", 0.025),
+    ("c2alpha", 0.0125), ("vee", 0.05), ("vee", 0.025),
+])
+def test_box_level_matches_full_chart_level(name, eps):
+    # the box level's spline grid is a run of the full-chart one over the same
+    # smoothed samples, so only the not-a-knot ends of its fit differ: a 201^2
+    # grid of the box measured at most 7.1e-15 at |x|inf <= 0.6 and 3.0e-9
+    # elsewhere in the box (c2alpha at eps = 0.05)
+    surf = make_surface(name)
+    full, cut = reg.mollify(surf, eps), reg.mollify(surf, eps, box=_BOX)
+    xs = np.linspace(-0.7, 0.6875, 201)
+    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    dev = np.max([np.abs(a - b).reshape(len(pts), -1).max(axis=1)
+                  for a, b in zip(full.derivatives(pts), cut.derivatives(pts))], axis=0)
+    assert np.max(dev[np.max(np.abs(pts), axis=1) <= 0.6]) <= 1e-13
+    assert np.max(dev) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.025, 0.0125])
+def test_box_level_samples_near_the_box(c2alpha, eps, monkeypatch):
+    # the base derivatives are sampled only where the kernel windows of the
+    # run covering the box reach: less than one spline cell (3 fine cells of
+    # eps / 16) past box +- eps; at eps = 0.05 and 0.0125 the run ends 1 fine
+    # cell below lo and 2 above hi
+    reach = []
+    derivatives = c2alpha.derivatives
+    monkeypatch.setattr(c2alpha, "derivatives",
+                        lambda X: reach.append((X.min(axis=(0, 1)), X.max(axis=(0, 1)))) or derivatives(X))
+    reg.mollify(c2alpha, eps, box=_BOX)
+    lo, hi = np.min([r[0] for r in reach], axis=0), np.max([r[1] for r in reach], axis=0)
+    cells = np.concatenate([_BOX[0] - eps - lo, hi - eps - _BOX[1]]) / (eps / 16)
+    assert np.all(cells < 3), cells
+
+
 def test_flow_study_reads_no_height(c2alpha, monkeypatch):
     # the flows and their differentials see a level only through its
     # gradient and Hessian, so the study never samples the base height
@@ -324,6 +391,26 @@ def test_sequence_matches_base_at_origin(c2alpha_sequence):
     h0 = seq.base.height(np.zeros(2))
     for s in seq.smoothed:
         np.testing.assert_allclose(s.height(np.zeros(2)), h0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, scales", [
+    ("c2alpha", [0.1, 0.05, 0.025, 0.0125]),
+    ("vee", [0.2, 0.19]),  # 0.19's full-chart grid stops short of 0.2's
+])
+def test_sequence_levels_cover_the_common_box(name, scales):
+    # the coarsest level is the full-chart one; each finer level covers the
+    # common box and extends past it by less than one spline cell (3 fine
+    # cells of eps / 16) per side
+    seq = reg.approximation_sequence(make_surface(name), scales)
+    lo, hi = seq.common_box
+    full = [reg.mollify(seq.base, e) for e in scales]
+    np.testing.assert_array_equal(lo, np.max([s.domain_lo for s in full], axis=0))
+    np.testing.assert_array_equal(hi, np.min([s.domain_hi for s in full], axis=0))
+    assert seq.smoothed[0].domain_lo.tolist() == full[0].domain_lo.tolist()
+    assert seq.smoothed[0].domain_hi.tolist() == full[0].domain_hi.tolist()
+    for s, e in zip(seq.smoothed[1:], scales[1:]):
+        past = np.concatenate([lo - s.domain_lo, s.domain_hi - hi])
+        assert np.all(past >= 0) and np.all(past < 3 * e / 16), (e, past)
 
 
 def test_sequence_rejects_nondecreasing_scales(vee):
